@@ -295,7 +295,7 @@ class _ShardGroup:
                     if fault.device == index]
             mine.sort(key=lambda entry: (entry[1].time_s, entry[0]))
             if mine:
-                env.process(self._fault_driver(shard, mine))
+                env.spawn(self._fault_driver(shard, mine))
 
     # -- in-simulation fault handling -----------------------------------
     def _fault_driver(self, shard: DeviceShard, faults):
@@ -347,14 +347,13 @@ class _ShardGroup:
                 self._self_draining[index] = True
             batch = adopted.get(index)
             if batch or index in restore:
-                env.process(self._adopt_at(shard, at_s, batch or (),
-                                           index in restore))
+                env.spawn(self._adopt_at(shard, at_s, batch or (),
+                                         index in restore))
             mine = arrivals.get(index)
             if mine:
-                env.process(_epoch_arrivals(env, shard.frontend,
-                                            self.requests, mine))
+                env.spawn(_epoch_arrivals(env, shard.frontend,
+                                          self.requests, mine))
             env.run_events(end_s)
-            shard.backend.check_health()
             if shard.health is DeviceHealth.FAILED \
                     and not self._self_draining[index]:
                 # Traffic routed here on a stale (pre-failure) snapshot
@@ -410,7 +409,7 @@ class _ShardGroup:
         """Phase one of the drain: run every owned shard to idle.
 
         Feeds any backlog still in flight between shards (evicted at the
-        final boundary ``at_s``), closes the front-ends and steps each
+        final boundary ``at_s``), closes the front-ends and runs each
         shard until it has no queued or in-flight work.  Reports the
         shard's last settlement instant so the coordinator can compute
         the fleet settle time — the instant :meth:`finalize` finishes
@@ -427,30 +426,26 @@ class _ShardGroup:
                 self._self_draining[index] = True
             batch = adopted.get(index)
             if batch or index in restore:
-                env.process(self._adopt_at(shard, at_s, batch or (),
-                                           index in restore))
+                env.spawn(self._adopt_at(shard, at_s, batch or (),
+                                         index in restore))
                 # Deliver before closing: the adoption event must land
                 # while the dispatch loop is still alive.
                 env.run_events(at_s if at_s > env.now else env.now)
             if not self._closed[index]:
                 frontend.close()
                 self._closed[index] = True
-            last_settled = -1
-            last_progress = env.now
-            while not frontend.drained:
-                if env.peek() == float("inf"):
-                    raise RuntimeError(
-                        f"device {index} stalled while draining at "
-                        f"t={env.now:.3f}s")
-                if shard.tracker.settled != last_settled:
-                    last_settled = shard.tracker.settled
-                    last_progress = env.now
-                elif env.now - last_progress > stall_horizon:
-                    raise RuntimeError(
-                        f"device {index} made no progress for "
-                        f"{stall_horizon:.0f} simulated seconds")
-                env.step()
-                shard.backend.check_health()
+            tracker = shard.tracker
+            outcome = env.run_until(lambda: frontend.drained,
+                                    progress=lambda: tracker.settled,
+                                    stall_s=stall_horizon)
+            if outcome == "drained":
+                raise RuntimeError(
+                    f"device {index} stalled while draining at "
+                    f"t={env.now:.3f}s")
+            if outcome == "stalled":
+                raise RuntimeError(
+                    f"device {index} made no progress for "
+                    f"{stall_horizon:.0f} simulated seconds")
             payload = self._boundary_payload(index)
             payload["settled_s"] = shard.tracker.last_settled_s
             results[index] = payload
@@ -471,10 +466,8 @@ class _ShardGroup:
             env = shard.backend.env
             if env.now < settle_s:
                 env.run(until=settle_s)
-            shard.backend.check_health()
             shard.backend.finish()
             env.run()
-            shard.backend.check_health()
             stats_fn = getattr(shard.backend, "scheduler_stats", None)
             report = assemble_serving_report(
                 self.scenario, shard.config.system, shard.tracker,

@@ -163,17 +163,12 @@ class ClusterSession:
         requests = scenario.make_arrivals().generate(scenario.duration_s)
         for shard in shards:
             shard.backend.start()
-        env.process(arrival_driver(env, dispatcher, requests))
+        env.spawn(arrival_driver(env, dispatcher, requests))
         faults = sorted(self.cluster.faults, key=lambda f: f.time_s)
         if faults:
-            env.process(self._fault_driver(env, dispatcher, faults))
-        def check_fleet_health():
-            """Surface crashes from any shard's backend processes."""
-            for shard in shards:
-                shard.backend.check_health()
-
+            env.spawn(self._fault_driver(env, dispatcher, faults))
         drive_until_settled(env, fleet, len(requests), scenario.duration_s,
-                            check_fleet_health, label="cluster run")
+                            label="cluster run")
         if bus is not None:
             # Final sample at settle time, then retire the sampler
             # (de-scheduling its pending tick) so the drain loop below
@@ -190,7 +185,6 @@ class ClusterSession:
         # Drain background work (Storengine flush/GC) on every device so
         # energy accounting covers every byte served fleet-wide.
         env.run()
-        check_fleet_health()
         report = self._assemble_report(env, shards, dispatcher, fleet)
         if bus is not None:
             self.metrics = bus.timeline

@@ -217,7 +217,6 @@ class FlashAbacusAccelerator:
         # momentarily drained, and every kernel completion is announced to
         # the registered listeners.
         self._serving = False
-        self._service_procs: List[Any] = []
         self._completion_listeners: List[Callable[[Kernel, float], None]] = []
         # Observability (repro.obs): shard index stamped on screen span
         # events when a tracer is attached to the environment; 0 for
@@ -232,28 +231,27 @@ class FlashAbacusAccelerator:
         """Offload ``kernels``, run them to completion, return the report."""
         if not kernels:
             raise ValueError("run_workload needs at least one kernel")
-        self.env.process(self._host_offload(list(kernels)))
-        worker_procs = [self.env.process(self._worker_loop(idx, lwp))
-                        for idx, lwp in enumerate(self.cluster.workers)]
-        # Step the simulation until every offloaded kernel has completed.
-        # Storengine is a perpetual background process, so draining the
-        # whole event queue would never terminate.
-        while not self.scheduler.done:
-            if self.env.peek() == float("inf"):
-                raise RuntimeError(
-                    "simulation stalled before all kernels completed")
-            self.env.step()
-            for proc in worker_procs:
-                if proc.triggered and not proc.ok:
-                    raise proc.value
+        env = self.env
+        env.spawn(self._host_offload(list(kernels)))
+        for idx, lwp in enumerate(self.cluster.workers):
+            env.spawn(self._worker_loop(idx, lwp))
+        # Run until every offloaded kernel has completed (a crashed
+        # worker re-raises out of the loop).  Storengine is a perpetual
+        # background process, so draining the whole event queue would
+        # never terminate.
+        scheduler = self.scheduler
+        if env.run_until(lambda: scheduler.done) != "done":
+            raise RuntimeError(
+                "simulation stalled before all kernels completed")
         makespan = max((c for c in
                         self.scheduler.chain.completion_times()), default=self.env.now)
         # Flush the buffered flash writes so storage energy covers every
         # byte the workload produced, then stop the background services.
         self.storengine.stop()
-        drain = self.env.process(self.storengine.drain())
-        while not drain.triggered and self.env.peek() != float("inf"):
-            self.env.step()
+        drain = env.process(self.storengine.drain())
+        env.run_until(lambda: drain.triggered)
+        if not drain.ok:
+            raise drain.value
         # Management cores draw power for the whole run (the paper notes
         # InterSt "must keep Flashvisor and Storengine always busy"); their
         # explicitly-billed busy periods are subtracted to avoid double
@@ -325,9 +323,8 @@ class FlashAbacusAccelerator:
         if self._serving:
             raise RuntimeError("service already started")
         self._serving = True
-        self._service_procs = [
-            self.env.process(self._worker_loop(idx, lwp))
-            for idx, lwp in enumerate(self.cluster.workers)]
+        for idx, lwp in enumerate(self.cluster.workers):
+            self.env.spawn(self._worker_loop(idx, lwp))
 
     def submit_kernel(self, kernel: Kernel):
         """Process generator: offload one kernel at the current sim time.
@@ -351,12 +348,6 @@ class FlashAbacusAccelerator:
         """Let the worker loops drain and exit once all work completes."""
         self._serving = False
         self._wake_workers()
-
-    def check_service_health(self) -> None:
-        """Re-raise any crash that killed a service worker loop."""
-        for proc in self._service_procs:
-            if proc.triggered and not proc.ok:
-                raise proc.value
 
     # ------------------------------------------------------------------ #
     # Internal processes                                                  #
@@ -389,8 +380,12 @@ class FlashAbacusAccelerator:
             self._wake_workers()
 
     def _wake_workers(self) -> None:
-        wake, self._wake = self._wake, self.env.event()
-        if not wake.triggered:
+        # Only parked workers need waking: with no waiter the wake event
+        # would be a no-op heap push/pop, so it is kept for the next
+        # park instead (the remaining events keep their order).
+        wake = self._wake
+        if wake.callbacks:
+            self._wake = self.env.event()
             wake.succeed()
 
     def _execute_screen(self, lwp: LWP, item: WorkItem, node: MicroblockNode,

@@ -10,17 +10,20 @@ among the microblocks within an application's kernel, Section 4.2).
 
 Completion state is tracked incrementally: every ``mark_done`` bumps a
 done-counter on the screen's node and chain, completed chains retire
-from a per-app incomplete registry, and ``current_node`` advances a
-monotonic cursor.  Serving runs offload one kernel per request, so
-without retirement every scheduler poll re-scanned every chain ever
-completed — O(requests²) over a run (it dominated cluster-run
-profiles).  All queries return exactly what the full scans returned:
-screens only become ready in a chain's current node and a DONE screen
-never reverts, so completion is monotone per node, chain and app.
+from a per-app incomplete registry and from an age-ordered list, and
+``current_node`` advances a monotonic cursor.  Serving runs offload one
+kernel per request, so without retirement every scheduler poll
+re-scanned every chain ever completed — O(requests²) over a run (it
+dominated cluster-run profiles).  All queries return exactly what the
+full scans returned: screens only become ready in a chain's current
+node and a screen never returns to ready once claimed or started, so
+completion is monotone per node, chain and app, and a per-node cursor
+to the first ready screen only ever advances.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, Iterator, List, Optional, Tuple
@@ -64,6 +67,9 @@ class MicroblockNode:
     #: Count of DONE screens, maintained by ``mark_done`` (all status
     #: transitions go through the chain API, so it cannot go stale).
     _done: int = field(default=0, init=False, repr=False, compare=False)
+    #: Index of the first possibly-ready (pending, unclaimed) screen.
+    _ready_cursor: int = field(default=0, init=False, repr=False,
+                               compare=False)
 
     def __post_init__(self) -> None:
         if not self.screens:
@@ -82,9 +88,22 @@ class MicroblockNode:
     def started(self) -> bool:
         return any(s.status is not ScreenStatus.PENDING for s in self.screens)
 
-    def pending_screens(self) -> List[ScreenNode]:
-        return [s for s in self.screens
-                if s.status is ScreenStatus.PENDING and not s.claimed]
+    def first_pending(self) -> Optional[ScreenNode]:
+        """The first pending, unclaimed screen, or None.
+
+        Amortized O(1): a screen never becomes ready again once claimed
+        or started, so the cursor skips it for good.
+        """
+        screens = self.screens
+        cursor = self._ready_cursor
+        while cursor < len(screens):
+            screen = screens[cursor]
+            if screen.status is ScreenStatus.PENDING and not screen.claimed:
+                self._ready_cursor = cursor
+                return screen
+            cursor += 1
+        self._ready_cursor = cursor
+        return None
 
 
 @dataclass
@@ -127,13 +146,6 @@ class KernelChain:
         self._cursor = cursor
         return None
 
-    def ready_screens(self) -> List[Tuple[MicroblockNode, ScreenNode]]:
-        """Screens that may start now: pending screens of the current node."""
-        node = self.current_node()
-        if node is None:
-            return []
-        return [(node, screen) for screen in node.pending_screens()]
-
     @property
     def latency(self) -> Optional[float]:
         if self.completed_at is None:
@@ -149,19 +161,37 @@ class MultiAppExecutionChain:
         self._by_kernel: Dict[int, KernelChain] = {}
         # Incomplete chains per app, in insertion order (dicts keyed by
         # object id: O(1) retirement in mark_done without disturbing
-        # order).  Scheduler polls iterate these instead of every chain
-        # ever offloaded.
+        # order), and the sorted ids of the apps that have any.
+        # Scheduler polls iterate these instead of every chain ever
+        # offloaded.
         self._incomplete: Dict[int, Dict[int, KernelChain]] = {}
+        self._apps: List[int] = []
         self._incomplete_count = 0
+        # Incomplete chains as (offloaded_at, kernel_id, seq, chain),
+        # sorted: oldest_ready() walks them oldest first.  ``seq`` keeps
+        # the order total (and insertion-stable) should a kernel be
+        # offloaded twice.
+        self._by_age: List[Tuple[float, int, int, KernelChain]] = []
+        self._age_key: Dict[int, Tuple[float, int, int]] = {}
+        self._seq = 0
 
     # -- construction ----------------------------------------------------------
     def add_kernel(self, kernel: Kernel, now: float = 0.0) -> KernelChain:
         chain = KernelChain(kernel=kernel, offloaded_at=now)
-        self._per_app.setdefault(kernel.app_id, []).append(chain)
+        app_id = kernel.app_id
+        self._per_app.setdefault(app_id, []).append(chain)
         self._by_kernel[kernel.kernel_id] = chain
         if not chain.complete:    # zero-screen kernels are born complete
-            self._incomplete.setdefault(kernel.app_id, {})[id(chain)] = chain
+            app = self._incomplete.get(app_id)
+            if app is None:
+                app = self._incomplete[app_id] = {}
+                insort(self._apps, app_id)
+            app[id(chain)] = chain
             self._incomplete_count += 1
+            self._seq += 1
+            key = (now, kernel.kernel_id, self._seq)
+            self._age_key[id(chain)] = key
+            insort(self._by_age, key + (chain,))
         return chain
 
     # -- lookup -----------------------------------------------------------------
@@ -191,14 +221,34 @@ class MultiAppExecutionChain:
         a readiness scan, so iterating this instead is behaviorally
         identical and O(live work) rather than O(history).
         """
-        for app_id in sorted(self._incomplete):
-            chains = self._incomplete[app_id]
-            if chains:
-                yield from chains.values()
+        for app_id in self._apps:
+            yield from self._incomplete[app_id].values()
 
     def first_incomplete(self) -> Optional[KernelChain]:
         """The first incomplete chain in :meth:`all_chains` order."""
-        return next(self.incomplete_chains(), None)
+        if not self._apps:
+            return None
+        return next(iter(self._incomplete[self._apps[0]].values()))
+
+    def oldest_ready(self) -> Optional[Tuple[KernelChain, MicroblockNode,
+                                             ScreenNode]]:
+        """The ready screen that sorts first by ``(offloaded_at,
+        kernel_id, microblock.index)``, or None when nothing is ready.
+
+        Equal to the head of :meth:`ready_screens` stably sorted by that
+        key (each chain exposes only its current node, so the key picks
+        the chain and node order picks the screen), without building or
+        sorting the list: the incomplete chains are kept in age order
+        and each node's cursor finds its first ready screen.
+        """
+        for entry in self._by_age:
+            chain = entry[3]
+            node = chain.current_node()
+            if node is not None:
+                screen = node.first_pending()
+                if screen is not None:
+                    return chain, node, screen
+        return None
 
     def ready_screens(self) -> List[Tuple[KernelChain, MicroblockNode, ScreenNode]]:
         """All screens that may start now, across every app and kernel."""
@@ -234,9 +284,16 @@ class MultiAppExecutionChain:
         if chain.complete:
             if chain.completed_at is None:
                 chain.completed_at = now
-            app = self._incomplete.get(chain.kernel.app_id)
+            app_id = chain.kernel.app_id
+            app = self._incomplete.get(app_id)
             if app is not None and app.pop(id(chain), None) is not None:
                 self._incomplete_count -= 1
+                if not app:
+                    del self._incomplete[app_id]
+                    self._apps.remove(app_id)
+                key = self._age_key.pop(id(chain))
+                by_age = self._by_age
+                del by_age[bisect_left(by_age, key)]
 
     # -- metrics --------------------------------------------------------------
     def kernel_latencies(self) -> List[float]:

@@ -70,7 +70,7 @@ class OffloadController:
         self.ddr = ddr
         self.psc = psc if psc is not None else PowerSleepController(env)
         self.energy = energy
-        self.records: List[BootRecord] = []
+        self.kernels_offloaded = 0
         self.boot_address_registers: Dict[int, int] = {}
         self._next_bar_offset = 0
         ddr.allocate("pcie.bar_window", self.BAR_REGION_BYTES)
@@ -108,7 +108,7 @@ class OffloadController:
         record = BootRecord(kernel=kernel, bar_address=bar_address,
                             downloaded_at=downloaded_at,
                             interrupt_at=interrupt_at, ready_at=ready_at)
-        self.records.append(record)
+        self.kernels_offloaded += 1
         return record
 
     def offload_batch(self, kernels: List[Kernel]):
@@ -118,7 +118,3 @@ class OffloadController:
             record = yield from self.offload_kernel(kernel)
             records.append(record)
         return records
-
-    @property
-    def kernels_offloaded(self) -> int:
-        return len(self.records)

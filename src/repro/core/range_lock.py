@@ -8,14 +8,17 @@ is locked at all (read or write) — i.e. multiple concurrent readers are
 allowed, writers are exclusive.
 
 The tree is keyed by the start page number of the range; each node is
-augmented with the maximum end page in its subtree so overlap queries are
-O(log n).
+augmented with the maximum end page in its subtree, so a conflict search
+prunes every subtree that ends before the request starts or starts after
+it ends.  Releases find their node through an ``(start, end, owner)``
+index and unlink it with a red-black delete: no operation walks the
+whole tree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
 READ = "read"
 WRITE = "write"
@@ -73,6 +76,9 @@ class RangeLock:
     def __init__(self) -> None:
         self._root: Optional[_Node] = None
         self._size = 0
+        # (start, end, owner) -> the nodes holding that exact range.
+        # More than one only for repeated read locks of one owner.
+        self._index: Dict[Tuple[int, int, int], List[_Node]] = {}
 
     # -- public API -------------------------------------------------------
     def __len__(self) -> int:
@@ -87,10 +93,11 @@ class RangeLock:
         description of the protection rule.
         """
         requested = LockedRange(start=start, end=end, mode=mode, owner=owner)
-        conflict = self._find_conflict(requested)
+        conflict = self._find_conflict(start, end, mode == READ)
         if conflict is not None:
             return RangeLockConflict(requested, conflict)
-        self._insert(requested)
+        node = self._insert(requested)
+        self._index.setdefault((start, end, owner), []).append(node)
         return None
 
     def acquire(self, start: int, end: int, mode: str, owner: int) -> LockedRange:
@@ -102,10 +109,16 @@ class RangeLock:
 
     def release(self, start: int, end: int, owner: int) -> bool:
         """Release the lock previously acquired on [start, end] by ``owner``."""
-        node = self._find_exact(start, end, owner)
-        if node is None:
+        key = (start, end, owner)
+        nodes = self._index.get(key)
+        if nodes is None:
             return False
-        self._remove(node)
+        # The earliest-acquired duplicate: the first in start order, as
+        # a scan of the tree would find it.
+        node = nodes.pop(0)
+        if not nodes:
+            del self._index[key]
+        self._delete(node)
         return True
 
     def release_owner(self, owner: int) -> int:
@@ -126,43 +139,43 @@ class RangeLock:
                 and not (node.range.mode == READ and mode == READ)]
 
     # -- conflict search ------------------------------------------------------
-    def _find_conflict(self, requested: LockedRange) -> Optional[LockedRange]:
-        node = self._root
-        while node is not None:
-            if (node.range.overlaps(requested.start, requested.end)
-                    and not (node.range.mode == READ and requested.mode == READ)):
-                return node.range
-            if (node.left is not None
-                    and node.left.max_end >= requested.start):
-                node = node.left
-            else:
-                node = node.right
-        # The subtree descent above can miss read/read overlaps that hide a
-        # conflicting write deeper down; fall back to a full scan in the
-        # (rare) case the fast path found nothing but overlaps exist.
-        for candidate in self._in_order(self._root):
-            if (candidate.range.overlaps(requested.start, requested.end)
-                    and not (candidate.range.mode == READ
-                             and requested.mode == READ)):
-                return candidate.range
-        return None
+    def _find_conflict(self, start: int, end: int,
+                       read: bool) -> Optional[LockedRange]:
+        """Some held range that blocks [start, end], or None.
 
-    def _find_exact(self, start: int, end: int, owner: int) -> Optional[_Node]:
-        for node in self._in_order(self._root):
-            if (node.range.start == start and node.range.end == end
-                    and node.range.owner == owner):
-                return node
+        Pruned interval search: a subtree whose ``max_end`` is below
+        ``start`` cannot overlap, and neither can a node that starts
+        after ``end`` nor its right subtree.  A write stops at the first
+        overlap; a read walks past overlapping readers, so it costs
+        O((readers + 1) log n).
+        """
+        stack = [self._root] if self._root is not None else []
+        while stack:
+            node = stack.pop()
+            if node.max_end < start:
+                continue
+            locked = node.range
+            if locked.start <= end:
+                if locked.end >= start and not (read and locked.mode == READ):
+                    return locked
+                if node.right is not None:
+                    stack.append(node.right)
+            if node.left is not None:
+                stack.append(node.left)
         return None
 
     # -- red-black machinery -----------------------------------------------
     def _in_order(self, node: Optional[_Node]) -> Iterator[_Node]:
-        if node is None:
-            return
-        yield from self._in_order(node.left)
-        yield node
-        yield from self._in_order(node.right)
+        stack: List[_Node] = []
+        while stack or node is not None:
+            while node is not None:
+                stack.append(node)
+                node = node.left
+            node = stack.pop()
+            yield node
+            node = node.right
 
-    def _insert(self, locked_range: LockedRange) -> None:
+    def _insert(self, locked_range: LockedRange) -> _Node:
         new = _Node(locked_range)
         parent, node = None, self._root
         while node is not None:
@@ -178,16 +191,109 @@ class RangeLock:
         self._size += 1
         self._update_max_up(new)
         self._fix_insert(new)
+        return new
 
-    def _remove(self, node: _Node) -> None:
-        # Simple removal: rebuild is acceptable for the modest lock counts
-        # Flashvisor sees (one range per active data section), but we keep a
-        # structural remove for correctness with large synthetic tests.
-        ranges = [n.range for n in self._in_order(self._root) if n is not node]
-        self._root = None
-        self._size = 0
-        for r in ranges:
-            self._insert(r)
+    def _transplant(self, old: _Node, new: Optional[_Node]) -> None:
+        """Hang ``new`` where ``old`` hangs from its parent."""
+        parent = old.parent
+        if parent is None:
+            self._root = new
+        elif old is parent.left:
+            parent.left = new
+        else:
+            parent.right = new
+        if new is not None:
+            new.parent = parent
+
+    def _delete(self, node: _Node) -> None:
+        """Red-black delete (CLRS), keeping ``max_end`` exact.
+
+        The in-order sequence of the remaining nodes is unchanged, so
+        ranges with equal starts keep their acquisition order.
+        """
+        removed_color = node.color
+        if node.left is None:
+            child, parent = node.right, node.parent
+            self._transplant(node, child)
+        elif node.right is None:
+            child, parent = node.left, node.parent
+            self._transplant(node, child)
+        else:
+            successor = node.right
+            while successor.left is not None:
+                successor = successor.left
+            removed_color = successor.color
+            child = successor.right
+            if successor.parent is node:
+                parent = successor
+            else:
+                parent = successor.parent
+                self._transplant(successor, child)
+                successor.right = node.right
+                successor.right.parent = successor
+            self._transplant(node, successor)
+            successor.left = node.left
+            successor.left.parent = successor
+            successor.color = node.color
+        self._size -= 1
+        self._update_max_up(parent)
+        if removed_color is BLACK:
+            self._fix_delete(child, parent)
+
+    def _fix_delete(self, node: Optional[_Node],
+                    parent: Optional[_Node]) -> None:
+        # ``node`` carries an extra black; None leaves count as black.
+        # Rotations keep each rotated subtree's range set, so they only
+        # refresh the two rotated nodes' ``max_end``.
+        while node is not self._root and (node is None
+                                          or node.color is BLACK):
+            if node is parent.left:
+                sibling = parent.right
+                if sibling.color is RED:
+                    sibling.color = BLACK
+                    parent.color = RED
+                    self._rotate_left(parent)
+                    sibling = parent.right
+                if (sibling.left is None or sibling.left.color is BLACK) \
+                        and (sibling.right is None
+                             or sibling.right.color is BLACK):
+                    sibling.color = RED
+                    node, parent = parent, parent.parent
+                    continue
+                if sibling.right is None or sibling.right.color is BLACK:
+                    sibling.left.color = BLACK
+                    sibling.color = RED
+                    self._rotate_right(sibling)
+                    sibling = parent.right
+                sibling.color = parent.color
+                parent.color = BLACK
+                sibling.right.color = BLACK
+                self._rotate_left(parent)
+            else:
+                sibling = parent.left
+                if sibling.color is RED:
+                    sibling.color = BLACK
+                    parent.color = RED
+                    self._rotate_right(parent)
+                    sibling = parent.left
+                if (sibling.left is None or sibling.left.color is BLACK) \
+                        and (sibling.right is None
+                             or sibling.right.color is BLACK):
+                    sibling.color = RED
+                    node, parent = parent, parent.parent
+                    continue
+                if sibling.left is None or sibling.left.color is BLACK:
+                    sibling.right.color = BLACK
+                    sibling.color = RED
+                    self._rotate_left(sibling)
+                    sibling = parent.left
+                sibling.color = parent.color
+                parent.color = BLACK
+                sibling.left.color = BLACK
+                self._rotate_right(parent)
+            node = self._root
+        if node is not None:
+            node.color = BLACK
 
     def _rotate_left(self, x: _Node) -> None:
         y = x.right
@@ -300,4 +406,23 @@ class RangeLock:
 
         if self._root is not None and self._root.color is RED:
             raise AssertionError("root must be black")
+        if self._root is not None and self._root.parent is not None:
+            raise AssertionError("root has a parent")
         black_height(self._root)
+        nodes = list(self._in_order(self._root))
+        for node in nodes:
+            for child in (node.left, node.right):
+                if child is not None and child.parent is not node:
+                    raise AssertionError("stale parent pointer")
+        if len(nodes) != self._size:
+            raise AssertionError("size counter is stale")
+        indexed = {id(node) for held in self._index.values() for node in held}
+        if indexed != {id(node) for node in nodes} \
+                or sum(map(len, self._index.values())) != len(nodes):
+            raise AssertionError("release index out of sync with the tree")
+        for (start, end, owner), held in self._index.items():
+            for node in held:
+                locked = node.range
+                if (locked.start, locked.end, locked.owner) \
+                        != (start, end, owner):
+                    raise AssertionError("release index key mismatch")

@@ -48,12 +48,12 @@ class InOrderIntraKernelScheduler(Scheduler):
         chain = self._head_chain()
         if chain is None:
             return None
-        ready = chain.ready_screens()
-        if not ready:
+        node = chain.current_node()
+        screen = node.first_pending() if node is not None else None
+        if screen is None:
             # The head kernel's current microblock is fully dispatched but
             # not yet complete; in-order scheduling refuses to look further.
             return None
-        node, screen = ready[0]
         self.dispatches += 1
         return self.single_screen_item(chain, node, screen)
 

@@ -37,20 +37,16 @@ class OutOfOrderIntraKernelScheduler(Scheduler):
         self.borrowed_dispatches = 0
 
     def next_work(self, worker_index: int) -> Optional[WorkItem]:
-        ready = self.chain.ready_screens()
-        if not ready:
-            return None
         # Oldest offload first, then microblock order: this matches the
         # paper's examples where screens are pulled forward from later
         # kernels only when earlier kernels cannot fill the LWPs.
-        ready.sort(key=lambda entry: (entry[0].offloaded_at,
-                                      entry[0].kernel.kernel_id,
-                                      entry[1].microblock.index))
-        chain, node, screen = ready[0]
+        pick = self.chain.oldest_ready()
+        if pick is None:
+            return None
+        chain, node, screen = pick
         # A dispatch is "borrowed" when it does not belong to the oldest
         # incomplete kernel — the out-of-order behaviour of Figure 7c.
-        oldest_incomplete = self.chain.first_incomplete()
-        if oldest_incomplete is not None and chain is not oldest_incomplete:
+        if chain is not self.chain.first_incomplete():
             self.borrowed_dispatches += 1
         self.dispatches += 1
         return self.single_screen_item(chain, node, screen)

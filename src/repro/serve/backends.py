@@ -15,7 +15,7 @@ Both expose the same tiny surface the dispatcher relies on:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, Tuple
 
 from ..baseline.system import BaselineSystem
 from ..core.accelerator import FlashAbacusAccelerator
@@ -27,7 +27,12 @@ CompletionCallback = Callable[[RequestRecord, float], None]
 
 
 class ServingBackend:
-    """Common bookkeeping: in-flight count and crash surfacing."""
+    """Common bookkeeping: in-flight count and trace tagging.
+
+    Backend processes are started with
+    :meth:`~repro.sim.engine.Environment.spawn`, so a crash re-raises
+    out of the engine loop driving the session; nothing polls them.
+    """
 
     def __init__(self, env, kernel_factory: KernelFactory, capacity: int):
         if capacity < 1:
@@ -37,7 +42,6 @@ class ServingBackend:
         self.capacity = capacity
         self.in_flight = 0
         self.dispatched = 0
-        self._procs: List = []
         # Observability (repro.obs): captured from the environment in
         # start() — sessions attach a tracer before starting the backend
         # — and every span site guards on None.  ``trace_device``
@@ -60,21 +64,6 @@ class ServingBackend:
 
     def finish(self) -> None:
         """Called once after the last completion."""
-
-    def check_health(self) -> None:
-        """Re-raise crashes from backend-owned simulation processes.
-
-        Completed-ok processes are pruned so the scan stays bounded by
-        the in-flight count (this runs after every simulation step).
-        """
-        alive = []
-        for proc in self._procs:
-            if proc.triggered:
-                if not proc.ok:
-                    raise proc.value
-            else:
-                alive.append(proc)
-        self._procs = alive
 
     @property
     def energy_j(self) -> float:
@@ -114,8 +103,7 @@ class AcceleratorBackend(ServingBackend):
         tracer = self._tracer
         if tracer is None:
             # The untraced hot path: identical to pre-observability code.
-            self._procs.append(
-                self.env.process(self.accelerator.submit_kernel(kernel)))
+            self.env.spawn(self.accelerator.submit_kernel(kernel))
             return
         # Kernel spans correlate via kernel.instance (the request id the
         # factory stamped), not kernel_id: that counter is process-global
@@ -123,8 +111,7 @@ class AcceleratorBackend(ServingBackend):
         tracer.span(self.env.now, "service_begin",
                     record.request.request_id, record.request.tenant,
                     self.trace_device, kernel.instance)
-        self._procs.append(
-            self.env.process(self._traced_submit(kernel, record, tracer)))
+        self.env.spawn(self._traced_submit(kernel, record, tracer))
 
     def _traced_submit(self, kernel: Kernel, record: RequestRecord,
                        tracer):
@@ -159,13 +146,7 @@ class AcceleratorBackend(ServingBackend):
         # energy.  The drain process runs during the session's
         # quiescence loop.
         self.accelerator.storengine.stop()
-        self._procs.append(
-            self.env.process(self.accelerator.storengine.drain()))
-
-    def check_health(self) -> None:
-        """Surface crashes from backend processes and the service loop."""
-        super().check_health()
-        self.accelerator.check_service_health()
+        self.env.spawn(self.accelerator.storengine.drain())
 
     @property
     def energy_j(self) -> float:
@@ -190,8 +171,7 @@ class BaselineBackend(ServingBackend):
         """Run one request through the serial SSD -> host -> PCIe path."""
         self.in_flight += 1
         self.dispatched += 1
-        self._procs.append(self.env.process(
-            self._serve(record, on_complete)))
+        self.env.spawn(self._serve(record, on_complete))
 
     def _serve(self, record: RequestRecord,
                on_complete: CompletionCallback):

@@ -222,9 +222,8 @@ class FastForwardServingSession(ServingSession):
                                    tenants,
                                    dispatch=scenario.make_dispatch())
         backend.start()
-        env.process(arrival_driver(env, frontend, warm))
+        env.spawn(arrival_driver(env, frontend, warm))
         drive_until_settled(env, tracker, len(warm), scenario.duration_s,
-                            backend.check_health,
                             label="fast-forward warm-up")
         t_settle = env.now
 
@@ -244,9 +243,7 @@ class FastForwardServingSession(ServingSession):
         # stops and flushes, so the environment goes fully quiescent and
         # the warm-up energy figure covers every byte it served.
         backend.finish()
-        while env.peek() != float("inf"):
-            env.step()
-        backend.check_health()
+        env.run()
         t_drained = env.now
         warm_completed = tracker.aggregate.completed
         warm_energy = backend.energy_j

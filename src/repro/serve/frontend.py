@@ -70,7 +70,7 @@ class ServingFrontend:
         # policies, so static runs pay one truthiness check.
         self.feedback_hooks: List = []
         self._wake: Event = env.event()
-        self._dispatcher = env.process(self._dispatch_loop())
+        self._dispatcher = env.spawn(self._dispatch_loop())
 
     # ------------------------------------------------------------------ #
     # FrontendView protocol (what admission policies may observe)         #
@@ -172,8 +172,12 @@ class ServingFrontend:
     # Dispatch side                                                       #
     # ------------------------------------------------------------------ #
     def _kick(self) -> None:
-        wake, self._wake = self._wake, self.env.event()
-        if not wake.triggered:
+        # Only a parked dispatcher needs waking: with no waiter the wake
+        # event would be a no-op heap push/pop, so it is kept for the
+        # next park instead (the remaining events keep their order).
+        wake = self._wake
+        if wake.callbacks:
+            self._wake = self.env.event()
             wake.succeed()
 
     def _pop_next(self) -> RequestRecord:

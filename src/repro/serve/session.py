@@ -153,35 +153,34 @@ def assemble_serving_report(scenario: "ServingScenario", system: str,
 
 
 def drive_until_settled(env, tracker: SLOTracker, expected: int,
-                        duration_s: float, check_health,
+                        duration_s: float,
                         label: str = "serving run") -> None:
-    """Step ``env`` until ``expected`` requests settled, with a watchdog.
+    """Run ``env`` until ``expected`` requests settled, with a watchdog.
 
     An exhausted event queue can never happen while an accelerator
     backend is up (Storengine polls perpetually until stopped), so
     progress is what is watched — if no request settles for a generous
-    simulated span, the run is wedged.  ``check_health`` runs after
-    every step to surface crashes from backend-owned processes.
+    simulated span, the run is wedged.  Crashes of backend-owned
+    processes need no polling here: they are spawned
+    (:meth:`~repro.sim.engine.Environment.spawn`) and re-raise out of
+    the engine loop.
     """
     stall_horizon = max(60.0, 10.0 * duration_s)
-    last_settled = -1
-    last_progress = env.now
-    while tracker.settled < expected:
-        if env.peek() == float("inf"):
-            raise RuntimeError(
-                f"{label} stalled: {tracker.settled}/{expected} "
-                f"requests settled at t={env.now:.3f}s")
-        if tracker.settled != last_settled:
-            last_settled = tracker.settled
-            last_progress = env.now
-        elif env.now - last_progress > stall_horizon:
-            raise RuntimeError(
-                f"{label} stalled: no request settled for "
-                f"{stall_horizon:.0f} simulated seconds "
-                f"({tracker.settled}/{expected} settled at "
-                f"t={env.now:.3f}s)")
-        env.step()
-        check_health()
+    aggregate = tracker.aggregate
+    outcome = env.run_until(
+        lambda: aggregate.completed + aggregate.rejected >= expected,
+        progress=lambda: tracker.settled, stall_s=stall_horizon)
+    if outcome == "drained":
+        raise RuntimeError(
+            f"{label} stalled: {tracker.settled}/{expected} "
+            f"requests settled at t={env.now:.3f}s")
+    if outcome == "stalled":
+        raise RuntimeError(
+            f"{label} stalled: no request settled for "
+            f"{stall_horizon:.0f} simulated seconds "
+            f"({tracker.settled}/{expected} settled at "
+            f"t={env.now:.3f}s)")
+
 
 #: Default tenant set: two equal-share tenants with the same SLO, so the
 #: multi-tenant path is exercised even by one-line experiments.
@@ -474,9 +473,9 @@ class ServingSession:
             bus.install(env)
         requests = scenario.make_arrivals().generate(scenario.duration_s)
         backend.start()
-        env.process(arrival_driver(env, frontend, requests))
+        env.spawn(arrival_driver(env, frontend, requests))
         drive_until_settled(env, tracker, len(requests),
-                            scenario.duration_s, backend.check_health)
+                            scenario.duration_s)
         if bus is not None:
             # Final sample at settle time, then retire the sampler
             # (de-scheduling its pending tick) so the drain loop below
@@ -486,9 +485,7 @@ class ServingSession:
         backend.finish()
         # Drain the remaining background work (Storengine flush/GC on the
         # accelerator) so energy accounting covers every byte served.
-        while env.peek() != float("inf"):
-            env.step()
-        backend.check_health()
+        env.run()
         report = self._assemble_report(backend, tracker)
         if bus is not None:
             self.metrics = bus.timeline

@@ -37,6 +37,10 @@ therefore byte-identical simulation results) stable:
   process creation (no per-wait method-object allocation) and resumes
   synchronously over already-processed events instead of scheduling
   "immediate" bounce events.
+* Crashes are pushed, not polled: :meth:`Environment.spawn` starts a
+  process whose failure re-raises out of whichever loop processes it,
+  so drivers run :meth:`Environment.run_until` (one inlined loop with a
+  stop check per event) instead of stepping and scanning processes.
 
 Example
 -------
@@ -290,6 +294,12 @@ class Process(Event):
             event = result
 
 
+def _raise_failure(process: Process) -> None:
+    """Callback of spawned processes: re-raise a crash out of the loop."""
+    if not process._ok:
+        raise process._value
+
+
 class Condition(Event):
     """Base class for events composed of several sub-events."""
 
@@ -416,6 +426,21 @@ class Environment:
     def process(self, generator: Generator) -> Process:
         """Register ``generator`` as a new process starting now."""
         return Process(self, generator)
+
+    def spawn(self, generator: Generator) -> Process:
+        """Start ``generator`` as a process whose crash aborts the run.
+
+        The push-based crash contract: the process carries a callback
+        that re-raises its exception when its failure is processed, so
+        the original exception propagates out of whichever engine loop
+        (:meth:`run`, :meth:`run_until`, :meth:`run_events`,
+        :meth:`step`) is driving the simulation.  Nobody has to poll
+        the process for health.  Backends, service loops and workers
+        start their processes here.
+        """
+        process = Process(self, generator)
+        process.callbacks.append(_raise_failure)
+        return process
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """Event that triggers when all ``events`` have triggered."""
@@ -587,6 +612,75 @@ class Environment:
             return
         self.run_events(until)
         self._now = until
+
+    def run_until(self, done: Callable[[], bool],
+                  progress: Optional[Callable[[], Any]] = None,
+                  stall_s: float = float("inf")) -> str:
+        """Process events until ``done()`` holds; returns why it stopped.
+
+        ``done`` is checked before the first event and after every
+        event, so the loop stops on exactly the event a
+        ``while not done(): step()`` loop would stop on.  Returns
+        ``"done"``; ``"drained"`` if the queue empties first; or
+        ``"stalled"`` if the watchdog trips — ``progress()`` returned
+        the same value across more than ``stall_s`` simulated seconds.
+        The watchdog samples ``progress`` only once its deadline has
+        passed (not per event), so a wedged run trips within
+        ``2 * stall_s`` of its last progress.  Crashes of spawned
+        processes propagate as exceptions (see :meth:`spawn`).
+        """
+        if done():
+            return "done"
+        queue = self._queue
+        timeout_pool = self._timeout_pool
+        event_pool = self._event_pool
+        pop = _heappop
+        refcount = getrefcount
+        last = progress() if progress is not None else None
+        deadline = self._now + stall_s if progress is not None \
+            else float("inf")
+        while queue:
+            # Same dispatch body as run(); keep them in step.
+            time, _seq, event = pop(queue)
+            self._now = time
+            callbacks = event.callbacks
+            event.callbacks = None
+            if callbacks is not None:
+                try:
+                    [callback] = callbacks
+                except ValueError:
+                    for callback in callbacks:
+                        callback(event)
+                    if not callbacks and not event._ok \
+                            and type(event) is not Process:
+                        raise event._value
+                else:
+                    callback(event)
+                if callbacks:
+                    cls = event.__class__
+                    if cls is Timeout:
+                        if (len(timeout_pool) < _POOL_LIMIT
+                                and refcount(event) == 2
+                                and event.env is self):
+                            callbacks.clear()
+                            event.callbacks = callbacks
+                            timeout_pool.append(event)
+                    elif cls is Event:
+                        if (len(event_pool) < _POOL_LIMIT
+                                and refcount(event) == 2
+                                and event.env is self):
+                            callbacks.clear()
+                            event.callbacks = callbacks
+                            event_pool.append(event)
+            if done():
+                return "done"
+            if time > deadline:
+                now_progress = progress()
+                if now_progress == last:
+                    return "stalled"
+                last = now_progress
+                deadline = time + stall_s
+        return "drained"
 
     def run_events(self, until: float) -> None:
         """Process every event with ``time <= until``; keep the clock put.

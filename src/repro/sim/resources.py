@@ -10,6 +10,7 @@ tier-1 crossbar).
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from dataclasses import dataclass
 from typing import Any, Deque, List, Optional, Tuple
@@ -49,8 +50,9 @@ class Resource:
     """A server pool with ``capacity`` identical slots and a wait queue.
 
     Requests are granted in priority order (lower value first), FIFO among
-    equal priorities.  Utilization of the resource is tracked so models can
-    report busy fractions without extra bookkeeping.
+    equal priorities: waiters sit in a ``(priority, seq)`` heap.
+    Utilization of the resource is tracked so models can report busy
+    fractions without extra bookkeeping.
     """
 
     def __init__(self, env: Environment, capacity: int = 1, name: str = ""):
@@ -91,6 +93,7 @@ class Resource:
             self._queue = [
                 entry for entry in self._queue if entry[2] is not request
             ]
+            heapq.heapify(self._queue)
 
     def utilization(self, now: Optional[float] = None) -> float:
         """Average fraction of capacity in use since the environment start."""
@@ -108,13 +111,12 @@ class Resource:
 
     def _submit(self, request: Request) -> None:
         self._seq += 1
-        self._queue.append((request.priority, self._seq, request))
-        self._queue.sort(key=lambda entry: (entry[0], entry[1]))
+        heapq.heappush(self._queue, (request.priority, self._seq, request))
         self._grant_waiters()
 
     def _grant_waiters(self) -> None:
         while self._queue and len(self._users) < self.capacity:
-            _prio, _seq, request = self._queue.pop(0)
+            _prio, _seq, request = heapq.heappop(self._queue)
             self._account()
             self._users.append(request)
             request.succeed(request)
@@ -220,7 +222,6 @@ class BandwidthPipe:
         self.name = name
         self._resource = Resource(env, capacity=1, name=name)
         self.bytes_moved = 0
-        self.records: List[TransferRecord] = []
 
     def occupancy_time(self, num_bytes: int) -> float:
         """Pure service time for ``num_bytes`` (no queueing)."""
@@ -239,10 +240,8 @@ class BandwidthPipe:
             yield req
             yield self.env.timeout(self.occupancy_time(num_bytes))
         self.bytes_moved += num_bytes
-        record = TransferRecord(start=start, end=self.env.now,
-                                num_bytes=num_bytes)
-        self.records.append(record)
-        return record
+        return TransferRecord(start=start, end=self.env.now,
+                              num_bytes=num_bytes)
 
     def utilization(self) -> float:
         """Fraction of time the link was busy."""

@@ -30,8 +30,7 @@ class StubBackend(ServingBackend):
     def dispatch(self, record, on_complete):
         self.in_flight += 1
         self.dispatched += 1
-        self._procs.append(self.env.process(
-            self._serve(record, on_complete)))
+        self.env.spawn(self._serve(record, on_complete))
 
     def _serve(self, record, on_complete):
         yield self.env.timeout(self.service_s)

@@ -1,7 +1,7 @@
 """Unit and property-based tests for Flashvisor's range lock."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.range_lock import (
     READ,
@@ -145,3 +145,67 @@ def test_release_restores_acquirability(ranges):
     for start, end, mode, owner in acquired:
         assert lock.try_acquire(start, end, mode, owner) is None
         lock.release(start, end, owner)
+
+
+# --------------------------------------------------------------------------- #
+# Differential test against a brute-force list model                           #
+# --------------------------------------------------------------------------- #
+class ListModel:
+    """The range lock as a plain list, sorted by start and stable in
+    acquisition order among equal starts; every query is a full scan."""
+
+    def __init__(self):
+        self.held = []          # (start, end, mode, owner)
+
+    def try_acquire(self, start, end, mode, owner) -> bool:
+        for s, e, m, _o in self.held:
+            if s <= end and start <= e and not (m == READ and mode == READ):
+                return False
+        position = sum(1 for s, *_rest in self.held if s <= start)
+        self.held.insert(position, (start, end, mode, owner))
+        return True
+
+    def release(self, start, end, owner) -> bool:
+        for index, (s, e, _m, o) in enumerate(self.held):
+            if (s, e, o) == (start, end, owner):
+                del self.held[index]
+                return True
+        return False
+
+
+# Read-heavy (reads share ranges, so trees grow deep enough to exercise
+# every delete-fixup case) over a narrow key space (equal starts and
+# repeated (start, end, owner) read locks are common).
+operation = st.tuples(
+    st.sampled_from(["acquire"] * 3 + ["release", "release_held"]),
+    st.integers(min_value=0, max_value=24),     # start
+    st.integers(min_value=0, max_value=3),      # length
+    st.sampled_from([READ, READ, READ, WRITE]),
+    st.integers(min_value=0, max_value=2),      # owner
+    st.integers(min_value=0, max_value=1000))   # which held range
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(operation, min_size=1, max_size=150))
+@example([("acquire", 5, 2, READ, 1, 0), ("acquire", 5, 4, READ, 2, 0),
+          ("acquire", 5, 2, READ, 1, 0), ("release", 5, 2, READ, 1, 0)])
+def test_range_lock_matches_list_model(operations):
+    lock, model = RangeLock(), ListModel()
+    for kind, start, length, mode, owner, pick in operations:
+        if kind == "acquire":
+            granted = lock.try_acquire(start, start + length, mode,
+                                       owner) is None
+            assert granted == model.try_acquire(start, start + length,
+                                                mode, owner)
+        else:
+            if kind == "release_held" and model.held:
+                start, end, _mode, owner = \
+                    model.held[pick % len(model.held)]
+            else:
+                end = start + length
+            assert lock.release(start, end, owner) \
+                == model.release(start, end, owner)
+        lock.check_invariants()
+        assert len(lock) == len(model.held)
+        assert [(r.start, r.end, r.mode, r.owner)
+                for r in lock.ranges()] == model.held

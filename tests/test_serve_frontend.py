@@ -27,8 +27,7 @@ class StubBackend(ServingBackend):
         self.in_flight += 1
         self.dispatched += 1
         self.order.append(record.request.request_id)
-        self._procs.append(self.env.process(
-            self._serve(record, on_complete)))
+        self.env.spawn(self._serve(record, on_complete))
 
     def _serve(self, record, on_complete):
         yield self.env.timeout(self.service_s)

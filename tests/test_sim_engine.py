@@ -286,3 +286,119 @@ def test_waiting_on_already_processed_event_resumes_immediately():
     env.process(late_waiter(env))
     env.run()
     assert received == [(5.0, "early")]
+
+
+# --------------------------------------------------------------------------- #
+# Push-based crash surfacing: spawn + run_until                                #
+# --------------------------------------------------------------------------- #
+class Crash(Exception):
+    pass
+
+
+def _crasher(env, delay):
+    yield env.timeout(delay)
+    raise Crash(f"at {delay}")
+
+
+@pytest.mark.parametrize("drive", [
+    lambda env: env.run(),
+    lambda env: env.run(until=10.0),
+    lambda env: env.run_events(10.0),
+    lambda env: env.run_until(lambda: False),
+    lambda env: [env.step() for _ in range(10)],
+])
+def test_spawned_crash_propagates_out_of_every_loop(drive):
+    env = Environment()
+    env.spawn(_crasher(env, 2.0))
+    with pytest.raises(Crash, match="at 2.0"):
+        drive(env)
+    assert env.now == 2.0
+
+
+def test_plain_process_crash_stays_on_the_process():
+    env = Environment()
+    proc = env.process(_crasher(env, 2.0))
+    env.run()
+    assert not proc.ok
+    assert isinstance(proc.value, Crash)
+
+
+def test_spawned_process_that_succeeds_keeps_its_value():
+    env = Environment()
+
+    def worker(env):
+        yield env.timeout(1.0)
+        return "ok"
+
+    proc = env.spawn(worker(env))
+    env.run()
+    assert proc.ok and proc.value == "ok"
+
+
+def test_run_until_stops_on_the_same_event_as_a_step_loop():
+    def build():
+        env = Environment()
+        log = []
+
+        def ticker(env, name, period):
+            while True:
+                yield env.timeout(period)
+                log.append((env.now, name))
+
+        env.process(ticker(env, "a", 0.3))
+        env.process(ticker(env, "b", 0.7))
+        return env, log
+
+    stepped, step_log = build()
+    while len(step_log) < 25:
+        stepped.step()
+    ran, run_log = build()
+    assert ran.run_until(lambda: len(run_log) >= 25) == "done"
+    assert run_log == step_log
+    assert ran.now == stepped.now
+    assert ran.peek() == stepped.peek()
+
+
+def test_run_until_checks_before_the_first_event():
+    env = Environment()
+    env.timeout(1.0)
+    assert env.run_until(lambda: True) == "done"
+    assert env.now == 0.0 and env.peek() == 1.0
+
+
+def test_run_until_reports_a_drained_queue():
+    env = Environment()
+    env.timeout(1.0)
+    assert env.run_until(lambda: False) == "drained"
+    assert env.now == 1.0
+
+
+def test_run_until_watchdog_trips_without_progress():
+    env = Environment()
+
+    def ticker(env):
+        while True:
+            yield env.timeout(1.0)
+
+    env.process(ticker(env))
+    counter = [0]
+    outcome = env.run_until(lambda: False, progress=lambda: counter[0],
+                            stall_s=10.0)
+    assert outcome == "stalled"
+    assert 10.0 < env.now <= 21.0
+
+
+def test_run_until_watchdog_rearms_on_progress():
+    env = Environment()
+    progress = [0]
+
+    def worker(env):
+        while True:
+            yield env.timeout(4.0)
+            progress[0] += 1
+
+    env.process(worker(env))
+    outcome = env.run_until(lambda: progress[0] >= 30,
+                            progress=lambda: progress[0], stall_s=5.0)
+    assert outcome == "done"
+    assert env.now == 120.0

@@ -221,11 +221,13 @@ def test_pipe_records_transfers():
     pipe = BandwidthPipe(env, bandwidth_bytes_per_s=1000.0, latency_s=0.5)
 
     def mover(env):
-        yield from pipe.transfer(500)
+        return (yield from pipe.transfer(500))
 
-    env.process(mover(env))
+    proc = env.process(mover(env))
     env.run()
-    assert len(pipe.records) == 1
-    record = pipe.records[0]
+    record = proc.value
     assert record.num_bytes == 500
+    assert record.start == 0.0
+    assert record.end == pytest.approx(1.0)
     assert record.duration == pytest.approx(1.0)
+    assert pipe.bytes_moved == 500
