@@ -11,19 +11,13 @@ machine-readable snapshot tracked PR-over-PR at the repo root:
 * ``engine_pingpong_events_per_sec`` — event-signaling (succeed/wait)
   loop, with the same seed baseline.
 * ``serving_requests_per_sec``     — single-device open-loop serving,
-  end to end (arrivals -> admission -> dispatch -> accelerator backend);
-  baselined against the committed PR-5 full-scale snapshot rate.
-* ``cluster_requests_per_sec``     — two-device sharded serving run,
-  baselined the same way.
+  end to end (arrivals -> admission -> dispatch -> accelerator backend).
+* ``cluster_requests_per_sec``     — two-device sharded serving run.
 * ``serving_obs_requests_per_sec`` — the serving run with the PR-7
   observability layer (lifecycle tracing + metrics bus) on, interleaved
   A/B against the same run with it off, so the recorded ratio is the
   obs overhead factor (disabled-path zero cost is enforced by tests,
   not here).
-* ``simulated_requests_per_wall_second`` — the PR-6 headline: the same
-  serving scenario run with steady-state fast-forward, interleaved A/B
-  against the exact engine (the baseline), so the recorded ratio *is*
-  the fast-forward speedup (``--check`` enforces >= 10x at full scale).
 * ``cluster_parallel_requests_per_sec`` — the PR-10 tentpole: a
   four-shard fleet run on the epoch-parallel runner, interleaved A/B
   against the serial session on the *same* fleet in the *same* run, so
@@ -62,7 +56,6 @@ if str(REPO_ROOT / "src") not in sys.path:
 
 from repro.perf import (  # noqa: E402
     ENGINE_SPEEDUP_THRESHOLD,
-    FASTFORWARD_SPEEDUP_THRESHOLD,
     PerfMetric,
     PerfReport,
     Threshold,
@@ -75,23 +68,14 @@ from repro.perf import (  # noqa: E402
 SEED_ENGINE_PATH = Path(__file__).with_name("engine_seed_snapshot.py")
 DEFAULT_OUTPUT = REPO_ROOT / "BENCH_PERF.json"
 
-#: Committed full-scale end-to-end rates from the PR-5 BENCH_PERF.json
-#: snapshot, frozen here as the seed baselines for the end-to-end
-#: metrics so ``--check`` and the CI job summary report speedups for
-#: them, not just for the engine A/B pair.
-SERVING_SEED_BASELINE_RPS = 67.97794616677457
-CLUSTER_SEED_BASELINE_RPS = 61.06510635252943
-
 #: Full-scale thresholds: the tentpole claims, enforced on the committed
 #: snapshot.  Quick (CI smoke) runs use deliberately looser floors —
 #: shared runners jitter, and the smoke check exists to catch collapses,
 #: not to re-litigate the full-scale claim on a noisy host.
 FULL_CHECK_THRESHOLDS = [ENGINE_SPEEDUP_THRESHOLD,
-                         FASTFORWARD_SPEEDUP_THRESHOLD,
                          parallel_speedup_threshold()]
 QUICK_CHECK_THRESHOLDS = [
     Threshold("engine_events_per_sec", 1.5),
-    Threshold("simulated_requests_per_wall_second", 5.0),
     # Conservative quick floor: on a noisy smoke runner the parallel
     # path must at minimum never lose to serial on the same fleet.
     Threshold("cluster_parallel_requests_per_sec", 1.0),
@@ -201,28 +185,6 @@ def cluster_run(offered_rps: float, duration_s: float) -> float:
     cluster = ClusterConfig.homogeneous(
         2, PlatformConfig(input_scale=0.01))
     report = ClusterSession(scenario, cluster).run()
-    return float(report.offered)
-
-
-def fastforward_run(offered_rps: float, duration_s: float) -> float:
-    """One fast-forwarded serving run; returns requests offered.
-
-    Raises when the steady-state detector refuses: the headline metric
-    is only meaningful if the analytic cruise actually engaged (a
-    refusal silently re-runs the exact engine, which would record a
-    ~1x "speedup" and mask a detector regression).
-    """
-    from repro.platform.config import PlatformConfig
-    from repro.serve.fastforward import run_serving_fastforward
-    from repro.serve.session import ServingScenario
-
-    scenario = ServingScenario(process="poisson", offered_rps=offered_rps,
-                               duration_s=duration_s, seed=11)
-    config = PlatformConfig(input_scale=0.01)
-    report = run_serving_fastforward(scenario, config)
-    meta = report.fastforward
-    if not (meta and meta.get("engaged")):
-        raise RuntimeError(f"fast-forward did not engage: {meta}")
     return float(report.offered)
 
 
@@ -407,7 +369,6 @@ def build_report(quick: bool = False, repeats: int = 5) -> PerfReport:
     serving_s = max(2.0, 5.0 * scale)
     cluster_s = max(2.0, 4.0 * scale)
     fleet_s = max(2.0, 8.0 * scale)
-    fastforward_s = 6.0 if quick else 10.0
     ipc_completions = 720  # one 2s epoch of the fleet scenario at 360 rps
     ipc_roundtrips = max(500, int(5000 * scale))
     reservoir_n = max(50_000, int(400_000 * scale))
@@ -461,8 +422,7 @@ def build_report(quick: bool = False, repeats: int = 5) -> PerfReport:
         lambda: serving_run(240.0, serving_s),
         repeats=max(2, repeats - 2), warmup=0)
     report.add(PerfMetric("serving_requests_per_sec", serving.rate,
-                          "requests/s",
-                          baseline=SERVING_SEED_BASELINE_RPS))
+                          "requests/s"))
 
     print(f"• serving: observability on vs off (240 rps x {serving_s:g}s)")
     # Interleaved A/B so the recorded ratio is the tracing + metrics-bus
@@ -479,36 +439,20 @@ def build_report(quick: bool = False, repeats: int = 5) -> PerfReport:
                           obs_on.best_rate, "requests/s",
                           baseline=obs_off.best_rate))
 
-    print(f"• serving: fast-forward vs exact "
-          f"(240 rps x {fastforward_s:g}s simulated)")
-    # Interleaved A/B like the engine pair: the baseline is the exact
-    # engine on the *same* scenario in the *same* run, so the recorded
-    # ratio is the fast-forward speedup itself.
-    ff, ff_exact = measure_ab(
-        "simulated_requests_per_wall_second",
-        lambda: fastforward_run(240.0, fastforward_s),
-        "simulated_requests_per_wall_second_exact",
-        lambda: serving_run(240.0, fastforward_s),
-        repeats=2, warmup=0)
-    report.add(PerfMetric("simulated_requests_per_wall_second",
-                          ff.best_rate, "requests/s",
-                          baseline=ff_exact.best_rate))
-
     print(f"• cluster: 2-device sharded run (360 rps x {cluster_s:g}s)")
     cluster = measure(
         "cluster_requests_per_sec",
         lambda: cluster_run(360.0, cluster_s),
         repeats=max(2, repeats - 2), warmup=0)
     report.add(PerfMetric("cluster_requests_per_sec", cluster.rate,
-                          "requests/s",
-                          baseline=CLUSTER_SEED_BASELINE_RPS))
+                          "requests/s"))
 
     print(f"• cluster: {FLEET_SHARDS}-shard parallel vs serial "
           f"(360 rps x {fleet_s:g}s)")
-    # Interleaved A/B on the same fleet, like the engine and
-    # fast-forward pairs: the baseline is the serial session measured in
-    # the same run on the same host, so the recorded ratio is the
-    # parallel speedup ``--check`` enforces.
+    # Interleaved A/B on the same fleet, like the engine pair: the
+    # baseline is the serial session measured in the same run on the
+    # same host, so the recorded ratio is the parallel speedup
+    # ``--check`` enforces.
     fleet_par, fleet_serial = measure_ab(
         "cluster_parallel_requests_per_sec",
         lambda: fleet_parallel_run(360.0, fleet_s),
@@ -576,9 +520,8 @@ def main(argv=None) -> int:
                              "(default: repo root)")
     parser.add_argument("--check", action="store_true",
                         help="exit non-zero unless the engine beats the "
-                             "seed baseline (2x full / 1.5x quick), "
-                             "fast-forward beats the exact engine "
-                             "(10x full / 5x quick), and the parallel "
+                             "seed baseline (2x full / 1.5x quick) and the "
+                             "parallel "
                              "cluster runner beats serial (host-aware "
                              "1.5x/1.1x full, 1.0x quick)")
     args = parser.parse_args(argv)

@@ -1,7 +1,7 @@
 """Smoke test for the wall-clock perf harness (``pytest benchmarks/perf``).
 
 Runs the microbenchmarks at --quick scale, checks the report shape and
-the tentpole speedup, and verifies the emitted ``BENCH_PERF.json``
+the A/B speedups, and verifies the emitted ``BENCH_PERF.json``
 round-trips.  The full-scale run (committed at the repo root and used
 for the PR-over-PR trajectory) is ``python benchmarks/perf/perfbench.py``.
 """
@@ -19,11 +19,6 @@ from repro.perf import PerfReport
 #: BENCH_PERF.json.
 SMOKE_ENGINE_SPEEDUP_FLOOR = 1.5
 
-#: Fast-forward floor for the smoke run, likewise looser than the 10x
-#: full-scale claim (quick runs simulate a shorter horizon, so the exact
-#: warm-up is a larger fraction of the fast-forwarded wall time).
-SMOKE_FASTFORWARD_SPEEDUP_FLOOR = 5.0
-
 
 @pytest.fixture(scope="module")
 def quick_report():
@@ -34,7 +29,6 @@ def test_emits_at_least_four_named_metrics(quick_report):
     assert len(quick_report.metrics) >= 4
     for required in ("engine_events_per_sec", "serving_requests_per_sec",
                      "cluster_requests_per_sec",
-                     "simulated_requests_per_wall_second",
                      "cluster_parallel_requests_per_sec",
                      "orchestrator_cache_hits_per_sec"):
         metric = quick_report.get(required)
@@ -52,27 +46,18 @@ def test_engine_beats_seed_baseline(quick_report):
         f"{SMOKE_ENGINE_SPEEDUP_FLOOR}x — hot-path regression?")
 
 
-def test_fastforward_beats_exact_engine(quick_report):
-    ff = quick_report.get("simulated_requests_per_wall_second")
-    assert ff is not None
-    assert ff.baseline is not None and ff.baseline > 0
-    assert ff.ratio is not None
-    assert ff.ratio >= SMOKE_FASTFORWARD_SPEEDUP_FLOOR, (
-        f"fast-forward speedup {ff.ratio:.2f}x fell below the smoke "
-        f"floor {SMOKE_FASTFORWARD_SPEEDUP_FLOOR}x — detector or "
-        f"analytic-path regression?")
-
-
-def test_end_to_end_metrics_carry_seed_baselines(quick_report):
-    # The serving/cluster metrics report speedups against the committed
-    # PR-5 snapshot; the parallel metric against the serial session on
-    # the same fleet measured in the same run.
-    for name in ("serving_requests_per_sec", "cluster_requests_per_sec",
-                 "cluster_parallel_requests_per_sec"):
+def test_end_to_end_baselines_come_from_the_same_run(quick_report):
+    # Only an A/B pair measured in the same run on the same host carries
+    # a baseline: the parallel metric against the serial session on the
+    # same fleet.  The plain serving/cluster rates have nothing measured
+    # here to compare against, so they record none.
+    par = quick_report.get("cluster_parallel_requests_per_sec")
+    assert par is not None
+    assert par.baseline is not None and par.baseline > 0
+    for name in ("serving_requests_per_sec", "cluster_requests_per_sec"):
         metric = quick_report.get(name)
         assert metric is not None, f"missing metric {name}"
-        assert metric.baseline is not None and metric.baseline > 0
-        assert metric.ratio is not None and metric.ratio > 0
+        assert metric.baseline is None and metric.ratio is None
 
 
 def test_parallel_runner_never_loses_to_serial(quick_report):

@@ -24,7 +24,6 @@ from .core import (
     Microblock,
     Screen,
     build_kernel,
-    make_scheduler,
     run_flashabacus,
 )
 from .baseline import BaselineSystem, run_baseline
@@ -75,7 +74,6 @@ __all__ = [
     "Microblock",
     "Screen",
     "build_kernel",
-    "make_scheduler",
     "run_flashabacus",
     "BaselineSystem",
     "run_baseline",

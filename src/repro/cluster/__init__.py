@@ -33,7 +33,6 @@ from .placement import (
     PowerAwarePlacement,
     RoundRobinPlacement,
     TenantAffinityPlacement,
-    make_placement,
     stable_tenant_hash,
 )
 from .parallel import (
@@ -60,7 +59,6 @@ __all__ = [
     "PowerAwarePlacement",
     "RoundRobinPlacement",
     "TenantAffinityPlacement",
-    "make_placement",
     "stable_tenant_hash",
     "ParallelClusterSession",
     "ParallelConfig",

@@ -23,18 +23,15 @@ content hash.
 Every policy registers itself in the unified registry
 (:mod:`repro.policy`) under the ``placement`` domain, so a
 :class:`~repro.platform.ClusterConfig` picks one declaratively via a
-:class:`~repro.policy.PolicySpec`.  :func:`make_placement` is the
-pre-registry shim.
+:class:`~repro.policy.PolicySpec`.
 """
 
 from __future__ import annotations
 
 import hashlib
-import warnings
 from typing import Protocol, Sequence
 
-from ..platform.cluster import PLACEMENT_POLICIES
-from ..policy import PolicySpec, build_policy, policy_class, register_policy
+from ..policy import PolicySpec, policy_class, register_policy
 from ..serve.request import Request
 
 
@@ -207,26 +204,3 @@ def placement_snapshot_dependent(spec) -> bool:
     spec = PolicySpec.coerce(spec)
     return bool(getattr(policy_class("placement", spec.name),
                         "snapshot_dependent", True))
-
-
-def make_placement(name: str, device_count: int,
-                   affinity_salt: int = 0) -> PlacementPolicy:
-    """Deprecated: instantiate a placement policy by name.
-
-    Kept as a shim over the unified policy registry; use
-    ``repro.policy.build_policy("placement", name, device_count=...,
-    salt=...)`` (or a :class:`~repro.policy.PolicySpec`) instead.
-    """
-    warnings.warn(
-        "make_placement() is deprecated; use repro.policy.build_policy("
-        "'placement', name, device_count=..., salt=...) instead",
-        DeprecationWarning, stacklevel=2)
-    try:
-        return build_policy("placement", name, device_count=device_count,
-                            salt=affinity_salt)
-    except ValueError as exc:
-        if "unknown placement policy" in str(exc):
-            # Preserve the pre-registry message shape for existing callers.
-            raise ValueError(f"unknown placement {name!r}; "
-                             f"choose from {PLACEMENT_POLICIES}") from None
-        raise

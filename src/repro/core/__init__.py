@@ -33,11 +33,9 @@ from .schedulers import (
     DynamicInterKernelScheduler,
     InOrderIntraKernelScheduler,
     OutOfOrderIntraKernelScheduler,
-    SCHEDULER_CLASSES,
     Scheduler,
     StaticInterKernelScheduler,
     WorkItem,
-    make_scheduler,
 )
 from .accelerator import (
     ExecutionReport,
@@ -79,11 +77,9 @@ __all__ = [
     "DynamicInterKernelScheduler",
     "InOrderIntraKernelScheduler",
     "OutOfOrderIntraKernelScheduler",
-    "SCHEDULER_CLASSES",
     "Scheduler",
     "StaticInterKernelScheduler",
     "WorkItem",
-    "make_scheduler",
     "ExecutionReport",
     "FlashAbacusAccelerator",
     "FlashAddressSpace",

@@ -9,52 +9,13 @@ is what loads the built-in set.  New schedulers are one registered class:
     class MyScheduler(Scheduler):
         name = "MySched"
         ...
-
-:data:`SCHEDULER_CLASSES` and :func:`make_scheduler` are the pre-registry
-surface, kept as deprecated shims over the registry.
 """
 
-import warnings
-
-from ...policy import build_policy, policy_names
 from .base import Scheduler, WorkItem
 from .inter_static import StaticInterKernelScheduler
 from .inter_dynamic import DynamicInterKernelScheduler
 from .intra_inorder import InOrderIntraKernelScheduler
 from .intra_ooo import OutOfOrderIntraKernelScheduler
-
-#: Deprecated alias of the registry's scheduler domain (the paper's four
-#: built-ins, in paper order).  Prefer
-#: ``repro.policy.registered_policies("scheduler")``.
-SCHEDULER_CLASSES = {
-    "InterSt": StaticInterKernelScheduler,
-    "InterDy": DynamicInterKernelScheduler,
-    "IntraIo": InOrderIntraKernelScheduler,
-    "IntraO3": OutOfOrderIntraKernelScheduler,
-}
-
-
-def make_scheduler(name: str, num_workers: int) -> Scheduler:
-    """Deprecated: instantiate a scheduler by its paper name.
-
-    Kept as a shim over the unified policy registry; use
-    ``repro.policy.build_policy("scheduler", name, num_workers=...)`` (or
-    a :class:`~repro.policy.PolicySpec`) instead.
-    """
-    warnings.warn(
-        "make_scheduler() is deprecated; use repro.policy.build_policy("
-        "'scheduler', name, num_workers=...) instead",
-        DeprecationWarning, stacklevel=2)
-    try:
-        return build_policy("scheduler", name, num_workers=num_workers)
-    except ValueError as exc:
-        if "unknown scheduler policy" in str(exc):
-            # Preserve the pre-registry message shape for existing callers.
-            raise ValueError(
-                f"unknown scheduler {name!r}; "
-                f"choose from {policy_names('scheduler')}") from None
-        raise
-
 
 __all__ = [
     "Scheduler",
@@ -63,6 +24,4 @@ __all__ = [
     "DynamicInterKernelScheduler",
     "InOrderIntraKernelScheduler",
     "OutOfOrderIntraKernelScheduler",
-    "SCHEDULER_CLASSES",
-    "make_scheduler",
 ]

@@ -157,16 +157,9 @@ class ScalingPoint:
     p99_s: Optional[float]
     energy_j: float
     reroutes: int
-    #: Fast-forward provenance rolled up across the fleet's per-device
-    #: reports: None when no device carries an annotation, otherwise
-    #: "N/M devices engaged".
-    fastforward: Optional[str] = None
 
     @classmethod
     def from_report(cls, report: ClusterReport) -> "ScalingPoint":
-        annotated = [d.fastforward for d in report.devices
-                     if d.fastforward is not None]
-        engaged = sum(1 for a in annotated if a.get("engaged"))
         return cls(
             device_count=report.device_count,
             offered_rps=report.offered_rps,
@@ -179,8 +172,6 @@ class ScalingPoint:
             p99_s=report.p99_s,
             energy_j=report.energy_j,
             reroutes=report.reroutes,
-            fastforward=(f"{engaged}/{len(report.devices)} devices engaged"
-                         if annotated else None),
         )
 
 

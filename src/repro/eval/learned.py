@@ -359,10 +359,9 @@ class LearningWindow:
 def learning_curve(scenario: ServingScenario,
                    config: Optional[PlatformConfig] = None,
                    windows: int = 8) -> List[LearningWindow]:
-    """Per-window SLO compliance over one exact serving run.
+    """Per-window SLO compliance over one serving run.
 
-    The run executes once on the exact engine (learned policies refuse
-    fast-forward anyway); its request records are then binned by
+    The run executes once; its request records are then binned by
     *arrival* time into ``windows`` equal windows.  For a learned
     policy the early windows are the exploration tax and the late ones
     the dividend — compliance should trend up as feedback accumulates.

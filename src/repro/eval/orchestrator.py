@@ -29,7 +29,6 @@ import os
 import pickle
 import re
 import sys
-import threading
 import traceback
 from dataclasses import dataclass
 from functools import cached_property
@@ -228,25 +227,6 @@ def _execute_spec_in_pool(spec: ExperimentSpec):
             f"{type(value).__name__}: {value}\n{detail}")
 
 
-#: Pending specs published for fork-started pool workers.  With the fork
-#: start method the child inherits the parent's memory, so workers can
-#: look experiments up by index instead of receiving a pickled copy of
-#: every spec over the task pipe — shared ``PlatformConfig``/scenario
-#: objects are then never re-serialized per task (only a small int
-#: crosses the pipe).  The list is populated and cleared around the
-#: ``Pool()`` call (fork happens inside it) under ``_FORK_SPECS_LOCK``,
-#: so concurrent orchestrators on different threads cannot fork each
-#: other's specs.  Meaningless to spawn-started workers, which must
-#: receive the spec itself.
-_FORK_SHARED_SPECS: List[Any] = []
-_FORK_SPECS_LOCK = threading.Lock()
-
-
-def _execute_shared_spec_in_pool(index: int):
-    """Fork-context worker entry: run the inherited spec at ``index``."""
-    return _execute_spec_in_pool(_FORK_SHARED_SPECS[index])
-
-
 _SAFE = re.compile(r"[^A-Za-z0-9._-]")
 
 #: A cache entry (or a writer's partial .tmp) as named by ``_path``:
@@ -366,22 +346,19 @@ class ExperimentOrchestrator:
     """
 
     def __init__(self, cache_dir: Optional[Union[str, Path]] = None,
-                 workers: int = 1, persistent_workers: bool = True):
+                 workers: int = 1):
         if workers < 1:
             raise ValueError("workers must be >= 1")
         self.cache = ResultCache(cache_dir)
         self.workers = workers
-        #: Keep one worker pool alive across :meth:`run` calls.  A sweep
-        #: is many small ``run()`` batches (one per sweep point); paying
-        #: the fork + interpreter warm-up per batch used to dominate
-        #: short batches.  Reused workers also keep their platform
-        #: template cache (:mod:`repro.platform.builder`) warm across
-        #: sweep points that share a device config.  ``False`` restores
-        #: the one-pool-per-run behaviour, where fork-started workers
-        #: inherit the pending specs by index and nothing is pickled.
-        self.persistent_workers = persistent_workers
         self.registry: Dict[ExperimentKey, Any] = {}
         self.simulations_run = 0
+        #: One worker pool kept alive across :meth:`run` calls.  A sweep
+        #: is many small ``run()`` batches (one per sweep point), so a
+        #: pool per batch would pay the fork + interpreter warm-up each
+        #: time; reused workers also keep their platform template cache
+        #: (:mod:`repro.platform.builder`) warm across sweep points that
+        #: share a device config.
         self._pool: Optional[Any] = None
         self.pool_launches = 0
 
@@ -446,14 +423,13 @@ class ExperimentOrchestrator:
         # parent is unsafe) respect the platform default.
         if sys.platform.startswith("linux") \
                 and "fork" in multiprocessing.get_all_start_methods():
-            return multiprocessing.get_context("fork"), True
-        return multiprocessing.get_context(), False
+            return multiprocessing.get_context("fork")
+        return multiprocessing.get_context()
 
     def _ensure_pool(self):
         """The persistent worker pool, launched on first parallel run."""
         if self._pool is None:
-            ctx, _ = self._pool_context()
-            self._pool = ctx.Pool(processes=self.workers)
+            self._pool = self._pool_context().Pool(processes=self.workers)
             self.pool_launches += 1
         return self._pool
 
@@ -507,13 +483,14 @@ class ExperimentOrchestrator:
         # parallel=True cannot fan out beyond it (workers=1 stays serial).
         use_pool = (parallel if parallel is not None else True) \
             and self.workers > 1 and len(pending) > 1
-        if use_pool and self.persistent_workers:
-            # Reused pool: workers were forked before these specs
-            # existed, so tasks ship the spec itself (pickled) instead
-            # of a fork-inherited index.  Chunked like the fresh-pool
-            # path; a pool whose map machinery itself fails (worker
-            # killed, unpicklable task) is torn down so the next run
-            # starts clean instead of deadlocking on a broken pool.
+        if use_pool:
+            # Tasks ship the spec itself (pickled): the workers may predate
+            # these specs.  Chunked so each worker gets a batch per IPC
+            # round-trip while keeping ~2 chunks per worker, so a slow
+            # experiment cannot strand a whole tail.  A pool whose map
+            # machinery itself fails (worker killed, unpicklable task) is
+            # torn down so the next run starts clean instead of
+            # deadlocking on a broken pool.
             pool = self._ensure_pool()
             chunksize = max(1, len(pending) // (self.workers * 2))
             try:
@@ -522,34 +499,6 @@ class ExperimentOrchestrator:
             except BaseException:
                 self.close()
                 raise
-        elif use_pool:
-            ctx, use_fork = self._pool_context()
-            processes = min(self.workers, len(pending))
-            # Chunked submission: hand each worker a batch instead of one
-            # task per IPC round-trip, while keeping at least ~2 chunks
-            # per worker so a slow experiment cannot strand a whole tail.
-            chunksize = max(1, len(pending) // (processes * 2))
-            if use_fork:
-                # Workers inherit the pending specs through fork and look
-                # them up by index — no per-task spec pickling, and specs
-                # sharing config/scenario objects are never re-serialized.
-                # The global is only needed during Pool() itself (that is
-                # when fork snapshots our memory), so it is set and
-                # cleared inside the lock; the map can run outside it.
-                with _FORK_SPECS_LOCK:
-                    _FORK_SHARED_SPECS[:] = pending
-                    try:
-                        pool = ctx.Pool(processes=processes)
-                    finally:
-                        _FORK_SHARED_SPECS.clear()
-                with pool:
-                    outcomes = pool.map(_execute_shared_spec_in_pool,
-                                        range(len(pending)),
-                                        chunksize=chunksize)
-            else:
-                with ctx.Pool(processes=processes) as pool:
-                    outcomes = pool.map(_execute_spec_in_pool, pending,
-                                        chunksize=chunksize)
         else:
             outcomes = [_execute_spec(spec) for spec in pending]
         # Cache every completed simulation before surfacing failures, so

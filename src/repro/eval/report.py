@@ -55,49 +55,26 @@ def format_comparison(title: str, metric_by_system: Dict[str, Dict[str, float]],
                                                        float_format)
 
 
-def _fastforward_cell(point) -> str:
-    """One table cell for a point's fast-forward annotation.
-
-    Long refusal reasons are truncated so the table stays readable;
-    points predating the annotation (plain tuples, old pickles) render
-    as the exact-engine default.
-    """
-    text = getattr(point, "fastforward", None)
-    if text is None:
-        return "-"
-    return text if len(text) <= 40 else text[:37] + "..."
-
-
 def format_saturation_sweep(curves: Dict[str, Sequence],
                             slo_s: float = None) -> str:
     """Render {system: [SaturationPoint]} as one offered-load table.
 
     One row per (system, offered rate): goodput, admitted/rejected counts
     and the latency tail.  With ``slo_s`` the per-system SLO knee (highest
-    load with p99 within the SLO) is appended.  A ``fastforward`` column
-    (engaged / exact-with-reason) appears only when at least one point
-    carries an annotation, so plain exact sweeps render exactly as
-    before.
+    load with p99 within the SLO) is appended.
     """
     headers = ["system", "offered_rps", "goodput_rps", "admitted",
                "rejected", "slo_viol", "p50_ms", "p95_ms", "p99_ms"]
-    annotated = any(getattr(p, "fastforward", None) is not None
-                    for points in curves.values() for p in points)
-    if annotated:
-        headers.append("fastforward")
     rows = []
     for system, points in curves.items():
         for p in points:
-            row = [
+            rows.append([
                 system, p.offered_rps, p.goodput_rps, p.admitted,
                 p.rejected, p.slo_violations,
                 -1.0 if p.p50_s is None else p.p50_s * 1e3,
                 -1.0 if p.p95_s is None else p.p95_s * 1e3,
                 -1.0 if p.p99_s is None else p.p99_s * 1e3,
-            ]
-            if annotated:
-                row.append(_fastforward_cell(p))
-            rows.append(row)
+            ])
     text = "Saturation sweep (goodput vs. offered load)\n" \
         + format_table(headers, rows)
     if slo_s is not None:
@@ -121,9 +98,7 @@ def format_scaling_sweep(points: Sequence, slo_s: float = None) -> str:
     One row per fleet size: goodput, the speedup over the smallest fleet,
     admitted/rejected counts, the latency tail, summed energy, and the
     number of failure reroutes.  With ``slo_s`` a per-row SLO verdict
-    column is added (whether fleet p99 is inside the SLO).  A
-    ``fastforward`` column appears only when at least one point carries
-    an annotation, so plain exact sweeps render exactly as before.
+    column is added (whether fleet p99 is inside the SLO).
     """
     from .cluster import scaling_efficiency
     ordered = sorted(points, key=lambda p: p.device_count)
@@ -133,10 +108,6 @@ def format_scaling_sweep(points: Sequence, slo_s: float = None) -> str:
                "energy_j", "reroutes"]
     if slo_s is not None:
         headers.append("p99<=SLO")
-    annotated = any(getattr(p, "fastforward", None) is not None
-                    for p in ordered)
-    if annotated:
-        headers.append("fastforward")
     rows = []
     for point, factor in zip(ordered, factors):
         row = [
@@ -153,8 +124,6 @@ def format_scaling_sweep(points: Sequence, slo_s: float = None) -> str:
         if slo_s is not None:
             row.append("yes" if point.p99_s is not None
                        and point.p99_s <= slo_s else "no")
-        if annotated:
-            row.append(_fastforward_cell(point))
         rows.append(row)
     return "Cluster scaling sweep (goodput vs. device count)\n" \
         + format_table(headers, rows)

@@ -24,10 +24,8 @@ from typing import Dict, List, Optional, Sequence
 
 from ..obs import ObsConfig
 from ..platform.config import PlatformConfig
-from ..serve.fastforward import FastForwardServingSession
 from ..serve.report import ServingReport
 from ..serve.session import ServingScenario, ServingSession
-from ..sim.fastforward import FastForwardConfig
 from .orchestrator import (
     CACHE_REVISION,
     ExperimentKey,
@@ -54,10 +52,6 @@ class ServingExperimentSpec:
 
     scenario: ServingScenario
     config: PlatformConfig
-    #: Optional steady-state fast-forward (None = exact engine).  An
-    #: *approximating* execution mode, so it folds into the cache key:
-    #: exact and fast-forwarded results never alias.
-    fastforward: Optional[FastForwardConfig] = None
     #: Optional observability (None = no tracing/metrics).  Changes the
     #: report payload (the ``metrics`` timeline), so it folds into the
     #: cache key: instrumented and plain results never alias.
@@ -74,10 +68,8 @@ class ServingExperimentSpec:
             "config": self.config.config_hash(),
             "revision": CACHE_REVISION,
         }
-        # Folded in only when set, so pre-fast-forward specs keep their
+        # Folded in only when set, so uninstrumented specs keep their
         # cache keys byte-identical.
-        if self.fastforward is not None:
-            payload["fastforward"] = self.fastforward.to_dict()
         if self.obs is not None:
             payload["obs"] = self.obs.to_dict()
         canonical = json.dumps(payload, sort_keys=True,
@@ -87,10 +79,6 @@ class ServingExperimentSpec:
 
     def execute(self) -> ServingReport:
         """Run this serving experiment in-process (fresh Environment)."""
-        if self.fastforward is not None:
-            return FastForwardServingSession(
-                self.scenario, self.config, self.fastforward,
-                obs=self.obs).run()
         return ServingSession(self.scenario, self.config,
                               obs=self.obs).run()
 
@@ -109,9 +97,6 @@ class SaturationPoint:
     p50_s: Optional[float]
     p95_s: Optional[float]
     p99_s: Optional[float]
-    #: Fast-forward provenance: None for plain exact runs, "engaged"
-    #: when the analytic cruise ran, "exact (<reason>)" on refusals.
-    fastforward: Optional[str] = None
 
     @classmethod
     def from_report(cls, nominal_rps: float,
@@ -127,21 +112,7 @@ class SaturationPoint:
             p50_s=report.p50_s,
             p95_s=report.p95_s,
             p99_s=report.p99_s,
-            fastforward=describe_fastforward(report.fastforward),
         )
-
-
-def describe_fastforward(annotation) -> Optional[str]:
-    """One-word-ish summary of a report's ``fastforward`` annotation.
-
-    ``None`` in, ``None`` out (an exact run that never considered
-    fast-forwarding); otherwise ``"engaged"`` or ``"exact (<reason>)"``.
-    """
-    if annotation is None:
-        return None
-    if annotation.get("engaged"):
-        return "engaged"
-    return f"exact ({annotation.get('reason', 'refused')})"
 
 
 def sweep_specs(rates: Sequence[float],

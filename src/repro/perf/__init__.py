@@ -10,7 +10,6 @@ regression policy.
 
 from .regression import (
     ENGINE_SPEEDUP_THRESHOLD,
-    FASTFORWARD_SPEEDUP_THRESHOLD,
     PARALLEL_SPEEDUP_THRESHOLD,
     Regression,
     Threshold,
@@ -28,7 +27,6 @@ from .timers import Measurement, WallTimer, measure, measure_ab
 
 __all__ = [
     "ENGINE_SPEEDUP_THRESHOLD",
-    "FASTFORWARD_SPEEDUP_THRESHOLD",
     "PARALLEL_SPEEDUP_THRESHOLD",
     "Measurement",
     "PerfMetric",

@@ -48,14 +48,6 @@ class Threshold:
 #: (the PR-4 tentpole claim, re-checked by ``benchmarks/perf``).
 ENGINE_SPEEDUP_THRESHOLD = Threshold("engine_events_per_sec", 2.0)
 
-#: Steady-state fast-forward must process simulated traffic at least this
-#: much faster than the exact engine on the same scenario (the PR-6
-#: tentpole claim; the baseline is the exact-engine rate measured in the
-#: same perfbench run, so the ratio *is* the fast-forward speedup).
-FASTFORWARD_SPEEDUP_THRESHOLD = Threshold(
-    "simulated_requests_per_wall_second", 10.0)
-
-
 def parallel_speedup_threshold(cpus: Optional[int] = None) -> Threshold:
     """The host-aware floor on parallel-over-serial cluster speedup.
 

@@ -26,8 +26,8 @@ regression over tiny feature vectors, refit on a periodic cadence) and
 :class:`LearnedPolicyMixin`, which fixes the species-wide contract:
 
 * ``learned = True`` — how the wiring (feedback hooks, report
-  snapshots), the fast-forward refusal and the parallel-session guard
-  recognize the species without name lists.
+  snapshots) and the parallel-session guard recognize the species
+  without name lists.
 * Determinism per seed: every exploration draw comes from a
   ``random.Random`` derived from the scenario seed (plumbed through
   ``build_policy`` context, see ``context_params``) — never wall clock —
@@ -149,8 +149,8 @@ class LearnedPolicyMixin(FeedbackHook):
     completed request) and the snapshot skeleton.
     """
 
-    #: How wiring, fast-forward and the parallel guard recognize the
-    #: species (never by name lists).
+    #: How wiring and the parallel guard recognize the species (never
+    #: by name lists).
     learned = True
     #: Constructor params that are call-site context, not configuration:
     #: they are plumbed by the session (from the scenario seed) and must

@@ -53,7 +53,7 @@ DOMAIN_MODULES: Dict[str, Tuple[str, ...]] = {
 }
 
 #: Alternate spellings accepted by lookups, kept for the legacy string
-#: knobs (``make_admission("always")`` predates the registry).
+#: knobs (``ServingScenario(admission="always")`` predates the registry).
 DOMAIN_ALIASES: Dict[str, Dict[str, str]] = {
     "admission": {"always": "none"},
 }
@@ -191,8 +191,8 @@ def policy_is_learned(domain: str, spec: Any) -> bool:
     """Whether ``spec`` names a learned (feedback-driven) policy.
 
     The species flag, not a name list: any class registering with
-    ``learned = True`` is recognized by the fast-forward refusal, the
-    parallel-session guard and the grid's cache-key resolution.
+    ``learned = True`` is recognized by the parallel-session guard and
+    the grid's cache-key resolution.
     """
     spec = PolicySpec.coerce(spec)
     return bool(getattr(policy_class(domain, spec.name), "learned", False))

@@ -15,7 +15,6 @@ from .admission import (
     DeadlineAwareAdmission,
     QueueDepthAdmission,
     TokenBucketAdmission,
-    make_admission,
 )
 from .dispatch import (
     DispatchPolicy,
@@ -33,11 +32,6 @@ from .arrivals import (
     TraceArrivals,
 )
 from .backends import AcceleratorBackend, BaselineBackend, ServingBackend
-from .fastforward import (
-    FastForwardConfig,
-    FastForwardServingSession,
-    run_serving_fastforward,
-)
 from .frontend import ServingFrontend
 from .report import ServingReport
 from .request import Request, RequestRecord, RequestStatus
@@ -57,7 +51,6 @@ __all__ = [
     "DeadlineAwareAdmission",
     "QueueDepthAdmission",
     "TokenBucketAdmission",
-    "make_admission",
     "DispatchPolicy",
     "RoundRobinDispatch",
     "StrictPriorityDispatch",
@@ -72,9 +65,6 @@ __all__ = [
     "AcceleratorBackend",
     "BaselineBackend",
     "ServingBackend",
-    "FastForwardConfig",
-    "FastForwardServingSession",
-    "run_serving_fastforward",
     "ServingFrontend",
     "ServingReport",
     "Request",

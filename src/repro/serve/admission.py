@@ -17,15 +17,14 @@ whether a request may enter its tenant queue:
 Every policy registers itself in the unified registry
 (:mod:`repro.policy`) under the ``admission`` domain, so a scenario picks
 one declaratively via a :class:`~repro.policy.PolicySpec` (name +
-params).  :func:`make_admission` is the pre-registry shim.
+params).
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Optional, Protocol
 
-from ..policy import build_policy, register_policy
+from ..policy import register_policy
 from .request import Request
 
 
@@ -194,18 +193,3 @@ class TokenBucketAdmission(AdmissionController):
             self.tokens -= 1.0
             return True
         return False
-
-
-def make_admission(policy: str, **kwargs) -> AdmissionController:
-    """Deprecated: instantiate an admission policy by name.
-
-    Kept as a shim over the unified policy registry; use
-    ``repro.policy.build_policy("admission", name, ...)`` (or a
-    :class:`~repro.policy.PolicySpec`) instead.  ``"always"`` remains an
-    accepted alias of ``"none"``.
-    """
-    warnings.warn(
-        "make_admission() is deprecated; use repro.policy.build_policy("
-        "'admission', name, ...) instead",
-        DeprecationWarning, stacklevel=2)
-    return build_policy("admission", {"name": policy, "params": kwargs})

@@ -33,9 +33,6 @@ class ServingReport:
     per_tenant: Dict[str, Dict[str, Any]] = field(default_factory=dict)
     energy_j: float = 0.0
     scheduler_stats: Dict[str, float] = field(default_factory=dict)
-    # Fast-forward provenance (engaged/refused + calibration facts); None
-    # on exact runs so pre-fast-forward reports keep their byte form.
-    fastforward: Optional[Dict[str, Any]] = None
     # Metrics-bus timeline (repro.obs); None unless the run opted into
     # observability, so default runs keep their byte form.
     metrics: Optional[Dict[str, Any]] = None
@@ -99,10 +96,8 @@ class ServingReport:
             "energy_j": self.energy_j,
             "scheduler_stats": dict(self.scheduler_stats),
         }
-        # Emitted only when set: exact-engine reports (fast-forward off,
-        # the default) must stay byte-identical to their goldens.
-        if self.fastforward is not None:
-            data["fastforward"] = dict(self.fastforward)
+        # Emitted only when set, so default runs stay byte-identical to
+        # their goldens.
         if self.metrics is not None:
             data["metrics"] = dict(self.metrics)
         if self.learned is not None:
@@ -129,8 +124,6 @@ class ServingReport:
                         in data.get("per_tenant", {}).items()},
             energy_j=data.get("energy_j", 0.0),
             scheduler_stats=dict(data.get("scheduler_stats", {})),
-            fastforward=(dict(data["fastforward"])
-                         if data.get("fastforward") is not None else None),
             metrics=(dict(data["metrics"])
                      if data.get("metrics") is not None else None),
             learned=(dict(data["learned"])

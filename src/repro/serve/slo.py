@@ -129,33 +129,6 @@ class SLOTracker:
         self.accounts[record.tenant].on_completed(record)
         self.aggregate.on_completed(record)
 
-    def on_completed_batch(self, records: Sequence[RequestRecord]) -> None:
-        """Bulk completion feed (the fast-forward batch-observe path).
-
-        Equivalent to calling :meth:`on_completed` once per record in
-        order — identical counters and identical reservoir states, since
-        each reservoir sees its own samples in the same relative order —
-        but ingests latencies through
-        :meth:`~repro.sim.stats.LatencyReservoir.observe_many`, one batch
-        per account, instead of one observation per record.
-        """
-        all_latencies: List[float] = []
-        per_tenant: Dict[str, List[float]] = {}
-        for record in records:
-            latency = record.latency_s
-            assert latency is not None
-            account = self.accounts[record.tenant]
-            account.completed += 1
-            self.aggregate.completed += 1
-            if record.slo_met is False:
-                account.slo_violations += 1
-                self.aggregate.slo_violations += 1
-            per_tenant.setdefault(record.tenant, []).append(latency)
-            all_latencies.append(latency)
-        for tenant in sorted(per_tenant):
-            self.accounts[tenant].latency.observe_many(per_tenant[tenant])
-        self.aggregate.latency.observe_many(all_latencies)
-
     # -- aggregate views -------------------------------------------------------
     @property
     def offered(self) -> int:

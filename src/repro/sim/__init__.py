@@ -10,12 +10,6 @@ from .engine import (
     SimulationError,
     Timeout,
 )
-from .fastforward import (
-    AnalyticServer,
-    FastForwardConfig,
-    ServiceTimeModel,
-    SteadyStateDetector,
-)
 from .resources import BandwidthPipe, Resource, Store, TransferRecord
 from .stats import (
     Counter,
@@ -36,10 +30,6 @@ __all__ = [
     "Process",
     "SimulationError",
     "Timeout",
-    "AnalyticServer",
-    "FastForwardConfig",
-    "ServiceTimeModel",
-    "SteadyStateDetector",
     "BandwidthPipe",
     "Resource",
     "Store",

@@ -485,25 +485,6 @@ class Environment:
                 return True
         return False
 
-    def advance_to(self, time: float) -> None:
-        """Bulk time advance: jump the clock to ``time`` without stepping.
-
-        The engine hook for the fast-forward layer
-        (:mod:`repro.sim.fastforward`): once analytic advancement has
-        settled everything that would have happened before ``time``, the
-        clock jumps there in O(1) instead of burning one event per
-        simulated activity.  Jumping over still-pending events would
-        silently reorder causality, so the call refuses unless the queue
-        is empty or every pending event lies at or after ``time``.
-        """
-        if time < self._now:
-            raise ValueError("cannot advance backwards in time")
-        if self._queue and self._queue[0][0] < time:
-            raise SimulationError(
-                f"cannot advance past pending events (next at "
-                f"t={self._queue[0][0]:.6f}, requested t={time:.6f})")
-        self._now = time
-
     def step(self) -> None:
         """Process exactly one event."""
         if not self._queue:

@@ -328,49 +328,6 @@ class LatencyReservoir:
             if slot < self.capacity:
                 samples[slot] = value
 
-    def observe_many(self, values: Iterable[float]) -> None:
-        """Batch-ingest latency samples (the fast-forward bulk path).
-
-        Behaviorally identical to calling :meth:`observe` once per value
-        — same RNG draw sequence, same retained sample set — but hoists
-        every attribute access out of the loop, which matters when the
-        fast-forward layer feeds thousands of analytic completions at
-        once instead of one observation per simulated request.
-        """
-        count = self._count
-        total = self._total
-        lo = self._min
-        hi = self._max
-        samples = self._samples
-        capacity = self.capacity
-        append = samples.append
-        randrange = self._randrange
-        retained = len(samples)
-        for value in values:
-            if value < 0:
-                # Flush the aggregates so the accepted prefix is recorded
-                # exactly as per-sample observe() would have left it.
-                self._count, self._total = count, total
-                self._min, self._max = lo, hi
-                raise ValueError("latency samples must be non-negative")
-            count += 1
-            total += value
-            if value < lo:
-                lo = value
-            if value > hi:
-                hi = value
-            if retained < capacity:
-                append(value)
-                retained += 1
-            else:
-                slot = randrange(count)
-                if slot < capacity:
-                    samples[slot] = value
-        self._count = count
-        self._total = total
-        self._min = lo
-        self._max = hi
-
     # -- exact aggregates ---------------------------------------------------
     @property
     def count(self) -> int:

@@ -8,10 +8,9 @@ from repro.core.schedulers import (
     DynamicInterKernelScheduler,
     InOrderIntraKernelScheduler,
     OutOfOrderIntraKernelScheduler,
-    SCHEDULER_CLASSES,
     StaticInterKernelScheduler,
 )
-from repro.policy import build_policy
+from repro.policy import build_policy, registered_policies
 from repro.hw.memory import DDR3L
 from repro.hw.pcie import PCIeLink
 from repro.hw.power import EnergyAccountant
@@ -86,7 +85,8 @@ def test_build_scheduler_by_paper_name():
     assert isinstance(build("IntraO3", 6), OutOfOrderIntraKernelScheduler)
     with pytest.raises(ValueError):
         build("RoundRobin", 6)
-    assert set(SCHEDULER_CLASSES) == {"InterSt", "InterDy", "IntraIo", "IntraO3"}
+    assert set(registered_policies("scheduler")) == {
+        "InterSt", "InterDy", "IntraIo", "IntraO3"}
 
 
 def test_scheduler_requires_workers():

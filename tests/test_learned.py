@@ -4,8 +4,8 @@ Unit-level coverage of :mod:`repro.policy.learned` and
 :mod:`repro.policy.feedback`: the online ridge model actually learns,
 each policy's decision rule responds to feedback the documented way, the
 species is recognized structurally (``learned = True``, never name
-lists) by the fast-forward refusal / parallel-session guard / serial
-cache routing, and the report ``learned`` field follows the
+lists) by the parallel-session guard / serial cache routing, and the
+report ``learned`` field follows the
 emit-only-when-set discipline.
 """
 
@@ -33,8 +33,6 @@ from repro.policy.learned import (
     OnlineLinearModel,
 )
 from repro.serve import (
-    FastForwardConfig,
-    FastForwardServingSession,
     Request,
     ServingReport,
     ServingScenario,
@@ -283,31 +281,8 @@ def test_wire_feedback_attaches_only_learned_policies():
 
 
 # --------------------------------------------------------------------------- #
-# Guards: fast-forward refusal, parallel refusal, serial cache routing         #
+# Guards: parallel refusal, serial cache routing                               #
 # --------------------------------------------------------------------------- #
-def test_fastforward_refuses_learned_admission_byte_identically():
-    scenario = SCENARIO.with_overrides(
-        admission_spec=PolicySpec("adaptive_admission"))
-    ff = FastForwardServingSession(
-        scenario, DEVICE, FastForwardConfig(enabled=True)).run()
-    meta = ff.fastforward
-    assert meta is not None and meta["engaged"] is False
-    assert "learned admission" in meta["reason"]
-    exact = ServingSession(scenario, DEVICE).run()
-    ff_dict = ff.to_dict()
-    assert ff_dict.pop("fastforward") == meta
-    assert ff_dict == exact.to_dict()
-
-
-def test_fastforward_refuses_learned_dispatch():
-    scenario = SCENARIO.with_overrides(
-        dispatch_spec=PolicySpec("epsilon_greedy_dispatch"))
-    ff = FastForwardServingSession(
-        scenario, DEVICE, FastForwardConfig(enabled=True)).run()
-    assert ff.fastforward["engaged"] is False
-    assert "learned dispatch" in ff.fastforward["reason"]
-
-
 def test_parallel_cluster_session_refuses_learned_policies():
     cluster = ClusterConfig.homogeneous(
         2, DEVICE, placement_spec=PolicySpec("linucb_placement"))

@@ -16,13 +16,7 @@ import json
 import pytest
 
 from repro.cluster import ClusterSession
-from repro.eval import (
-    ClusterExperimentSpec,
-    SaturationPoint,
-    ServingExperimentSpec,
-    format_saturation_sweep,
-)
-from repro.eval.serving import describe_fastforward
+from repro.eval import ClusterExperimentSpec, ServingExperimentSpec
 from repro.cluster.parallel import ParallelConfig
 from repro.obs import (
     MetricsBus,
@@ -39,7 +33,6 @@ from repro.serve import (
     ServingSession,
     TenantSpec,
 )
-from repro.serve.fastforward import FastForwardServingSession
 
 SCALE = 0.01
 TENANTS = (TenantSpec("a", 1.0, 0.25), TenantSpec("b", 1.0, 0.25))
@@ -282,25 +275,8 @@ def test_validator_flags_malformed_traces():
 
 
 # --------------------------------------------------------------------------- #
-# Interplay with fast-forward and experiment caching                           #
+# Interplay with experiment specs                                              #
 # --------------------------------------------------------------------------- #
-def test_fastforward_refuses_observed_runs_and_falls_back_exactly():
-    obs = ObsConfig()
-    ff_report = FastForwardServingSession(scenario(), config(),
-                                          obs=obs).run()
-    assert ff_report.fastforward == {
-        "engaged": False,
-        "reason": ("observability (tracing/metrics bus) requires the "
-                   "exact engine"),
-    }
-    # The fallback is the instrumented exact engine: identical to a
-    # plain observed session up to the refusal annotation itself.
-    _, exact = serving_session(obs=obs)
-    ff_dict = ff_report.to_dict()
-    assert ff_dict.pop("fastforward") is not None
-    assert ff_dict == exact.to_dict()
-
-
 def test_obs_folds_into_experiment_cache_keys_only_when_set():
     plain_a = ServingExperimentSpec(scenario=scenario(), config=config())
     plain_b = ServingExperimentSpec(scenario=scenario(), config=config())
@@ -328,30 +304,3 @@ def test_cluster_spec_with_obs_forces_the_serial_session():
                             obs=ObsConfig()).run()
     assert report.to_dict() == serial.to_dict()
 
-
-# --------------------------------------------------------------------------- #
-# Fast-forward provenance in sweep tables                                      #
-# --------------------------------------------------------------------------- #
-def test_describe_fastforward_summaries():
-    assert describe_fastforward(None) is None
-    assert describe_fastforward({"engaged": True}) == "engaged"
-    assert describe_fastforward(
-        {"engaged": False, "reason": "burst detected"}
-    ) == "exact (burst detected)"
-
-
-def _point(rps, fastforward=None):
-    return SaturationPoint(
-        offered_rps=rps, actual_offered_rps=rps, goodput_rps=rps,
-        admitted=10, rejected=0, completed=10, slo_violations=0,
-        p50_s=0.01, p95_s=0.02, p99_s=0.03, fastforward=fastforward)
-
-
-def test_sweep_table_grows_fastforward_column_only_when_annotated():
-    bare = format_saturation_sweep({"SIMD": [_point(20.0)]})
-    assert "fastforward" not in bare
-    annotated = format_saturation_sweep(
-        {"SIMD": [_point(20.0, fastforward="engaged"),
-                  _point(40.0)]})
-    assert "fastforward" in annotated
-    assert "engaged" in annotated

@@ -1,6 +1,7 @@
 """Tests for the experiment orchestrator: registry, cache, parallel runner."""
 
 import json
+import multiprocessing
 
 import pytest
 
@@ -332,10 +333,9 @@ def test_persistent_pool_survives_across_runs():
     assert orch._pool is None                   # context exit closed it
 
 
-def test_persistent_pool_matches_fresh_pool_and_serial_results():
+def test_persistent_pool_matches_serial_results():
     """Worker reuse must not leak state between batches: the reports from
-    a reused pool, a pool-per-run orchestrator and the serial path are
-    identical."""
+    a reused pool and the serial path are identical."""
     systems = ("SIMD", "InterSt", "InterDy", "IntraO3")
     make = lambda: [_spec(system=s) for s in systems]  # noqa: E731
 
@@ -346,14 +346,28 @@ def test_persistent_pool_matches_fresh_pool_and_serial_results():
         first = persistent_orch.run(make()[:2])
         second = persistent_orch.run(make()[2:])
         persistent = {**first, **second}
-    fresh_orch = ExperimentOrchestrator(workers=2, persistent_workers=False)
-    fresh = fresh_orch.run(make())
 
-    assert set(serial) == set(persistent) == set(fresh)
+    assert set(serial) == set(persistent)
     for key in serial:
         assert serial[key].to_dict() == persistent[key].to_dict()
-        assert serial[key].to_dict() == fresh[key].to_dict()
-    assert fresh_orch.pool_launches == 0        # legacy path: no pool kept
+
+
+def test_spawn_started_pool_matches_serial_results(monkeypatch):
+    """The pool under the spawn start method (the macOS default): workers
+    import everything afresh and receive each spec pickled."""
+    monkeypatch.setattr(ExperimentOrchestrator, "_pool_context",
+                        lambda self: multiprocessing.get_context("spawn"))
+    systems = ("SIMD", "InterSt", "InterDy", "IntraO3")
+    make = lambda: [_spec(system=s) for s in systems]  # noqa: E731
+
+    serial = ExperimentOrchestrator(workers=1).run(make())
+    with ExperimentOrchestrator(workers=2) as spawned_orch:
+        spawned = spawned_orch.run(make())
+        assert spawned_orch.pool_launches == 1
+
+    assert set(serial) == set(spawned)
+    for key in serial:
+        assert serial[key].to_dict() == spawned[key].to_dict()
 
 
 def test_close_is_idempotent_and_next_run_relaunches():

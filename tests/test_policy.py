@@ -1,12 +1,12 @@
-"""Unified policy layer: registry, PolicySpec, config plumbing, shims.
+"""Unified policy layer: registry, PolicySpec, config plumbing.
 
 Covers the registry contract (every registered policy in every domain
 round-trips ``PolicySpec -> instantiate -> to_dict -> from_dict`` with an
 identical content hash; unknown names and params raise with the sorted
 valid choices), the PolicySpec plumbing through PlatformConfig /
 ServingScenario / ClusterConfig (including the byte-identical legacy
-serialization contract), the deprecation shims, and the
-DeadlineAwareAdmission cold-start regression.
+serialization contract), and the DeadlineAwareAdmission cold-start
+regression.
 """
 
 import pickle
@@ -14,8 +14,7 @@ import warnings
 
 import pytest
 
-from repro.cluster import JoinShortestQueuePlacement, make_placement
-from repro.core import SCHEDULER_CLASSES, make_scheduler
+from repro.cluster import JoinShortestQueuePlacement
 from repro.core.schedulers import OutOfOrderIntraKernelScheduler
 from repro.eval.cluster import ClusterExperimentSpec
 from repro.eval.orchestrator import ExperimentSpec, WorkloadSpec
@@ -35,7 +34,6 @@ from repro.serve import (
     DeadlineAwareAdmission,
     ServingScenario,
     TokenBucketAdmission,
-    make_admission,
 )
 
 #: Context each domain's constructors may need (what the call sites pass).
@@ -387,36 +385,8 @@ def test_legacy_configs_hash_byte_identical_to_pre_policy_layer():
 
 
 # --------------------------------------------------------------------------- #
-# Deprecation shims                                                           #
+# No deprecated surface on internal paths                                     #
 # --------------------------------------------------------------------------- #
-def test_make_scheduler_shim_warns_and_still_works():
-    with pytest.deprecated_call():
-        scheduler = make_scheduler("IntraO3", 4)
-    assert isinstance(scheduler, SCHEDULER_CLASSES["IntraO3"])
-    with pytest.deprecated_call(), pytest.raises(ValueError):
-        make_scheduler("RoundRobin", 4)
-
-
-def test_make_placement_shim_warns_and_still_works():
-    with pytest.deprecated_call():
-        policy = make_placement("tenant_affinity", device_count=4,
-                                affinity_salt=2)
-    assert policy.salt == 2 and policy.device_count == 4
-    with pytest.deprecated_call(), pytest.raises(ValueError):
-        make_placement("teleport", device_count=2)
-
-
-def test_make_admission_shim_warns_and_keeps_always_alias():
-    with pytest.deprecated_call():
-        always = make_admission("always")
-    assert always.name == "none"
-    with pytest.deprecated_call():
-        bounded = make_admission("queue_depth", max_tenant_depth=5)
-    assert bounded.max_tenant_depth == 5
-    with pytest.deprecated_call(), pytest.raises(ValueError):
-        make_admission("magic")
-
-
 def test_internal_paths_do_not_emit_deprecation_warnings():
     scenario = ServingScenario()
     config = PlatformConfig(input_scale=0.01)
