@@ -99,7 +99,7 @@ class BaselineSystem:
         """Run ``kernels`` serially through the conventional path."""
         if not kernels:
             raise ValueError("run_workload needs at least one kernel")
-        self.env.process(self._driver(list(kernels)))
+        self.env.spawn(self._driver(list(kernels)))
         self.env.run()
         makespan = self.env.now
         # Host + SSD idle draw while the accelerator computes: the host

@@ -24,7 +24,7 @@ from .autoscale import (
     P99TargetAutoscaler,
     QueueDepthThresholdAutoscaler,
 )
-from .dispatcher import ClusterDispatcher, ShardTracker
+from .dispatcher import ClusterDispatcher
 from .health import DeviceHealth, DeviceShard
 from .placement import (
     JoinShortestQueuePlacement,
@@ -50,7 +50,6 @@ __all__ = [
     "P99TargetAutoscaler",
     "QueueDepthThresholdAutoscaler",
     "ClusterDispatcher",
-    "ShardTracker",
     "DeviceHealth",
     "DeviceShard",
     "JoinShortestQueuePlacement",

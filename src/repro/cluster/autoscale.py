@@ -189,26 +189,6 @@ class P99TargetAutoscaler(AutoscalerPolicy):
         return signals.active_devices
 
 
-class _LatencyTap:
-    """Chains onto a front-end's ``obs_latency`` hook.
-
-    Feeds the controller's per-window latency list and forwards to
-    whatever hook was installed first (the metrics bus's histogram), so
-    observability and autoscaling can share the single hook point.
-    """
-
-    __slots__ = ("window", "forward")
-
-    def __init__(self, window: List[float], forward=None):
-        self.window = window
-        self.forward = forward
-
-    def observe(self, value: float) -> None:
-        self.window.append(value)
-        if self.forward is not None:
-            self.forward.observe(value)
-
-
 class AutoscaleController:
     """The elastic-fleet control loop of one cluster run.
 
@@ -242,24 +222,22 @@ class AutoscaleController:
             (env.now, len(dispatcher.shards))]
         self._window_latencies: List[float] = []
         self._last_offered = fleet.aggregate.offered
-        self._last_completed = fleet.aggregate.completed
         self._stopped = False
         self._pending = None
         self._warm_timers: List = []
         for shard in dispatcher.shards:
-            self._tap(shard)
+            shard.frontend.completion_hooks.append(self._observe)
 
     # ------------------------------------------------------------------ #
     # Wiring                                                              #
     # ------------------------------------------------------------------ #
-    def _tap(self, shard) -> None:
-        """Chain the latency window onto one shard's completion hook."""
-        shard.frontend.obs_latency = _LatencyTap(
-            self._window_latencies, shard.frontend.obs_latency)
+    def _observe(self, record) -> None:
+        """Completion stream hook: feed the current latency window."""
+        self._window_latencies.append(record.latency_s)
 
     def install(self, env) -> None:
         """Start the control-loop process (first tick after one interval)."""
-        env.process(self._loop(env))
+        env.spawn(self._loop(env))
 
     def _loop(self, env):
         interval = self.interval_s
@@ -323,13 +301,6 @@ class AutoscaleController:
         )
         self._window_latencies = []
         self._last_offered = aggregate.offered
-        self._last_completed = aggregate.completed
-        # Window taps hold a reference to the drained list; repoint them
-        # at the fresh one.
-        for shard in self.dispatcher.shards:
-            hook = shard.frontend.obs_latency
-            if isinstance(hook, _LatencyTap):
-                hook.window = self._window_latencies
         return signals
 
     def tick(self, now: float) -> None:
@@ -368,10 +339,10 @@ class AutoscaleController:
             if self.warmup_s > 0:
                 shard.warming = True
                 self._warm_timers.append(
-                    self.env.process(self._warm(shard)))
+                    self.env.spawn(self._warm(shard)))
             self.dispatcher.add_shard(shard)
             self.events.append([now, SCALE_UP, index])
-            self._tap(shard)
+            shard.frontend.completion_hooks.append(self._observe)
 
     def _warm(self, shard):
         timer = self.env.timeout(self.warmup_s)

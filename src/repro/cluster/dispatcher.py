@@ -5,10 +5,13 @@ arriving request is routed to one device shard by the placement policy,
 then passes that shard's own admission controller and per-tenant queues
 (the existing single-device machinery, unchanged).  The dispatcher also
 owns the authoritative *fleet-level* SLO accounting: offered/admitted/
-rejected are recorded here, and completions are forwarded up from the
-per-device trackers (:class:`ShardTracker`), so fleet counters stay
-conserved even when a request is admitted on one device and — after a
-failure reroute — completed on another.
+rejected are recorded here, and the fleet tracker subscribes to every
+shard front-end's completion stream (scale-up shards included), so fleet
+counters stay conserved even when a request is admitted on one device
+and — after a failure reroute — completed on another.  The placement
+policy subscribes alongside it when it defines ``on_complete(record)``
+(learned placement), since a placement decision's outcome surfaces
+wherever the request completes.
 """
 
 from __future__ import annotations
@@ -22,27 +25,6 @@ from ..serve.request import Request, RequestRecord, RequestStatus
 from ..serve.slo import SLOTracker
 from .health import DeviceHealth, DeviceShard
 from .placement import PlacementPolicy
-
-
-class ShardTracker(SLOTracker):
-    """Per-device SLO tracker that forwards completions to the fleet.
-
-    Offered/admitted/rejected stay device-local (the dispatcher records
-    them at fleet level itself, after it sees the routing and admission
-    outcome); completions must be forwarded from here because they arrive
-    asynchronously through the device front-end's completion callback.
-    """
-
-    def __init__(self, tenants, fleet: SLOTracker,
-                 reservoir_capacity: int = 4096, seed: int = 0):
-        super().__init__(tenants, reservoir_capacity=reservoir_capacity,
-                         seed=seed)
-        self._fleet = fleet
-
-    def on_completed(self, record: RequestRecord) -> None:
-        """Record the completion locally and forward it to the fleet."""
-        super().on_completed(record)
-        self._fleet.on_completed(record)
 
 
 class ClusterDispatcher:
@@ -79,6 +61,17 @@ class ClusterDispatcher:
         # never reaches a shard (cluster-edge rejections) and the
         # cross-device moves (evict/reroute).
         self._tracer = env.tracer
+        for shard in shards:
+            self._subscribe(shard)
+
+    def _subscribe(self, shard: DeviceShard) -> None:
+        """Join the fleet tracker (and a learning placement policy) to
+        ``shard``'s completion stream."""
+        hooks = shard.frontend.completion_hooks
+        hooks.append(self.fleet.on_completed)
+        on_complete = getattr(self.policy, "on_complete", None)
+        if on_complete is not None:
+            hooks.append(on_complete)
 
     # ------------------------------------------------------------------ #
     # Arrival side                                                        #
@@ -132,6 +125,7 @@ class ClusterDispatcher:
                 f"new shard index {shard.index} must extend the fleet "
                 f"({len(self.shards)} shards)")
         self.shards.append(shard)
+        self._subscribe(shard)
 
     def drain_shard(self, victim: DeviceShard) -> bool:
         """Move a scale-down victim's backlog to its peers.

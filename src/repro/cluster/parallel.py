@@ -81,19 +81,18 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from ..platform.cluster import ClusterConfig
 from ..policy import build_policy, policy_is_learned
 from ..serve.report import ServingReport
-from ..serve.request import Request, RequestRecord
+from ..serve.request import Request, RequestRecord, RequestStatus
 from ..serve.session import (
     ServingScenario,
     assemble_serving_report,
     build_serving_backend,
-    latency_summary,
 )
 from ..serve.frontend import ServingFrontend
 from ..serve.slo import SLOTracker
 from ..sim.engine import Environment
 from .health import DeviceHealth, DeviceShard
 from .placement import placement_snapshot_dependent
-from .report import ClusterReport
+from .report import ClusterReport, assemble_cluster_report
 
 #: Completion event crossing the epoch boundary:
 #: (completed_at, tenant_index, latency_s, violated).  The per-shard
@@ -172,58 +171,50 @@ def build_epoch_schedule(scenario: ServingScenario, cluster: ClusterConfig,
             for end_s in sorted(boundaries)]
 
 
-class EpochTracker(SLOTracker):
-    """Per-shard tracker that buffers events for epoch shipping.
+class _EpochBuffer:
+    """One shard's settlements since the last epoch boundary.
 
-    The serial session's :class:`~repro.cluster.dispatcher.ShardTracker`
-    forwards completions to the fleet tracker in-process; across a
-    process boundary they are instead buffered as flat tuples with
-    interned tenant indices and drained into the epoch payload.
-    Admission outcomes ship as per-tenant count deltas keyed by tenant
-    index — a tenant that saw no traffic this epoch costs zero bytes.
-    ``last_settled_s`` records the simulated time of the most recent
-    settlement (completion or rejection): the coordinator takes the
-    fleet-wide max as the settle instant at which every backend is
-    finished, mirroring the serial session's finish-at-settle-time.
+    The serial session's fleet tracker hears completions in-process;
+    across a process boundary they are instead buffered here — the
+    buffer subscribes to the shard front-end's completion stream — as
+    flat tuples with interned tenant indices.  Admission outcomes are
+    counted by the epoch arrival feeder from the record each submit
+    returns, as per-tenant deltas keyed by tenant index: a tenant that
+    saw no traffic this epoch costs zero bytes.  ``last_settled_s`` is
+    the simulated time of the most recent settlement (completion or
+    rejection): the coordinator takes the fleet-wide max as the settle
+    instant at which every backend is finished, mirroring the serial
+    session's finish-at-settle-time.
     """
 
-    def __init__(self, env: Environment, tenants,
-                 reservoir_capacity: int = 4096, seed: int = 0):
-        super().__init__(tenants, reservoir_capacity=reservoir_capacity,
-                         seed=seed)
-        self._env = env
-        self._tenant_index = {name: i for i, name in enumerate(tenants)}
+    def __init__(self, tenant_index: Dict[str, int]):
+        self._tenant_index = tenant_index
         self.last_settled_s = 0.0
-        self.epoch_admitted: Dict[int, int] = {}
-        self.epoch_rejected: Dict[int, int] = {}
-        self.epoch_completions: List[CompletionEvent] = []
+        self.admitted: Dict[int, int] = {}
+        self.rejected: Dict[int, int] = {}
+        self.completions: List[CompletionEvent] = []
 
-    def on_admitted(self, tenant: str) -> None:
-        super().on_admitted(tenant)
-        index = self._tenant_index[tenant]
-        self.epoch_admitted[index] = self.epoch_admitted.get(index, 0) + 1
+    def on_submitted(self, record: RequestRecord, now: float) -> None:
+        """Count one admission outcome at simulated time ``now``."""
+        index = self._tenant_index[record.tenant]
+        if record.status is RequestStatus.REJECTED:
+            self.rejected[index] = self.rejected.get(index, 0) + 1
+            self.last_settled_s = now
+        else:
+            self.admitted[index] = self.admitted.get(index, 0) + 1
 
-    def on_rejected(self, tenant: str) -> None:
-        super().on_rejected(tenant)
-        index = self._tenant_index[tenant]
-        self.epoch_rejected[index] = self.epoch_rejected.get(index, 0) + 1
-        self.last_settled_s = self._env.now
-
-    def on_completed(self, record: RequestRecord) -> None:
-        super().on_completed(record)
-        self.epoch_completions.append(
+    def on_complete(self, record: RequestRecord) -> None:
+        """Completion stream hook: buffer one completion."""
+        self.completions.append(
             (record.completed_at, self._tenant_index[record.tenant],
              record.latency_s, record.slo_met is False))
         self.last_settled_s = record.completed_at
 
-    def drain_epoch(self) -> Tuple[Dict[int, int], Dict[int, int],
-                                   List[CompletionEvent]]:
+    def drain(self) -> Tuple[Dict[int, int], Dict[int, int],
+                             List[CompletionEvent]]:
         """Hand over and reset this epoch's buffered events."""
-        out = (self.epoch_admitted, self.epoch_rejected,
-               self.epoch_completions)
-        self.epoch_admitted = {}
-        self.epoch_rejected = {}
-        self.epoch_completions = []
+        out = (self.admitted, self.rejected, self.completions)
+        self.admitted, self.rejected, self.completions = {}, {}, []
         return out
 
 
@@ -254,7 +245,9 @@ class _ShardGroup:
         self.cluster = cluster
         self.requests = requests
         tenants = [t.name for t in scenario.tenants]
+        tenant_index = {name: i for i, name in enumerate(tenants)}
         self.shards: Dict[int, DeviceShard] = {}
+        self._buffers: Dict[int, _EpochBuffer] = {}
         self._evicted: Dict[int, List[Tuple[int, List[EvictedRecord]]]] = {}
         self._health_events: Dict[int, List[List[Any]]] = {}
         self._self_draining: Dict[int, bool] = {}
@@ -275,8 +268,8 @@ class _ShardGroup:
             backend = build_serving_backend(scenario, config, env=env)
             # Reservoir seeds match the serial session's per-device
             # offsets, so shard-level accounting is byte-comparable.
-            tracker = EpochTracker(
-                env, tenants,
+            tracker = SLOTracker(
+                tenants,
                 reservoir_capacity=scenario.reservoir_capacity,
                 seed=scenario.seed + 1000 * (index + 1))
             frontend = ServingFrontend(env, backend,
@@ -285,6 +278,8 @@ class _ShardGroup:
                                        dispatch=scenario.make_dispatch())
             shard = DeviceShard(index, config, backend, frontend, tracker)
             self.shards[index] = shard
+            self._buffers[index] = buffer = _EpochBuffer(tenant_index)
+            frontend.completion_hooks.append(buffer.on_complete)
             self._evicted[index] = []
             self._health_events[index] = []
             self._self_draining[index] = False
@@ -352,6 +347,7 @@ class _ShardGroup:
             mine = arrivals.get(index)
             if mine:
                 env.spawn(_epoch_arrivals(env, shard.frontend,
+                                          self._buffers[index],
                                           self.requests, mine))
             env.run_events(end_s)
             if shard.health is DeviceHealth.FAILED \
@@ -388,7 +384,7 @@ class _ShardGroup:
 
     def _boundary_payload(self, index: int) -> Dict[str, Any]:
         shard = self.shards[index]
-        admitted, rejected, completions = shard.tracker.drain_epoch()
+        admitted, rejected, completions = self._buffers[index].drain()
         evicted = self._evicted[index]
         self._evicted[index] = []
         events = self._health_events[index]
@@ -447,7 +443,7 @@ class _ShardGroup:
                     f"device {index} made no progress for "
                     f"{stall_horizon:.0f} simulated seconds")
             payload = self._boundary_payload(index)
-            payload["settled_s"] = shard.tracker.last_settled_s
+            payload["settled_s"] = self._buffers[index].last_settled_s
             results[index] = payload
         return results
 
@@ -490,7 +486,7 @@ def _pack_record(record: RequestRecord) -> EvictedRecord:
 
 
 def _epoch_arrivals(env: Environment, frontend: ServingFrontend,
-                    requests: Sequence[Request],
+                    buffer: _EpochBuffer, requests: Sequence[Request],
                     indices: Sequence[int]):
     """Feed one epoch's routed arrivals into one shard's front-end."""
     for request_index in indices:
@@ -498,7 +494,7 @@ def _epoch_arrivals(env: Environment, frontend: ServingFrontend,
         delay = request.arrival_s - env.now
         if delay > 0:
             yield env.timeout(delay)
-        frontend.submit(request)
+        buffer.on_submitted(frontend.submit(request), env.now)
 
 
 def _snapshot(shard: DeviceShard) -> Tuple[int, int, int, float, str]:
@@ -1078,9 +1074,6 @@ class _Coordinator:
                     (done, index, seq, tenant, latency, violated))
             self.health_events.extend(payload["health_events"])
         self._feed_completions(completions)
-        scenario = self.scenario
-        aggregate = self.fleet.aggregate
-        duration = scenario.duration_s
         indices = sorted(finish)
         makespan_s = max(finish[index]["makespan_s"] for index in indices)
         devices = []
@@ -1091,41 +1084,20 @@ class _Coordinator:
             # max by construction (finalize drains them all).
             device.makespan_s = makespan_s
             devices.append(device)
-        placement_stats = {
-            "routed": [self.routed[index] for index in indices],
-            "rerouted_in": [self.rerouted_in[index] for index in indices],
-            "rerouted_out": [self.rerouted_out[index]
-                             for index in indices],
-            "reroutes": self.reroutes,
-            "cluster_rejected": self.cluster_rejected,
-            "final_health": [finish[index]["health"] for index in indices],
-        }
         # Serial event order: the fault driver fires time-sorted faults
         # in config order — exactly the ordinal each event carries.
         self.health_events.sort(key=lambda event: event[0])
-        return ClusterReport(
-            system=self.cluster.label,
-            workload=scenario.label,
-            placement=self.cluster.placement,
-            device_count=len(indices),
-            duration_s=duration,
+        return assemble_cluster_report(
+            self.scenario, self.cluster, self.fleet, devices,
             makespan_s=makespan_s,
-            offered=aggregate.offered,
-            admitted=aggregate.admitted,
-            rejected=aggregate.rejected,
-            completed=aggregate.completed,
-            slo_violations=aggregate.slo_violations,
-            offered_rps=aggregate.offered / duration,
-            goodput_rps=aggregate.goodput_rps(duration),
-            latency=latency_summary(aggregate),
-            per_tenant={tenant: self.fleet.account(tenant).as_dict(duration)
-                        for tenant in self.fleet.tenants()},
             energy_j=sum(finish[index]["energy_j"] for index in indices),
-            devices=devices,
-            placement_stats=placement_stats,
-            health_events=[list(event[1:])
-                           for event in self.health_events],
-        )
+            routed=[self.routed[index] for index in indices],
+            rerouted_in=[self.rerouted_in[index] for index in indices],
+            rerouted_out=[self.rerouted_out[index] for index in indices],
+            reroutes=self.reroutes,
+            cluster_rejected=self.cluster_rejected,
+            final_health=[finish[index]["health"] for index in indices],
+            health_events=[event[1:] for event in self.health_events])
 
 
 def run_cluster_parallel(
@@ -1136,7 +1108,6 @@ def run_cluster_parallel(
 
 
 __all__ = [
-    "EpochTracker",
     "ParallelClusterSession",
     "ParallelConfig",
     "build_epoch_schedule",

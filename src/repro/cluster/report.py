@@ -7,15 +7,23 @@ rejected/completed), fleet goodput, the fleet-wide latency tail,
 per-tenant accounting, summed energy, placement statistics and the health
 timeline that was applied.  Like the other reports it round-trips
 losslessly through plain dicts so the experiment orchestrator's result
-cache can persist it.
+cache can persist it.  :func:`assemble_cluster_report` is the one place
+that builds it, for the serial session and the parallel coordinator
+alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
 
 from ..serve.report import ServingReport
+from ..serve.session import latency_summary
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..platform.cluster import ClusterConfig
+    from ..serve.session import ServingScenario
+    from ..serve.slo import SLOTracker
 
 
 @dataclass
@@ -158,3 +166,54 @@ class ClusterReport:
             learned=(dict(data["learned"])
                      if data.get("learned") is not None else None),
         )
+
+
+def assemble_cluster_report(scenario: "ServingScenario",
+                            cluster: "ClusterConfig", fleet: "SLOTracker",
+                            devices: List[ServingReport], makespan_s: float,
+                            energy_j: float, routed: Sequence[int],
+                            rerouted_in: Sequence[int],
+                            rerouted_out: Sequence[int], reroutes: int,
+                            cluster_rejected: int,
+                            final_health: Sequence[str],
+                            health_events: Sequence[Sequence[Any]]
+                            ) -> ClusterReport:
+    """Roll the fleet tracker's accounting into a :class:`ClusterReport`.
+
+    The fleet counterpart of
+    :func:`~repro.serve.session.assemble_serving_report`: the serial
+    session and the parallel coordinator both build their report here,
+    so the two can never drift field-wise.  Per-device sequences are in
+    device order.
+    """
+    aggregate = fleet.aggregate
+    duration = scenario.duration_s
+    return ClusterReport(
+        system=cluster.label,
+        workload=scenario.label,
+        placement=cluster.placement,
+        device_count=len(devices),
+        duration_s=duration,
+        makespan_s=makespan_s,
+        offered=aggregate.offered,
+        admitted=aggregate.admitted,
+        rejected=aggregate.rejected,
+        completed=aggregate.completed,
+        slo_violations=aggregate.slo_violations,
+        offered_rps=aggregate.offered / duration,
+        goodput_rps=aggregate.goodput_rps(duration),
+        latency=latency_summary(aggregate),
+        per_tenant={tenant: fleet.account(tenant).as_dict(duration)
+                    for tenant in fleet.tenants()},
+        energy_j=energy_j,
+        devices=devices,
+        placement_stats={
+            "routed": list(routed),
+            "rerouted_in": list(rerouted_in),
+            "rerouted_out": list(rerouted_out),
+            "reroutes": reroutes,
+            "cluster_rejected": cluster_rejected,
+            "final_health": list(final_health),
+        },
+        health_events=[list(event) for event in health_events],
+    )

@@ -17,7 +17,7 @@ from typing import List, Optional
 
 from ..obs import MetricsBus, ObsConfig, Tracer, wire_cluster_metrics
 from ..platform.cluster import ClusterConfig, FaultSpec
-from ..policy import learned_snapshot, wire_feedback
+from ..policy import learned_snapshot
 from ..serve.report import ServingReport
 from ..serve.session import (
     ServingScenario,
@@ -25,15 +25,14 @@ from ..serve.session import (
     assemble_serving_report,
     build_serving_backend,
     drive_until_settled,
-    latency_summary,
 )
 from ..serve.frontend import ServingFrontend
 from ..serve.slo import SLOTracker
 from ..sim.engine import Environment
 from .autoscale import AutoscaleController
-from .dispatcher import ClusterDispatcher, ShardTracker
+from .dispatcher import ClusterDispatcher
 from .health import DeviceHealth, DeviceShard
-from .report import ClusterReport
+from .report import ClusterReport, assemble_cluster_report
 
 
 class ClusterSession:
@@ -63,8 +62,7 @@ class ClusterSession:
     # ------------------------------------------------------------------ #
     # Fleet assembly                                                      #
     # ------------------------------------------------------------------ #
-    def _build_shard(self, env: Environment, fleet: SLOTracker,
-                     index: int) -> DeviceShard:
+    def _build_shard(self, env: Environment, index: int) -> DeviceShard:
         """One device shard, from the config of fleet position ``index``.
 
         Positions past the configured ``devices`` (elastic scale-up)
@@ -78,8 +76,8 @@ class ClusterSession:
         backend = build_serving_backend(scenario, config, env=env)
         # Distinct deterministic reservoir seeds per device, offset
         # past the fleet tracker's own per-tenant seed range.
-        tracker = ShardTracker(
-            tenants, fleet,
+        tracker = SLOTracker(
+            tenants,
             reservoir_capacity=scenario.reservoir_capacity,
             seed=scenario.seed + 1000 * (index + 1))
         frontend = ServingFrontend(env, backend,
@@ -94,9 +92,8 @@ class ClusterSession:
             shard.backend.bind_trace_device(shard.index)
         return shard
 
-    def _build_shards(self, env: Environment,
-                      fleet: SLOTracker) -> List[DeviceShard]:
-        return [self._build_shard(env, fleet, index)
+    def _build_shards(self, env: Environment) -> List[DeviceShard]:
+        return [self._build_shard(env, index)
                 for index in range(len(self.cluster.devices))]
 
     # ------------------------------------------------------------------ #
@@ -129,15 +126,9 @@ class ClusterSession:
         fleet = SLOTracker(tenants,
                            reservoir_capacity=scenario.reservoir_capacity,
                            seed=scenario.seed)
-        shards = self._build_shards(env, fleet)
+        shards = self._build_shards(env)
         dispatcher = ClusterDispatcher(env, shards, self.cluster, fleet,
                                        seed=scenario.seed)
-        # Learned-policy feedback: each shard's own learned admission/
-        # dispatch policies, plus the fleet-level placement policy on
-        # *every* shard front-end (a placement decision's outcome
-        # surfaces wherever the request completes).
-        for shard in shards:
-            wire_feedback(shard.frontend, extra=(dispatcher.policy,))
         self.shards = shards
         bus: Optional[MetricsBus] = None
         if obs is not None and obs.metrics:
@@ -146,13 +137,10 @@ class ClusterSession:
             bus.install(env)
         controller: Optional[AutoscaleController] = None
         if self.cluster.elastic:
-            # Built after metrics wiring so its latency tap chains onto
-            # (rather than replaces) the bus's histogram hook.
+            # Scale-up shards join the completion stream in
+            # ``dispatcher.add_shard``, like the initially provisioned ones.
             def shard_factory(index: int) -> DeviceShard:
-                shard = self._build_shard(env, fleet, index)
-                # Scale-up shards join the feedback loop like the
-                # initially provisioned ones.
-                wire_feedback(shard.frontend, extra=(dispatcher.policy,))
+                shard = self._build_shard(env, index)
                 shard.backend.start()
                 return shard
 
@@ -213,41 +201,18 @@ class ClusterSession:
                          shards: List[DeviceShard],
                          dispatcher: ClusterDispatcher,
                          fleet: SLOTracker) -> ClusterReport:
-        scenario = self.scenario
-        aggregate = fleet.aggregate
-        duration = scenario.duration_s
-        devices = [self._device_report(env, shard) for shard in shards]
-        placement_stats = {
-            "routed": [shard.routed for shard in shards],
-            "rerouted_in": [shard.rerouted_in for shard in shards],
-            "rerouted_out": [shard.rerouted_out for shard in shards],
-            "reroutes": dispatcher.reroutes,
-            "cluster_rejected": dispatcher.cluster_rejected,
-            "final_health": [shard.health.value for shard in shards],
-        }
-        return ClusterReport(
-            system=self.cluster.label,
-            workload=scenario.label,
-            placement=self.cluster.placement,
-            device_count=len(shards),
-            duration_s=duration,
+        return assemble_cluster_report(
+            self.scenario, self.cluster, fleet,
+            [self._device_report(env, shard) for shard in shards],
             makespan_s=env.now,
-            offered=aggregate.offered,
-            admitted=aggregate.admitted,
-            rejected=aggregate.rejected,
-            completed=aggregate.completed,
-            slo_violations=aggregate.slo_violations,
-            offered_rps=aggregate.offered / duration,
-            goodput_rps=aggregate.goodput_rps(duration),
-            latency=latency_summary(aggregate),
-            per_tenant={tenant: fleet.account(tenant).as_dict(duration)
-                        for tenant in fleet.tenants()},
             energy_j=sum(shard.backend.energy_j for shard in shards),
-            devices=devices,
-            placement_stats=placement_stats,
-            health_events=[list(event)
-                           for event in dispatcher.health_events],
-        )
+            routed=[shard.routed for shard in shards],
+            rerouted_in=[shard.rerouted_in for shard in shards],
+            rerouted_out=[shard.rerouted_out for shard in shards],
+            reroutes=dispatcher.reroutes,
+            cluster_rejected=dispatcher.cluster_rejected,
+            final_health=[shard.health.value for shard in shards],
+            health_events=dispatcher.health_events)
 
 
 def run_cluster(scenario: ServingScenario,

@@ -214,10 +214,11 @@ class FlashAbacusAccelerator:
         self.screens_executed = 0
         # Online-serving support (repro.serve): while serving, workers park
         # on the wake event instead of exiting when the scheduler is
-        # momentarily drained, and every kernel completion is announced to
-        # the registered listeners.
+        # momentarily drained, and every kernel completion is announced
+        # through ``on_kernel_complete(kernel, now)`` (the serving backend).
         self._serving = False
-        self._completion_listeners: List[Callable[[Kernel, float], None]] = []
+        self.on_kernel_complete: Optional[
+            Callable[[Kernel, float], None]] = None
         # Observability (repro.obs): shard index stamped on screen span
         # events when a tracer is attached to the environment; 0 for
         # single-device runs.
@@ -297,11 +298,6 @@ class FlashAbacusAccelerator:
     # ------------------------------------------------------------------ #
     # Online serving (incremental submission, used by repro.serve)        #
     # ------------------------------------------------------------------ #
-    def add_completion_listener(
-            self, listener: Callable[[Kernel, float], None]) -> None:
-        """Register ``listener(kernel, now)`` for every kernel completion."""
-        self._completion_listeners.append(listener)
-
     @property
     def serving(self) -> bool:
         return self._serving
@@ -424,10 +420,9 @@ class FlashAbacusAccelerator:
             tracer.span(self.env.now, "screen", kernel.instance,
                         kernel.name, self.trace_device,
                         (lwp.lwp_id, screen_begin))
-        if chain.complete and self._completion_listeners:
+        if chain.complete and self.on_kernel_complete is not None:
             # True exactly once, after the kernel's final screen.
-            for listener in list(self._completion_listeners):
-                listener(kernel, self.env.now)
+            self.on_kernel_complete(kernel, self.env.now)
         self._wake_workers()
 
     # ------------------------------------------------------------------ #

@@ -61,7 +61,7 @@ class Storengine:
         self.stats = StorengineStats()
         self._stopped = False
         self._last_journal = env.now
-        self._process = env.process(self._run())
+        self._process = env.spawn(self._run())
 
     # ------------------------------------------------------------------ #
     # Lifecycle                                                           #

@@ -53,7 +53,7 @@ class FlashController:
                               name=f"ch{channel.channel_id}.outbound")
         self.completed: List[FlashTransaction] = []
         self._tag = 0
-        self._service_proc = env.process(self._service_loop())
+        self._service_proc = env.spawn(self._service_loop())
 
     # -- submission -----------------------------------------------------------
     def submit(self, op: str, address: PhysicalPageAddress):

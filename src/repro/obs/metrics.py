@@ -247,7 +247,7 @@ class MetricsBus:
 
     def install(self, env) -> None:
         """Start the sampler process on ``env`` (first tick immediately)."""
-        env.process(self._sampler(env))
+        env.spawn(self._sampler(env))
 
     def _sampler(self, env):
         cadence = self.timeline.cadence_s

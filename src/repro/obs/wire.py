@@ -62,8 +62,8 @@ def wire_serving_metrics(bus: MetricsBus, tracker, frontend,
                          backend) -> None:
     """Register the standard single-device serving instrument set.
 
-    The front-end's ``obs_latency`` hook is pointed at a windowed
-    histogram, so every completion feeds ``latency_window_s.{count,mean,
+    A windowed histogram subscribes to the front-end's completion
+    stream, so every completion feeds ``latency_window_s.{count,mean,
     p50,p99}`` — the *windowed* tail per cadence tick, next to the
     run-cumulative ``rolling_p99_s`` from the SLO reservoir.
     """
@@ -74,7 +74,9 @@ def wire_serving_metrics(bus: MetricsBus, tracker, frontend,
     bus.gauge("queue_depth.total", lambda: float(frontend.total_queued))
     bus.gauge("in_flight", lambda: float(backend.in_flight))
     _account_rates(bus, tracker)
-    frontend.obs_latency = bus.histogram("latency_window_s")
+    histogram = bus.histogram("latency_window_s")
+    frontend.completion_hooks.append(
+        lambda record: histogram.observe(record.latency_s))
     _backend_instruments(bus, backend)
 
 

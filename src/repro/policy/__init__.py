@@ -11,11 +11,11 @@ See ARCHITECTURE.md ("Policy layer") for the registry contract.
 """
 
 from .registry import (
-    DOMAIN_ALIASES,
     DOMAIN_MODULES,
     POLICY_DOMAINS,
     build_policy,
     ensure_domain_loaded,
+    learned_snapshot,
     policy_class,
     policy_is_learned,
     policy_names,
@@ -26,21 +26,9 @@ from .registry import (
 )
 from .spec import PolicySpec
 
-# Imported after registry/spec: feedback is pure-Python plain data, but
-# keeping it last preserves the package's no-cycle initialization order.
-from .feedback import (  # noqa: E402
-    FeedbackEvent,
-    FeedbackHook,
-    learned_snapshot,
-    wire_feedback,
-)
-
 __all__ = [
-    "DOMAIN_ALIASES",
     "DOMAIN_MODULES",
     "POLICY_DOMAINS",
-    "FeedbackEvent",
-    "FeedbackHook",
     "PolicySpec",
     "build_policy",
     "ensure_domain_loaded",
@@ -52,5 +40,4 @@ __all__ = [
     "register_policy",
     "registered_policies",
     "resolved_policy_spec",
-    "wire_feedback",
 ]

@@ -1,9 +1,9 @@
 """The learned policy species: policies that adapt online from feedback.
 
 Every static policy in the registry acts on fixed thresholds; the
-policies here close the loop instead, learning from the
-:class:`~repro.policy.feedback.FeedbackEvent` stream delivered on
-request completion:
+policies here close the loop instead, learning from the front-end's
+completion stream (``on_complete(record)`` per completed
+:class:`~repro.serve.request.RequestRecord`):
 
 * :class:`AdaptiveAdmission` (``admission``/``adaptive_admission``) —
   online ridge regression from front-end backlog features to observed
@@ -25,9 +25,8 @@ All three share :class:`OnlineLinearModel` (exact online ridge
 regression over tiny feature vectors, refit on a periodic cadence) and
 :class:`LearnedPolicyMixin`, which fixes the species-wide contract:
 
-* ``learned = True`` — how the wiring (feedback hooks, report
-  snapshots) and the parallel-session guard recognize the species
-  without name lists.
+* ``learned = True`` — how report snapshots and the parallel-session
+  guard recognize the species without name lists.
 * Determinism per seed: every exploration draw comes from a
   ``random.Random`` derived from the scenario seed (plumbed through
   ``build_policy`` context, see ``context_params``) — never wall clock —
@@ -45,8 +44,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..cluster.placement import PlacementPolicy
 from ..serve.admission import AdmissionController, FrontendView
 from ..serve.dispatch import DispatchPolicy
-from ..serve.request import Request
-from .feedback import FeedbackEvent, FeedbackHook
+from ..serve.request import Request, RequestRecord
 from .registry import register_policy
 
 
@@ -140,7 +138,7 @@ class OnlineLinearModel:
                 "theta": list(self._theta)}
 
 
-class LearnedPolicyMixin(FeedbackHook):
+class LearnedPolicyMixin:
     """Species-wide contract: seeded RNG, counters, state snapshots.
 
     Concrete policies call :meth:`_init_learned` from their constructor
@@ -149,7 +147,7 @@ class LearnedPolicyMixin(FeedbackHook):
     completed request) and the snapshot skeleton.
     """
 
-    #: How wiring and the parallel guard recognize the species (never
+    #: How snapshots and the parallel guard recognize the species (never
     #: by name lists).
     learned = True
     #: Constructor params that are call-site context, not configuration:
@@ -169,14 +167,18 @@ class LearnedPolicyMixin(FeedbackHook):
         self.decisions = 0
 
     # ------------------------------------------------------------------ #
-    # FeedbackHook                                                         #
+    # Completion stream                                                    #
     # ------------------------------------------------------------------ #
-    def on_feedback(self, event: FeedbackEvent) -> None:
-        """Count and learn from one completed request."""
-        self.feedback_events += 1
-        self._learn(event)
+    def on_complete(self, record: RequestRecord) -> None:
+        """Count and learn from one completed request.
 
-    def _learn(self, event: FeedbackEvent) -> None:
+        Called once per completion, in completion order (the order the
+        SLO tracker ingests), so same-seed runs learn identically.
+        """
+        self.feedback_events += 1
+        self._learn(record)
+
+    def _learn(self, record: RequestRecord) -> None:
         raise NotImplementedError
 
     # ------------------------------------------------------------------ #
@@ -276,10 +278,10 @@ class AdaptiveAdmission(LearnedPolicyMixin, AdmissionController):
             self._pending[request.request_id] = features
         return admit
 
-    def _learn(self, event: FeedbackEvent) -> None:
-        features = self._pending.pop(event.request_id, None)
+    def _learn(self, record: RequestRecord) -> None:
+        features = self._pending.pop(record.request.request_id, None)
         if features is not None:
-            self.model.observe(features, event.latency_s)
+            self.model.observe(features, record.latency_s)
 
     def _snapshot_extra(self) -> Dict[str, object]:
         return {"model": self.model.snapshot(),
@@ -357,12 +359,13 @@ class EpsilonGreedyDispatch(LearnedPolicyMixin, DispatchPolicy):
                 best, best_mean = tenant, mean
         return best
 
-    def _learn(self, event: FeedbackEvent) -> None:
-        if event.tenant in self._pulls:
-            self._pulls[event.tenant] += 1
-            if event.slo_met and event.slo_s:
-                self._reward[event.tenant] += min(
-                    1.0, event.latency_s / event.slo_s)
+    def _learn(self, record: RequestRecord) -> None:
+        tenant = record.tenant
+        if tenant in self._pulls:
+            self._pulls[tenant] += 1
+            slo_s = record.request.slo_s
+            if record.slo_met and slo_s:
+                self._reward[tenant] += min(1.0, record.latency_s / slo_s)
 
     def _snapshot_extra(self) -> Dict[str, object]:
         return {"arms": {tenant: {"pulls": self._pulls[tenant],
@@ -497,11 +500,11 @@ class LinUCBPlacement(LearnedPolicyMixin, PlacementPolicy):
         """A queued request was moved (device failure or scale-down)."""
         self.reroute_events += 1
 
-    def _learn(self, event: FeedbackEvent) -> None:
-        pending = self._pending.pop(event.request_id, None)
+    def _learn(self, record: RequestRecord) -> None:
+        pending = self._pending.pop(record.request.request_id, None)
         if pending is not None:
             device, features = pending
-            self._arm(device).observe(features, event.latency_s)
+            self._arm(device).observe(features, record.latency_s)
 
     def _snapshot_extra(self) -> Dict[str, object]:
         return {"arms": {str(index): self._arms[index].snapshot()

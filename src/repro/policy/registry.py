@@ -52,12 +52,6 @@ DOMAIN_MODULES: Dict[str, Tuple[str, ...]] = {
     "autoscaler": ("repro.cluster.autoscale",),
 }
 
-#: Alternate spellings accepted by lookups, kept for the legacy string
-#: knobs (``ServingScenario(admission="always")`` predates the registry).
-DOMAIN_ALIASES: Dict[str, Dict[str, str]] = {
-    "admission": {"always": "none"},
-}
-
 _REGISTRY: Dict[str, Dict[str, type]] = {d: {} for d in POLICY_DOMAINS}
 
 
@@ -122,9 +116,8 @@ def policy_class(domain: str, name: str) -> Type[Any]:
     funnels through here and gets the same actionable message.
     """
     ensure_domain_loaded(domain)
-    canonical = DOMAIN_ALIASES.get(domain, {}).get(name, name)
     try:
-        return _REGISTRY[domain][canonical]
+        return _REGISTRY[domain][name]
     except KeyError:
         raise ValueError(
             f"unknown {domain} policy {name!r}; "
@@ -196,6 +189,20 @@ def policy_is_learned(domain: str, spec: Any) -> bool:
     """
     spec = PolicySpec.coerce(spec)
     return bool(getattr(policy_class(domain, spec.name), "learned", False))
+
+
+def learned_snapshot(policies: Mapping[str, Any]
+                     ) -> Optional[Dict[str, Any]]:
+    """Per-domain state snapshots of the learned policies in ``policies``.
+
+    Returns ``None`` when no policy is learned, so report fields
+    following the emit-only-when-set discipline stay unset on static
+    runs (legacy goldens byte-identical).
+    """
+    snapshot = {domain: policy.state_snapshot()
+                for domain, policy in policies.items()
+                if getattr(policy, "learned", False)}
+    return snapshot or None
 
 
 def resolved_policy_spec(domain: str, spec: Any) -> PolicySpec:

@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Optional, Protocol
 
 from ..policy import register_policy
-from .request import Request
+from .request import Request, RequestRecord
 
 
 class FrontendView(Protocol):
@@ -41,16 +41,17 @@ class FrontendView(Protocol):
 
 
 class AdmissionController:
-    """Base policy: admit everything, learn nothing."""
+    """Base policy: admit everything, learn nothing.
+
+    A policy that learns from completions defines ``on_complete(record)``;
+    the front-end subscribes it to its completion stream.
+    """
 
     name = "none"
 
     def admit(self, request: Request, frontend: FrontendView) -> bool:
         """Decide at arrival time whether ``request`` may enqueue."""
         return True
-
-    def observe_service_time(self, service_s: float) -> None:
-        """Completion feedback (used by estimating policies)."""
 
 
 @register_policy("admission")
@@ -123,6 +124,12 @@ class DeadlineAwareAdmission(AdmissionController):
         self.slack_factor = slack_factor
         self.backstop_depth = backstop_depth
         self.cold_start_waves = cold_start_waves
+
+    def on_complete(self, record: RequestRecord) -> None:
+        """Completion stream hook: learn from the record's service time."""
+        service = record.service_s
+        if service is not None and service > 0:
+            self.observe_service_time(service)
 
     def observe_service_time(self, service_s: float) -> None:
         """Fold one observed service time into the EWMA estimate."""

@@ -81,7 +81,7 @@ class AcceleratorBackend(ServingBackend):
         self.accelerator = accelerator
         self._pending: Dict[int, Tuple[RequestRecord,
                                        CompletionCallback]] = {}
-        accelerator.add_completion_listener(self._on_kernel_complete)
+        accelerator.on_kernel_complete = self._on_kernel_complete
 
     def start(self) -> None:
         """Enter service mode on the accelerator."""

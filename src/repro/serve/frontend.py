@@ -10,14 +10,21 @@ accelerator, one total on the strictly serial SIMD baseline).  The order
 tenant queues are served in is a pluggable
 :class:`~repro.serve.dispatch.DispatchPolicy` (round-robin by default, so
 one bursty tenant cannot starve the others at the dispatch point).
+
+A completed request leaves the front-end through one ordered list of
+callbacks, :attr:`ServingFrontend.completion_hooks`: the SLO tracker
+first, then every admission/dispatch policy that defines
+``on_complete(record)``, then whatever the session subscribes (the
+cluster's fleet tracker and placement policy, the metrics bus, the
+autoscaler window, the parallel runner's epoch buffer).  Each hook
+mutates only its own state, so the order never changes a result.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional, Sequence
+from typing import Callable, Deque, Dict, List, Optional, Sequence
 
-from ..policy.feedback import FeedbackEvent
 from ..sim.engine import Environment, Event
 from .admission import AdmissionController
 from .backends import ServingBackend
@@ -59,16 +66,17 @@ class ServingFrontend:
         # environment at construction (sessions attach it before building
         # the front-end) and every span site guards on None, so untraced
         # runs pay a single comparison per arrival/dispatch/completion.
-        # ``trace_device`` distinguishes shards in cluster traces;
-        # ``obs_latency`` is the metrics bus's completion-latency
-        # histogram hook.
+        # ``trace_device`` distinguishes shards in cluster traces.
         self._tracer = env.tracer
         self.trace_device = 0
-        self.obs_latency = None
-        # Learned-policy feedback (repro.policy.feedback): hooks invoked
-        # once per completion.  Empty unless the session wired learned
-        # policies, so static runs pay one truthiness check.
-        self.feedback_hooks: List = []
+        # The completion stream: ``hook(record)`` per completed request,
+        # in list order.  A static run holds just the tracker.
+        self.completion_hooks: List[Callable[[RequestRecord], None]] = [
+            tracker.on_completed]
+        for policy in (admission, self.dispatch_policy):
+            on_complete = getattr(policy, "on_complete", None)
+            if on_complete is not None:
+                self.completion_hooks.append(on_complete)
         self._wake: Event = env.event()
         self._dispatcher = env.spawn(self._dispatch_loop())
 
@@ -211,18 +219,10 @@ class ServingFrontend:
     def _on_complete(self, record: RequestRecord, now: float) -> None:
         record.completed_at = now
         record.status = RequestStatus.COMPLETED
-        self.tracker.on_completed(record)
+        for hook in self.completion_hooks:
+            hook(record)
         tracer = self._tracer
         if tracer is not None:
             tracer.span(now, "complete", record.request.request_id,
                         record.request.tenant, self.trace_device)
-        if self.obs_latency is not None:
-            self.obs_latency.observe(record.latency_s)
-        service = record.service_s
-        if service is not None and service > 0:
-            self.admission.observe_service_time(service)
-        if self.feedback_hooks:
-            event = FeedbackEvent.from_record(record, self.trace_device)
-            for hook in self.feedback_hooks:
-                hook.on_feedback(event)
         self._kick()

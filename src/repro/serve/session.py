@@ -29,7 +29,6 @@ from ..policy import (
     build_policy,
     learned_snapshot,
     policy_class,
-    wire_feedback,
 )
 from ..workloads.characteristics import lookup
 from ..workloads.polybench import (
@@ -464,7 +463,6 @@ class ServingSession:
         frontend = ServingFrontend(env, backend, scenario.make_admission(),
                                    tracker, tenants,
                                    dispatch=scenario.make_dispatch())
-        wire_feedback(frontend)
         self.frontend = frontend
         bus: Optional[MetricsBus] = None
         if obs is not None and obs.metrics:

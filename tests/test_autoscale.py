@@ -21,10 +21,8 @@ from repro.cluster import (
     P99TargetAutoscaler,
     ParallelClusterSession,
     QueueDepthThresholdAutoscaler,
-    ShardTracker,
     run_cluster,
 )
-from repro.cluster.autoscale import _LatencyTap
 from repro.platform import ClusterConfig, FaultSpec, PlatformConfig
 from repro.policy import (
     POLICY_DOMAINS,
@@ -137,22 +135,6 @@ def test_p99_policy_validation():
         P99TargetAutoscaler(step=0)
 
 
-def test_latency_tap_chains_to_prior_hook():
-    class Hook:
-        def __init__(self):
-            self.seen = []
-
-        def observe(self, value):
-            self.seen.append(value)
-
-    prior = Hook()
-    window = []
-    tap = _LatencyTap(window, prior)
-    tap.observe(0.5)
-    assert window == [0.5]
-    assert prior.seen == [0.5]
-
-
 # --------------------------------------------------------------------------- #
 # Elastic ClusterConfig validation + serialization                             #
 # --------------------------------------------------------------------------- #
@@ -229,7 +211,7 @@ def make_elastic_stub(env, initial=1, capacity=1, service_s=0.2,
 
     def build_shard(index):
         backend = StubBackend(env, capacity=capacity, service_s=service_s)
-        tracker = ShardTracker(TENANTS, fleet, seed=index + 1)
+        tracker = SLOTracker(TENANTS, seed=index + 1)
         frontend = ServingFrontend(
             env, backend, build_policy("admission", "none"), tracker,
             TENANTS)
@@ -248,7 +230,7 @@ def test_controller_requires_elastic_config():
     cluster = ClusterConfig.homogeneous(1, PlatformConfig())
     fleet = SLOTracker(TENANTS)
     backend = StubBackend(env)
-    tracker = ShardTracker(TENANTS, fleet, seed=1)
+    tracker = SLOTracker(TENANTS, seed=1)
     frontend = ServingFrontend(env, backend,
                                build_policy("admission", "none"),
                                tracker, TENANTS)

@@ -16,7 +16,6 @@ from repro.cluster import (
     ClusterReport,
     DeviceHealth,
     DeviceShard,
-    ShardTracker,
     run_cluster,
     stable_tenant_hash,
 )
@@ -166,7 +165,7 @@ def make_stub_cluster(env, device_count=2, capacity=2, service_s=0.1,
     shards = []
     for index in range(device_count):
         backend = StubBackend(env, capacity=capacity, service_s=service_s)
-        tracker = ShardTracker(TENANTS, fleet, seed=index + 1)
+        tracker = SLOTracker(TENANTS, seed=index + 1)
         frontend = ServingFrontend(
             env, backend,
             build_policy("admission", PolicySpec(admission,

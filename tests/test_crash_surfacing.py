@@ -1,11 +1,12 @@
 """Failure drills for push-based crash surfacing.
 
-Backend, service and worker processes are started with
-``Environment.spawn``: a crash re-raises its original exception out of
-the engine loop, with no per-event health polling.  Each drill injects a
-crash mid-run and checks that the run raises that exception promptly
-and returns no report; the watchdog drills check that a wedged run
-still fails with its stall message.
+Backend, service, worker and background-loop processes (the baseline
+batch driver, the autoscaler control loop, the metrics sampler) are
+started with ``Environment.spawn``: a crash re-raises its original
+exception out of the engine loop, with no per-event health polling.
+Each drill injects a crash mid-run and checks that the run raises that
+exception promptly and returns no report; the watchdog drills check that
+a wedged run still fails with its stall message.
 """
 
 import time
@@ -13,12 +14,16 @@ import time
 import pytest
 
 from helpers import StubBackend
+from repro.baseline import BaselineSystem
+from repro.cluster.autoscale import QueueDepthThresholdAutoscaler
 from repro.cluster.parallel import ParallelClusterSession, ParallelConfig
 from repro.cluster.session import ClusterSession
 from repro.core import FlashAbacusAccelerator, run_flashabacus
+from repro.obs import ObsConfig
+from repro.obs.metrics import Gauge
 from repro.platform.cluster import ClusterConfig
 from repro.platform.config import PlatformConfig
-from repro.policy import build_policy
+from repro.policy import PolicySpec, build_policy
 from repro.serve import Request, ServingFrontend, SLOTracker
 from repro.serve.backends import AcceleratorBackend
 from repro.serve.session import (
@@ -129,6 +134,61 @@ def test_crash_during_final_drain_surfaces(monkeypatch):
 
     monkeypatch.setattr(AcceleratorBackend, "finish", finish)
     assert_crashes(ServingSession(scenario(), device()).run)
+
+
+def test_baseline_batch_driver_surfaces_kernel_crash(monkeypatch):
+    original = BaselineSystem._run_kernel
+    started = []
+
+    def run_kernel(self, kernel, breakdown):
+        started.append(kernel.kernel_id)
+        if len(started) == 2:
+            raise Boom(f"kernel {len(started)} crashed")
+        yield from original(self, kernel, breakdown)
+
+    monkeypatch.setattr(BaselineSystem, "_run_kernel", run_kernel)
+    system = BaselineSystem()
+    kernels = homogeneous_workload("ATAX", instances=3, input_scale=0.02)
+    assert_crashes(lambda: system.run_workload(kernels, "ATAX"))
+    # The batch stopped at the crashing kernel: one of three completed.
+    assert len(started) == 2
+    assert len(system.completion_times) == 1
+
+
+def test_autoscaler_policy_crash_surfaces(monkeypatch):
+    ticks = []
+
+    def target(self, signals):
+        ticks.append(signals.now)
+        if len(ticks) == 3:
+            raise Boom(f"autoscaler tick {len(ticks)} crashed")
+        return signals.active_devices
+
+    monkeypatch.setattr(QueueDepthThresholdAutoscaler, "target", target)
+    cluster = ClusterConfig.homogeneous(
+        1, device(), autoscaler_spec=PolicySpec("queue_depth_threshold"),
+        min_devices=1, max_devices=2, autoscale_interval_s=0.1)
+    assert_crashes(ClusterSession(scenario(), cluster).run)
+    assert len(ticks) == 3
+
+
+def test_metrics_instrument_crash_surfaces(monkeypatch):
+    original = Gauge.sample
+    crashed = []
+
+    def sample(self, now):
+        # One crash mid-run; the final sample at settle time would
+        # succeed, so a sampler that died silently would go unnoticed.
+        if now >= 0.5 and not crashed:
+            crashed.append(now)
+            raise Boom(f"gauge sample at t={now:.2f}s crashed")
+        return original(self, now)
+
+    monkeypatch.setattr(Gauge, "sample", sample)
+    session = ServingSession(scenario(), device(),
+                             obs=ObsConfig(tracing=False))
+    assert_crashes(session.run)
+    assert session.metrics is None
 
 
 # --------------------------------------------------------------------------- #

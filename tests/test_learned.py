@@ -1,8 +1,9 @@
 """Learned policy species: model, policies, wiring, guards, serialization.
 
-Unit-level coverage of :mod:`repro.policy.learned` and
-:mod:`repro.policy.feedback`: the online ridge model actually learns,
-each policy's decision rule responds to feedback the documented way, the
+Unit-level coverage of :mod:`repro.policy.learned`: the online ridge
+model actually learns, each policy's decision rule responds to
+completion feedback the documented way, the front-end subscribes exactly
+the policies that learn to its completion stream, the
 species is recognized structurally (``learned = True``, never name
 lists) by the parallel-session guard / serial cache routing, and the
 report ``learned`` field follows the
@@ -18,13 +19,11 @@ from repro.cluster.parallel import ParallelClusterSession
 from repro.eval.cluster import ClusterExperimentSpec
 from repro.platform import ClusterConfig, PlatformConfig
 from repro.policy import (
-    FeedbackEvent,
     PolicySpec,
     build_policy,
     learned_snapshot,
     policy_is_learned,
     resolved_policy_spec,
-    wire_feedback,
 )
 from repro.policy.learned import (
     AdaptiveAdmission,
@@ -34,11 +33,18 @@ from repro.policy.learned import (
 )
 from repro.serve import (
     Request,
+    RequestRecord,
+    RequestStatus,
+    ServingFrontend,
     ServingReport,
     ServingScenario,
     ServingSession,
+    SLOTracker,
     TenantSpec,
 )
+from repro.sim.engine import Environment
+
+from helpers import StubBackend
 
 DEVICE = PlatformConfig(system="IntraO3", input_scale=0.01)
 
@@ -53,12 +59,11 @@ def request(request_id=0, tenant="a", slo=0.25, arrival=0.0):
                    arrival_s=arrival, slo_s=slo)
 
 
-def feedback(request_id=0, tenant="a", latency=0.05, slo=0.25,
-             slo_met=True, device=0, reroutes=0):
-    return FeedbackEvent(request_id=request_id, tenant=tenant,
-                         workload="ATAX", device=device, latency_s=latency,
-                         queue_delay_s=0.0, service_s=latency, slo_s=slo,
-                         slo_met=slo_met, reroutes=reroutes)
+def completed(request_id=0, tenant="a", latency=0.05, slo=0.25):
+    """A record completed ``latency`` seconds after its arrival at 0."""
+    return RequestRecord(request=request(request_id, tenant, slo),
+                         status=RequestStatus.COMPLETED, admitted_at=0.0,
+                         dispatched_at=0.0, completed_at=latency)
 
 
 class View:
@@ -128,8 +133,8 @@ def test_adaptive_admission_warms_up_then_trusts_the_model():
     # Warm-up: admits (under the backstop) and records pending features.
     for i in range(8):
         assert admission.admit(request(request_id=i), view)
-        admission.on_feedback(feedback(request_id=i, latency=0.5,
-                                       slo=0.25, slo_met=False))
+        admission.on_complete(completed(request_id=i, latency=0.5,
+                                        slo=0.25))
     assert admission.feedback_events == 8
     # The model now predicts ~0.5 s at this backlog against a 0.25 s
     # SLO: the next arrival is refused.
@@ -156,10 +161,10 @@ def test_dispatch_exploits_the_urgency_reward():
     # Tenant a barely clears a tight SLO (reward ~0.9/completion);
     # tenant b is met long before its bar (reward ~0.1).
     for i in range(10):
-        dispatch.on_feedback(feedback(request_id=i, tenant="a",
-                                      latency=0.09, slo=0.1))
-        dispatch.on_feedback(feedback(request_id=100 + i, tenant="b",
-                                      latency=0.03, slo=0.3))
+        dispatch.on_complete(completed(request_id=i, tenant="a",
+                                       latency=0.09, slo=0.1))
+        dispatch.on_complete(completed(request_id=100 + i, tenant="b",
+                                       latency=0.03, slo=0.3))
     queues = {"a": [object()], "b": [object()]}
     assert dispatch.select(queues) == "a"
     # Empty arms are never selected; a fully empty front-end yields None.
@@ -172,7 +177,7 @@ def test_dispatch_tries_unpulled_arms_first_and_decays_epsilon():
                                      epsilon_decay=0.5, min_epsilon=0.01)
     dispatch.bind(["a", "b"])
     # Pulled arm a earns a sub-optimism mean; unpulled b counts as 1.0.
-    dispatch.on_feedback(feedback(tenant="a", latency=0.01, slo=0.3))
+    dispatch.on_complete(completed(tenant="a", latency=0.01, slo=0.3))
     epsilon_before = dispatch.current_epsilon()
     dispatch.decisions += 4
     assert dispatch.current_epsilon() < epsilon_before
@@ -191,10 +196,10 @@ def test_linucb_warmup_routes_least_outstanding_then_learns_speed():
     shards = [Shard(0), Shard(1, queued=1)]
     # Warm-up: capacity-normalized least-outstanding (ties low index).
     assert placement.select(request(request_id=0), shards).index == 0
-    placement.on_feedback(feedback(request_id=0, latency=0.01))
+    placement.on_complete(completed(request_id=0, latency=0.01))
     shards[0].queued = 2
     assert placement.select(request(request_id=1), shards).index == 1
-    placement.on_feedback(feedback(request_id=1, latency=0.50))
+    placement.on_complete(completed(request_id=1, latency=0.50))
     # Exploitation: device 0's learned latency is ~50x lower, so it wins
     # even while busier than device 1.
     shards = [Shard(0, queued=2), Shard(1, queued=0)]
@@ -206,13 +211,13 @@ def test_linucb_never_exploits_an_unobserved_arm():
                                 epsilon=0.0, retrain_every=1)
     shards = [Shard(0), Shard(1), Shard(2)]
     assert placement.select(request(request_id=0), shards).index == 0
-    placement.on_feedback(feedback(request_id=0, latency=0.02))
+    placement.on_complete(completed(request_id=0, latency=0.02))
     # Only arm 0 has data: exploitation may not touch arms 1/2 (a
     # zero-data prediction of 0.0 s would dogpile the unknown device).
     for i in range(1, 20):
         choice = placement.select(request(request_id=i), shards)
         assert choice.index == 0
-        placement.on_feedback(feedback(request_id=i, latency=0.02))
+        placement.on_complete(completed(request_id=i, latency=0.02))
 
 
 def test_linucb_counts_reroutes():
@@ -257,23 +262,21 @@ def test_build_policy_plumbs_the_seed_context():
     assert pinned.seed == 4
 
 
-def test_wire_feedback_attaches_only_learned_policies():
-    class Frontend:
-        def __init__(self, admission, dispatch_policy):
-            self.admission = admission
-            self.dispatch_policy = dispatch_policy
-            self.feedback_hooks = []
+def test_frontend_subscribes_only_learning_policies():
+    env = Environment()
+    tracker = SLOTracker(["a"])
 
-    static = Frontend(build_policy("admission", "queue_depth"),
-                      build_policy("dispatch", "round_robin"))
-    wire_feedback(static)
-    assert static.feedback_hooks == []
-    learned = Frontend(build_policy("admission", "adaptive_admission"),
-                       build_policy("dispatch", "round_robin"))
-    placement = build_policy("placement", "linucb_placement",
-                             device_count=2)
-    wire_feedback(learned, extra=(placement,))
-    assert learned.feedback_hooks == [learned.admission, placement]
+    def frontend(admission, dispatch):
+        return ServingFrontend(env, StubBackend(env),
+                               build_policy("admission", admission),
+                               tracker, ["a"],
+                               dispatch=build_policy("dispatch", dispatch))
+
+    static = frontend("queue_depth", "round_robin")
+    assert static.completion_hooks == [tracker.on_completed]
+    learned = frontend("adaptive_admission", "round_robin")
+    assert learned.completion_hooks == [tracker.on_completed,
+                                        learned.admission.on_complete]
     # Snapshot helper mirrors the same recognition.
     assert learned_snapshot({"dispatch": static.dispatch_policy}) is None
     snapshot = learned_snapshot({"admission": learned.admission})

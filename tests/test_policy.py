@@ -285,8 +285,12 @@ def test_cluster_config_placement_override_clears_stale_spec():
 def test_scenario_validates_the_legacy_admission_string_eagerly():
     with pytest.raises(ValueError):
         ServingScenario(admission="quue_depth")     # typo fails fast
-    assert ServingScenario(admission="always").make_admission().name \
-        == "none"                                   # alias still accepted
+    # The old "always" alias is gone: it fails like any unknown name,
+    # and the message names the valid choices.
+    with pytest.raises(ValueError) as excinfo:
+        ServingScenario(admission="always")
+    assert "'none'" in str(excinfo.value)
+    assert "'queue_depth'" in str(excinfo.value)
 
 
 def test_policy_spec_dict_without_name_raises_value_error():
