@@ -3,9 +3,10 @@
 :class:`ClusterDispatcher` is the fleet's single entry point: every
 arriving request is routed to one device shard by the placement policy,
 then passes that shard's own admission controller and per-tenant queues
-(the existing single-device machinery, unchanged).  The dispatcher also
-owns the authoritative *fleet-level* SLO accounting: offered/admitted/
-rejected are recorded here, and the fleet tracker subscribes to every
+(the existing single-device machinery, unchanged).  The dispatcher's
+:class:`~repro.cluster.report.FleetLedger` keeps the authoritative
+*fleet-level* accounting: offered/admitted/rejected and the routing
+counters are recorded there, and the fleet tracker subscribes to every
 shard front-end's completion stream (scale-up shards included), so fleet
 counters stay conserved even when a request is admitted on one device
 and — after a failure reroute — completed on another.  The placement
@@ -16,15 +17,15 @@ wherever the request completes.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from ..obs import CLUSTER_EDGE
 from ..platform.cluster import ClusterConfig
-from ..policy import build_policy
 from ..serve.request import Request, RequestRecord, RequestStatus
 from ..serve.slo import SLOTracker
 from .health import DeviceHealth, DeviceShard
 from .placement import PlacementPolicy
+from .report import FleetLedger
 
 
 class ClusterDispatcher:
@@ -39,22 +40,8 @@ class ClusterDispatcher:
         self.env = env
         self.shards = shards
         self.cluster = cluster
-        self.fleet = fleet
-        # An elastic fleet may grow past the initially provisioned
-        # shards: the placement policy must be built over the ceiling,
-        # or stateless policies (round-robin's modulo, tenant-affinity's
-        # hash) could never reach a scaled-up device.  ``seed`` (the
-        # scenario seed) feeds learned policies' exploration RNG; static
-        # policies never name it.
-        device_count = (cluster.effective_max_devices if cluster.elastic
-                        else len(shards))
-        self.policy = policy if policy is not None else build_policy(
-            "placement", cluster.placement_policy_spec(),
-            device_count=device_count, salt=cluster.affinity_salt,
-            seed=seed)
-        self.cluster_rejected = 0    # arrivals with no routable device
-        self.reroutes = 0            # backlog records moved off failed devices
-        self.health_events: List[Tuple[float, int, str]] = []
+        self.ledger = FleetLedger(fleet, cluster, len(shards), seed=seed,
+                                  policy=policy)
         self.closed = False
         # Observability (repro.obs): the shard front-ends record the
         # per-device request lifecycle; the dispatcher only adds what
@@ -68,8 +55,8 @@ class ClusterDispatcher:
         """Join the fleet tracker (and a learning placement policy) to
         ``shard``'s completion stream."""
         hooks = shard.frontend.completion_hooks
-        hooks.append(self.fleet.on_completed)
-        on_complete = getattr(self.policy, "on_complete", None)
+        hooks.append(self.ledger.fleet.on_completed)
+        on_complete = getattr(self.ledger.policy, "on_complete", None)
         if on_complete is not None:
             hooks.append(on_complete)
 
@@ -82,14 +69,10 @@ class ClusterDispatcher:
 
     def submit(self, request: Request) -> RequestRecord:
         """Route one arrival: pick a shard, let its front-end admit it."""
-        self.fleet.on_offered(request.tenant)
-        routable = self.routable_shards()
-        if not routable:
-            # Whole fleet out of rotation: reject at the cluster edge.
-            record = RequestRecord(request=request,
-                                   status=RequestStatus.REJECTED)
-            self.cluster_rejected += 1
-            self.fleet.on_rejected(request.tenant)
+        ledger = self.ledger
+        shard = ledger.route(request, self.shards, self.env.now)
+        if shard is None:
+            # Whole fleet out of rotation: rejected at the cluster edge.
             tracer = self._tracer
             if tracer is not None:
                 # Edge rejections never reach a shard front-end, so the
@@ -99,14 +82,11 @@ class ClusterDispatcher:
                             request.tenant, CLUSTER_EDGE, request.workload)
                 tracer.span(now, "reject", request.request_id,
                             request.tenant, CLUSTER_EDGE)
-            return record
-        shard = self.policy.select(request, routable)
+            return RequestRecord(request=request,
+                                 status=RequestStatus.REJECTED)
         record = shard.frontend.submit(request)
-        if record.status is RequestStatus.REJECTED:
-            self.fleet.on_rejected(request.tenant)
-        else:
-            shard.routed += 1
-            self.fleet.on_admitted(request.tenant)
+        ledger.settle(shard.index, request.tenant,
+                      record.status is not RequestStatus.REJECTED)
         return record
 
     def close(self) -> None:
@@ -125,6 +105,7 @@ class ClusterDispatcher:
                 f"new shard index {shard.index} must extend the fleet "
                 f"({len(self.shards)} shards)")
         self.shards.append(shard)
+        self.ledger.add_device()
         self._subscribe(shard)
 
     def drain_shard(self, victim: DeviceShard) -> bool:
@@ -164,48 +145,33 @@ class ClusterDispatcher:
         Failing a device evicts its queued backlog and reroutes each
         record through the placement policy; requests already in flight
         finish on the failing device (fail-stop with drain), so no
-        admitted request is ever dropped.
+        admitted request is ever dropped.  The transition is recorded
+        even when the shard ignores it (retired, or already failed).
         """
         shard = self.shards[device]
-        self.health_events.append((self.env.now, device, state.value))
-        if shard.retired:
-            # A scale-down retired this device first: its backend is
-            # finished and its meter stopped; the transition is recorded
-            # but must not resurrect it.
-            return
-        if state is DeviceHealth.FAILED \
-                and shard.health is DeviceHealth.FAILED:
-            # Already failed: a repeated fault must not re-zero the
-            # capacity of a device that is self-draining its backlog
-            # (the no-peer fallback below), which would wedge the run.
-            return
-        shard.apply_health(state, self.cluster.degraded_capacity_factor)
-        if state is DeviceHealth.FAILED:
-            self._reroute_backlog(shard)
-
-    def _reroute_backlog(self, failed: DeviceShard) -> None:
-        evicted = failed.frontend.evict_queued()
+        self.ledger.health_events.append((self.env.now, device, state.value))
+        evicted = shard.apply_health(state,
+                                     self.cluster.degraded_capacity_factor)
         if not evicted:
             return
-        tracer = self._tracer
-        now = self.env.now
         targets = self.routable_shards()
-        if not targets:
-            # Nowhere to go: the failing device must drain its own backlog
-            # (restore its capacity so the dispatch loop is not wedged).
-            failed.frontend.capacity_limit = None
-            for record in evicted:
-                if tracer is not None:
-                    # Self-requeue: evicted and rerouted to itself (not
-                    # counted in ``reroutes``, matching the counter).
-                    rid = record.request.request_id
-                    tenant = record.request.tenant
-                    tracer.span(now, "evict", rid, tenant, failed.index)
-                    tracer.span(now, "reroute", rid, tenant,
-                                failed.index, failed.index)
-                failed.frontend.enqueue_record(record)
+        if targets:
+            self._place_evicted(shard, evicted, targets)
             return
-        self._place_evicted(failed, evicted, targets)
+        # Nowhere to go: the failing device must drain its own backlog
+        # (restore its capacity so the dispatch loop is not wedged).
+        shard.frontend.capacity_limit = None
+        tracer = self._tracer
+        for record in evicted:
+            if tracer is not None:
+                # Self-requeue: evicted and rerouted to itself (not
+                # counted in ``reroutes``, matching the counter).
+                rid = record.request.request_id
+                tenant = record.request.tenant
+                tracer.span(self.env.now, "evict", rid, tenant, device)
+                tracer.span(self.env.now, "reroute", rid, tenant,
+                            device, device)
+            shard.frontend.enqueue_record(record)
 
     def _place_evicted(self, origin: DeviceShard,
                        evicted: List[RequestRecord],
@@ -214,20 +180,17 @@ class ClusterDispatcher:
 
         The one reroute loop shared by the fault path
         (:meth:`set_health` on FAILED) and the scale-down path
-        (:meth:`drain_shard`): per record, the placement policy picks a
-        target from the routable set captured at eviction time, counters
-        bump on both sides, and the policy is notified so learned
-        placements can penalize the move.
+        (:meth:`drain_shard`): per record, the ledger places it on a
+        target from the routable set captured at eviction time, and the
+        policy is notified so learned placements can penalize the move.
         """
-        origin.rerouted_out += len(evicted)
-        self.reroutes += len(evicted)
+        ledger = self.ledger
         tracer = self._tracer
         now = self.env.now
         for record in evicted:
-            target = self.policy.select(record.request, targets)
-            target.rerouted_in += 1
+            target = ledger.reroute(origin.index, record.request, targets)
             record.reroutes += 1
-            self.policy.on_reroute(record, origin.index, target.index)
+            ledger.policy.on_reroute(record, origin.index, target.index)
             if tracer is not None:
                 rid = record.request.request_id
                 tenant = record.request.tenant

@@ -1,7 +1,8 @@
 """Per-device health modeling for the cluster layer.
 
 Each device of the fleet is wrapped in a :class:`DeviceShard`: the built
-backend + front-end pair plus a health state and routing counters.  Health
+backend + front-end pair plus a health state (the routing counters live
+in the fleet's :class:`~repro.cluster.report.FleetLedger`).  Health
 transitions come from the cluster's fault timeline
 (:class:`~repro.platform.cluster.FaultSpec`) and change how the dispatcher
 treats the device:
@@ -18,11 +19,12 @@ treats the device:
 from __future__ import annotations
 
 from enum import Enum
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, List
 
 from ..platform.config import PlatformConfig
 from ..serve.backends import ServingBackend
 from ..serve.frontend import ServingFrontend
+from ..serve.request import RequestRecord
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..serve.slo import SLOTracker
@@ -37,7 +39,7 @@ class DeviceHealth(Enum):
 
 
 class DeviceShard:
-    """One device of the fleet: backend + front-end + health + counters."""
+    """One device of the fleet: backend + front-end + health."""
 
     def __init__(self, index: int, config: PlatformConfig,
                  backend: ServingBackend, frontend: ServingFrontend,
@@ -48,10 +50,6 @@ class DeviceShard:
         self.frontend = frontend
         self.tracker = tracker
         self.health = DeviceHealth.HEALTHY
-        # Routing counters (cluster-level bookkeeping, not SLO accounting).
-        self.routed = 0          # requests the dispatcher sent here
-        self.rerouted_in = 0     # backlog records adopted from failed peers
-        self.rerouted_out = 0    # backlog records evicted on failure
         # Elastic-fleet lifecycle (all no-ops on a static fleet).
         self.warming = False     # provisioned but still out of placement
         self.draining = False    # scale-down victim: no new traffic
@@ -94,12 +92,21 @@ class DeviceShard:
                 and not self.retired)
 
     def apply_health(self, state: DeviceHealth,
-                     degraded_capacity_factor: float) -> None:
+                     degraded_capacity_factor: float
+                     ) -> List[RequestRecord]:
         """Switch health state and derate/restore dispatch capacity.
 
-        Rerouting of a failed shard's backlog is the dispatcher's job
-        (it owns the placement policy); this only flips the local state.
+        Returns the queued backlog a failure evicts (empty for any other
+        transition); placing it is the driver's job, since the driver
+        owns the placement policy.  A retired device ignores the
+        transition, and so does an already failed device on a repeated
+        failure: re-zeroing the capacity of a device that is
+        self-draining its backlog (the no-peer fallback) would wedge
+        the run.
         """
+        if self.retired or (state is DeviceHealth.FAILED
+                            and self.health is DeviceHealth.FAILED):
+            return []
         self.health = state
         if state is DeviceHealth.HEALTHY:
             self.frontend.capacity_limit = None
@@ -110,3 +117,6 @@ class DeviceShard:
             self.frontend.capacity_limit = 0
         # Capacity may have grown: let the dispatcher re-evaluate.
         self.frontend._kick()
+        if state is DeviceHealth.FAILED:
+            return self.frontend.evict_queued()
+        return []

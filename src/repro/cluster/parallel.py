@@ -28,9 +28,6 @@ those forced boundaries are the whole schedule: a healthy fleet runs the
 entire scenario in one coordinator round-trip.  Snapshot-dependent
 policies (JSQ, least-outstanding, power-aware) additionally keep the
 fixed ``epoch_s`` grid so routing keeps observing fresh queue state.
-Whether adaptive widening is enabled never changes results — for
-snapshot-independent policies routing cannot observe the difference, for
-snapshot-dependent ones nothing widens.
 
 What crosses the process boundary is packed flat
 (:func:`pack_shard_result` / :func:`unpack_shard_result`): arrivals ship
@@ -41,6 +38,12 @@ the list position), evicted backlogs as ``(request index, admitted_at,
 reroutes)`` triples, and admission outcomes as per-tenant count deltas —
 only touched tenants are ever shipped.
 
+The coordinator keeps its accounts in the same
+:class:`~repro.cluster.report.FleetLedger` the serial dispatcher uses, and
+builds its shards and per-device reports with the serial session's
+:func:`~repro.cluster.session.build_shard` and
+:func:`~repro.cluster.session.device_report`.
+
 Determinism contract: the run is seed-reproducible and **independent of
 the worker count** — one worker and eight workers produce byte-identical
 :class:`~repro.cluster.report.ClusterReport`s, and the in-process
@@ -50,7 +53,8 @@ snapshot-independent placement the report is additionally byte-identical
 to the serial session's whenever the fleet still has work at the final
 epoch boundary (the normal operating regime for every shipped benchmark
 and sweep): forced fault boundaries reproduce the serial reroute
-interleaving exactly, shard clocks are never advanced past their last
+interleaving exactly (faults at the same instant are replayed one by one
+in fault order), shard clocks are never advanced past their last
 processed event (:meth:`~repro.sim.engine.Environment.run_events`), and
 the drain runs in two phases — settle every shard, compute the fleet
 settle time, then finish every backend at that shared instant like the
@@ -59,12 +63,12 @@ background poller events can leave a shard's clock past the fleet settle
 time, and the single ``makespan_s`` value may then differ from serial;
 every other field still matches.
 
-Observability note: this runner does not support :mod:`repro.obs` —
-per-worker tracers and metric samples cannot be stitched into one
-coherent fleet timeline across process boundaries.  Runs that opt into
-observability use the serial shared-environment session instead
-(:class:`~repro.eval.cluster.ClusterExperimentSpec` makes that switch
-automatically).
+Refusals: :func:`parallel_refusal` names the run shapes this runner does
+not take — observability (:mod:`repro.obs`; per-worker span rings and
+metric samples are not yet shipped and merged into one fleet timeline),
+elastic fleets and learned policies.  The session raises on them, and
+:class:`~repro.eval.cluster.ClusterExperimentSpec` runs them on the
+serial session instead.
 """
 
 from __future__ import annotations
@@ -76,23 +80,23 @@ import sys
 import threading
 from array import array
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 from ..platform.cluster import ClusterConfig
-from ..policy import build_policy, policy_is_learned
+from ..policy import policy_is_learned
 from ..serve.report import ServingReport
 from ..serve.request import Request, RequestRecord, RequestStatus
-from ..serve.session import (
-    ServingScenario,
-    assemble_serving_report,
-    build_serving_backend,
-)
+from ..serve.session import ServingScenario
 from ..serve.frontend import ServingFrontend
 from ..serve.slo import SLOTracker
 from ..sim.engine import Environment
 from .health import DeviceHealth, DeviceShard
 from .placement import placement_snapshot_dependent
-from .report import ClusterReport, assemble_cluster_report
+from .report import ClusterReport, FleetLedger
+from .session import build_shard, device_report
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..obs import ObsConfig
 
 #: Completion event crossing the epoch boundary:
 #: (completed_at, tenant_index, latency_s, violated).  The per-shard
@@ -115,16 +119,11 @@ class ParallelConfig:
     shorter epochs), so it is the only field serialized into experiment
     cache keys.  ``workers`` is pure execution strategy — 0 means auto
     (one worker per device, bounded by the CPU count), 1 forces the
-    in-process path — and never affects results.  ``adaptive`` widens
-    epochs to the next cross-shard event when the placement policy
-    provably cannot observe the difference; it is execution strategy
-    too (results are byte-identical either way) and stays out of the
-    cache key.
+    in-process path — and never affects results.
     """
 
     workers: int = 0
     epoch_s: float = 0.25
-    adaptive: bool = True
 
     def __post_init__(self) -> None:
         if self.workers < 0:
@@ -152,18 +151,16 @@ def build_epoch_schedule(scenario: ServingScenario, cluster: ClusterConfig,
     at exactly the instant the serial dispatcher reroutes them, plus the
     arrival horizon.  Snapshot-dependent placement additionally keeps
     the fixed ``epoch_s`` grid (fresh load snapshots are what it routes
-    on); snapshot-independent placement drops the grid when ``adaptive``
-    is set — the schedule is derived from config alone, never from
-    runtime state, so it is identical across worker counts and reruns.
+    on); snapshot-independent placement drops it, since routing cannot
+    observe the difference.  The schedule is derived from config alone,
+    never from runtime state, so it is identical across worker counts
+    and reruns.
     """
     horizon = scenario.duration_s
-    fault_times = {fault.time_s for fault in cluster.faults
-                   if fault.time_s > 0}
+    fault_times = {fault.time_s for fault in cluster.faults}
     boundaries = set(fault_times)
     boundaries.add(horizon)
-    widen = parallel.adaptive and not placement_snapshot_dependent(
-        cluster.placement_policy_spec())
-    if not widen:
+    if placement_snapshot_dependent(cluster.placement_policy_spec()):
         steps = max(1, math.ceil(horizon / parallel.epoch_s))
         boundaries.update((step + 1) * parallel.epoch_s
                           for step in range(steps))
@@ -244,8 +241,8 @@ class _ShardGroup:
         self.scenario = scenario
         self.cluster = cluster
         self.requests = requests
-        tenants = [t.name for t in scenario.tenants]
-        tenant_index = {name: i for i, name in enumerate(tenants)}
+        tenant_index = {tenant.name: i
+                        for i, tenant in enumerate(scenario.tenants)}
         self.shards: Dict[int, DeviceShard] = {}
         self._buffers: Dict[int, _EpochBuffer] = {}
         self._evicted: Dict[int, List[Tuple[int, List[EvictedRecord]]]] = {}
@@ -263,34 +260,26 @@ class _ShardGroup:
         ordinal = {original: position
                    for position, original in enumerate(order)}
         for index in indices:
-            config = cluster.devices[index]
-            env = Environment()
-            backend = build_serving_backend(scenario, config, env=env)
-            # Reservoir seeds match the serial session's per-device
-            # offsets, so shard-level accounting is byte-comparable.
-            tracker = SLOTracker(
-                tenants,
-                reservoir_capacity=scenario.reservoir_capacity,
-                seed=scenario.seed + 1000 * (index + 1))
-            frontend = ServingFrontend(env, backend,
-                                       scenario.make_admission(),
-                                       tracker, tenants,
-                                       dispatch=scenario.make_dispatch())
-            shard = DeviceShard(index, config, backend, frontend, tracker)
+            shard = build_shard(scenario, cluster, Environment(), index)
             self.shards[index] = shard
             self._buffers[index] = buffer = _EpochBuffer(tenant_index)
-            frontend.completion_hooks.append(buffer.on_complete)
+            shard.frontend.completion_hooks.append(buffer.on_complete)
             self._evicted[index] = []
             self._health_events[index] = []
             self._self_draining[index] = False
             self._closed[index] = False
-            backend.start()
+            shard.backend.start()
             mine = [(ordinal[i], fault)
                     for i, fault in enumerate(cluster.faults)
                     if fault.device == index]
             mine.sort(key=lambda entry: (entry[1].time_s, entry[0]))
             if mine:
-                env.spawn(self._fault_driver(shard, mine))
+                shard.backend.env.spawn(self._fault_driver(shard, mine))
+
+    def snapshots(self) -> Dict[int, Tuple[int, int, int, float, str]]:
+        """Every owned shard's current placement view."""
+        return {index: _snapshot(shard)
+                for index, shard in self.shards.items()}
 
     # -- in-simulation fault handling -----------------------------------
     def _fault_driver(self, shard: DeviceShard, faults):
@@ -302,19 +291,12 @@ class _ShardGroup:
             state = DeviceHealth(fault.state)
             self._health_events[shard.index].append(
                 [ordinal, env.now, shard.index, state.value])
-            if state is DeviceHealth.FAILED \
-                    and shard.health is DeviceHealth.FAILED:
-                # Repeated failure must not re-zero a self-draining
-                # device's capacity (mirrors the serial dispatcher).
-                continue
-            shard.apply_health(
+            evicted = shard.apply_health(
                 state, self.cluster.degraded_capacity_factor)
-            if state is DeviceHealth.FAILED:
-                evicted = shard.frontend.evict_queued()
-                if evicted:
-                    self._evicted[shard.index].append(
-                        (ordinal, [_pack_record(r) for r in evicted]))
-            else:
+            if evicted:
+                self._evicted[shard.index].append(
+                    (ordinal, [_pack_record(r) for r in evicted]))
+            if state is not DeviceHealth.FAILED:
                 self._self_draining[shard.index] = False
 
     # -- per-epoch execution --------------------------------------------
@@ -464,14 +446,10 @@ class _ShardGroup:
                 env.run(until=settle_s)
             shard.backend.finish()
             env.run()
-            stats_fn = getattr(shard.backend, "scheduler_stats", None)
-            report = assemble_serving_report(
-                self.scenario, shard.config.system, shard.tracker,
-                makespan_s=env.now, energy_j=shard.backend.energy_j,
-                scheduler_stats=stats_fn() if stats_fn else None)
             payload = self._boundary_payload(index)
             payload.update({
-                "report": report.to_dict(),
+                "report": device_report(self.scenario, shard,
+                                        env.now).to_dict(),
                 "makespan_s": env.now,
                 "energy_j": shard.backend.energy_j,
                 "health": shard.health.value,
@@ -600,29 +578,24 @@ _FORK_INIT_LOCK = threading.Lock()
 
 
 def _worker_main(slot: int, conn) -> None:
-    """Worker loop: build the shard group, serve epoch commands."""
+    """Worker loop: build the shard group, serve coordinator commands.
+
+    A command names the :class:`_ShardGroup` method to run; boundary
+    payloads go back packed, the final per-device reports as they are.
+    """
     scenario, cluster, indices, requests = _FORK_INIT[slot]
     try:
         group = _ShardGroup(scenario, cluster, indices, requests)
-        conn.send(("ready", {index: _snapshot(group.shards[index])
-                             for index in indices}))
+        conn.send(("ready", group.snapshots()))
         while True:
-            message = conn.recv()
-            command = message[0]
-            if command == "epoch":
-                _, end_s, at_s, arrivals, adopted, restore = message
-                results = group.run_epoch(end_s, at_s, arrivals,
-                                          adopted, restore)
-            elif command == "settle":
-                _, at_s, adopted, restore = message
-                results = group.settle(at_s, adopted, restore)
-            elif command == "finalize":
-                conn.send(("finalize", group.finalize(message[1])))
-                continue
-            else:
+            command, *args = conn.recv()
+            if command == "stop":
                 return
-            conn.send((command, {index: pack_shard_result(payload)
-                                 for index, payload in results.items()}))
+            results = getattr(group, command)(*args)
+            if command != "finalize":
+                results = {index: pack_shard_result(payload)
+                           for index, payload in results.items()}
+            conn.send((command, results))
     except BaseException as error:  # ship the failure to the coordinator
         try:
             conn.send(("error", f"{type(error).__name__}: {error}"))
@@ -631,33 +604,60 @@ def _worker_main(slot: int, conn) -> None:
         raise
 
 
+def _share(arg: Any, owned: Sequence[int]) -> Any:
+    """One worker's share of a broadcast argument.
+
+    Per-device mappings and device lists keep only the worker's own
+    devices; scalars (boundary instants) go to every worker unchanged.
+    """
+    if isinstance(arg, dict):
+        return {index: value for index, value in arg.items()
+                if index in owned}
+    if isinstance(arg, list):
+        return [index for index in arg if index in owned]
+    return arg
+
+
+def parallel_refusal(scenario: ServingScenario, cluster: ClusterConfig,
+                     obs: Optional["ObsConfig"] = None) -> Optional[str]:
+    """Why the epoch-parallel runner cannot run this shape, or ``None``.
+
+    The one predicate behind every serial fallback: the parallel session
+    raises on a refusal, and the experiment spec runs refused shapes on
+    the serial session (and keeps them out of the parallel cache key).
+    """
+    if obs is not None and obs.enabled:
+        # Per-worker span rings and metric samples are not shipped and
+        # merged into one fleet timeline.
+        return "observability (repro.obs)"
+    if cluster.elastic:
+        # The epoch runner pre-partitions a fixed device set across
+        # workers; a fleet that resizes mid-run has no stable partition.
+        return "elastic clusters (autoscaler_spec set)"
+    learned = [
+        f"{domain} {spec.name!r}" for domain, spec in (
+            ("admission", scenario.effective_admission_spec()),
+            ("dispatch", scenario.dispatch_spec),
+            ("placement", cluster.placement_policy_spec()))
+        if spec is not None and policy_is_learned(domain, spec)]
+    if learned:
+        # Learned policies accumulate state from the completion stream;
+        # per-worker copies of that state would diverge from the serial
+        # model (the fleet placement bandit most of all), breaking the
+        # worker-count-independence contract.
+        return f"learned policies ({', '.join(learned)})"
+    return None
+
+
 class ParallelClusterSession:
     """Runs one scenario on a fleet, shards spread over processes."""
 
     def __init__(self, scenario: ServingScenario, cluster: ClusterConfig,
                  parallel: Optional[ParallelConfig] = None):
-        if cluster.elastic:
-            # The epoch runner pre-partitions a fixed device set across
-            # workers; a fleet that resizes mid-run has no stable
-            # partition.  Elastic runs use the serial session.
-            raise ValueError(
-                "ParallelClusterSession does not support elastic "
-                "clusters (autoscaler_spec set); use ClusterSession")
-        learned = [
-            f"{domain} {spec.name!r}" for domain, spec in (
-                ("admission", scenario.effective_admission_spec()),
-                ("dispatch", scenario.dispatch_spec),
-                ("placement", cluster.placement_policy_spec()))
-            if spec is not None and policy_is_learned(domain, spec)]
-        if learned:
-            # Learned policies accumulate state from the completion
-            # feedback stream; per-worker copies of that state would
-            # diverge from the serial model (the fleet placement bandit
-            # most of all), breaking the worker-count-independence
-            # contract.  Learned runs use the serial session.
-            raise ValueError(
-                f"ParallelClusterSession does not support learned "
-                f"policies ({', '.join(learned)}); use ClusterSession")
+        refusal = parallel_refusal(scenario, cluster)
+        if refusal is not None:
+            raise ValueError(f"ParallelClusterSession does not support "
+                             f"{refusal}; use ClusterSession")
         self.scenario = scenario
         self.cluster = cluster
         self.parallel = parallel if parallel is not None \
@@ -715,7 +715,6 @@ class ParallelClusterSession:
             "mode": mode,
             "workers": workers,
             "epoch_s": self.parallel.epoch_s,
-            "adaptive": self.parallel.adaptive,
             "epochs": coordinator.epochs_run,
             "boundaries": len(coordinator.schedule),
         }
@@ -723,12 +722,14 @@ class ParallelClusterSession:
     def _run_inline(self, indices: Tuple[int, ...],
                     requests: Sequence[Request]) -> ClusterReport:
         group = _ShardGroup(self.scenario, self.cluster, indices, requests)
-        snapshots = {index: _snapshot(group.shards[index])
-                     for index in indices}
         coordinator = _Coordinator(self.scenario, self.cluster,
-                                   self.parallel, snapshots, requests)
-        report = self._drive(coordinator, group.run_epoch, group.settle,
-                             group.finalize)
+                                   self.parallel, group.snapshots(),
+                                   requests)
+
+        def broadcast(command: str, *args) -> Dict[int, Dict[str, Any]]:
+            return getattr(group, command)(*args)
+
+        report = self._drive(coordinator, broadcast)
         self._record_stats(coordinator, "inline", 1)
         return report
 
@@ -754,60 +755,26 @@ class ParallelClusterSession:
                     processes.append(process)
             finally:
                 _FORK_INIT.clear()
+
+        def broadcast(command: str, *args) -> Dict[int, Dict[str, Any]]:
+            for indices, parent in zip(chunks, pipes):
+                parent.send((command,
+                             *[_share(arg, indices) for arg in args]))
+            merged: Dict[int, Dict[str, Any]] = {}
+            for parent in pipes:
+                for index, payload in _recv(parent).items():
+                    if command != "finalize":
+                        payload = unpack_shard_result(payload)
+                    merged[index] = payload
+            return merged
+
         try:
             snapshots: Dict[int, Tuple] = {}
             for parent in pipes:
                 snapshots.update(_recv(parent))
             coordinator = _Coordinator(self.scenario, self.cluster,
                                        self.parallel, snapshots, requests)
-            owner = {index: slot for slot, indices in enumerate(chunks)
-                     for index in indices}
-
-            def split(mapping: Dict[int, Any]) -> List[Dict[int, Any]]:
-                per_slot: List[Dict[int, Any]] = \
-                    [{} for _ in range(len(chunks))]
-                for index, value in mapping.items():
-                    per_slot[owner[index]][index] = value
-                return per_slot
-
-            def gather() -> Dict[int, Dict[str, Any]]:
-                merged: Dict[int, Dict[str, Any]] = {}
-                for parent in pipes:
-                    merged.update({
-                        index: unpack_shard_result(packed)
-                        for index, packed in _recv(parent).items()})
-                return merged
-
-            def run_epoch(end_s, at_s, arrivals, adopted, restore):
-                packed_arrivals = {index: array("I", ids)
-                                   for index, ids in arrivals.items()}
-                per_arr = split(packed_arrivals)
-                per_adopt = split(adopted)
-                for slot, parent in enumerate(pipes):
-                    slot_restore = tuple(i for i in restore
-                                         if owner[i] == slot)
-                    parent.send(("epoch", end_s, at_s, per_arr[slot],
-                                 per_adopt[slot], slot_restore))
-                return gather()
-
-            def settle(at_s, adopted, restore):
-                per_adopt = split(adopted)
-                for slot, parent in enumerate(pipes):
-                    slot_restore = tuple(i for i in restore
-                                         if owner[i] == slot)
-                    parent.send(("settle", at_s, per_adopt[slot],
-                                 slot_restore))
-                return gather()
-
-            def finalize(settle_s):
-                for parent in pipes:
-                    parent.send(("finalize", settle_s))
-                merged: Dict[int, Dict[str, Any]] = {}
-                for parent in pipes:
-                    merged.update(_recv(parent))
-                return merged
-
-            report = self._drive(coordinator, run_epoch, settle, finalize)
+            report = self._drive(coordinator, broadcast)
             for parent in pipes:
                 parent.send(("stop",))
             self._record_stats(coordinator, "forked", len(chunks))
@@ -821,25 +788,25 @@ class ParallelClusterSession:
                     process.terminate()
                     process.join(timeout=5.0)
 
-    def _drive(self, coordinator: "_Coordinator", run_epoch, settle,
-               finalize) -> ClusterReport:
+    def _drive(self, coordinator: "_Coordinator",
+               broadcast) -> ClusterReport:
         """The shared coordinator loop: epochs, settle, finalize.
 
         One code path for the in-process and forked modes — the mode
-        only decides how the three callables execute, which is what
-        makes worker count provably irrelevant to the results.
+        only decides how ``broadcast(command, *args)`` reaches the shard
+        groups, which is what makes worker count provably irrelevant to
+        the results.
         """
         while True:
             step = coordinator.next_step()
             if step is None:
                 break
-            end_s, at_s, arrivals, adopted, restore = step
-            coordinator.fold_epoch(
-                run_epoch(end_s, at_s, arrivals, adopted, restore))
-        adopted, restore = coordinator.route_settle()
-        settle_results = settle(coordinator.last_end, adopted, restore)
+            coordinator.fold_epoch(broadcast("run_epoch", *step))
+        adopted, restore = coordinator.take_reroutes()
+        settle_results = broadcast("settle", coordinator.last_end,
+                                   adopted, restore)
         coordinator.fold_epoch(settle_results)
-        if coordinator.pending_reroutes:
+        if coordinator.adopted:
             # Every fault time is an epoch boundary, so an eviction can
             # only surface at a boundary fold — reaching here means the
             # schedule missed a fault.
@@ -848,7 +815,7 @@ class ParallelClusterSession:
                 "during the drain phase (fault outside the epoch "
                 "schedule)")
         settle_s = coordinator.settle_time(settle_results)
-        return coordinator.assemble(finalize(settle_s))
+        return coordinator.assemble(broadcast("finalize", settle_s))
 
 
 def _recv(parent) -> Any:
@@ -860,25 +827,23 @@ def _recv(parent) -> Any:
 
 
 class _Coordinator:
-    """Epoch-boundary routing, fleet accounting and report assembly."""
+    """Epoch-boundary routing and reroute placement over a fleet ledger."""
 
     def __init__(self, scenario: ServingScenario, cluster: ClusterConfig,
                  parallel: ParallelConfig, snapshots: Dict[int, Tuple],
                  requests: Sequence[Request]):
         self.scenario = scenario
         self.cluster = cluster
-        self.parallel = parallel
         self.tenants = [t.name for t in scenario.tenants]
-        self.fleet = SLOTracker(
+        self._tenant_rank = {name: i for i, name in enumerate(self.tenants)}
+        fleet = SLOTracker(
             self.tenants, reservoir_capacity=scenario.reservoir_capacity,
             seed=scenario.seed)
-        # Constructed exactly like the serial dispatcher's policy
-        # (device count, affinity salt, scenario seed), so stateful
+        # Built exactly like the serial dispatcher's ledger (device
+        # count, affinity salt, scenario seed), so stateful placement
         # cursors (round-robin) follow the same sequence.
-        self.policy = build_policy(
-            "placement", cluster.placement_policy_spec(),
-            device_count=cluster.device_count,
-            salt=cluster.affinity_salt, seed=scenario.seed)
+        self.ledger = FleetLedger(fleet, cluster, cluster.device_count,
+                                  seed=scenario.seed)
         self.views = {index: _EpochShardView(index, snapshots[index][2])
                       for index in sorted(snapshots)}
         for index, snapshot in snapshots.items():
@@ -887,22 +852,17 @@ class _Coordinator:
         self.schedule = build_epoch_schedule(scenario, cluster, parallel)
         self._boundary = 0
         self.last_end = 0.0
-        #: Evicted records awaiting placement: (origin, request index,
-        #: admitted_at, reroutes), already in serial fault order.
-        self.pending_reroutes: List[Tuple[int, int, Optional[float],
-                                          int]] = []
-        self.routed = {index: 0 for index in self.views}
-        self.rerouted_in = {index: 0 for index in self.views}
-        self.rerouted_out = {index: 0 for index in self.views}
-        self.reroutes = 0
-        self.cluster_rejected = 0
-        self._last_reject_s = 0.0
-        self.health_events: List[List[Any]] = []
+        #: Placed backlog awaiting delivery at ``last_end``: target
+        #: device -> [(request index, admitted_at, reroutes)], in serial
+        #: placement order.  ``restore`` lists the failed devices with no
+        #: routable peer, which re-adopt and self-drain their own.
+        self.adopted: Dict[int, List[EvictedRecord]] = {}
+        self.restore: List[int] = []
         self.epochs_run = 0
         self._cursor = 0
 
     # -- epoch planning --------------------------------------------------
-    def next_step(self) -> Optional[Tuple[float, float, Dict[int, list],
+    def next_step(self) -> Optional[Tuple[float, float, Dict[int, array],
                                           Dict[int, list], List[int]]]:
         """The next epoch command, or None when epochs are exhausted.
 
@@ -915,7 +875,7 @@ class _Coordinator:
         while self._boundary < len(self.schedule):
             end_s, is_fault = self.schedule[self._boundary]
             if self._cursor >= len(self.requests) \
-                    and not self.pending_reroutes and not is_fault:
+                    and not self.adopted and not is_fault:
                 self._boundary += 1
                 continue
             break
@@ -924,117 +884,122 @@ class _Coordinator:
         self._boundary += 1
         self.epochs_run += 1
         at_s = self.last_end
-        arrivals: Dict[int, list] = {}
-        adopted: Dict[int, list] = {}
-        restore: List[int] = []
-        self._route_reroutes(adopted, restore)
+        adopted, restore = self.take_reroutes()
+        arrivals: Dict[int, array] = {}
+        ledger = self.ledger
+        views = list(self.views.values())
         cursor = self._cursor
         requests = self.requests
         while cursor < len(requests) \
                 and requests[cursor].arrival_s < end_s:
             request = requests[cursor]
             cursor += 1
-            self.fleet.on_offered(request.tenant)
-            routable = [view for view in self.views.values()
-                        if view.routable]
-            if not routable:
-                self.cluster_rejected += 1
-                self.fleet.on_rejected(request.tenant)
-                self._last_reject_s = request.arrival_s
-                continue
-            view = self.policy.select(request, routable)
-            view.queued += 1
-            arrivals.setdefault(view.index, []).append(request.request_id)
+            view = ledger.route(request, views, request.arrival_s)
+            if view is not None:
+                view.queued += 1
+                arrivals.setdefault(view.index, array("I")).append(
+                    request.request_id)
         self._cursor = cursor
         self.last_end = end_s
         return end_s, at_s, arrivals, adopted, restore
 
-    def route_settle(self) -> Tuple[Dict[int, list], List[int]]:
-        """Place backlog still pending when the schedule ran out."""
-        adopted: Dict[int, list] = {}
-        restore: List[int] = []
-        self._route_reroutes(adopted, restore)
-        return adopted, restore
-
-    def _route_reroutes(self, adopted: Dict[int, list],
-                        restore: List[int]) -> None:
-        """Place the previous boundary's evicted backlog.
-
-        Mirrors the serial ``_reroute_backlog``: targets are the
-        routable set at the fault instant (the views were updated by the
-        fold of the fault's boundary), a real reroute bumps the record's
-        reroute count, and the no-peer fallback self-requeues without
-        counting.  Static policies' ``on_reroute`` is a no-op, so it is
-        not replayed here (learned policies never reach this runner).
-        """
-        pending = self.pending_reroutes
-        if not pending:
-            return
-        self.pending_reroutes = []
-        targets = [view for view in self.views.values() if view.routable]
-        for origin, request_index, admitted_at, reroutes in pending:
-            if not targets:
-                # No routable peer: the failed origin self-drains
-                # (capacity restored worker-side), serial semantics.
-                adopted.setdefault(origin, []).append(
-                    (request_index, admitted_at, reroutes))
-                if origin not in restore:
-                    restore.append(origin)
-                continue
-            view = self.policy.select(self.requests[request_index],
-                                      targets)
-            view.queued += 1
-            self.rerouted_in[view.index] += 1
-            self.rerouted_out[origin] += 1
-            self.reroutes += 1
-            adopted.setdefault(view.index, []).append(
-                (request_index, admitted_at, reroutes + 1))
+    def take_reroutes(self) -> Tuple[Dict[int, list], List[int]]:
+        """Hand over the placed backlog for delivery at ``last_end``."""
+        out = (self.adopted, self.restore)
+        self.adopted, self.restore = {}, []
+        return out
 
     # -- epoch results ----------------------------------------------------
     def fold_epoch(self, results: Dict[int, Dict[str, Any]]) -> None:
         """Merge one boundary's payloads in canonical shard order."""
+        ledger = self.ledger
+        tenants = self.tenants
+        before = {index: view.health for index, view in self.views.items()}
         completions: List[Tuple[float, int, int, int, float, bool]] = []
-        evictions: List[Tuple[int, int, list]] = []
+        events: List[List[Any]] = []
+        evicted: Dict[int, Tuple[int, list]] = {}
         for index in sorted(results):
             payload = results[index]
             self.views[index].apply(payload["snapshot"])
-            self._fold_counters(index, payload["admitted"],
-                                payload["rejected"])
+            # Count deltas are order-insensitive, so they are applied
+            # directly instead of replaying one outcome per request.
+            for tenant_index, count in payload["admitted"].items():
+                ledger.settle(index, tenants[tenant_index], True, count)
+            for tenant_index, count in payload["rejected"].items():
+                ledger.settle(index, tenants[tenant_index], False, count)
             for seq, (done, tenant, latency, violated) \
                     in enumerate(payload["completions"]):
                 completions.append(
                     (done, index, seq, tenant, latency, violated))
             for ordinal, records in payload["evicted"]:
-                evictions.append((ordinal, index, records))
-            self.health_events.extend(payload["health_events"])
-        # Serial fault order: the single fault driver fires time-sorted
-        # faults, so eviction batches merge by fault ordinal, not shard.
-        evictions.sort(key=lambda entry: (entry[0], entry[1]))
-        for _, origin, records in evictions:
-            for request_index, admitted_at, reroutes in records:
-                self.pending_reroutes.append(
-                    (origin, request_index, admitted_at, reroutes))
+                evicted[ordinal] = (index, records)
+            events.extend(payload["health_events"])
+        self._replay_faults(before, sorted(events), evicted)
         self._feed_completions(completions)
 
-    def _fold_counters(self, index: int, admitted: Dict[int, int],
-                       rejected: Dict[int, int]) -> None:
-        # Count deltas are order-insensitive, so they are applied
-        # directly instead of replaying one on_admitted() per request.
-        # The serial dispatcher's routed counter only counts *admitted*
-        # arrivals (shard-level admission rejections are excluded, and
-        # adopted reroutes never re-count), which is exactly the shard's
-        # admitted delta.
-        for tenant_index in sorted(admitted):
-            count = admitted[tenant_index]
-            tenant = self.tenants[tenant_index]
-            self.fleet.accounts[tenant].admitted += count
-            self.fleet.aggregate.admitted += count
-            self.routed[index] += count
-        for tenant_index in sorted(rejected):
-            count = rejected[tenant_index]
-            tenant = self.tenants[tenant_index]
-            self.fleet.accounts[tenant].rejected += count
-            self.fleet.aggregate.rejected += count
+    def _replay_faults(self, before: Dict[int, DeviceHealth],
+                       events: List[List[Any]],
+                       evicted: Dict[int, Tuple[int, list]]) -> None:
+        """Apply one boundary's faults in serial order, placing evictions.
+
+        The serial fault driver applies the faults of one instant one by
+        one, each eviction placed on the devices routable right after
+        its own fault.  The views' health is rewound to the previous
+        boundary and stepped forward per fault, in fault-ordinal order,
+        so each eviction sees exactly that routable set.  Evictions no
+        fault explains (traffic routed on a stale snapshot) place last.
+        """
+        for index, health in before.items():
+            self.views[index].health = health
+        for ordinal, time_s, device, state in events:
+            self.ledger.health_events.append((time_s, device, state))
+            view = self.views[device]
+            failing = state == DeviceHealth.FAILED.value \
+                and view.health is not DeviceHealth.FAILED
+            view.health = DeviceHealth(state)
+            if failing:
+                _, records = evicted.pop(ordinal, (device, []))
+                self._evict(device, records)
+        for ordinal in sorted(evicted):
+            self._evict(*evicted[ordinal])
+
+    def _evict(self, origin: int, records: List[EvictedRecord]) -> None:
+        """Place one failed device's queued backlog.
+
+        Mirrors the serial dispatcher's ``set_health``: the backlog is
+        the device's own evicted queue plus whatever was placed on it
+        earlier at this instant, in the order ``evict_queued`` reads the
+        serial queue (per tenant in front-end order, the device's own
+        records first).  A real reroute bumps the record's reroute
+        count; with no routable peer the origin self-drains, uncounted.
+        Static policies' ``on_reroute`` is a no-op, so it is not
+        replayed here (learned policies never reach this runner).
+        """
+        placed = self.adopted.pop(origin, [])
+        if origin in self.restore:
+            self.restore.remove(origin)
+        else:
+            self.views[origin].queued -= len(placed)
+        if placed:
+            rank = self._tenant_rank
+            requests = self.requests
+            records = sorted([*records, *placed],
+                             key=lambda r: rank[requests[r[0]].tenant])
+        if not records:
+            return
+        targets = [view for view in self.views.values() if view.routable]
+        if not targets:
+            # No routable peer: the failed origin self-drains
+            # (capacity restored worker-side), serial semantics.
+            self.adopted[origin] = list(records)
+            self.restore.append(origin)
+            return
+        for request_index, admitted_at, reroutes in records:
+            view = self.ledger.reroute(
+                origin, self.requests[request_index], targets)
+            view.queued += 1
+            self.adopted.setdefault(view.index, []).append(
+                (request_index, admitted_at, reroutes + 1))
 
     def _feed_completions(
             self, completions: List[Tuple[float, int, int, int,
@@ -1044,8 +1009,9 @@ class _Coordinator:
         # shards were partitioned over workers.
         completions.sort(key=lambda c: (c[0], c[1], c[2]))
         tenants = self.tenants
+        fleet = self.ledger.fleet
         for _, _, _, tenant_index, latency, violated in completions:
-            self.fleet.on_completed(
+            fleet.on_completed(
                 _FleetCompletion(tenants[tenant_index], latency, violated))
 
     def settle_time(self, settle_results: Dict[int, Dict[str, Any]]
@@ -1057,23 +1023,14 @@ class _Coordinator:
         settlements and coordinator-side edge rejections.
         """
         shard_settled = [payload["settled_s"]
-                        for payload in settle_results.values()]
-        return max([self._last_reject_s, *shard_settled], default=0.0)
+                         for payload in settle_results.values()]
+        return max([self.ledger.last_reject_s, *shard_settled],
+                   default=0.0)
 
     # -- final assembly ----------------------------------------------------
     def assemble(self, finish: Dict[int, Dict[str, Any]]) -> ClusterReport:
         """Fold the drain-phase payloads and build the fleet report."""
-        completions: List[Tuple[float, int, int, int, float, bool]] = []
-        for index in sorted(finish):
-            payload = finish[index]
-            self._fold_counters(index, payload["admitted"],
-                                payload["rejected"])
-            for seq, (done, tenant, latency, violated) \
-                    in enumerate(payload["completions"]):
-                completions.append(
-                    (done, index, seq, tenant, latency, violated))
-            self.health_events.extend(payload["health_events"])
-        self._feed_completions(completions)
+        self.fold_epoch(finish)
         indices = sorted(finish)
         makespan_s = max(finish[index]["makespan_s"] for index in indices)
         devices = []
@@ -1084,20 +1041,10 @@ class _Coordinator:
             # max by construction (finalize drains them all).
             device.makespan_s = makespan_s
             devices.append(device)
-        # Serial event order: the fault driver fires time-sorted faults
-        # in config order — exactly the ordinal each event carries.
-        self.health_events.sort(key=lambda event: event[0])
-        return assemble_cluster_report(
-            self.scenario, self.cluster, self.fleet, devices,
-            makespan_s=makespan_s,
+        return self.ledger.report(
+            self.scenario, self.cluster, devices, makespan_s=makespan_s,
             energy_j=sum(finish[index]["energy_j"] for index in indices),
-            routed=[self.routed[index] for index in indices],
-            rerouted_in=[self.rerouted_in[index] for index in indices],
-            rerouted_out=[self.rerouted_out[index] for index in indices],
-            reroutes=self.reroutes,
-            cluster_rejected=self.cluster_rejected,
-            final_health=[finish[index]["health"] for index in indices],
-            health_events=[event[1:] for event in self.health_events])
+            final_health=[finish[index]["health"] for index in indices])
 
 
 def run_cluster_parallel(
@@ -1112,6 +1059,7 @@ __all__ = [
     "ParallelConfig",
     "build_epoch_schedule",
     "pack_shard_result",
+    "parallel_refusal",
     "run_cluster_parallel",
     "unpack_shard_result",
 ]

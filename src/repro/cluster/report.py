@@ -7,21 +7,23 @@ rejected/completed), fleet goodput, the fleet-wide latency tail,
 per-tenant accounting, summed energy, placement statistics and the health
 timeline that was applied.  Like the other reports it round-trips
 losslessly through plain dicts so the experiment orchestrator's result
-cache can persist it.  :func:`assemble_cluster_report` is the one place
-that builds it, for the serial session and the parallel coordinator
-alike.
+cache can persist it.  :class:`FleetLedger` keeps the fleet accounts and
+is the one place that builds it, for the serial dispatcher and the
+parallel coordinator alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
+from ..policy import build_policy
 from ..serve.report import ServingReport
 from ..serve.session import latency_summary
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..platform.cluster import ClusterConfig
+    from ..serve.request import Request
     from ..serve.session import ServingScenario
     from ..serve.slo import SLOTracker
 
@@ -168,52 +170,132 @@ class ClusterReport:
         )
 
 
-def assemble_cluster_report(scenario: "ServingScenario",
-                            cluster: "ClusterConfig", fleet: "SLOTracker",
-                            devices: List[ServingReport], makespan_s: float,
-                            energy_j: float, routed: Sequence[int],
-                            rerouted_in: Sequence[int],
-                            rerouted_out: Sequence[int], reroutes: int,
-                            cluster_rejected: int,
-                            final_health: Sequence[str],
-                            health_events: Sequence[Sequence[Any]]
-                            ) -> ClusterReport:
-    """Roll the fleet tracker's accounting into a :class:`ClusterReport`.
+class FleetLedger:
+    """The fleet's accounts, shared by the serial and parallel drivers.
 
-    The fleet counterpart of
-    :func:`~repro.serve.session.assemble_serving_report`: the serial
-    session and the parallel coordinator both build their report here,
-    so the two can never drift field-wise.  Per-device sequences are in
-    device order.
+    Owns the fleet :class:`~repro.serve.slo.SLOTracker`, the placement
+    policy and the routing counters.  The serial
+    :class:`~repro.cluster.dispatcher.ClusterDispatcher` feeds it live
+    shards; the epoch-parallel coordinator feeds it boundary snapshots
+    and per-tenant count deltas.  Either way every offer, admission
+    outcome, reroute and health transition is counted here, and
+    :meth:`report` is the one place a :class:`ClusterReport` is built.
+    Completions reach the fleet tracker through the shards' completion
+    streams (serial) or the coordinator's canonical merge (parallel).
     """
-    aggregate = fleet.aggregate
-    duration = scenario.duration_s
-    return ClusterReport(
-        system=cluster.label,
-        workload=scenario.label,
-        placement=cluster.placement,
-        device_count=len(devices),
-        duration_s=duration,
-        makespan_s=makespan_s,
-        offered=aggregate.offered,
-        admitted=aggregate.admitted,
-        rejected=aggregate.rejected,
-        completed=aggregate.completed,
-        slo_violations=aggregate.slo_violations,
-        offered_rps=aggregate.offered / duration,
-        goodput_rps=aggregate.goodput_rps(duration),
-        latency=latency_summary(aggregate),
-        per_tenant={tenant: fleet.account(tenant).as_dict(duration)
-                    for tenant in fleet.tenants()},
-        energy_j=energy_j,
-        devices=devices,
-        placement_stats={
-            "routed": list(routed),
-            "rerouted_in": list(rerouted_in),
-            "rerouted_out": list(rerouted_out),
-            "reroutes": reroutes,
-            "cluster_rejected": cluster_rejected,
-            "final_health": list(final_health),
-        },
-        health_events=[list(event) for event in health_events],
-    )
+
+    def __init__(self, fleet: "SLOTracker", cluster: "ClusterConfig",
+                 devices: int, seed: int = 0, policy: Any = None):
+        self.fleet = fleet
+        if policy is None:
+            # An elastic fleet may grow past the initially provisioned
+            # devices: the policy is built over the ceiling, or stateless
+            # policies (round-robin's modulo, tenant-affinity's hash)
+            # could never reach a scaled-up device.  ``seed`` (the
+            # scenario seed) feeds learned policies' exploration RNG.
+            policy = build_policy(
+                "placement", cluster.placement_policy_spec(),
+                device_count=(cluster.effective_max_devices
+                              if cluster.elastic else devices),
+                salt=cluster.affinity_salt, seed=seed)
+        self.policy = policy
+        self.routed = [0] * devices        # admitted arrivals per device
+        self.rerouted_in = [0] * devices   # backlog adopted from peers
+        self.rerouted_out = [0] * devices  # backlog evicted to peers
+        self.reroutes = 0                  # backlog records moved
+        self.cluster_rejected = 0          # arrivals with no routable device
+        self.last_reject_s = 0.0           # instant of the last edge reject
+        #: ``(time_s, device, state)`` per applied fault, in fault order.
+        self.health_events: List[Tuple[float, int, str]] = []
+
+    def add_device(self) -> None:
+        """Extend the per-device counters for a scaled-up device."""
+        self.routed.append(0)
+        self.rerouted_in.append(0)
+        self.rerouted_out.append(0)
+
+    def route(self, request: "Request", views: Sequence[Any],
+              now: float) -> Optional[Any]:
+        """Offer one arrival and pick a routable view for it.
+
+        Returns ``None`` — the arrival rejected at the cluster edge —
+        when no view is routable.
+        """
+        tenant = request.tenant
+        self.fleet.on_offered(tenant)
+        routable = [view for view in views if view.routable]
+        if not routable:
+            self.cluster_rejected += 1
+            self.last_reject_s = now
+            self.fleet.on_rejected(tenant)
+            return None
+        return self.policy.select(request, routable)
+
+    def settle(self, device: int, tenant: str, admitted: bool,
+               count: int = 1) -> None:
+        """Record ``count`` admission outcomes of ``tenant`` on ``device``.
+
+        Only admitted arrivals count as ``routed``: a shard-level
+        admission rejection is a fleet rejection.
+        """
+        account = self.fleet.accounts[tenant]
+        aggregate = self.fleet.aggregate
+        if admitted:
+            self.routed[device] += count
+            account.admitted += count
+            aggregate.admitted += count
+        else:
+            account.rejected += count
+            aggregate.rejected += count
+
+    def reroute(self, origin: int, request: "Request",
+                targets: Sequence[Any]) -> Any:
+        """Place one record evicted from ``origin``; returns the target."""
+        target = self.policy.select(request, targets)
+        self.rerouted_out[origin] += 1
+        self.rerouted_in[target.index] += 1
+        self.reroutes += 1
+        return target
+
+    def report(self, scenario: "ServingScenario", cluster: "ClusterConfig",
+               devices: List[ServingReport], makespan_s: float,
+               energy_j: float, final_health: Sequence[str]
+               ) -> ClusterReport:
+        """Roll the fleet accounts into a :class:`ClusterReport`.
+
+        The fleet counterpart of
+        :func:`~repro.serve.session.assemble_serving_report`; per-device
+        sequences are in device order.
+        """
+        fleet = self.fleet
+        aggregate = fleet.aggregate
+        duration = scenario.duration_s
+        return ClusterReport(
+            system=cluster.label,
+            workload=scenario.label,
+            placement=cluster.placement,
+            device_count=len(devices),
+            duration_s=duration,
+            makespan_s=makespan_s,
+            offered=aggregate.offered,
+            admitted=aggregate.admitted,
+            rejected=aggregate.rejected,
+            completed=aggregate.completed,
+            slo_violations=aggregate.slo_violations,
+            offered_rps=aggregate.offered / duration,
+            goodput_rps=aggregate.goodput_rps(duration),
+            latency=latency_summary(aggregate),
+            per_tenant={tenant: fleet.account(tenant).as_dict(duration)
+                        for tenant in fleet.tenants()},
+            energy_j=energy_j,
+            devices=devices,
+            placement_stats={
+                "routed": list(self.routed),
+                "rerouted_in": list(self.rerouted_in),
+                "rerouted_out": list(self.rerouted_out),
+                "reroutes": self.reroutes,
+                "cluster_rejected": self.cluster_rejected,
+                "final_health": list(final_health),
+            },
+            health_events=[list(event) for event in self.health_events],
+        )

@@ -32,7 +32,52 @@ from ..sim.engine import Environment
 from .autoscale import AutoscaleController
 from .dispatcher import ClusterDispatcher
 from .health import DeviceHealth, DeviceShard
-from .report import ClusterReport, assemble_cluster_report
+from .report import ClusterReport
+
+
+def build_shard(scenario: ServingScenario, cluster: ClusterConfig,
+                env: Environment, index: int) -> DeviceShard:
+    """One device shard, from the config of fleet position ``index``.
+
+    Shared by the serial session (one environment for the whole fleet)
+    and the parallel runner (one environment per shard).  Positions past
+    the configured ``devices`` (elastic scale-up) clone the device
+    template; either way the shard's reservoir seed is a pure function
+    of the scenario seed and the index, so runs stay byte-reproducible
+    and shard-level accounting is comparable across drivers.
+    """
+    tenants = [t.name for t in scenario.tenants]
+    config = cluster.device_config(index)
+    backend = build_serving_backend(scenario, config, env=env)
+    # Distinct deterministic reservoir seeds per device, offset past the
+    # fleet tracker's own per-tenant seed range.
+    tracker = SLOTracker(tenants,
+                         reservoir_capacity=scenario.reservoir_capacity,
+                         seed=scenario.seed + 1000 * (index + 1))
+    frontend = ServingFrontend(env, backend, scenario.make_admission(),
+                               tracker, tenants,
+                               dispatch=scenario.make_dispatch())
+    shard = DeviceShard(index, config, backend, frontend, tracker)
+    if env.tracer is not None:
+        # Tag every span with the shard's device index so trace tracks
+        # separate per device.
+        frontend.trace_device = index
+        backend.bind_trace_device(index)
+    return shard
+
+
+def device_report(scenario: ServingScenario, shard: DeviceShard,
+                  makespan_s: float) -> ServingReport:
+    """The per-device :class:`ServingReport` of one finished shard."""
+    stats_fn = getattr(shard.backend, "scheduler_stats", None)
+    report = assemble_serving_report(
+        scenario, shard.config.system, shard.tracker,
+        makespan_s=makespan_s, energy_j=shard.backend.energy_j,
+        scheduler_stats=stats_fn() if stats_fn else None)
+    report.learned = learned_snapshot({
+        "admission": shard.frontend.admission,
+        "dispatch": shard.frontend.dispatch_policy})
+    return report
 
 
 class ClusterSession:
@@ -58,43 +103,6 @@ class ClusterSession:
         # The last run's shards: learned-policy evaluation (learning
         # curves) reads their front-end records after the run.
         self.shards: Optional[List[DeviceShard]] = None
-
-    # ------------------------------------------------------------------ #
-    # Fleet assembly                                                      #
-    # ------------------------------------------------------------------ #
-    def _build_shard(self, env: Environment, index: int) -> DeviceShard:
-        """One device shard, from the config of fleet position ``index``.
-
-        Positions past the configured ``devices`` (elastic scale-up)
-        clone the device template; either way the shard's reservoir seed
-        is a pure function of the scenario seed and the index, so elastic
-        runs stay byte-reproducible.
-        """
-        scenario = self.scenario
-        tenants = [t.name for t in scenario.tenants]
-        config = self.cluster.device_config(index)
-        backend = build_serving_backend(scenario, config, env=env)
-        # Distinct deterministic reservoir seeds per device, offset
-        # past the fleet tracker's own per-tenant seed range.
-        tracker = SLOTracker(
-            tenants,
-            reservoir_capacity=scenario.reservoir_capacity,
-            seed=scenario.seed + 1000 * (index + 1))
-        frontend = ServingFrontend(env, backend,
-                                   scenario.make_admission(),
-                                   tracker, tenants,
-                                   dispatch=scenario.make_dispatch())
-        shard = DeviceShard(index, config, backend, frontend, tracker)
-        if self.tracer is not None:
-            # Tag every span with the shard's device index so trace
-            # tracks separate per device.
-            shard.frontend.trace_device = shard.index
-            shard.backend.bind_trace_device(shard.index)
-        return shard
-
-    def _build_shards(self, env: Environment) -> List[DeviceShard]:
-        return [self._build_shard(env, index)
-                for index in range(len(self.cluster.devices))]
 
     # ------------------------------------------------------------------ #
     # Simulation processes                                                #
@@ -126,7 +134,8 @@ class ClusterSession:
         fleet = SLOTracker(tenants,
                            reservoir_capacity=scenario.reservoir_capacity,
                            seed=scenario.seed)
-        shards = self._build_shards(env)
+        shards = [build_shard(scenario, self.cluster, env, index)
+                  for index in range(len(self.cluster.devices))]
         dispatcher = ClusterDispatcher(env, shards, self.cluster, fleet,
                                        seed=scenario.seed)
         self.shards = shards
@@ -140,7 +149,7 @@ class ClusterSession:
             # Scale-up shards join the completion stream in
             # ``dispatcher.add_shard``, like the initially provisioned ones.
             def shard_factory(index: int) -> DeviceShard:
-                shard = self._build_shard(env, index)
+                shard = build_shard(scenario, self.cluster, env, index)
                 shard.backend.start()
                 return shard
 
@@ -173,46 +182,20 @@ class ClusterSession:
         # Drain background work (Storengine flush/GC) on every device so
         # energy accounting covers every byte served fleet-wide.
         env.run()
-        report = self._assemble_report(env, shards, dispatcher, fleet)
+        report = dispatcher.ledger.report(
+            scenario, self.cluster,
+            [device_report(scenario, shard, env.now) for shard in shards],
+            makespan_s=env.now,
+            energy_j=sum(shard.backend.energy_j for shard in shards),
+            final_health=[shard.health.value for shard in shards])
         if bus is not None:
             self.metrics = bus.timeline
             report.metrics = bus.timeline.to_dict()
         if controller is not None:
             report.autoscaler = controller.summary(env.now)
-        report.learned = learned_snapshot({"placement": dispatcher.policy})
+        report.learned = learned_snapshot(
+            {"placement": dispatcher.ledger.policy})
         return report
-
-    # ------------------------------------------------------------------ #
-    # Report assembly                                                     #
-    # ------------------------------------------------------------------ #
-    def _device_report(self, env: Environment,
-                       shard: DeviceShard) -> ServingReport:
-        stats_fn = getattr(shard.backend, "scheduler_stats", None)
-        report = assemble_serving_report(
-            self.scenario, shard.config.system, shard.tracker,
-            makespan_s=env.now, energy_j=shard.backend.energy_j,
-            scheduler_stats=stats_fn() if stats_fn else None)
-        report.learned = learned_snapshot({
-            "admission": shard.frontend.admission,
-            "dispatch": shard.frontend.dispatch_policy})
-        return report
-
-    def _assemble_report(self, env: Environment,
-                         shards: List[DeviceShard],
-                         dispatcher: ClusterDispatcher,
-                         fleet: SLOTracker) -> ClusterReport:
-        return assemble_cluster_report(
-            self.scenario, self.cluster, fleet,
-            [self._device_report(env, shard) for shard in shards],
-            makespan_s=env.now,
-            energy_j=sum(shard.backend.energy_j for shard in shards),
-            routed=[shard.routed for shard in shards],
-            rerouted_in=[shard.rerouted_in for shard in shards],
-            rerouted_out=[shard.rerouted_out for shard in shards],
-            reroutes=dispatcher.reroutes,
-            cluster_rejected=dispatcher.cluster_rejected,
-            final_health=[shard.health.value for shard in shards],
-            health_events=dispatcher.health_events)
 
 
 def run_cluster(scenario: ServingScenario,

@@ -21,14 +21,17 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import List, Optional, Sequence
 
-from ..cluster.parallel import ParallelClusterSession, ParallelConfig
+from ..cluster.parallel import (
+    ParallelClusterSession,
+    ParallelConfig,
+    parallel_refusal,
+)
 from ..cluster.placement import placement_snapshot_dependent
 from ..cluster.report import ClusterReport
 from ..cluster.session import ClusterSession
 from ..obs import ObsConfig
 from ..platform.cluster import ClusterConfig
 from ..platform.config import PlatformConfig
-from ..policy import policy_is_learned
 from ..serve.session import ServingScenario
 from .orchestrator import (
     CACHE_REVISION,
@@ -88,56 +91,26 @@ class ClusterExperimentSpec:
     def _parallel_affects_results(self) -> bool:
         """Whether the parallel config can change the report payload.
 
-        Mirrors :meth:`execute`'s fallback chain: runs that fall back to
-        the serial session (observability, elastic, learned) produce the
-        serial payload regardless of the parallel config, and
-        snapshot-independent placement produces it byte-identically even
-        on the parallel path.
+        Refused shapes (see :func:`parallel_refusal`) run on the serial
+        session and produce the serial payload regardless of the parallel
+        config, and snapshot-independent placement produces it
+        byte-identically even on the parallel path.
         """
-        if self.parallel is None:
-            return False
-        if self.obs is not None and self.obs.enabled:
-            return False
-        if self.cluster.elastic or self._uses_learned_policy():
+        if self.parallel is None or parallel_refusal(
+                self.scenario, self.cluster, self.obs) is not None:
             return False
         return placement_snapshot_dependent(
             self.cluster.placement_policy_spec())
 
-    def _uses_learned_policy(self) -> bool:
-        """Whether any domain of this run selects a learned policy."""
-        scenario = self.scenario
-        return (policy_is_learned("admission",
-                                  scenario.effective_admission_spec())
-                or (scenario.dispatch_spec is not None
-                    and policy_is_learned("dispatch",
-                                          scenario.dispatch_spec))
-                or policy_is_learned("placement",
-                                     self.cluster.placement_policy_spec()))
-
     def execute(self) -> ClusterReport:
         """Run this cluster experiment in-process (fresh Environment)."""
-        if self.obs is not None and self.obs.enabled:
-            # Observability needs the serial shared-environment session:
-            # the epoch-parallel strategy runs devices in worker
-            # processes, whose tracers/metric samples could not be
-            # stitched into one coherent fleet timeline.
-            return ClusterSession(self.scenario, self.cluster,
-                                  obs=self.obs).run()
-        if self.cluster.elastic:
-            # An autoscaled fleet resizes mid-run; only the serial
-            # shared-environment session supports that.
-            return ClusterSession(self.scenario, self.cluster,
-                                  obs=self.obs).run()
-        if self.parallel is not None and self._uses_learned_policy():
-            # Learned policies are stateful across the fleet; the
-            # epoch-parallel runner refuses them (per-worker state would
-            # diverge), so learned cells silently take the serial path
-            # exactly like elastic ones.
-            return ClusterSession(self.scenario, self.cluster,
-                                  obs=self.obs).run()
-        if self.parallel is not None:
+        if self.parallel is not None and parallel_refusal(
+                self.scenario, self.cluster, self.obs) is None:
             return ParallelClusterSession(
                 self.scenario, self.cluster, self.parallel).run()
+        # Serial session: no parallel config, or a shape the epoch
+        # runner refuses (observability, elastic fleets, learned
+        # policies), which silently takes the serial path.
         return ClusterSession(self.scenario, self.cluster,
                               obs=self.obs).run()
 

@@ -91,7 +91,7 @@ def wire_cluster_metrics(bus: MetricsBus, fleet, shards,
     _account_rates(bus, fleet)
     bus.gauge("routable_devices",
               lambda: float(len(dispatcher.routable_shards())))
-    bus.rate("reroutes_per_s", lambda: float(dispatcher.reroutes))
+    bus.rate("reroutes_per_s", lambda: float(dispatcher.ledger.reroutes))
     bus.gauge("queue_depth.total",
               lambda: float(sum(s.frontend.total_queued for s in shards)))
     bus.gauge("in_flight",

@@ -279,8 +279,8 @@ def test_scale_down_drains_retires_and_never_resurrects():
         controller._scale_down(env.now, 1)
         # The victim stops placing; its backlog moved to the peer.
         assert victim.draining and not victim.routable
-        assert dispatcher.reroutes == queued_before
-        assert victim.rerouted_out == queued_before
+        assert dispatcher.ledger.reroutes == queued_before
+        assert dispatcher.ledger.rerouted_out[victim.index] == queued_before
         assert controller.events[-1][1:] == ["scale_down", 1]
         # In-flight work finishes on the victim before it retires.
         assert victim.in_flight == 1 and not victim.retired

@@ -191,7 +191,7 @@ def test_dispatcher_routes_round_robin_and_conserves_counters():
     env.run()
     assert fleet.offered == 6
     assert fleet.completed == 6
-    assert [s.routed for s in shards] == [3, 3]
+    assert dispatcher.ledger.routed == [3, 3]
     # Device trackers sum to the fleet's completion count.
     assert sum(s.tracker.completed for s in shards) == fleet.completed
 
@@ -222,13 +222,14 @@ def test_failed_device_backlog_is_rerouted():
         queued_before = shards[0].queued
         dispatcher.set_health(0, DeviceHealth.FAILED)
         assert shards[0].queued == 0
-        assert shards[0].rerouted_out == queued_before
-        assert shards[1].rerouted_in == queued_before
-        assert dispatcher.reroutes == queued_before
+        ledger = dispatcher.ledger
+        assert ledger.rerouted_out[0] == queued_before
+        assert ledger.rerouted_in[1] == queued_before
+        assert ledger.reroutes == queued_before
         # New arrivals only reach the survivor.
-        routed_before = shards[1].routed
+        routed_before = ledger.routed[1]
         dispatcher.submit(req(100, tenant="a"))
-        assert shards[1].routed == routed_before + 1
+        assert ledger.routed[1] == routed_before + 1
         dispatcher.close()
 
     env.process(driver())
@@ -246,7 +247,7 @@ def test_whole_fleet_failed_rejects_at_cluster_edge():
     dispatcher.set_health(1, DeviceHealth.FAILED)
     record = dispatcher.submit(req(0))
     assert record.status is RequestStatus.REJECTED
-    assert dispatcher.cluster_rejected == 1
+    assert dispatcher.ledger.cluster_rejected == 1
     assert fleet.offered == 1 and fleet.rejected == 1
     dispatcher.close()
     env.run()
@@ -275,7 +276,7 @@ def test_repeated_failure_does_not_wedge_a_self_draining_device():
     env.process(driver())
     env.run()
     assert fleet.completed == 4
-    assert [event[2] for event in dispatcher.health_events] \
+    assert [event[2] for event in dispatcher.ledger.health_events] \
         == ["failed", "failed"]
 
 

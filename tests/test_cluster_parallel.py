@@ -5,13 +5,14 @@ epoch-parallel runner is an *execution strategy*, not a semantic knob —
 for snapshot-independent placement the assembled
 :class:`~repro.cluster.report.ClusterReport` is byte-identical to the
 serial :class:`~repro.cluster.session.ClusterSession`'s, whatever the
-worker count (including the inline single-process path) and whether the
-adaptive epoch schedule or the fixed grid is used.  Fault reroutes stay
-serial-exact because every fault time is an epoch boundary and evicted
-backlog is re-adopted at exactly the eviction instant.
+worker count (including the inline single-process path).  Fault
+reroutes stay serial-exact because every fault time is an epoch boundary,
+evicted backlog is re-adopted at exactly the eviction instant, and the
+faults of one instant are replayed one by one in fault order.
 """
 
 import json
+import random
 
 import pytest
 
@@ -42,10 +43,9 @@ def canonical_bytes(report) -> bytes:
                       separators=(",", ":")).encode("utf-8")
 
 
-def run_parallel(cluster, workers, adaptive=True, scenario=SCENARIO):
+def run_parallel(cluster, workers, scenario=SCENARIO):
     return ParallelClusterSession(
-        scenario, cluster,
-        ParallelConfig(workers=workers, adaptive=adaptive)).run()
+        scenario, cluster, ParallelConfig(workers=workers)).run()
 
 
 # --------------------------------------------------------------------------- #
@@ -55,9 +55,7 @@ def test_fault_free_fleet_matches_serial_byte_for_byte():
     cluster = ClusterConfig.homogeneous(2, CONFIG)
     serial = canonical_bytes(ClusterSession(SCENARIO, cluster).run())
     for workers in (1, 2):
-        for adaptive in (True, False):
-            assert canonical_bytes(
-                run_parallel(cluster, workers, adaptive)) == serial
+        assert canonical_bytes(run_parallel(cluster, workers)) == serial
 
 
 def test_mid_run_failure_matches_serial_byte_for_byte():
@@ -68,9 +66,7 @@ def test_mid_run_failure_matches_serial_byte_for_byte():
         3, CONFIG, faults=(FaultSpec(0.15, 1, "failed"),))
     serial = canonical_bytes(ClusterSession(SCENARIO, cluster).run())
     for workers in (1, 2, 3):
-        for adaptive in (True, False):
-            assert canonical_bytes(
-                run_parallel(cluster, workers, adaptive)) == serial
+        assert canonical_bytes(run_parallel(cluster, workers)) == serial
 
 
 def test_failure_and_recovery_matches_serial_byte_for_byte():
@@ -96,23 +92,94 @@ def test_late_fault_during_backlog_drain_matches_serial():
                            FaultSpec(0.29, 2, "degraded")))
     serial = canonical_bytes(ClusterSession(scenario, cluster).run())
     for workers in (1, 3):
-        for adaptive in (True, False):
-            assert canonical_bytes(run_parallel(
-                cluster, workers, adaptive, scenario=scenario)) == serial
+        assert canonical_bytes(run_parallel(
+            cluster, workers, scenario=scenario)) == serial
 
 
 def test_tenant_affinity_matches_serial_byte_for_byte():
-    # The other snapshot-independent policy: adaptive epochs widen to
-    # the fault/horizon boundaries only, and the report must still be
+    # The other snapshot-independent policy: epochs widen to the
+    # fault/horizon boundaries only, and the report must still be
     # serial-exact.
     cluster = ClusterConfig.homogeneous(
         3, CONFIG, placement="tenant_affinity",
         faults=(FaultSpec(0.15, 1, "failed"),))
     serial = canonical_bytes(ClusterSession(SCENARIO, cluster).run())
     for workers in (1, 3):
-        for adaptive in (True, False):
-            assert canonical_bytes(
-                run_parallel(cluster, workers, adaptive)) == serial
+        assert canonical_bytes(run_parallel(cluster, workers)) == serial
+
+
+#: Faults at one instant: each eviction must land on the devices routable
+#: right after its own fault, and a device failing later at the same
+#: instant must pass on the backlog it just adopted.
+SAME_INSTANT_SCENARIO = ServingScenario(
+    process="poisson", offered_rps=300.0, duration_s=0.4, seed=11,
+    tenants=(TenantSpec("a", 1.0, 0.25), TenantSpec("b", 1.0, 0.25)),
+    max_queue_depth=32)
+
+
+def test_same_instant_failures_chain_reroutes_like_serial():
+    # Device 1's backlog partly lands on device 2, which fails at the
+    # same instant and moves it on to device 0.
+    cluster = ClusterConfig.homogeneous(
+        3, PlatformConfig(input_scale=0.05),
+        faults=(FaultSpec(0.1, 1, "failed"), FaultSpec(0.1, 2, "failed")))
+    serial = ClusterSession(SAME_INSTANT_SCENARIO, cluster).run()
+    assert serial.reroutes == 7
+    assert serial.placement_stats["rerouted_in"] == [6, 0, 1]
+    for workers in (1, 2):
+        parallel = run_parallel(cluster, workers,
+                                scenario=SAME_INSTANT_SCENARIO)
+        assert canonical_bytes(parallel) == canonical_bytes(serial)
+
+
+def test_same_instant_whole_fleet_failure_self_drains_like_serial():
+    # Device 0's backlog moves to device 1, which then fails with no
+    # peer left and drains everything itself.
+    cluster = ClusterConfig.homogeneous(
+        2, PlatformConfig(input_scale=0.05),
+        faults=(FaultSpec(0.1, 0, "failed"), FaultSpec(0.1, 1, "failed")))
+    serial = ClusterSession(SAME_INSTANT_SCENARIO, cluster).run()
+    assert serial.reroutes == 9
+    for workers in (1, 2):
+        parallel = run_parallel(cluster, workers,
+                                scenario=SAME_INSTANT_SCENARIO)
+        assert canonical_bytes(parallel) == canonical_bytes(serial)
+
+
+def test_generated_same_instant_fault_timelines_match_serial():
+    rng = random.Random(15)
+    for _ in range(8):
+        devices = rng.randint(2, 4)
+        tenants = tuple(TenantSpec(name, 1.0, 0.25)
+                        for name in "abc"[:rng.randint(1, 3)])
+        timeline = {}
+        for _ in range(rng.randint(2, 5)):
+            slot = (rng.choice((0.1, 0.2, 0.3)), rng.randrange(devices))
+            timeline[slot] = rng.choice(("failed", "failed", "healthy",
+                                         "degraded"))
+        cluster = ClusterConfig.homogeneous(
+            devices, PlatformConfig(input_scale=0.05),
+            faults=tuple(FaultSpec(time_s, device, state)
+                         for (time_s, device), state in timeline.items()))
+        scenario = SAME_INSTANT_SCENARIO.with_overrides(tenants=tenants)
+        serial = ClusterSession(scenario, cluster).run()
+        parallel = run_parallel(cluster, 1, scenario=scenario)
+        assert canonical_bytes(parallel) == canonical_bytes(serial), \
+            (devices, len(tenants), sorted(timeline.items()))
+
+
+def test_failure_at_time_zero_matches_serial():
+    # A fault at t=0 is an epoch boundary too, so no arrival is routed
+    # to the device on a pre-failure snapshot.
+    cluster = ClusterConfig.homogeneous(
+        3, PlatformConfig(input_scale=0.05),
+        faults=(FaultSpec(0.0, 1, "failed"),))
+    serial = ClusterSession(SAME_INSTANT_SCENARIO, cluster).run()
+    assert serial.placement_stats["routed"][1] == 0
+    for workers in (1, 3):
+        parallel = run_parallel(cluster, workers,
+                                scenario=SAME_INSTANT_SCENARIO)
+        assert canonical_bytes(parallel) == canonical_bytes(serial)
 
 
 # --------------------------------------------------------------------------- #
@@ -123,16 +190,13 @@ def test_worker_counts_and_schedules_agree_across_a_device_failure():
         3, CONFIG, faults=(FaultSpec(0.15, 1, "failed"),))
     reference = canonical_bytes(run_parallel(cluster, 1))
     for workers in (2, 3):
-        for adaptive in (True, False):
-            assert canonical_bytes(
-                run_parallel(cluster, workers, adaptive)) == reference
+        assert canonical_bytes(run_parallel(cluster, workers)) == reference
 
 
 def test_snapshot_dependent_policies_are_worker_count_invariant():
     # JSQ/least-outstanding/power-aware route on epoch snapshots, so
     # they are not serial-identical — but they must still be invariant
-    # to worker count and to the adaptive flag (which never widens
-    # their schedule).
+    # to worker count.
     for placement in ("join_shortest_queue", "least_outstanding",
                       "power_aware"):
         cluster = ClusterConfig.homogeneous(
@@ -140,9 +204,8 @@ def test_snapshot_dependent_policies_are_worker_count_invariant():
             faults=(FaultSpec(0.15, 1, "failed"),))
         reference = canonical_bytes(run_parallel(cluster, 1))
         for workers in (2, 3):
-            for adaptive in (True, False):
-                assert canonical_bytes(run_parallel(
-                    cluster, workers, adaptive)) == reference, placement
+            assert canonical_bytes(
+                run_parallel(cluster, workers)) == reference, placement
 
 
 def test_parallel_run_is_deterministic():
@@ -162,21 +225,14 @@ def test_adaptive_schedule_collapses_to_faults_and_horizon():
     assert schedule == [(0.15, True), (SCENARIO.duration_s, False)]
 
 
-def test_fixed_schedule_keeps_the_grid():
-    cluster = ClusterConfig.homogeneous(3, CONFIG)
-    schedule = build_epoch_schedule(
-        SCENARIO, cluster, ParallelConfig(adaptive=False, epoch_s=0.2))
-    assert [end for end, _ in schedule] == [0.2, 0.4]
-    assert not any(is_fault for _, is_fault in schedule)
-
-
 def test_snapshot_dependent_placement_never_widens():
+    # JSQ routes on load snapshots, so it keeps the fixed epoch_s grid.
     cluster = ClusterConfig.homogeneous(
         3, CONFIG, placement="join_shortest_queue")
-    adaptive = build_epoch_schedule(SCENARIO, cluster, ParallelConfig())
-    fixed = build_epoch_schedule(
-        SCENARIO, cluster, ParallelConfig(adaptive=False))
-    assert adaptive == fixed
+    schedule = build_epoch_schedule(
+        SCENARIO, cluster, ParallelConfig(epoch_s=0.2))
+    assert [end for end, _ in schedule] == [0.2, 0.4]
+    assert not any(is_fault for _, is_fault in schedule)
 
 
 def test_execution_stats_record_strategy_not_report():
@@ -188,7 +244,6 @@ def test_execution_stats_record_strategy_not_report():
     stats = session.execution_stats
     assert stats["mode"] == "inline"
     assert stats["epochs"] >= 1
-    assert stats["adaptive"] is True
     # Strategy metadata must NOT leak into the report: the report is
     # byte-identical across strategies, so it cannot describe one.
     assert "epoch_s" not in report.placement_stats
@@ -325,7 +380,6 @@ def test_parallel_config_round_trips():
     config = ParallelConfig(workers=3, epoch_s=0.5)
     restored = ParallelConfig.from_dict(config.to_dict())
     assert restored.epoch_s == config.epoch_s
-    # to_dict deliberately drops the worker count and the adaptive flag
-    # (execution strategy: results are byte-identical either way).
-    assert "workers" not in config.to_dict()
-    assert "adaptive" not in config.to_dict()
+    # to_dict deliberately drops the worker count (execution strategy:
+    # results are byte-identical either way).
+    assert config.to_dict() == {"epoch_s": 0.5}

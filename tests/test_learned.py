@@ -296,13 +296,13 @@ def test_parallel_cluster_session_refuses_learned_policies():
 
 
 def test_cluster_spec_routes_learned_cells_to_the_serial_session():
-    from repro.cluster.parallel import ParallelConfig
+    from repro.cluster.parallel import ParallelConfig, parallel_refusal
 
     cluster = ClusterConfig.homogeneous(
         2, DEVICE, placement_spec=PolicySpec("linucb_placement"))
     spec = ClusterExperimentSpec(scenario=SCENARIO, cluster=cluster,
                                  parallel=ParallelConfig(workers=2))
-    assert spec._uses_learned_policy()
+    assert "learned" in parallel_refusal(spec.scenario, spec.cluster)
     # execute() must silently take the serial path instead of letting
     # ParallelClusterSession raise.
     report = spec.execute()
