@@ -225,7 +225,7 @@ def test_adaptive_schedule_collapses_to_faults_and_horizon():
     assert schedule == [(0.15, True), (SCENARIO.duration_s, False)]
 
 
-def test_snapshot_dependent_placement_never_widens():
+def test_fixed_schedule_keeps_the_grid():
     # JSQ routes on load snapshots, so it keeps the fixed epoch_s grid.
     cluster = ClusterConfig.homogeneous(
         3, CONFIG, placement="join_shortest_queue")
@@ -233,6 +233,24 @@ def test_snapshot_dependent_placement_never_widens():
         SCENARIO, cluster, ParallelConfig(epoch_s=0.2))
     assert [end for end, _ in schedule] == [0.2, 0.4]
     assert not any(is_fault for _, is_fault in schedule)
+
+
+def test_snapshot_dependent_placement_never_widens():
+    # Every snapshot-dependent policy keeps the grid next to the fault
+    # boundary; round-robin on the same fleet widens to faults and horizon.
+    faults = (FaultSpec(0.15, 1, "failed"),)
+    parallel = ParallelConfig(epoch_s=0.2)
+    widened = build_epoch_schedule(
+        SCENARIO, ClusterConfig.homogeneous(3, CONFIG, faults=faults),
+        parallel)
+    assert widened == [(0.15, True), (0.4, False)]
+    for placement in ("join_shortest_queue", "least_outstanding",
+                      "power_aware"):
+        cluster = ClusterConfig.homogeneous(
+            3, CONFIG, placement=placement, faults=faults)
+        schedule = build_epoch_schedule(SCENARIO, cluster, parallel)
+        assert schedule == [(0.15, True), (0.2, False), (0.4, False)], \
+            placement
 
 
 def test_execution_stats_record_strategy_not_report():
