@@ -36,6 +36,15 @@ machine-readable snapshot tracked PR-over-PR at the repo root:
 * ``reservoir_observes_per_sec``   — LatencyReservoir ingestion.
 * ``frontend_dispatches_per_sec``  — round-robin dispatch scan over a
   wide (64-tenant) front-end against a stub backend.
+* ``flashvisor_map_requests_per_sec`` — Flashvisor ``map_for_read`` plus
+  ``map_for_write`` of 1 MB data sections on a bare accelerator: the
+  message latency, range lock, extent translation, LWP busy accounting
+  and bulk read of every screen's flash access.
+* ``range_lock_acquires_per_sec``  — range-lock acquire/release pairs
+  beside eight held sections.
+
+The last two have no baseline and no floor; they locate a slowdown in
+the Flashvisor layer that repobench's end-to-end ``wall_s`` reports.
 
 Run:  python benchmarks/perf/perfbench.py [--quick] [--output PATH]
 See PERFORMANCE.md for how to read the output and the regression policy.
@@ -358,6 +367,59 @@ def orchestrator_cache(n_hit_lookups: int):
 
 
 # --------------------------------------------------------------------------- #
+# Flashvisor benchmarks                                                        #
+# --------------------------------------------------------------------------- #
+SECTION_BYTES = 1024 * 1024
+
+
+def flashvisor_map_requests(n_sections: int) -> float:
+    """Map ``n_sections`` 1 MB sections for read and as many for write on
+    a bare accelerator; returns map requests."""
+    from repro.core.accelerator import FlashAbacusAccelerator
+    from repro.core.kernel import build_kernel
+
+    accelerator = FlashAbacusAccelerator()
+    # No workload runs, so nothing needs Storengine's background loop.
+    accelerator.storengine.stop()
+    env, flashvisor = accelerator.env, accelerator.flashvisor
+    kernel = build_kernel("map", 1e6, SECTION_BYTES, SECTION_BYTES, 1, 0, 1)
+    words = SECTION_BYTES // flashvisor.word_bytes
+
+    def driver():
+        for i in range(n_sections):
+            yield from flashvisor.map_for_read(kernel, (i % 64) * words,
+                                               SECTION_BYTES)
+            yield from flashvisor.map_for_write(kernel,
+                                                (64 + i % 64) * words,
+                                                SECTION_BYTES)
+
+    env.process(driver())
+    env.run()
+    served = flashvisor.stats.read_requests + flashvisor.stats.write_requests
+    if served != 2 * n_sections:
+        raise RuntimeError(f"flashvisor bench served {served} of "
+                           f"{2 * n_sections} map requests")
+    return float(served)
+
+
+def range_lock_acquires(n_acquires: int) -> float:
+    """Acquire and release a read range beside eight held write ranges;
+    returns acquires."""
+    from repro.core.range_lock import READ, WRITE, RangeLock
+
+    lock = RangeLock()
+    for owner in range(8):
+        lock.acquire(owner * 64, owner * 64 + 15, WRITE, owner)
+    try_acquire, release = lock.try_acquire, lock.release
+    for i in range(n_acquires):
+        start = (i % 8) * 64 + 16
+        if try_acquire(start, start + 15, READ, 100) is not None:
+            raise RuntimeError("range-lock bench hit a conflict")
+        release(start, start + 15, 100)
+    return float(n_acquires)
+
+
+# --------------------------------------------------------------------------- #
 # Harness                                                                      #
 # --------------------------------------------------------------------------- #
 def build_report(quick: bool = False, repeats: int = 5) -> PerfReport:
@@ -374,6 +436,8 @@ def build_report(quick: bool = False, repeats: int = 5) -> PerfReport:
     reservoir_n = max(50_000, int(400_000 * scale))
     frontend_n = max(5_000, int(20_000 * scale))
     hit_lookups = max(200, int(1000 * scale))
+    map_sections = max(500, int(4000 * scale))
+    lock_acquires = max(10_000, int(50_000 * scale))
 
     seed_engine = load_seed_engine()
     import repro.sim.engine as current_engine
@@ -494,6 +558,21 @@ def build_report(quick: bool = False, repeats: int = 5) -> PerfReport:
                        repeats=max(2, repeats - 2), warmup=0)
     report.add(PerfMetric("frontend_dispatches_per_sec", frontend.rate,
                           "requests/s"))
+
+    print(f"• flashvisor: map 1 MB sections ({map_sections} reads + "
+          f"{map_sections} writes)")
+    mapping = measure("flashvisor_map_requests_per_sec",
+                      lambda: flashvisor_map_requests(map_sections),
+                      repeats=repeats)
+    report.add(PerfMetric("flashvisor_map_requests_per_sec", mapping.rate,
+                          "requests/s"))
+
+    print(f"• range lock: acquire/release ({lock_acquires} pairs)")
+    locking = measure("range_lock_acquires_per_sec",
+                      lambda: range_lock_acquires(lock_acquires),
+                      repeats=repeats)
+    report.add(PerfMetric("range_lock_acquires_per_sec", locking.rate,
+                          "acquires/s"))
     return report
 
 

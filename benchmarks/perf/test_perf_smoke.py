@@ -30,7 +30,9 @@ def test_emits_at_least_four_named_metrics(quick_report):
     for required in ("engine_events_per_sec", "serving_requests_per_sec",
                      "cluster_requests_per_sec",
                      "cluster_parallel_requests_per_sec",
-                     "orchestrator_cache_hits_per_sec"):
+                     "orchestrator_cache_hits_per_sec",
+                     "flashvisor_map_requests_per_sec",
+                     "range_lock_acquires_per_sec"):
         metric = quick_report.get(required)
         assert metric is not None, f"missing metric {required}"
         assert metric.value > 0

@@ -22,7 +22,7 @@ translation cost charged to the Flashvisor LWP.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from ..sim.engine import Environment
 from ..hw.interconnect import MessageQueue
@@ -107,33 +107,58 @@ class Flashvisor:
         (mapped on first use), mirroring how the prototype pre-loads input
         files into the backbone.
         """
-        start_group = self.geometry.word_address_to_group(
-            flash_word_address, self.word_bytes)
-        physical_groups = []
-        for logical in self.geometry.iter_groups_for_bytes(start_group,
-                                                           num_bytes):
-            physical = self.mapping.lookup(logical)
-            if physical is None:
-                physical = self._allocate_physical(logical)
-            physical_groups.append(physical)
-            self.stats.translations += 1
-        return physical_groups
+        return self._read_extent(*self._extent(flash_word_address, num_bytes))
 
     def translate_write(self, flash_word_address: int,
                         num_bytes: int) -> List[int]:
         """Allocate fresh physical groups for a write (log-structured)."""
-        start_group = self.geometry.word_address_to_group(
-            flash_word_address, self.word_bytes)
-        physical_groups = []
-        for logical in self.geometry.iter_groups_for_bytes(start_group,
-                                                           num_bytes):
-            stale = self.mapping.lookup(logical)
-            if stale is not None:
-                self.allocator.invalidate_group(stale)
-            physical = self._allocate_physical(logical)
-            physical_groups.append(physical)
-            self.stats.translations += 1
-        return physical_groups
+        return self._write_extent(*self._extent(flash_word_address,
+                                                num_bytes))
+
+    def _extent(self, flash_word_address: int,
+                num_bytes: int) -> Tuple[int, int]:
+        """First logical group and group count of a data section."""
+        geometry = self.geometry
+        start = geometry.word_address_to_group(flash_word_address,
+                                               self.word_bytes)
+        count = geometry.bytes_to_page_groups(num_bytes)
+        if start + count > geometry.page_groups_total:
+            raise ValueError(
+                f"section of {num_bytes} bytes at address "
+                f"{flash_word_address} runs past the backbone")
+        return start, count
+
+    # Both extent walks count one translation per group that resolved, so
+    # an allocation failure part-way leaves the same counters as a
+    # group-at-a-time walk would.
+    def _read_extent(self, start: int, count: int) -> List[int]:
+        groups = self.mapping.lookup_range(start, count)
+        if None in groups:
+            try:
+                for offset, physical in enumerate(groups):
+                    if physical is None:
+                        groups[offset] = self._allocate_physical(
+                            start + offset)
+            except OutOfSpaceError:
+                self.stats.translations += offset
+                raise
+        self.stats.translations += count
+        return groups
+
+    def _write_extent(self, start: int, count: int) -> List[int]:
+        invalidate = self.allocator.invalidate_group
+        groups = []
+        try:
+            for offset, stale in enumerate(
+                    self.mapping.lookup_range(start, count)):
+                if stale is not None:
+                    invalidate(stale)
+                groups.append(self._allocate_physical(start + offset))
+        except OutOfSpaceError:
+            self.stats.translations += offset
+            raise
+        self.stats.translations += count
+        return groups
 
     def _allocate_physical(self, logical_group: int) -> int:
         try:
@@ -148,14 +173,9 @@ class Flashvisor:
     # ------------------------------------------------------------------ #
     # Timed request handling                                              #
     # ------------------------------------------------------------------ #
-    def _translation_time(self, num_bytes: int) -> float:
-        groups = max(1, self.geometry.bytes_to_page_groups(num_bytes))
+    def _translation_time(self, groups: int) -> float:
         cycles = groups * self.TRANSLATION_CYCLES_PER_GROUP
         return cycles / self.lwp.spec.frequency_hz
-
-    def _message_overhead(self):
-        """Queue message latency from the requesting LWP to Flashvisor."""
-        yield self.env.timeout(self.queue.latency_s)
 
     def _acquire_range_lock(self, start_group: int, end_group: int,
                             mode: str, owner: int):
@@ -179,25 +199,24 @@ class Flashvisor:
         if num_bytes <= 0:
             return 0
         self.stats.read_requests += 1
-        yield from self._message_overhead()
-        start_group = self.geometry.word_address_to_group(
-            flash_word_address, self.word_bytes)
-        end_group = start_group + max(
-            0, self.geometry.bytes_to_page_groups(num_bytes) - 1)
-        yield from self._acquire_range_lock(start_group, end_group, READ,
+        start, count = self._extent(flash_word_address, num_bytes)
+        end = start + count - 1
+        # Queue message latency from the requesting LWP to Flashvisor.
+        yield self.env.timeout(self.queue.latency_s)
+        yield from self._acquire_range_lock(start, end, READ,
                                             kernel.kernel_id)
         try:
             # Translation runs on the Flashvisor LWP and touches the
             # scratchpad-resident table.
-            yield from self.lwp.busy_for(self._translation_time(num_bytes),
+            yield from self.lwp.busy_for(self._translation_time(count),
                                          bucket=STORAGE_ACCESS)
-            groups = self.translate_read(flash_word_address, num_bytes)
-            self.stats.groups_read += len(groups)
+            self._read_extent(start, count)
+            self.stats.groups_read += count
             # Stream the data out of the backbone and land it in DDR3L.
             yield from self.backbone.bulk_read(num_bytes)
             yield from self.ddr.write(num_bytes)
         finally:
-            self.range_lock.release(start_group, end_group, kernel.kernel_id)
+            self.range_lock.release(start, end, kernel.kernel_id)
         return num_bytes
 
     def map_for_write(self, kernel: Kernel, flash_word_address: int,
@@ -213,21 +232,19 @@ class Flashvisor:
         if num_bytes <= 0:
             return 0
         self.stats.write_requests += 1
-        yield from self._message_overhead()
-        start_group = self.geometry.word_address_to_group(
-            flash_word_address, self.word_bytes)
-        end_group = start_group + max(
-            0, self.geometry.bytes_to_page_groups(num_bytes) - 1)
-        yield from self._acquire_range_lock(start_group, end_group, WRITE,
+        start, count = self._extent(flash_word_address, num_bytes)
+        end = start + count - 1
+        yield self.env.timeout(self.queue.latency_s)
+        yield from self._acquire_range_lock(start, end, WRITE,
                                             kernel.kernel_id)
         try:
-            yield from self.lwp.busy_for(self._translation_time(num_bytes),
+            yield from self.lwp.busy_for(self._translation_time(count),
                                          bucket=STORAGE_ACCESS)
-            self.translate_write(flash_word_address, num_bytes)
+            self._write_extent(start, count)
             yield from self.ddr.write(num_bytes)
             self.pending_flush_bytes += num_bytes
         finally:
-            self.range_lock.release(start_group, end_group, kernel.kernel_id)
+            self.range_lock.release(start, end, kernel.kernel_id)
         return num_bytes
 
     # ------------------------------------------------------------------ #

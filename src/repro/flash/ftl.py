@@ -68,6 +68,10 @@ class PageGroupMappingTable:
         """Physical group currently backing ``logical_group`` (or None)."""
         return self._map.get(logical_group)
 
+    def lookup_range(self, start: int, count: int) -> List[Optional[int]]:
+        """Physical groups (or None) backing ``count`` groups from ``start``."""
+        return list(map(self._map.get, range(start, start + count)))
+
     def update(self, logical_group: int, physical_group: int) -> Optional[int]:
         """Bind ``logical_group`` to ``physical_group``; returns the old one."""
         if logical_group < 0:

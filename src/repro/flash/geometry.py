@@ -11,7 +11,7 @@ page-group numbers -> per-channel physical page addresses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List
+from typing import List
 
 from ..hw.spec import FlashSpec
 
@@ -44,38 +44,16 @@ class FlashGeometry:
         self.dies_per_package = spec.dies_per_package
         self.planes_per_die = spec.planes_per_die
         self.blocks_per_die = spec.blocks_per_die
-
-    # -- capacity -----------------------------------------------------------
-    @property
-    def dies_total(self) -> int:
-        return (self.channels * self.packages_per_channel
-                * self.dies_per_package)
-
-    @property
-    def blocks_total(self) -> int:
-        return self.dies_total * self.blocks_per_die
-
-    @property
-    def pages_total(self) -> int:
-        return self.blocks_total * self.pages_per_block
-
-    @property
-    def capacity_bytes(self) -> int:
-        return self.pages_total * self.page_bytes
-
-    # -- page groups ----------------------------------------------------------
-    @property
-    def pages_per_group(self) -> int:
-        """Pages striped into one page group (channels x planes)."""
-        return self.channels * self.planes_per_die
-
-    @property
-    def page_group_bytes(self) -> int:
-        return self.pages_per_group * self.page_bytes
-
-    @property
-    def page_groups_total(self) -> int:
-        return self.pages_total // self.pages_per_group
+        # Derived sizes, computed once: translation reads them per request.
+        self.dies_total = (self.channels * self.packages_per_channel
+                           * self.dies_per_package)
+        self.blocks_total = self.dies_total * self.blocks_per_die
+        self.pages_total = self.blocks_total * self.pages_per_block
+        self.capacity_bytes = self.pages_total * self.page_bytes
+        #: Pages striped into one page group (channels x planes).
+        self.pages_per_group = self.channels * self.planes_per_die
+        self.page_group_bytes = self.pages_per_group * self.page_bytes
+        self.page_groups_total = self.pages_total // self.pages_per_group
 
     @property
     def groups_per_block_row(self) -> int:
@@ -136,9 +114,3 @@ class FlashGeometry:
                     channel=channel, package=package, die=die, plane=plane,
                     block=block, page=page_in_block))
         return pages
-
-    def iter_groups_for_bytes(self, start_group: int,
-                              num_bytes: int) -> Iterator[int]:
-        """Yield the consecutive logical groups covering ``num_bytes``."""
-        for offset in range(self.bytes_to_page_groups(num_bytes)):
-            yield start_group + offset

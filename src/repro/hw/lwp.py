@@ -34,9 +34,11 @@ class ClusterActivity:
         self.series = TimeSeries("active_functional_units")
         self.series.record(env.now, 0.0)
 
-    def adjust(self, delta: float) -> None:
-        self.stat.adjust(self.env.now, delta)
-        self.series.record(self.env.now, self.stat.value)
+    def adjust(self, delta: float, now: float) -> None:
+        """Shift the active count by ``delta`` at simulated time ``now``."""
+        stat = self.stat
+        stat.update(now, stat.value + delta)
+        self.series.record(now, stat.value)
 
     @property
     def active(self) -> float:
@@ -71,6 +73,7 @@ class LWP:
         self.energy = energy
         self.power_monitor = power_monitor
         self.activity = activity
+        self._energy_key = f"lwp{lwp_id}"
         self._busy = IntervalAccumulator()
         self._fu_active = TimeWeightedStat(0.0, env.now)
         self.instructions_retired = 0.0
@@ -117,7 +120,7 @@ class LWP:
         self.end_busy(est.functional_units_used)
         self.instructions_retired += instructions
         if self.energy is not None:
-            self.energy.charge_power(f"lwp{self.lwp_id}", bucket,
+            self.energy.charge_power(self._energy_key, bucket,
                                      self.spec.power_per_core_w, est.seconds)
         return est
 
@@ -130,26 +133,30 @@ class LWP:
         yield self.env.timeout(seconds)
         self.end_busy(functional_units)
         if self.energy is not None:
-            self.energy.charge_power(f"lwp{self.lwp_id}", bucket,
+            self.energy.charge_power(self._energy_key, bucket,
                                      self.spec.power_per_core_w, seconds)
 
     # -- accounting hooks ----------------------------------------------------
     def begin_busy(self, functional_units: int = 1) -> None:
-        self._busy.begin(self.env.now)
-        self._fu_active.adjust(self.env.now, functional_units)
+        now = self.env.now
+        self._busy.begin(now)
+        fu_active = self._fu_active
+        fu_active.update(now, fu_active.value + functional_units)
         if self.activity is not None:
-            self.activity.adjust(functional_units)
+            self.activity.adjust(functional_units, now)
         if self.power_monitor is not None:
-            self.power_monitor.set_draw(f"lwp{self.lwp_id}",
+            self.power_monitor.set_draw(self._energy_key,
                                         self.spec.power_per_core_w)
 
     def end_busy(self, functional_units: int = 1) -> None:
-        self._busy.end(self.env.now)
-        self._fu_active.adjust(self.env.now, -functional_units)
+        now = self.env.now
+        self._busy.end(now)
+        fu_active = self._fu_active
+        fu_active.update(now, fu_active.value - functional_units)
         if self.activity is not None:
-            self.activity.adjust(-functional_units)
-        if self.power_monitor is not None and self._fu_active.value <= 0:
-            self.power_monitor.set_draw(f"lwp{self.lwp_id}", 0.0)
+            self.activity.adjust(-functional_units, now)
+        if self.power_monitor is not None and fu_active.value <= 0:
+            self.power_monitor.set_draw(self._energy_key, 0.0)
 
     # -- metrics ---------------------------------------------------------------
     def busy_time(self) -> float:

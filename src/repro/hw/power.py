@@ -131,15 +131,15 @@ class PowerMonitor:
         end = self.env.now if end is None else end
         if end <= start:
             return self.current_power()
-        samples = self.series.samples
+        series = self.series
         total = 0.0
-        prev_t, prev_v = start, self.series.value_at(start)
-        for sample in samples:
-            if sample.time <= start:
+        prev_t, prev_v = start, series.value_at(start)
+        for time, value in series:
+            if time <= start:
                 continue
-            if sample.time >= end:
+            if time >= end:
                 break
-            total += prev_v * (sample.time - prev_t)
-            prev_t, prev_v = sample.time, sample.value
+            total += prev_v * (time - prev_t)
+            prev_t, prev_v = time, value
         total += prev_v * (end - prev_t)
         return total / (end - start)

@@ -15,7 +15,6 @@ from .stats import (
     Counter,
     IntervalAccumulator,
     LatencyReservoir,
-    Sample,
     SummaryStats,
     TimeSeries,
     TimeWeightedStat,
@@ -37,7 +36,6 @@ __all__ = [
     "Counter",
     "IntervalAccumulator",
     "LatencyReservoir",
-    "Sample",
     "SummaryStats",
     "TimeSeries",
     "TimeWeightedStat",

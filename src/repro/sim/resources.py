@@ -110,6 +110,12 @@ class Resource:
         self._last_change = now
 
     def _submit(self, request: Request) -> None:
+        if not self._queue and len(self._users) < self.capacity:
+            # Uncontended: the heap would pop this request straight back.
+            self._account()
+            self._users.append(request)
+            request.succeed(request)
+            return
         self._seq += 1
         heapq.heappush(self._queue, (request.priority, self._seq, request))
         self._grant_waiters()

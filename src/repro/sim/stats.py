@@ -19,8 +19,8 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 
 class Counter:
@@ -90,16 +90,11 @@ class TimeWeightedStat:
     """Time-weighted mean of a piecewise-constant signal."""
 
     def __init__(self, initial: float = 0.0, start_time: float = 0.0):
-        self._value = initial
+        self.value = initial     # read freely; change via update()/adjust()
         self._last_time = start_time
         self._weighted_sum = 0.0
         self._max = initial
         self._min = initial
-
-    @property
-    def value(self) -> float:
-        """Current value of the signal."""
-        return self._value
 
     @property
     def max(self) -> float:
@@ -115,52 +110,49 @@ class TimeWeightedStat:
         """Set the signal to ``value`` at time ``now``."""
         if now < self._last_time:
             raise ValueError("time must not go backwards")
-        self._weighted_sum += self._value * (now - self._last_time)
+        self._weighted_sum += self.value * (now - self._last_time)
         self._last_time = now
-        self._value = value
-        self._max = max(self._max, value)
-        self._min = min(self._min, value)
+        self.value = value
+        if value > self._max:
+            self._max = value
+        if value < self._min:
+            self._min = value
 
     def adjust(self, now: float, delta: float) -> None:
         """Shift the current value by ``delta`` at time ``now``."""
-        self.update(now, self._value + delta)
+        self.update(now, self.value + delta)
 
     def mean(self, now: float) -> float:
         """Time-weighted mean of the signal over [0, ``now``]."""
-        total = self._weighted_sum + self._value * (now - self._last_time)
+        total = self._weighted_sum + self.value * (now - self._last_time)
         if now <= 0:
-            return self._value
+            return self.value
         return total / now
 
 
-@dataclass
-class Sample:
-    """One (time, value) observation."""
-
-    time: float
-    value: float
-
-
 class TimeSeries:
-    """Raw sampled signal; supports resampling onto a fixed grid."""
+    """Raw sampled signal, kept as parallel time and value lists."""
 
     def __init__(self, name: str = ""):
         self.name = name
-        self.samples: List[Sample] = []
+        self._times: List[float] = []
+        self._values: List[float] = []
 
     def record(self, time: float, value: float) -> None:
         """Append one sample; time must not go backwards."""
-        if self.samples and time < self.samples[-1].time:
+        times = self._times
+        if times and time < times[-1]:
             raise ValueError("samples must be recorded in time order")
-        self.samples.append(Sample(time, value))
+        times.append(time)
+        self._values.append(value)
 
     def times(self) -> List[float]:
         """All sample timestamps, in recording order."""
-        return [s.time for s in self.samples]
+        return list(self._times)
 
     def values(self) -> List[float]:
         """All sample values, in recording order."""
-        return [s.value for s in self.samples]
+        return list(self._values)
 
     def value_at(self, time: float) -> float:
         """Value of the signal at ``time`` (piecewise-constant, last sample).
@@ -168,35 +160,35 @@ class TimeSeries:
         When several samples share the same timestamp, the most recent one
         wins — that is the value the signal settled on at that instant.
         """
-        if not self.samples:
+        if not self._times:
             return 0.0
-        keys = self.times()
-        idx = bisect_right(keys, time)
-        if idx == 0:
-            return self.samples[0].value
-        return self.samples[idx - 1].value
+        idx = bisect_right(self._times, time)
+        return self._values[idx - 1 if idx else 0]
 
     def resample(self, step: float, end: Optional[float] = None) -> "TimeSeries":
         """Return a new series sampled every ``step`` up to ``end``."""
         if step <= 0:
             raise ValueError("step must be positive")
         out = TimeSeries(self.name)
-        if not self.samples:
+        if not self._times:
             return out
-        end = self.samples[-1].time if end is None else end
-        t = self.samples[0].time
+        end = self._times[-1] if end is None else end
+        t = self._times[0]
         while t <= end + 1e-12:
             out.record(t, self.value_at(t))
             t += step
         return out
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self._times)
+
+    def __iter__(self) -> Iterator[Tuple[float, float]]:
+        """(time, value) pairs, in recording order."""
+        return zip(self._times, self._values)
 
     def to_dict(self) -> Dict[str, object]:
         """Plain-dict form: name plus [time, value] pairs."""
-        return {"name": self.name,
-                "samples": [[s.time, s.value] for s in self.samples]}
+        return {"name": self.name, "samples": [[t, v] for t, v in self]}
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "TimeSeries":

@@ -1,5 +1,7 @@
 """Unit tests for simulation resources: Resource, Store, BandwidthPipe."""
 
+import heapq
+
 import pytest
 
 from repro.sim.engine import Environment
@@ -102,6 +104,63 @@ def test_release_unqueued_request_is_noop():
     res.release(req)
     res.release(req)  # second release must not blow up
     assert res.count == 0
+
+
+class HeapOnlyResource(Resource):
+    """Every request goes through the wait heap, even when uncontended."""
+
+    def _submit(self, request):
+        self._seq += 1
+        heapq.heappush(self._queue, (request.priority, self._seq, request))
+        self._grant_waiters()
+
+
+def _mixed_priority_trace(resource_cls):
+    """Grant/resume log and utilization of a mixed-contention workload.
+
+    Capacity 2.  At t=0 two requests are granted uncontended and four
+    more of mixed priority queue behind them; at t=1.0 three arrivals
+    join the queue at the instant a holder releases.  At t=4.1 a request
+    finds one slot free beside a holder, and at t=6.0 one finds the
+    resource idle.
+    """
+    env = Environment()
+    res = resource_cls(env, capacity=2)
+    log = []
+
+    def user(name, arrive, priority, hold):
+        yield env.timeout(arrive)
+        with res.request(priority=priority) as req:
+            log.append((env.now, name, "asked", res.count, res.queue_length))
+            yield req
+            log.append((env.now, name, "granted"))
+            yield env.timeout(hold)
+        log.append((env.now, name, "released"))
+
+    for name, arrive, priority, hold in [
+            ("a", 0.0, 5, 1.0), ("b", 0.0, 1, 2.5),
+            ("c", 0.0, 3, 0.5), ("d", 0.0, 0, 0.25),
+            ("e", 0.0, 0, 1.5), ("f", 0.0, 7, 0.75),
+            ("g", 1.0, 2, 0.5), ("h", 1.0, 0, 0.25), ("i", 1.0, 9, 1.0),
+            ("k", 4.1, 6, 0.5), ("j", 6.0, 4, 1.0)]:
+        env.process(user(name, arrive, priority, hold))
+    env.run()
+    return log, res.utilization(), env.now
+
+
+def test_uncontended_fast_path_matches_heap_path():
+    fast_log, fast_util, fast_end = _mixed_priority_trace(Resource)
+    heap_log, heap_util, heap_end = _mixed_priority_trace(HeapOnlyResource)
+    assert fast_log == heap_log
+    assert fast_util == heap_util
+    assert fast_end == heap_end
+    grants = [name for _t, name, what, *_ in fast_log if what == "granted"]
+    # Two uncontended grants, then priority order among the waiters
+    # (FIFO among equal priorities), then the two uncontended late ones.
+    assert grants == ["a", "b", "d", "e", "h", "g", "c", "f", "i", "k", "j"]
+    assert (4.1, "k", "asked", 2, 0) in fast_log
+    assert (4.1, "k", "granted") in fast_log
+    assert (6.0, "j", "granted") in fast_log
 
 
 # --------------------------------------------------------------------------- #
