@@ -3,18 +3,19 @@
 
 Measures how fast the *simulator itself* runs (host seconds, not
 simulated seconds) across the four hot layers and writes the
-machine-readable snapshot tracked PR-over-PR at the repo root:
+machine-readable snapshot tracked PR-over-PR at the repo root.  It holds
+the same-run A/B floors and the microbenchmarks only; end-to-end serving
+and cluster wall time is ``repobench``'s job (serve-knee and
+fleet-failover ``wall_s``, with regression bounds).
+
 
 * ``engine_events_per_sec``        — discrete-event loop, timeout-driven
   processes; also run against the frozen pre-PR-4 seed engine
   (``engine_seed_snapshot.py``) and recorded as the metric's baseline.
 * ``engine_pingpong_events_per_sec`` — event-signaling (succeed/wait)
   loop, with the same seed baseline.
-* ``serving_requests_per_sec``     — single-device open-loop serving,
-  end to end (arrivals -> admission -> dispatch -> accelerator backend).
-* ``cluster_requests_per_sec``     — two-device sharded serving run.
-* ``serving_obs_requests_per_sec`` — the serving run with the PR-7
-  observability layer (lifecycle tracing + metrics bus) on, interleaved
+* ``serving_obs_requests_per_sec`` — a single-device open-loop serving
+  run with the PR-7 observability layer (lifecycle tracing + metrics bus) on, interleaved
   A/B against the same run with it off, so the recorded ratio is the
   obs overhead factor (disabled-path zero cost is enforced by tests,
   not here).
@@ -179,21 +180,6 @@ def serving_obs_run(offered_rps: float, duration_s: float) -> float:
                                duration_s=duration_s, seed=11)
     config = PlatformConfig(input_scale=0.01)
     report = run_serving(scenario, config, obs=ObsConfig())
-    return float(report.offered)
-
-
-def cluster_run(offered_rps: float, duration_s: float) -> float:
-    """One two-device sharded serving run; returns requests offered."""
-    from repro.cluster.session import ClusterSession
-    from repro.platform.cluster import ClusterConfig
-    from repro.platform.config import PlatformConfig
-    from repro.serve.session import ServingScenario
-
-    scenario = ServingScenario(process="poisson", offered_rps=offered_rps,
-                               duration_s=duration_s, seed=13)
-    cluster = ClusterConfig.homogeneous(
-        2, PlatformConfig(input_scale=0.01))
-    report = ClusterSession(scenario, cluster).run()
     return float(report.offered)
 
 
@@ -429,7 +415,6 @@ def build_report(quick: bool = False, repeats: int = 5) -> PerfReport:
     events_per_proc = max(200, int(2000 * scale))
     pairs, rounds = 50, max(200, int(2000 * scale))
     serving_s = max(2.0, 5.0 * scale)
-    cluster_s = max(2.0, 4.0 * scale)
     fleet_s = max(2.0, 8.0 * scale)
     ipc_completions = 720  # one 2s epoch of the fleet scenario at 360 rps
     ipc_roundtrips = max(500, int(5000 * scale))
@@ -480,14 +465,6 @@ def build_report(quick: bool = False, repeats: int = 5) -> PerfReport:
                           current_pp.best_rate,
                           "events/s", baseline=seed_pp.best_rate))
 
-    print(f"• serving: open-loop run (240 rps x {serving_s:g}s)")
-    serving = measure(
-        "serving_requests_per_sec",
-        lambda: serving_run(240.0, serving_s),
-        repeats=max(2, repeats - 2), warmup=0)
-    report.add(PerfMetric("serving_requests_per_sec", serving.rate,
-                          "requests/s"))
-
     print(f"• serving: observability on vs off (240 rps x {serving_s:g}s)")
     # Interleaved A/B so the recorded ratio is the tracing + metrics-bus
     # overhead factor (1.0 = free; the disabled path is checked for
@@ -502,14 +479,6 @@ def build_report(quick: bool = False, repeats: int = 5) -> PerfReport:
     report.add(PerfMetric("serving_obs_requests_per_sec",
                           obs_on.best_rate, "requests/s",
                           baseline=obs_off.best_rate))
-
-    print(f"• cluster: 2-device sharded run (360 rps x {cluster_s:g}s)")
-    cluster = measure(
-        "cluster_requests_per_sec",
-        lambda: cluster_run(360.0, cluster_s),
-        repeats=max(2, repeats - 2), warmup=0)
-    report.add(PerfMetric("cluster_requests_per_sec", cluster.rate,
-                          "requests/s"))
 
     print(f"• cluster: {FLEET_SHARDS}-shard parallel vs serial "
           f"(360 rps x {fleet_s:g}s)")

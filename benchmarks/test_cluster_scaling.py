@@ -13,6 +13,7 @@ from repro.cluster import run_cluster
 from repro.cluster.parallel import ParallelConfig
 from repro.eval import format_scaling_sweep, scaling_sweep
 from repro.platform import ClusterConfig, FaultSpec, PlatformConfig
+from repro.policy import PolicySpec
 from repro.serve import ServingScenario, TenantSpec
 
 from bench_common import BENCH_ORCHESTRATOR, run_once
@@ -27,7 +28,7 @@ SCENARIO = ServingScenario(
     process="poisson", duration_s=1.5, seed=3,
     tenants=(TenantSpec("tenant-a", 1.0, CLUSTER_SLO_S),
              TenantSpec("tenant-b", 1.0, CLUSTER_SLO_S)),
-    max_queue_depth=24)
+    admission=PolicySpec("queue_depth", {"max_tenant_depth": 24}))
 
 DEVICE = PlatformConfig(system="IntraO3", input_scale=CLUSTER_INPUT_SCALE)
 

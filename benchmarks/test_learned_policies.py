@@ -59,7 +59,7 @@ def test_learned_run_is_byte_identical_under_same_seed(benchmark):
     """
     scenario = hetero_scenario(offered_rps=200.0, duration_s=1.0)
     cluster = ClusterConfig(devices=hetero_devices(),
-                            placement_spec=PolicySpec("linucb_placement"))
+                            placement=PolicySpec("linucb_placement"))
     first = run_once(benchmark, run_cluster, scenario, cluster)
     second = run_cluster(scenario, cluster)
     assert first.learned is not None

@@ -14,6 +14,7 @@ from repro.eval import (
     saturation_sweep,
 )
 from repro.platform import PlatformConfig
+from repro.policy import PolicySpec
 from repro.serve import ServingScenario, TenantSpec
 
 from bench_common import BENCH_ORCHESTRATOR, run_once
@@ -30,7 +31,7 @@ SCENARIO = ServingScenario(
     process="poisson", duration_s=1.5, seed=3,
     tenants=(TenantSpec("tenant-a", 1.0, SERVE_SLO_S),
              TenantSpec("tenant-b", 1.0, SERVE_SLO_S)),
-    max_queue_depth=24)
+    admission=PolicySpec("queue_depth", {"max_tenant_depth": 24}))
 
 
 def test_serving_saturation_sweep(benchmark):

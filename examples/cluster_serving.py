@@ -28,6 +28,7 @@ from repro.eval import (
     scaling_sweep,
 )
 from repro.platform import ClusterConfig, FaultSpec
+from repro.policy import PolicySpec
 from repro.serve import ServingScenario, TenantSpec
 
 INPUT_SCALE = 0.01
@@ -39,7 +40,8 @@ TENANTS = (TenantSpec("tenant-a", weight=1.0, slo_s=SLO_S),
 
 SCENARIO = ServingScenario(
     process="poisson", offered_rps=OFFERED_RPS, duration_s=1.0, seed=3,
-    tenants=TENANTS, max_queue_depth=24)
+    tenants=TENANTS,
+    admission=PolicySpec("queue_depth", {"max_tenant_depth": 24}))
 
 DEVICE = PlatformConfig(system="IntraO3", input_scale=INPUT_SCALE)
 

@@ -56,7 +56,7 @@ def main() -> None:
     print("\n== Learning curve (adaptive admission, single run) ==")
     curve_scenario = bursty_scenario(
         duration_s=2.0 if args.quick else 4.0).with_overrides(
-        admission_spec=PolicySpec("adaptive_admission"))
+        admission=PolicySpec("adaptive_admission"))
     curve = learning_curve(curve_scenario, windows=8)
     for window in curve:
         bar = "#" * round(40 * window.slo_compliance)
@@ -67,7 +67,7 @@ def main() -> None:
     print("\n== Placement bandit state (hetero fleet) ==")
     scenario = hetero_scenario(duration_s=2.0 if args.quick else 4.0)
     cluster = ClusterConfig(devices=hetero_devices(),
-                            placement_spec=PolicySpec("linucb_placement"))
+                            placement=PolicySpec("linucb_placement"))
     report = run_cluster(scenario, cluster)
     snapshot = report.learned["placement"]
     print(f"  placement bandit: {snapshot['decisions']} decisions, "

@@ -27,6 +27,7 @@ from repro.eval import (
     format_saturation_sweep,
     saturation_sweep,
 )
+from repro.policy import PolicySpec
 from repro.serve import ServingScenario, TenantSpec, run_serving
 
 # Scale the Table-2 data sets down so the example finishes in seconds;
@@ -73,7 +74,8 @@ def main() -> None:
 
     print("\n== Saturation sweep ==")
     orchestrator = ExperimentOrchestrator(workers=4)
-    sweep_scenario = steady.with_overrides(duration_s=1.5, max_queue_depth=24)
+    sweep_scenario = steady.with_overrides(
+        duration_s=1.5, admission=PolicySpec("queue_depth", {"max_tenant_depth": 24}))
     curves = saturation_sweep(
         SWEEP_RATES, SWEEP_SYSTEMS, scenario=sweep_scenario,
         config=PlatformConfig(input_scale=INPUT_SCALE),

@@ -66,9 +66,11 @@ every other field still matches.
 Refusals: :func:`parallel_refusal` names the run shapes this runner does
 not take — observability (:mod:`repro.obs`; per-worker span rings and
 metric samples are not yet shipped and merged into one fleet timeline),
-elastic fleets and learned policies.  The session raises on them, and
+elastic fleets and learned placement.  The session raises on them, and
 :class:`~repro.eval.cluster.ClusterExperimentSpec` runs them on the
-serial session instead.
+serial session instead.  Learned admission and dispatch are taken: they
+live in each shard's front-end and learn from that shard's completions
+alone, exactly as in the serial session.
 """
 
 from __future__ import annotations
@@ -160,7 +162,7 @@ def build_epoch_schedule(scenario: ServingScenario, cluster: ClusterConfig,
     fault_times = {fault.time_s for fault in cluster.faults}
     boundaries = set(fault_times)
     boundaries.add(horizon)
-    if placement_snapshot_dependent(cluster.placement_policy_spec()):
+    if placement_snapshot_dependent(cluster.placement):
         steps = max(1, math.ceil(horizon / parallel.epoch_s))
         boundaries.update((step + 1) * parallel.epoch_s
                           for step in range(steps))
@@ -333,17 +335,18 @@ class _ShardGroup:
                                           self.requests, mine))
             env.run_events(end_s)
             if shard.health is DeviceHealth.FAILED \
-                    and not self._self_draining[index]:
-                # Traffic routed here on a stale (pre-failure) snapshot
-                # would otherwise sit queued forever: hand it back.
-                # Unreachable with forced fault boundaries (routing
-                # observes every failure at its exact time), kept as a
-                # safety net for exotic schedules.
-                evicted = shard.frontend.evict_queued()
-                if evicted:
-                    self._evicted[index].append(
-                        (len(self.cluster.faults) + index,
-                         [_pack_record(r) for r in evicted]))
+                    and not self._self_draining[index] \
+                    and shard.frontend.total_queued:
+                # Forced fault boundaries let routing observe every
+                # failure at its exact time, so a failed device can only
+                # hold queued work routed on a stale snapshot: the epoch
+                # schedule missed a fault, and the run would diverge
+                # from serial.
+                raise RuntimeError(
+                    f"device {index} is failed but still has "
+                    f"{shard.frontend.total_queued} queued requests at "
+                    f"the epoch boundary t={end_s:.6f}s: the epoch "
+                    f"schedule missed a fault boundary")
             results[index] = self._boundary_payload(index)
         return results
 
@@ -634,18 +637,13 @@ def parallel_refusal(scenario: ServingScenario, cluster: ClusterConfig,
         # The epoch runner pre-partitions a fixed device set across
         # workers; a fleet that resizes mid-run has no stable partition.
         return "elastic clusters (autoscaler_spec set)"
-    learned = [
-        f"{domain} {spec.name!r}" for domain, spec in (
-            ("admission", scenario.effective_admission_spec()),
-            ("dispatch", scenario.dispatch_spec),
-            ("placement", cluster.placement_policy_spec()))
-        if spec is not None and policy_is_learned(domain, spec)]
-    if learned:
-        # Learned policies accumulate state from the completion stream;
-        # per-worker copies of that state would diverge from the serial
-        # model (the fleet placement bandit most of all), breaking the
-        # worker-count-independence contract.
-        return f"learned policies ({', '.join(learned)})"
+    if policy_is_learned("placement", cluster.placement):
+        # The placement bandit learns in the coordinator from the fleet
+        # completion stream, which reaches it only at epoch boundaries —
+        # later than the serial dispatcher routes on.  Learned admission
+        # and dispatch live in each shard's front-end and see exactly
+        # that shard's completions, so they run here unchanged.
+        return f"learned placement {cluster.placement.name!r}"
     return None
 
 
@@ -840,7 +838,7 @@ class _Coordinator:
             self.tenants, reservoir_capacity=scenario.reservoir_capacity,
             seed=scenario.seed)
         # Built exactly like the serial dispatcher's ledger (device
-        # count, affinity salt, scenario seed), so stateful placement
+        # count, scenario seed), so stateful placement
         # cursors (round-robin) follow the same sequence.
         self.ledger = FleetLedger(fleet, cluster, cluster.device_count,
                                   seed=scenario.seed)
@@ -946,8 +944,7 @@ class _Coordinator:
         one, each eviction placed on the devices routable right after
         its own fault.  The views' health is rewound to the previous
         boundary and stepped forward per fault, in fault-ordinal order,
-        so each eviction sees exactly that routable set.  Evictions no
-        fault explains (traffic routed on a stale snapshot) place last.
+        so each eviction sees exactly that routable set.
         """
         for index, health in before.items():
             self.views[index].health = health
@@ -960,8 +957,6 @@ class _Coordinator:
             if failing:
                 _, records = evicted.pop(ordinal, (device, []))
                 self._evict(device, records)
-        for ordinal in sorted(evicted):
-            self._evict(*evicted[ordinal])
 
     def _evict(self, origin: int, records: List[EvictedRecord]) -> None:
         """Place one failed device's queued backlog.
@@ -973,7 +968,7 @@ class _Coordinator:
         records first).  A real reroute bumps the record's reroute
         count; with no routable peer the origin self-drains, uncounted.
         Static policies' ``on_reroute`` is a no-op, so it is not
-        replayed here (learned policies never reach this runner).
+        replayed here (learned placement never reaches this runner).
         """
         placed = self.adopted.pop(origin, [])
         if origin in self.restore:

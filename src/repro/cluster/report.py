@@ -194,10 +194,10 @@ class FleetLedger:
             # could never reach a scaled-up device.  ``seed`` (the
             # scenario seed) feeds learned policies' exploration RNG.
             policy = build_policy(
-                "placement", cluster.placement_policy_spec(),
+                "placement", cluster.placement,
                 device_count=(cluster.effective_max_devices
                               if cluster.elastic else devices),
-                salt=cluster.affinity_salt, seed=seed)
+                seed=seed)
         self.policy = policy
         self.routed = [0] * devices        # admitted arrivals per device
         self.rerouted_in = [0] * devices   # backlog adopted from peers
@@ -273,7 +273,7 @@ class FleetLedger:
         return ClusterReport(
             system=cluster.label,
             workload=scenario.label,
-            placement=cluster.placement,
+            placement=cluster.placement.name,
             device_count=len(devices),
             duration_s=duration,
             makespan_s=makespan_s,

@@ -207,7 +207,7 @@ class FlashAbacusAccelerator:
             self.backbone.geometry.capacity_bytes,
             self.backbone.geometry.page_group_bytes)
         self.scheduler: Scheduler = build_policy(
-            "scheduler", config.scheduler_spec(),
+            "scheduler", config.system,
             num_workers=len(self.cluster.workers))
         self._kernel_regions: Dict[int, Dict[str, int]] = {}
         self._wake: Event = self.env.event()

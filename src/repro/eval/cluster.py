@@ -99,8 +99,7 @@ class ClusterExperimentSpec:
         if self.parallel is None or parallel_refusal(
                 self.scenario, self.cluster, self.obs) is not None:
             return False
-        return placement_snapshot_dependent(
-            self.cluster.placement_policy_spec())
+        return placement_snapshot_dependent(self.cluster.placement)
 
     def execute(self) -> ClusterReport:
         """Run this cluster experiment in-process (fresh Environment)."""
@@ -110,7 +109,7 @@ class ClusterExperimentSpec:
                 self.scenario, self.cluster, self.parallel).run()
         # Serial session: no parallel config, or a shape the epoch
         # runner refuses (observability, elastic fleets, learned
-        # policies), which silently takes the serial path.
+        # placement), which silently takes the serial path.
         return ClusterSession(self.scenario, self.cluster,
                               obs=self.obs).run()
 

@@ -42,6 +42,10 @@ DEFAULT_AUTOSCALER = PolicySpec("queue_depth_threshold",
 #: scaling benchmark, so "equal SLO compliance" means the same bar).
 ELASTIC_SLO_S = 0.25
 
+#: Admission of the elastic scenarios: a shallow per-tenant queue bound,
+#: so an under-provisioned fleet sheds load instead of queueing it.
+ELASTIC_ADMISSION = PolicySpec("queue_depth", {"max_tenant_depth": 12})
+
 #: Device scale the scenarios are calibrated against: the same
 #: ``input_scale=0.01`` FlashAbacus board the cluster scaling benchmark
 #: uses, whose single-device p99-SLO knee sits near 240 rps.
@@ -77,7 +81,8 @@ def diurnal_scenario(peak_rps: float = 480.0, duration_s: float = 3.0,
     """
     return ServingScenario(process="diurnal", offered_rps=peak_rps,
                            duration_s=duration_s, seed=seed,
-                           tenants=elastic_tenants(), max_queue_depth=12,
+                           tenants=elastic_tenants(),
+                           admission=ELASTIC_ADMISSION,
                            diurnal_period_s=period_s, diurnal_floor=floor)
 
 
@@ -106,7 +111,8 @@ def preemption_scenario(offered_rps: float = 300.0,
     """
     return ServingScenario(process="poisson", offered_rps=offered_rps,
                            duration_s=duration_s, seed=seed,
-                           tenants=elastic_tenants(), max_queue_depth=12)
+                           tenants=elastic_tenants(),
+                           admission=ELASTIC_ADMISSION)
 
 
 def churn_scenario(duration_s: float = 3.0, seed: int = 13,
@@ -140,7 +146,8 @@ def churn_scenario(duration_s: float = 3.0, seed: int = 13,
     tenants = elastic_tenants() + (
         TenantSpec("tenant-c", 1.0, ELASTIC_SLO_S),)
     return ServingScenario(process="trace", duration_s=duration_s,
-                           seed=seed, tenants=tenants, max_queue_depth=12,
+                           seed=seed, tenants=tenants,
+                           admission=ELASTIC_ADMISSION,
                            trace_events=tuple(events))
 
 

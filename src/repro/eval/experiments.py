@@ -94,7 +94,7 @@ def _compare_many(kind: str, names: Sequence[str], systems: Sequence[str],
         kwargs["spec"] = spec
     base = PlatformConfig(**kwargs)
     grid = {name: [ExperimentSpec(workload=WorkloadSpec(kind, name),
-                                  config=base.with_system(system))
+                                  config=base.with_overrides(system=system))
                    for system in systems]
             for name in names}
     reports = orch.run([s for specs in grid.values() for s in specs])

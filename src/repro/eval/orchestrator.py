@@ -531,7 +531,7 @@ class ExperimentOrchestrator:
         """Run one workload across ``systems`` and bundle the reports."""
         base = config if config is not None else PlatformConfig()
         specs = [ExperimentSpec(workload=workload,
-                                config=base.with_system(system))
+                                config=base.with_overrides(system=system))
                  for system in systems]
         reports = self.run(specs, parallel=parallel)
         result = ComparisonResult(workload=workload.name)

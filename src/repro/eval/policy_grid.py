@@ -154,11 +154,11 @@ def policy_grid_specs(
     """Expand the axes into one cluster experiment per combination.
 
     Cells iterate in cross-product order (scheduler outermost, placement
-    innermost).  Parameterless scheduler/placement selections are folded
-    into the legacy string knobs (``system`` / ``placement``), so those
-    parts of each cell's config serialize pre-policy-layer; the scenario
-    always carries explicit ``admission_spec``/``dispatch_spec`` because
-    the grid overrides both axes per cell.
+    innermost).  A scheduler entry becomes each device's ``system``
+    (schedulers take no params, so an entry with params is rejected).  A
+    bare admission entry naming the base scenario's admission policy
+    keeps the base scenario's params (e.g. its ``queue_depth`` bound),
+    exactly as the same scenario does outside the grid.
 
     ``devices`` builds each cell's fleet from an explicit per-device
     config list instead of ``device_count`` copies of ``device_config`` —
@@ -183,33 +183,21 @@ def policy_grid_specs(
         base_devices = tuple(base for _ in range(device_count))
     base_scenario = scenario if scenario is not None else ServingScenario()
     grid: List[Tuple[PolicyCombo, ClusterExperimentSpec]] = []
+    base_admission = base_scenario.admission
     for sched in _coerce_axis(schedulers, "scheduler"):
-        if sched.params:
-            cell_devices = tuple(
-                device.with_overrides(scheduler_policy=sched)
-                for device in base_devices)
-        else:
-            cell_devices = tuple(device.with_system(sched.name)
-                                 for device in base_devices)
+        # A scheduler entry with params raises here: schedulers take none.
+        cell_devices = tuple(device.with_overrides(system=sched)
+                             for device in base_devices)
         for adm in _coerce_axis(admissions, "admission"):
+            cell_admission = base_admission \
+                if not adm.params and adm.name == base_admission.name \
+                else adm
             for disp in _coerce_axis(dispatches, "dispatch"):
-                if adm.name == "queue_depth" and not adm.params:
-                    # Bare "queue_depth" falls back to the legacy string
-                    # knob so the base scenario's max_queue_depth keeps
-                    # applying, exactly as it does outside the grid.
-                    cell_scenario = base_scenario.with_overrides(
-                        admission="queue_depth", admission_spec=None,
-                        dispatch_spec=disp)
-                else:
-                    cell_scenario = base_scenario.with_overrides(
-                        admission_spec=adm, dispatch_spec=disp)
+                cell_scenario = base_scenario.with_overrides(
+                    admission=cell_admission, dispatch_spec=disp)
                 for place in _coerce_axis(placements, "placement"):
-                    if place.params:
-                        cluster = ClusterConfig(
-                            devices=cell_devices, placement_spec=place)
-                    else:
-                        cluster = ClusterConfig(
-                            devices=cell_devices, placement=place.name)
+                    cluster = ClusterConfig(devices=cell_devices,
+                                            placement=place)
                     combo = PolicyCombo(scheduler=sched, admission=adm,
                                         dispatch=disp, placement=place)
                     grid.append((combo, ClusterExperimentSpec(

@@ -120,5 +120,6 @@ def compare_systems(workload_name: str,
         result.reports[system] = run_system(
             system, kernels, workload_name, spec=spec,
             track_power_series=track_power_series,
-            config=config.with_system(system) if config is not None else None)
+            config=(config.with_overrides(system=system)
+                    if config is not None else None))
     return result

@@ -126,7 +126,7 @@ def sweep_specs(rates: Sequence[float],
     return {system: [ServingExperimentSpec(
                         scenario=base_scenario.with_overrides(
                             offered_rps=rate),
-                        config=base_config.with_system(system))
+                        config=base_config.with_overrides(system=system))
                      for rate in rates]
             for system in systems}
 

@@ -15,7 +15,7 @@ This package sits between the device models (``repro.hw`` / ``repro.flash``
   :class:`HardwareSubstrate` it produces instead of hand-wiring parts.
 * :class:`ClusterConfig` — a serializable fleet description for the
   scale-out layer (:mod:`repro.cluster`): one :class:`PlatformConfig` per
-  device plus placement-policy knobs and an optional :class:`FaultSpec`
+  device plus its placement policy and an optional :class:`FaultSpec`
   health timeline, with its own stable ``config_hash``.
 """
 
@@ -28,7 +28,6 @@ from .config import (
 )
 from .cluster import (
     HEALTH_STATES,
-    PLACEMENT_POLICIES,
     ClusterConfig,
     FaultSpec,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "spec_from_dict",
     "spec_to_dict",
     "HEALTH_STATES",
-    "PLACEMENT_POLICIES",
     "ClusterConfig",
     "FaultSpec",
     "HardwareSubstrate",

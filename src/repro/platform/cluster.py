@@ -2,8 +2,8 @@
 
 A :class:`ClusterConfig` describes a scale-out fleet of independently-built
 devices: one :class:`~repro.platform.PlatformConfig` per device, the
-placement policy the cluster dispatcher routes requests with, routing
-knobs (tenant-affinity salt, degraded-capacity derating), and an optional
+placement policy the cluster dispatcher routes requests with, the
+degraded-capacity derating, and an optional
 health timeline of :class:`FaultSpec` events (a device marked slow or
 failed mid-run).  Like :class:`PlatformConfig` it round-trips losslessly
 through plain dicts, so :meth:`ClusterConfig.config_hash` can key the
@@ -19,15 +19,6 @@ from typing import Any, Dict, Optional, Tuple
 
 from ..policy import PolicySpec, policy_names
 from .config import PlatformConfig
-
-#: The original placement policies (implemented and registered in
-#: :mod:`repro.cluster.placement`).  Kept as the static fast path for
-#: validation — checking it first avoids importing the registry's
-#: built-ins for the common names; the authoritative set is the
-#: registry's ``placement`` domain, which also carries additions like
-#: ``join_shortest_queue``.
-PLACEMENT_POLICIES: Tuple[str, ...] = (
-    "round_robin", "least_outstanding", "tenant_affinity", "power_aware")
 
 #: Device health states a :class:`FaultSpec` may switch a device to.
 HEALTH_STATES: Tuple[str, ...] = ("healthy", "degraded", "failed")
@@ -81,28 +72,21 @@ class ClusterConfig:
         products of :class:`~repro.platform.PlatformBuilder`; mixing
         schedulers (or even SIMD boards) in one fleet is allowed.
     placement:
-        Routing policy name from :data:`PLACEMENT_POLICIES`.
-    affinity_salt:
-        Salt mixed into the tenant-affinity hash so two fleets can map the
-        same tenants to different devices.
+        The ``placement`` policy the fleet routes with, stored as a
+        :class:`~repro.policy.PolicySpec`; a name string or a
+        ``{"name": ..., "params": ...}`` dict is coerced.  Policy knobs
+        are spec params, e.g. ``tenant_affinity``'s ``salt``.
     degraded_capacity_factor:
         Fraction of a device's dispatch capacity that survives a
         ``degraded`` health transition (slow-board model).
     faults:
         Health timeline applied during the run, time-ordered by the
         session.
-    placement_spec:
-        Optional :class:`~repro.policy.PolicySpec` parameterizing the
-        placement policy (``None`` = the parameterless policy named by
-        ``placement``, which serializes and hashes exactly as before the
-        policy layer existed).  When set, its name *is* the placement:
-        the ``placement`` field is synced to it.
     autoscaler_spec:
         Optional :class:`~repro.policy.PolicySpec` naming an
         ``autoscaler`` policy.  ``None`` (the default) means a static
-        fleet — and, like ``placement_spec``, the field plus every
-        elastic knob below is omitted from serialization when unset so
-        legacy config hashes stay byte-identical.
+        fleet, and the field plus every elastic knob below is omitted
+        from serialization when unset.
     min_devices / max_devices:
         Fleet-size bounds the autoscaler is clamped to.  ``None`` means
         1 and ``len(devices)`` respectively; ``devices`` itself is the
@@ -117,11 +101,9 @@ class ClusterConfig:
     """
 
     devices: Tuple[PlatformConfig, ...]
-    placement: str = "round_robin"
-    affinity_salt: int = 0
+    placement: PolicySpec = PolicySpec("round_robin")
     degraded_capacity_factor: float = 0.5
     faults: Tuple[FaultSpec, ...] = ()
-    placement_spec: Optional[PolicySpec] = None
     autoscaler_spec: Optional[PolicySpec] = None
     min_devices: Optional[int] = None
     max_devices: Optional[int] = None
@@ -131,16 +113,11 @@ class ClusterConfig:
     def __post_init__(self) -> None:
         if not self.devices:
             raise ValueError("a cluster needs at least one device")
-        if self.placement_spec is not None:
-            spec = PolicySpec.coerce(self.placement_spec)
-            object.__setattr__(self, "placement_spec", spec)
-            # The spec names the policy; the placement field mirrors it
-            # so reports and legacy readers agree.
-            object.__setattr__(self, "placement", spec.name)
-        if self.placement not in PLACEMENT_POLICIES \
-                and self.placement not in policy_names("placement"):
+        placement = PolicySpec.coerce(self.placement)
+        object.__setattr__(self, "placement", placement)
+        if placement.name not in policy_names("placement"):
             raise ValueError(
-                f"unknown placement {self.placement!r}; choose from "
+                f"unknown placement {placement.name!r}; choose from "
                 f"{policy_names('placement')}")
         if not 0.0 < self.degraded_capacity_factor <= 1.0:
             raise ValueError(
@@ -211,28 +188,8 @@ class ClusterConfig:
         return replace(self, devices=devices, faults=faults)
 
     def with_overrides(self, **kwargs: Any) -> "ClusterConfig":
-        """Copy of this cluster with ``kwargs`` fields replaced.
-
-        Overriding ``placement`` by name clears a ``placement_spec``
-        naming a different policy (its params belong to the old one);
-        without clearing, the sync in ``__post_init__`` would override
-        the requested placement.
-        """
-        if "placement" in kwargs and "placement_spec" not in kwargs \
-                and self.placement_spec is not None \
-                and self.placement_spec.name != kwargs["placement"]:
-            kwargs["placement_spec"] = None
+        """Copy of this cluster with ``kwargs`` fields replaced."""
         return replace(self, **kwargs)
-
-    def placement_policy_spec(self) -> PolicySpec:
-        """The policy spec the cluster dispatcher routes with.
-
-        ``placement_spec`` when set, else the parameterless spec named by
-        ``placement`` — a single resolution path for the dispatcher.
-        """
-        if self.placement_spec is not None:
-            return self.placement_spec
-        return PolicySpec(self.placement)
 
     # ------------------------------------------------------------------ #
     # Derived properties                                                   #
@@ -282,15 +239,10 @@ class ClusterConfig:
     def to_dict(self) -> Dict[str, Any]:
         data = {
             "devices": [config.to_dict() for config in self.devices],
-            "placement": self.placement,
-            "affinity_salt": self.affinity_salt,
+            "placement": self.placement.to_dict(),
             "degraded_capacity_factor": self.degraded_capacity_factor,
             "faults": [fault.to_list() for fault in self.faults],
         }
-        # Emitted only when set, so pre-policy-layer configs keep their
-        # serialized form (and cache keys) byte-identical.
-        if self.placement_spec is not None:
-            data["placement_spec"] = self.placement_spec.to_dict()
         if self.autoscaler_spec is not None:
             data["autoscaler_spec"] = self.autoscaler_spec.to_dict()
             data["min_devices"] = self.effective_min_devices
@@ -301,7 +253,6 @@ class ClusterConfig:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "ClusterConfig":
-        spec = data.get("placement_spec")
         autoscaler = data.get("autoscaler_spec")
         elastic: Dict[str, Any] = {}
         if autoscaler is not None:
@@ -316,14 +267,12 @@ class ClusterConfig:
         return cls(
             devices=tuple(PlatformConfig.from_dict(d)
                           for d in data.get("devices", [])),
-            placement=str(data.get("placement", "round_robin")),
-            affinity_salt=int(data.get("affinity_salt", 0)),
+            placement=PolicySpec.from_dict(
+                data.get("placement", {"name": "round_robin"})),
             degraded_capacity_factor=float(
                 data.get("degraded_capacity_factor", 0.5)),
             faults=tuple(FaultSpec.from_list(f)
                          for f in data.get("faults", [])),
-            placement_spec=(PolicySpec.from_dict(spec)
-                            if spec is not None else None),
             **elastic,
         )
 

@@ -76,13 +76,16 @@ class PlatformConfig:
 
     Frozen (like :class:`HardwareSpec`): configs act as cache identities
     via :meth:`config_hash`, so evolution goes through copies
-    (:meth:`with_system` / :meth:`with_overrides` / :meth:`merged`), never
-    in-place mutation.
+    (:meth:`with_overrides` / :meth:`merged`), never in-place mutation.
 
     Attributes
     ----------
     system:
-        ``"SIMD"`` or one of :data:`FLASHABACUS_SCHEDULERS`.
+        ``"SIMD"`` or the name of a registered ``scheduler`` policy (the
+        paper's four are :data:`FLASHABACUS_SCHEDULERS`).  Schedulers take
+        no params, so the name is the whole scheduler selection; a
+        param-free :class:`~repro.policy.PolicySpec` or spec dict is
+        stored as its name.
     spec:
         The hardware specification (Table 1 prototype by default).
     lwp_count:
@@ -100,13 +103,6 @@ class PlatformConfig:
     features:
         Free-form feature toggles for system-specific behavior, e.g.
         ``{"reserve_management_cores": False}``.
-    scheduler_policy:
-        Optional :class:`~repro.policy.PolicySpec` parameterizing the
-        device scheduler (``None`` = the parameterless scheduler named by
-        ``system``, which serializes and hashes exactly as before the
-        policy layer existed).  When set, its name *is* the system: the
-        ``system`` field is synced to it, and :meth:`with_system` clears
-        a stale spec when retargeting.
     """
 
     system: str = "IntraO3"
@@ -116,26 +112,19 @@ class PlatformConfig:
     input_scale: float = 1.0
     track_power_series: bool = False
     features: Mapping[str, Any] = field(default_factory=dict)
-    scheduler_policy: Optional[PolicySpec] = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.system, str):
+            spec = PolicySpec.coerce(self.system)
+            if spec.params:
+                raise ValueError(
+                    f"schedulers take no params, got {spec.to_dict()}; "
+                    f"name the system alone")
+            object.__setattr__(self, "system", spec.name)
         # The paper's four schedulers are checked statically so the common
         # path never touches the registry; the policy_names() fallback is
         # what lets a config name any *additionally* registered scheduler
         # (the registry imports its built-ins lazily on first lookup).
-        if self.scheduler_policy is not None:
-            policy = PolicySpec.coerce(self.scheduler_policy)
-            if policy.name == BASELINE_SYSTEM or (
-                    policy.name not in FLASHABACUS_SCHEDULERS
-                    and policy.name not in policy_names("scheduler")):
-                raise ValueError(
-                    f"scheduler_policy must name a registered scheduler, "
-                    f"got {policy.name!r}; choose from "
-                    f"{policy_names('scheduler')}")
-            object.__setattr__(self, "scheduler_policy", policy)
-            # The spec names the scheduler; the system field mirrors it so
-            # reports, sweeps and registry keys all agree.
-            object.__setattr__(self, "system", policy.name)
         if self.system != BASELINE_SYSTEM \
                 and self.system not in FLASHABACUS_SCHEDULERS \
                 and self.system not in policy_names("scheduler"):
@@ -180,40 +169,8 @@ class PlatformConfig:
     def feature(self, name: str, default: Any = None) -> Any:
         return self.features.get(name, default)
 
-    def scheduler_spec(self) -> PolicySpec:
-        """The policy spec the device scheduler is built from.
-
-        ``scheduler_policy`` when set, else the parameterless spec named
-        by ``system`` — so the accelerator has a single resolution path.
-        """
-        if self.scheduler_policy is not None:
-            return self.scheduler_policy
-        return PolicySpec(self.system)
-
-    def with_system(self, system: str) -> "PlatformConfig":
-        """Copy of this config targeting another system.
-
-        A ``scheduler_policy`` naming a different scheduler is cleared
-        (its params belong to the old scheduler); without clearing, the
-        sync in ``__post_init__`` would override the requested system.
-        """
-        policy = self.scheduler_policy
-        if policy is not None and policy.name != system:
-            return replace(self, system=system, scheduler_policy=None)
-        return replace(self, system=system)
-
     def with_overrides(self, **kwargs: Any) -> "PlatformConfig":
-        """Copy of this config with dataclass fields replaced.
-
-        Overriding ``system`` by name clears a ``scheduler_policy``
-        naming a different scheduler, same as :meth:`with_system` —
-        without clearing, the sync in ``__post_init__`` would override
-        the requested system with the stale spec's name.
-        """
-        if "system" in kwargs and "scheduler_policy" not in kwargs \
-                and self.scheduler_policy is not None \
-                and self.scheduler_policy.name != kwargs["system"]:
-            kwargs["scheduler_policy"] = None
+        """Copy of this config with dataclass fields replaced."""
         return replace(self, **kwargs)
 
     def merged(self, system: Optional[str] = None,
@@ -231,7 +188,7 @@ class PlatformConfig:
         """
         config = self
         if system is not None and system != config.system:
-            config = config.with_system(system)
+            config = replace(config, system=system)
         if spec is not None:
             config = replace(config, spec=spec)
         if lwp_count is not None:
@@ -244,7 +201,7 @@ class PlatformConfig:
     # Serialization                                                        #
     # ------------------------------------------------------------------ #
     def to_dict(self) -> Dict[str, Any]:
-        data = {
+        return {
             "system": self.system,
             "spec": spec_to_dict(self.spec),
             "lwp_count": self.lwp_count,
@@ -253,16 +210,9 @@ class PlatformConfig:
             "track_power_series": self.track_power_series,
             "features": dict(self.features),
         }
-        # Emitted only when set: configs that never touch the policy
-        # layer serialize (and therefore hash / cache-key) byte-identical
-        # to the pre-policy-layer format.
-        if self.scheduler_policy is not None:
-            data["scheduler_policy"] = self.scheduler_policy.to_dict()
-        return data
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "PlatformConfig":
-        policy = data.get("scheduler_policy")
         return cls(
             system=data.get("system", "IntraO3"),
             spec=spec_from_dict(data.get("spec", {})),
@@ -271,8 +221,6 @@ class PlatformConfig:
             input_scale=data.get("input_scale", 1.0),
             track_power_series=data.get("track_power_series", False),
             features=dict(data.get("features", {})),
-            scheduler_policy=(PolicySpec.from_dict(policy)
-                              if policy is not None else None),
         )
 
     def config_hash(self) -> str:

@@ -4,8 +4,8 @@ A :class:`PolicySpec` is how configurations *refer to* a policy without
 holding the (stateful, unserializable) policy object itself: the registry
 name plus the constructor parameters.  Like every config object in the
 repo it round-trips losslessly through plain dicts, so the specs folded
-into :meth:`~repro.platform.PlatformConfig.config_hash` and the scenario
-dicts key the experiment result cache exactly like any other knob.
+into the serving-scenario and cluster-config dicts key the experiment
+result cache exactly like any other knob.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ simulation until every request has settled, and assembles a
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 from ..baseline.system import BaselineSystem
@@ -198,12 +198,10 @@ class ServingScenario:
     plain data so scenarios can key the experiment registry/cache.
 
     Admission and dispatch are policy domains of the unified registry
-    (:mod:`repro.policy`).  The legacy string knobs (``admission`` +
-    ``max_queue_depth``) still describe the common cases and keep their
-    serialized form; ``admission_spec`` / ``dispatch_spec`` select any
-    registered policy with arbitrary params (a set spec wins over the
-    string knobs, and both fields are omitted from :meth:`to_dict` when
-    unset so pre-policy-layer scenarios keep their cache keys).
+    (:mod:`repro.policy`).  ``admission`` and ``dispatch_spec`` each hold
+    one :class:`~repro.policy.PolicySpec`; a name string or a
+    ``{"name": ..., "params": ...}`` dict is coerced.  Policy knobs are
+    spec params, e.g. ``queue_depth``'s ``max_tenant_depth`` (default 64).
     """
 
     process: str = "poisson"
@@ -212,8 +210,8 @@ class ServingScenario:
     seed: int = 1
     workloads: Tuple[str, ...] = DEFAULT_WORKLOAD_POOL
     tenants: Tuple[TenantSpec, ...] = DEFAULT_TENANTS
-    admission: str = "queue_depth"
-    max_queue_depth: int = 64
+    admission: PolicySpec = PolicySpec("queue_depth")
+    dispatch_spec: PolicySpec = PolicySpec("round_robin")
     # MMPP (bursty) parameters
     mmpp_burst_factor: float = 4.0
     mmpp_normal_dwell_s: float = 2.0
@@ -225,9 +223,6 @@ class ServingScenario:
     trace_events: Tuple[Tuple[float, str, str], ...] = ()
     # SLO accounting
     reservoir_capacity: int = 4096
-    # Policy-layer selections (None = the legacy knobs / round-robin)
-    admission_spec: Optional[PolicySpec] = None
-    dispatch_spec: Optional[PolicySpec] = None
 
     def __post_init__(self) -> None:
         if self.process not in ARRIVAL_PROCESSES:
@@ -241,21 +236,13 @@ class ServingScenario:
             raise ValueError("at least one tenant is required")
         if self.process == "trace" and not self.trace_events:
             raise ValueError("trace scenarios need trace_events")
-        # Coerce and eagerly validate the policy selections (the legacy
-        # string knob included): a mistyped name should fail at
-        # construction, not minutes into a sweep.
-        policy_class("admission", self.admission)
-        if self.admission_spec is not None:
-            spec = PolicySpec.coerce(self.admission_spec)
-            object.__setattr__(self, "admission_spec", spec)
-            policy_class("admission", spec.name)
-            # The spec names the policy; the legacy string field mirrors
-            # it so serialized scenarios report the policy actually run.
-            object.__setattr__(self, "admission", spec.name)
-        if self.dispatch_spec is not None:
-            spec = PolicySpec.coerce(self.dispatch_spec)
-            object.__setattr__(self, "dispatch_spec", spec)
-            policy_class("dispatch", spec.name)
+        # Coerce and eagerly validate the policy selections: a mistyped
+        # name should fail at construction, not minutes into a sweep.
+        for domain, attr in (("admission", "admission"),
+                             ("dispatch", "dispatch_spec")):
+            spec = PolicySpec.coerce(getattr(self, attr))
+            object.__setattr__(self, attr, spec)
+            policy_class(domain, spec.name)
 
     @property
     def label(self) -> str:
@@ -284,20 +271,6 @@ class ServingScenario:
         return TraceArrivals(list(self.trace_events), self.tenants,
                              self.seed)
 
-    def effective_admission_spec(self) -> PolicySpec:
-        """The admission selection as one policy spec.
-
-        ``admission_spec`` when set; otherwise the legacy string knobs
-        folded into an equivalent spec (``queue_depth`` carries
-        ``max_queue_depth`` as its depth bound, exactly as before).
-        """
-        if self.admission_spec is not None:
-            return self.admission_spec
-        if self.admission == "queue_depth":
-            return PolicySpec("queue_depth",
-                              {"max_tenant_depth": self.max_queue_depth})
-        return PolicySpec(self.admission)
-
     def make_admission(self):
         """Instantiate the scenario's admission controller.
 
@@ -305,22 +278,18 @@ class ServingScenario:
         derive their exploration RNG from it; static policies do not
         name a ``seed`` param and never see it.
         """
-        return build_policy("admission", self.effective_admission_spec(),
-                            seed=self.seed)
+        return build_policy("admission", self.admission, seed=self.seed)
 
     def make_dispatch(self):
         """Instantiate the scenario's tenant-dispatch policy.
 
-        ``dispatch_spec`` when set, else round-robin (the pre-policy-layer
-        behavior).  The scenario's tenant weights are offered as context
-        defaults, so ``weighted_fair`` without an explicit ``weights``
-        param follows the traffic shares of the tenant specs; the seed
-        context feeds learned policies' exploration RNG.
+        The scenario's tenant weights are offered as context defaults, so
+        ``weighted_fair`` without an explicit ``weights`` param follows
+        the traffic shares of the tenant specs; the seed context feeds
+        learned policies' exploration RNG.
         """
-        spec = self.dispatch_spec if self.dispatch_spec is not None \
-            else PolicySpec("round_robin")
         return build_policy(
-            "dispatch", spec,
+            "dispatch", self.dispatch_spec,
             weights={t.name: t.weight for t in self.tenants},
             seed=self.seed)
 
@@ -329,15 +298,15 @@ class ServingScenario:
     # ------------------------------------------------------------------ #
     def to_dict(self) -> Dict[str, object]:
         """Plain-dict (JSON-safe) form; keys the experiment cache."""
-        data: Dict[str, object] = {
+        return {
             "process": self.process,
             "offered_rps": self.offered_rps,
             "duration_s": self.duration_s,
             "seed": self.seed,
             "workloads": list(self.workloads),
             "tenants": [[t.name, t.weight, t.slo_s] for t in self.tenants],
-            "admission": self.admission,
-            "max_queue_depth": self.max_queue_depth,
+            "admission": self.admission.to_dict(),
+            "dispatch_spec": self.dispatch_spec.to_dict(),
             "mmpp_burst_factor": self.mmpp_burst_factor,
             "mmpp_normal_dwell_s": self.mmpp_normal_dwell_s,
             "mmpp_burst_dwell_s": self.mmpp_burst_dwell_s,
@@ -346,20 +315,6 @@ class ServingScenario:
             "trace_events": [list(e) for e in self.trace_events],
             "reservoir_capacity": self.reservoir_capacity,
         }
-        # Emitted only when set, so pre-policy-layer scenarios keep their
-        # serialized form (and experiment cache keys) byte-identical.
-        if self.admission_spec is not None:
-            data["admission_spec"] = self.admission_spec.to_dict()
-        if self.dispatch_spec is not None:
-            data["dispatch_spec"] = self.dispatch_spec.to_dict()
-        if self.effective_admission_spec().name == "deadline":
-            # The deadline policy's cold-start window changed behavior in
-            # PR 5 (bounded instead of admit-all before the first EWMA
-            # sample); re-key exactly these scenarios so a persisted
-            # result cache cannot silently serve pre-fix results, while
-            # every other scenario keeps its pre-policy-layer key.
-            data["admission_behavior_rev"] = 2
-        return data
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "ServingScenario":
@@ -376,8 +331,10 @@ class ServingScenario:
             seed=int(data.get("seed", 1)),
             workloads=tuple(data.get("workloads", DEFAULT_WORKLOAD_POOL)),
             tenants=tenants or DEFAULT_TENANTS,
-            admission=str(data.get("admission", "queue_depth")),
-            max_queue_depth=int(data.get("max_queue_depth", 64)),
+            admission=PolicySpec.from_dict(
+                data.get("admission", {"name": "queue_depth"})),
+            dispatch_spec=PolicySpec.from_dict(
+                data.get("dispatch_spec", {"name": "round_robin"})),
             mmpp_burst_factor=float(data.get("mmpp_burst_factor", 4.0)),
             mmpp_normal_dwell_s=float(data.get("mmpp_normal_dwell_s", 2.0)),
             mmpp_burst_dwell_s=float(data.get("mmpp_burst_dwell_s", 0.5)),
@@ -385,35 +342,10 @@ class ServingScenario:
             diurnal_floor=float(data.get("diurnal_floor", 0.2)),
             trace_events=trace,
             reservoir_capacity=int(data.get("reservoir_capacity", 4096)),
-            admission_spec=(PolicySpec.from_dict(data["admission_spec"])
-                            if data.get("admission_spec") is not None
-                            else None),
-            dispatch_spec=(PolicySpec.from_dict(data["dispatch_spec"])
-                           if data.get("dispatch_spec") is not None
-                           else None),
         )
 
     def with_overrides(self, **kwargs) -> "ServingScenario":
-        """Copy of the scenario with ``kwargs`` fields replaced.
-
-        Overriding ``admission`` by name clears an ``admission_spec``
-        naming a different policy (its params belong to the old one);
-        without clearing, the sync in ``__post_init__`` would override
-        the requested admission.  Overriding ``max_queue_depth`` on a
-        scenario whose spec selects ``queue_depth`` folds the new depth
-        into the spec (a set spec's params otherwise win, and the legacy
-        knob would be silently ignored).
-        """
-        from dataclasses import replace
-        if "admission" in kwargs and "admission_spec" not in kwargs \
-                and self.admission_spec is not None \
-                and self.admission_spec.name != kwargs["admission"]:
-            kwargs["admission_spec"] = None
-        if "max_queue_depth" in kwargs and "admission_spec" not in kwargs \
-                and self.admission_spec is not None \
-                and self.admission_spec.name == "queue_depth":
-            kwargs["admission_spec"] = self.admission_spec.with_params(
-                max_tenant_depth=kwargs["max_queue_depth"])
+        """Copy of the scenario with ``kwargs`` fields replaced."""
         return replace(self, **kwargs)
 
 
@@ -516,5 +448,5 @@ def run_serving(scenario: ServingScenario,
         config = PlatformConfig(system=system) if system \
             else PlatformConfig()
     elif system is not None:
-        config = config.with_system(system)
+        config = config.with_overrides(system=system)
     return ServingSession(scenario, config, obs=obs).run()

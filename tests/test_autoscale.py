@@ -399,7 +399,8 @@ def test_control_loop_runs_on_interval_and_stops_clean():
 ELASTIC_SCENARIO = ServingScenario(
     process="diurnal", offered_rps=360.0, duration_s=0.5, seed=5,
     tenants=(TenantSpec("a", 1.0, 0.25), TenantSpec("b", 1.0, 0.25)),
-    max_queue_depth=12, diurnal_period_s=0.5, diurnal_floor=0.1)
+    admission=PolicySpec("queue_depth", {"max_tenant_depth": 12}),
+    diurnal_period_s=0.5, diurnal_floor=0.1)
 
 ELASTIC_CLUSTER = ClusterConfig.homogeneous(
     1, DEVICE, autoscaler_spec=SPEC, min_devices=1, max_devices=3,

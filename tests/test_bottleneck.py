@@ -4,6 +4,7 @@ from repro.cluster import ClusterSession
 from repro.eval import STAGES, bottleneck_breakdown, format_bottleneck
 from repro.obs import ObsConfig, Tracer
 from repro.platform import ClusterConfig, FaultSpec, PlatformConfig
+from repro.policy import PolicySpec
 from repro.serve import ServingScenario, ServingSession, TenantSpec
 
 TENANTS = (TenantSpec("a", 1.0, 0.25), TenantSpec("b", 1.0, 0.25))
@@ -87,7 +88,8 @@ def test_accepts_tracer_or_bare_event_iterable():
 def test_serving_stage_sums_reconcile_with_end_to_end_latency():
     scenario = ServingScenario(
         process="poisson", offered_rps=60.0, duration_s=0.8, seed=3,
-        tenants=TENANTS, max_queue_depth=24)
+        tenants=TENANTS,
+        admission=PolicySpec("queue_depth", {"max_tenant_depth": 24}))
     session = ServingSession(scenario,
                              PlatformConfig(system="IntraO3",
                                             input_scale=0.01),
@@ -114,7 +116,8 @@ def test_serving_stage_sums_reconcile_with_end_to_end_latency():
 def test_cluster_fault_run_charges_reroute_time():
     scenario = ServingScenario(
         process="poisson", offered_rps=120.0, duration_s=0.8, seed=3,
-        tenants=TENANTS, max_queue_depth=24)
+        tenants=TENANTS,
+        admission=PolicySpec("queue_depth", {"max_tenant_depth": 24}))
     cluster = ClusterConfig.homogeneous(
         2, PlatformConfig(system="IntraO3", input_scale=0.1),
         faults=(FaultSpec(0.4, 1, "failed"),))

@@ -36,7 +36,7 @@ TENANTS = ("a", "b")
 def test_cluster_config_roundtrip_and_hash():
     config = ClusterConfig.homogeneous(
         3, PlatformConfig(system="InterDy", input_scale=0.1),
-        placement="tenant_affinity", affinity_salt=7,
+        placement=PolicySpec("tenant_affinity", {"salt": 7}),
         degraded_capacity_factor=0.25,
         faults=(FaultSpec(0.5, 1, "failed"), FaultSpec(1.0, 1, "healthy")))
     rebuilt = ClusterConfig.from_dict(
@@ -306,7 +306,7 @@ def test_failed_device_drains_own_backlog_when_no_peer_remains():
 SCENARIO = ServingScenario(
     process="poisson", offered_rps=120.0, duration_s=0.5, seed=5,
     tenants=(TenantSpec("a", 1.0, 0.25), TenantSpec("b", 1.0, 0.25)),
-    max_queue_depth=16)
+    admission=PolicySpec("queue_depth", {"max_tenant_depth": 16}))
 
 DEVICE = PlatformConfig(system="IntraO3", input_scale=0.01)
 

@@ -28,12 +28,13 @@ from repro.cluster.parallel import (
 )
 from repro.eval.cluster import ClusterExperimentSpec
 from repro.platform import ClusterConfig, FaultSpec, PlatformConfig
+from repro.policy import PolicySpec
 from repro.serve import ServingScenario, TenantSpec
 
 SCENARIO = ServingScenario(
     process="poisson", offered_rps=80.0, duration_s=0.4, seed=11,
     tenants=(TenantSpec("a", 1.0, 0.25), TenantSpec("b", 1.0, 0.25)),
-    max_queue_depth=16)
+    admission=PolicySpec("queue_depth", {"max_tenant_depth": 16}))
 
 CONFIG = PlatformConfig(input_scale=0.01)
 
@@ -86,7 +87,7 @@ def test_late_fault_during_backlog_drain_matches_serial():
     scenario = ServingScenario(
         process="poisson", offered_rps=400.0, duration_s=0.3, seed=5,
         tenants=(TenantSpec("a", 1.0, 0.25), TenantSpec("b", 1.0, 0.25)),
-        max_queue_depth=64)
+        admission=PolicySpec("queue_depth", {"max_tenant_depth": 64}))
     cluster = ClusterConfig.homogeneous(
         3, CONFIG, faults=(FaultSpec(0.25, 0, "failed"),
                            FaultSpec(0.29, 2, "degraded")))
@@ -108,13 +109,47 @@ def test_tenant_affinity_matches_serial_byte_for_byte():
         assert canonical_bytes(run_parallel(cluster, workers)) == serial
 
 
+#: Learned front-end policies: each shard's admission model and dispatch
+#: bandit learn from that shard's completions alone, in both drivers.
+LEARNED_SCENARIO = ServingScenario(
+    process="poisson", offered_rps=300.0, duration_s=0.4, seed=11,
+    tenants=(TenantSpec("a", 1.0, 0.25), TenantSpec("b", 1.0, 0.25)),
+    admission=PolicySpec("queue_depth", {"max_tenant_depth": 32}))
+
+
+@pytest.mark.parametrize("faults", [
+    (),
+    (FaultSpec(0.15, 1, "failed"),),
+    (FaultSpec(0.1, 1, "failed"), FaultSpec(0.25, 1, "healthy")),
+], ids=["no-fault", "failure", "fail-recover"])
+@pytest.mark.parametrize("admission, dispatch", [
+    ("adaptive_admission", "round_robin"),
+    ("queue_depth", "epsilon_greedy_dispatch"),
+    ("adaptive_admission", "epsilon_greedy_dispatch"),
+], ids=["admission", "dispatch", "both"])
+def test_learned_front_end_policies_match_serial(admission, dispatch,
+                                                 faults):
+    scenario = LEARNED_SCENARIO.with_overrides(dispatch_spec=dispatch)
+    if admission != "queue_depth":
+        scenario = scenario.with_overrides(admission=admission)
+    cluster = ClusterConfig.homogeneous(3, CONFIG, faults=faults)
+    serial = ClusterSession(scenario, cluster).run()
+    assert any(device.learned for device in serial.devices)
+    static = ClusterSession(LEARNED_SCENARIO, cluster).run()
+    assert canonical_bytes(serial) != canonical_bytes(static)
+    for workers in (1, 2):
+        assert canonical_bytes(run_parallel(
+            cluster, workers, scenario=scenario)) \
+            == canonical_bytes(serial)
+
+
 #: Faults at one instant: each eviction must land on the devices routable
 #: right after its own fault, and a device failing later at the same
 #: instant must pass on the backlog it just adopted.
 SAME_INSTANT_SCENARIO = ServingScenario(
     process="poisson", offered_rps=300.0, duration_s=0.4, seed=11,
     tenants=(TenantSpec("a", 1.0, 0.25), TenantSpec("b", 1.0, 0.25)),
-    max_queue_depth=32)
+    admission=PolicySpec("queue_depth", {"max_tenant_depth": 32}))
 
 
 def test_same_instant_failures_chain_reroutes_like_serial():
@@ -276,7 +311,7 @@ def test_execution_stats_record_strategy_not_report():
 BACKLOG_SCENARIO = ServingScenario(
     process="poisson", offered_rps=400.0, duration_s=0.4, seed=11,
     tenants=(TenantSpec("a", 1.0, 0.25), TenantSpec("b", 1.0, 0.25)),
-    max_queue_depth=32)
+    admission=PolicySpec("queue_depth", {"max_tenant_depth": 32}))
 SLOW_CONFIG = PlatformConfig(input_scale=0.05)
 
 
@@ -338,6 +373,21 @@ def test_elastic_cluster_is_refused():
         2, CONFIG, autoscaler_spec="queue_depth_threshold")
     with pytest.raises(ValueError, match="elastic"):
         ParallelClusterSession(SCENARIO, cluster)
+
+
+def test_schedule_missing_a_fault_boundary_fails_fast(monkeypatch):
+    # Without the forced fault boundary, routing keeps sending traffic
+    # to the failed device; the runner must refuse to hand back a report
+    # that silently diverges from serial.
+    import repro.cluster.parallel as parallel
+
+    monkeypatch.setattr(
+        parallel, "build_epoch_schedule",
+        lambda scenario, cluster, config: [(scenario.duration_s, False)])
+    cluster = ClusterConfig.homogeneous(
+        3, CONFIG, faults=(FaultSpec(0.15, 1, "failed"),))
+    with pytest.raises(RuntimeError, match=r"device 1 .* t=0\.4"):
+        run_parallel(cluster, workers=1)
 
 
 # --------------------------------------------------------------------------- #

@@ -21,7 +21,7 @@ TENANTS = (TenantSpec("a", 1.0, 0.25), TenantSpec("b", 1.0, 0.25))
 def test_serving_stream_reaches_metrics_and_learned_policies():
     scenario = ServingScenario(
         process="poisson", offered_rps=200.0, duration_s=0.5, seed=9,
-        tenants=TENANTS, admission_spec=PolicySpec("adaptive_admission"),
+        tenants=TENANTS, admission=PolicySpec("adaptive_admission"),
         dispatch_spec=PolicySpec("epsilon_greedy_dispatch"))
     report = ServingSession(scenario, DEVICE,
                             obs=ObsConfig(tracing=False)).run()
@@ -35,13 +35,15 @@ def test_serving_stream_reaches_metrics_and_learned_policies():
 def test_elastic_fleet_stream_reaches_every_shard_subscriber():
     scenario = ServingScenario(
         process="diurnal", offered_rps=360.0, duration_s=0.5, seed=5,
-        tenants=TENANTS, max_queue_depth=12, diurnal_period_s=0.5,
+        tenants=TENANTS,
+        admission=PolicySpec("queue_depth", {"max_tenant_depth": 12}),
+        diurnal_period_s=0.5,
         diurnal_floor=0.1)
     # A warm-up longer than the run keeps the bandit routing by least
     # outstanding work, so scale-up shards receive traffic too.
     cluster = ClusterConfig.homogeneous(
         1, DEVICE,
-        placement_spec=PolicySpec("linucb_placement", {"warmup": 10_000}),
+        placement=PolicySpec("linucb_placement", {"warmup": 10_000}),
         autoscaler_spec=PolicySpec("queue_depth_threshold"),
         min_devices=1, max_devices=3, warmup_s=0.05,
         autoscale_interval_s=0.05)

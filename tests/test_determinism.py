@@ -17,6 +17,7 @@ import pytest
 from repro.cluster import ClusterSession
 from repro.eval import run_system
 from repro.platform import ClusterConfig, FaultSpec, PlatformConfig
+from repro.policy import PolicySpec
 from repro.serve import ServingScenario, ServingSession, TenantSpec
 from repro.workloads import homogeneous_workload
 
@@ -26,7 +27,7 @@ SCHEDULERS = ("InterSt", "InterDy", "IntraIo", "IntraO3")
 SCENARIO = ServingScenario(
     process="poisson", offered_rps=80.0, duration_s=0.4, seed=11,
     tenants=(TenantSpec("a", 1.0, 0.25), TenantSpec("b", 1.0, 0.25)),
-    max_queue_depth=16)
+    admission=PolicySpec("queue_depth", {"max_tenant_depth": 16}))
 
 
 def canonical_bytes(report) -> bytes:
@@ -71,10 +72,8 @@ def test_learned_serving_run_is_deterministic():
     """Learned policies are pure functions of (scenario, config, seed):
     exploration draws and model state must reproduce byte-for-byte,
     snapshots included."""
-    from repro.policy import PolicySpec
-
     scenario = SCENARIO.with_overrides(
-        admission_spec=PolicySpec("adaptive_admission"),
+        admission=PolicySpec("adaptive_admission"),
         dispatch_spec=PolicySpec("epsilon_greedy_dispatch"))
     config = device_config("IntraO3")
     first = ServingSession(scenario, config).run()
@@ -89,11 +88,9 @@ def test_learned_serving_run_is_deterministic():
 
 
 def test_learned_cluster_run_is_deterministic():
-    from repro.policy import PolicySpec
-
     cluster = ClusterConfig.homogeneous(
         2, device_config("IntraO3"),
-        placement_spec=PolicySpec("linucb_placement"),
+        placement=PolicySpec("linucb_placement"),
         faults=(FaultSpec(0.2, 0, "degraded"),))
     first = ClusterSession(SCENARIO, cluster).run()
     second = ClusterSession(SCENARIO, cluster).run()

@@ -18,6 +18,7 @@ from repro.eval import (
 )
 from repro.cluster import ClusterReport
 from repro.platform import ClusterConfig, PlatformConfig
+from repro.policy import PolicySpec
 from repro.serve import ServingScenario, TenantSpec
 
 SCALE = 0.01
@@ -25,7 +26,7 @@ SCALE = 0.01
 SCENARIO = ServingScenario(
     process="poisson", duration_s=0.4, seed=13,
     tenants=(TenantSpec("a", 1.0, 0.25), TenantSpec("b", 1.0, 0.25)),
-    max_queue_depth=16)
+    admission=PolicySpec("queue_depth", {"max_tenant_depth": 16}))
 
 DEVICE = PlatformConfig(system="IntraO3", input_scale=SCALE)
 

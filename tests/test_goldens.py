@@ -21,6 +21,7 @@ from repro.cluster import ClusterReport, ClusterSession
 from repro.core.accelerator import ExecutionReport
 from repro.eval import run_system
 from repro.platform import ClusterConfig, FaultSpec, PlatformConfig
+from repro.policy import PolicySpec
 from repro.serve import (
     ServingReport,
     ServingScenario,
@@ -36,7 +37,7 @@ DEVICE = PlatformConfig(system="IntraO3", input_scale=0.01)
 SCENARIO = ServingScenario(
     process="poisson", offered_rps=60.0, duration_s=0.3, seed=21,
     tenants=(TenantSpec("a", 1.0, 0.25), TenantSpec("b", 1.0, 0.25)),
-    max_queue_depth=8)
+    admission=PolicySpec("queue_depth", {"max_tenant_depth": 8}))
 
 
 def roundtrip(report_cls, report):
@@ -66,10 +67,8 @@ def test_learned_serving_report_golden(update_goldens):
     """Pins the learned snapshot (model coefficients, exploration and
     feedback counters) along with the ordinary metrics, so a drift in
     the exploration schedule or the ridge solver is fixture-visible."""
-    from repro.policy import PolicySpec
-
     scenario = SCENARIO.with_overrides(
-        admission_spec=PolicySpec("adaptive_admission"),
+        admission=PolicySpec("adaptive_admission"),
         dispatch_spec=PolicySpec("epsilon_greedy_dispatch"))
     report = ServingSession(scenario, DEVICE).run()
     payload = roundtrip(ServingReport, report)

@@ -21,7 +21,7 @@ from repro.serve import (
     TenantSpec,
     run_serving,
 )
-from repro.policy import build_policy
+from repro.policy import PolicySpec, build_policy
 from repro.sim import Environment
 
 from helpers import StubBackend
@@ -29,7 +29,7 @@ from helpers import StubBackend
 SCENARIO = ServingScenario(
     process="poisson", offered_rps=480.0, duration_s=0.5, seed=9,
     tenants=(TenantSpec("a", 2.0, 0.25), TenantSpec("b", 1.0, 0.25)),
-    max_queue_depth=8)
+    admission=PolicySpec("queue_depth", {"max_tenant_depth": 8}))
 
 DEVICE = PlatformConfig(system="IntraO3", input_scale=0.01)
 
@@ -93,13 +93,11 @@ def test_cluster_conservation_survives_device_failure():
 def test_learned_feedback_accounting_is_conserved():
     """Feedback events == completed requests: one event per completion,
     no event for rejects, no double-count on reroutes."""
-    from repro.policy import PolicySpec
-
     scenario = SCENARIO.with_overrides(
-        admission_spec=PolicySpec("adaptive_admission"),
+        admission=PolicySpec("adaptive_admission"),
         dispatch_spec=PolicySpec("epsilon_greedy_dispatch"))
     cluster = ClusterConfig.homogeneous(
-        3, DEVICE, placement_spec=PolicySpec("linucb_placement"),
+        3, DEVICE, placement=PolicySpec("linucb_placement"),
         faults=(FaultSpec(0.15, 1, "failed"),))
     report = run_cluster(scenario.with_overrides(offered_rps=1500.0),
                          cluster)

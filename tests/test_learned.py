@@ -51,7 +51,7 @@ DEVICE = PlatformConfig(system="IntraO3", input_scale=0.01)
 SCENARIO = ServingScenario(
     process="poisson", offered_rps=120.0, duration_s=0.4, seed=7,
     tenants=(TenantSpec("a", 1.0, 0.25), TenantSpec("b", 1.0, 0.25)),
-    max_queue_depth=16)
+    admission=PolicySpec("queue_depth", {"max_tenant_depth": 16}))
 
 
 def request(request_id=0, tenant="a", slo=0.25, arrival=0.0):
@@ -288,7 +288,7 @@ def test_frontend_subscribes_only_learning_policies():
 # --------------------------------------------------------------------------- #
 def test_parallel_cluster_session_refuses_learned_policies():
     cluster = ClusterConfig.homogeneous(
-        2, DEVICE, placement_spec=PolicySpec("linucb_placement"))
+        2, DEVICE, placement=PolicySpec("linucb_placement"))
     with pytest.raises(ValueError) as excinfo:
         ParallelClusterSession(SCENARIO, cluster)
     assert "learned" in str(excinfo.value)
@@ -299,7 +299,7 @@ def test_cluster_spec_routes_learned_cells_to_the_serial_session():
     from repro.cluster.parallel import ParallelConfig, parallel_refusal
 
     cluster = ClusterConfig.homogeneous(
-        2, DEVICE, placement_spec=PolicySpec("linucb_placement"))
+        2, DEVICE, placement=PolicySpec("linucb_placement"))
     spec = ClusterExperimentSpec(scenario=SCENARIO, cluster=cluster,
                                  parallel=ParallelConfig(workers=2))
     assert "learned" in parallel_refusal(spec.scenario, spec.cluster)
@@ -324,7 +324,7 @@ def test_report_learned_field_is_emit_only_when_set():
 
 def test_serving_session_snapshots_learned_state():
     scenario = SCENARIO.with_overrides(
-        admission_spec=PolicySpec("adaptive_admission"),
+        admission=PolicySpec("adaptive_admission"),
         dispatch_spec=PolicySpec("epsilon_greedy_dispatch"))
     report = ServingSession(scenario, DEVICE).run()
     assert set(report.learned) == {"admission", "dispatch"}
@@ -340,7 +340,7 @@ def test_serving_session_snapshots_learned_state():
 
 def test_cluster_session_feeds_the_fleet_placement_bandit():
     cluster = ClusterConfig.homogeneous(
-        2, DEVICE, placement_spec=PolicySpec("linucb_placement"))
+        2, DEVICE, placement=PolicySpec("linucb_placement"))
     report = ClusterSession(SCENARIO, cluster).run()
     snapshot = report.learned["placement"]
     assert snapshot["feedback_events"] == report.completed

@@ -27,6 +27,7 @@ from repro.obs import (
     validate_chrome_trace,
 )
 from repro.platform import ClusterConfig, FaultSpec, PlatformConfig
+from repro.policy import PolicySpec
 from repro.serve import (
     ServingReport,
     ServingScenario,
@@ -40,7 +41,8 @@ TENANTS = (TenantSpec("a", 1.0, 0.25), TenantSpec("b", 1.0, 0.25))
 
 def scenario(**overrides):
     kwargs = {"process": "poisson", "offered_rps": 60.0, "duration_s": 0.8,
-              "seed": 3, "tenants": TENANTS, "max_queue_depth": 24}
+              "seed": 3, "tenants": TENANTS,
+              "admission": PolicySpec("queue_depth", {"max_tenant_depth": 24})}
     kwargs.update(overrides)
     return ServingScenario(**kwargs)
 

@@ -24,6 +24,7 @@ from repro.perf import (
     measure,
 )
 from repro.platform import PlatformConfig
+from repro.policy import PolicySpec
 from repro.serve import ServingScenario, ServingSession, TenantSpec
 from repro.sim.engine import AllOf, Environment, Interrupt
 
@@ -318,7 +319,7 @@ def test_optimized_engine_matches_serving_golden():
     scenario = ServingScenario(
         process="poisson", offered_rps=60.0, duration_s=0.3, seed=21,
         tenants=(TenantSpec("a", 1.0, 0.25), TenantSpec("b", 1.0, 0.25)),
-        max_queue_depth=8)
+        admission=PolicySpec("queue_depth", {"max_tenant_depth": 8}))
     config = PlatformConfig(system="IntraO3", input_scale=0.01)
     report = ServingSession(scenario, config).run()
     check_golden("serving_report", report.to_dict(), update=False)

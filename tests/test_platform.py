@@ -60,7 +60,7 @@ def test_config_hash_is_stable_and_discriminates():
     a = PlatformConfig(system="IntraO3", input_scale=0.25)
     b = PlatformConfig(system="IntraO3", input_scale=0.25)
     c = PlatformConfig(system="IntraO3", input_scale=0.5)
-    d = a.with_system("InterSt")
+    d = a.with_overrides(system="InterSt")
     assert a.config_hash() == b.config_hash()
     assert a.config_hash() != c.config_hash()
     assert a.config_hash() != d.config_hash()

@@ -4,9 +4,9 @@ Covers the registry contract (every registered policy in every domain
 round-trips ``PolicySpec -> instantiate -> to_dict -> from_dict`` with an
 identical content hash; unknown names and params raise with the sorted
 valid choices), the PolicySpec plumbing through PlatformConfig /
-ServingScenario / ClusterConfig (including the byte-identical legacy
-serialization contract), and the DeadlineAwareAdmission cold-start
-regression.
+ServingScenario / ClusterConfig (including the pinned serialized forms
+that key the experiment cache), and the DeadlineAwareAdmission
+cold-start regression.
 """
 
 import pickle
@@ -202,26 +202,17 @@ def test_policy_spec_is_deep_frozen_hashable_and_picklable():
 # Config plumbing (PlatformConfig / ClusterConfig / ServingScenario)          #
 # --------------------------------------------------------------------------- #
 def test_platform_config_scheduler_policy_syncs_and_round_trips():
-    config = PlatformConfig(scheduler_policy=PolicySpec("InterDy"))
+    # A param-free spec (or its dict) names the scheduler: it is stored
+    # as the system name, so every spelling is one config.
+    config = PlatformConfig(system=PolicySpec("InterDy"))
     assert config.system == "InterDy"
+    assert config == PlatformConfig(system={"name": "InterDy"})
     rebuilt = PlatformConfig.from_dict(config.to_dict())
     assert rebuilt == config
     assert rebuilt.config_hash() == config.config_hash()
-    # A different scheduler_policy yields a different cache identity.
-    other = PlatformConfig(scheduler_policy=PolicySpec("InterSt"))
+    # A different scheduler yields a different cache identity.
+    other = PlatformConfig(system=PolicySpec("InterSt"))
     assert other.config_hash() != config.config_hash()
-
-
-def test_platform_config_with_system_clears_stale_scheduler_policy():
-    config = PlatformConfig(scheduler_policy=PolicySpec("InterDy"))
-    retargeted = config.with_system("SIMD")
-    assert retargeted.system == "SIMD"
-    assert retargeted.scheduler_policy is None
-    # merged() and with_overrides() route through the same clearing.
-    assert config.merged(system="IntraO3").system == "IntraO3"
-    overridden = config.with_overrides(system="InterSt")
-    assert overridden.system == "InterSt"
-    assert overridden.scheduler_policy is None
 
 
 def test_module_reload_reregistration_is_tolerated():
@@ -246,17 +237,21 @@ def test_module_reload_reregistration_is_tolerated():
 
 def test_platform_config_rejects_unregistered_scheduler_policy():
     with pytest.raises(ValueError):
-        PlatformConfig(scheduler_policy=PolicySpec("SIMD"))
+        PlatformConfig(system=PolicySpec("NotAScheduler"))
     with pytest.raises(ValueError):
         PlatformConfig(system="NotAScheduler")
+    # Schedulers take no params, so a parameterized spec is rejected.
+    with pytest.raises(ValueError, match="no params"):
+        PlatformConfig(system=PolicySpec("IntraO3", {"depth": 2}))
 
 
 def test_cluster_config_placement_spec_syncs_and_round_trips():
     device = PlatformConfig(input_scale=0.01)
     cluster = ClusterConfig.homogeneous(
         2, device,
-        placement_spec=PolicySpec("tenant_affinity", {"salt": 3}))
-    assert cluster.placement == "tenant_affinity"
+        placement={"name": "tenant_affinity", "params": {"salt": 3}})
+    assert cluster.placement == PolicySpec("tenant_affinity", {"salt": 3})
+    assert cluster.to_dict()["placement"] == cluster.placement.to_dict()
     rebuilt = ClusterConfig.from_dict(cluster.to_dict())
     assert rebuilt == cluster
     assert rebuilt.config_hash() == cluster.config_hash()
@@ -266,8 +261,7 @@ def test_cluster_config_accepts_registry_only_placement():
     device = PlatformConfig(input_scale=0.01)
     cluster = ClusterConfig.homogeneous(2, device,
                                         placement="join_shortest_queue")
-    assert cluster.placement_policy_spec() == \
-        PolicySpec("join_shortest_queue")
+    assert cluster.placement == PolicySpec("join_shortest_queue")
     with pytest.raises(ValueError):
         ClusterConfig.homogeneous(2, device, placement="teleport")
 
@@ -275,11 +269,11 @@ def test_cluster_config_accepts_registry_only_placement():
 def test_cluster_config_placement_override_clears_stale_spec():
     device = PlatformConfig(input_scale=0.01)
     cluster = ClusterConfig.homogeneous(
-        2, device, placement_spec=PolicySpec("tenant_affinity",
-                                             {"salt": 3}))
+        2, device, placement=PolicySpec("tenant_affinity", {"salt": 3}))
+    # Overriding by name replaces the whole spec: no params of the old
+    # policy survive.
     overridden = cluster.with_overrides(placement="round_robin")
-    assert overridden.placement == "round_robin"
-    assert overridden.placement_spec is None
+    assert overridden.placement == PolicySpec("round_robin")
 
 
 def test_scenario_validates_the_legacy_admission_string_eagerly():
@@ -300,92 +294,69 @@ def test_policy_spec_dict_without_name_raises_value_error():
 
 
 def test_scenario_validates_policy_specs_eagerly():
-    scenario = ServingScenario(admission_spec="token_bucket",
+    scenario = ServingScenario(admission="token_bucket",
                                dispatch_spec={"name": "strict_priority"})
-    assert scenario.admission_spec == PolicySpec("token_bucket")
+    assert scenario.admission == PolicySpec("token_bucket")
     assert scenario.dispatch_spec == PolicySpec("strict_priority")
     assert ServingScenario.from_dict(scenario.to_dict()) == scenario
     with pytest.raises(ValueError):
-        ServingScenario(admission_spec="not-an-admission")
+        ServingScenario(admission=PolicySpec("not-an-admission"))
     with pytest.raises(ValueError):
         ServingScenario(dispatch_spec="not-a-dispatch")
 
 
 def test_scenario_admission_field_mirrors_the_spec():
-    scenario = ServingScenario(admission_spec=PolicySpec("token_bucket"))
-    assert scenario.admission == "token_bucket"
-    assert scenario.to_dict()["admission"] == "token_bucket"
-    # Overriding the legacy string clears the stale spec instead of
-    # letting the __post_init__ sync override the request.
+    scenario = ServingScenario(admission=PolicySpec("token_bucket"))
+    assert scenario.admission.name == "token_bucket"
+    assert scenario.to_dict()["admission"] == {"name": "token_bucket",
+                                               "params": {}}
+    # Overriding by name replaces the whole spec.
     reverted = scenario.with_overrides(admission="none")
-    assert reverted.admission == "none"
-    assert reverted.admission_spec is None
-
-
-def test_scenario_effective_admission_spec_folds_legacy_knobs():
-    legacy = ServingScenario(admission="queue_depth", max_queue_depth=7)
-    assert legacy.effective_admission_spec() == PolicySpec(
-        "queue_depth", {"max_tenant_depth": 7})
-    explicit = ServingScenario(admission_spec=PolicySpec("none"))
-    assert explicit.effective_admission_spec() == PolicySpec("none")
-
-
-def test_scenario_max_queue_depth_override_folds_into_the_spec():
-    scenario = ServingScenario(
-        admission_spec=PolicySpec("queue_depth", {"max_tenant_depth": 24}))
-    tightened = scenario.with_overrides(max_queue_depth=8)
-    assert tightened.effective_admission_spec().params["max_tenant_depth"] \
-        == 8
-    # A spec naming a different policy ignores the legacy knob, as the
-    # legacy knob always did for non-queue_depth admissions.
-    other = ServingScenario(admission_spec=PolicySpec("none"))
-    assert other.with_overrides(max_queue_depth=8) \
-        .effective_admission_spec() == PolicySpec("none")
-
-
-def test_deadline_scenarios_are_rekeyed_for_the_cold_start_fix():
-    # The cold-start bugfix changed simulated behavior for deadline
-    # scenarios; their serialized form carries a behavior revision so a
-    # persisted cache cannot serve pre-fix results.  Everything else
-    # keeps its pre-policy-layer serialization (no marker).
-    deadline = ServingScenario(admission="deadline")
-    assert deadline.to_dict()["admission_behavior_rev"] == 2
-    assert ServingScenario.from_dict(deadline.to_dict()) == deadline
-    via_spec = ServingScenario(admission_spec=PolicySpec("deadline"))
-    assert via_spec.to_dict()["admission_behavior_rev"] == 2
-    assert "admission_behavior_rev" not in ServingScenario().to_dict()
+    assert reverted.admission == PolicySpec("none")
+    # The defaults are specs too: queue_depth at its class default
+    # depth, round-robin dispatch.
+    default = ServingScenario()
+    assert default.admission == PolicySpec("queue_depth")
+    assert default.make_admission().max_tenant_depth == 64
+    assert default.dispatch_spec == PolicySpec("round_robin")
 
 
 # --------------------------------------------------------------------------- #
-# Byte-identical legacy serialization (cache keys keep working)               #
+# Pinned serialized forms (cache keys)                                        #
 # --------------------------------------------------------------------------- #
-#: Content hashes recorded immediately before the policy layer landed.
-#: They pin the contract that configs not using PolicySpec serialize —
-#: and therefore hash and cache-key — exactly as they always did.
+#: Platform and batch-experiment hashes recorded immediately before the
+#: policy layer landed: a platform config still serializes exactly as it
+#: always did, so batch results stay cached.
 PRE_POLICY_PLATFORM_HASH = "f9ae47cb6e42e77b"
-PRE_POLICY_CLUSTER_HASH = "88c626860642ed96"
 PRE_POLICY_EXEC_KEY_HASH = "42fd01ce248f09ed"
-PRE_POLICY_SERVING_KEY_HASH = "d698d68ce00a23aa"
-PRE_POLICY_CLUSTER_KEY_HASH = "163b6a8dd7ae3fcd"
+#: Cluster-config, serving-key and cluster-key hashes since every policy
+#: selection became one field serialized as a spec dict (the one
+#: documented cache-key migration of those keys).
+ONE_SPELLING_CLUSTER_HASH = "a6a4840d609528e5"
+ONE_SPELLING_SERVING_KEY_HASH = "085768698e487d4a"
+ONE_SPELLING_CLUSTER_KEY_HASH = "2a51c79b9c6e9036"
 
 
 def test_legacy_configs_hash_byte_identical_to_pre_policy_layer():
     config = PlatformConfig()
     cluster = ClusterConfig.homogeneous(2, config)
     scenario = ServingScenario()
-    assert "scheduler_policy" not in config.to_dict()
-    assert "placement_spec" not in cluster.to_dict()
-    assert "admission_spec" not in scenario.to_dict()
-    assert "dispatch_spec" not in scenario.to_dict()
+    assert config.to_dict()["system"] == "IntraO3"
+    assert cluster.to_dict()["placement"] == {"name": "round_robin",
+                                              "params": {}}
+    assert scenario.to_dict()["admission"] == {"name": "queue_depth",
+                                               "params": {}}
+    assert scenario.to_dict()["dispatch_spec"] == {"name": "round_robin",
+                                                   "params": {}}
     assert config.config_hash() == PRE_POLICY_PLATFORM_HASH
-    assert cluster.config_hash() == PRE_POLICY_CLUSTER_HASH
+    assert cluster.config_hash() == ONE_SPELLING_CLUSTER_HASH
     workload = WorkloadSpec("homogeneous", "ATAX")
     assert ExperimentSpec(workload, config).key.config_hash \
         == PRE_POLICY_EXEC_KEY_HASH
     assert ServingExperimentSpec(scenario, config).key.config_hash \
-        == PRE_POLICY_SERVING_KEY_HASH
+        == ONE_SPELLING_SERVING_KEY_HASH
     assert ClusterExperimentSpec(scenario, cluster).key.config_hash \
-        == PRE_POLICY_CLUSTER_KEY_HASH
+        == ONE_SPELLING_CLUSTER_KEY_HASH
 
 
 # --------------------------------------------------------------------------- #
@@ -399,9 +370,8 @@ def test_internal_paths_do_not_emit_deprecation_warnings():
         warnings.simplefilter("error", DeprecationWarning)
         scenario.make_admission()
         scenario.make_dispatch()
-        build_policy("scheduler", config.scheduler_spec(), num_workers=2)
-        build_policy("placement", cluster.placement_policy_spec(),
-                     device_count=2, salt=0)
+        build_policy("scheduler", config.system, num_workers=2)
+        build_policy("placement", cluster.placement, device_count=2)
 
 
 # --------------------------------------------------------------------------- #

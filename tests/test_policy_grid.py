@@ -17,7 +17,7 @@ from repro.serve import ServingScenario, TenantSpec
 SCENARIO = ServingScenario(
     process="poisson", offered_rps=80.0, duration_s=0.25, seed=9,
     tenants=(TenantSpec("a", 2.0, 0.25), TenantSpec("b", 1.0, 0.25)),
-    max_queue_depth=16)
+    admission=PolicySpec("queue_depth", {"max_tenant_depth": 16}))
 
 DEVICE = PlatformConfig(system="IntraO3", input_scale=0.01)
 
@@ -43,16 +43,26 @@ def test_policy_grid_specs_expand_the_cross_product():
     assert [combo.placement.name for combo, _ in grid[:2]] \
         == ["round_robin", "join_shortest_queue"]
     # Policy selections land in the right config layers.  A bare
-    # "queue_depth" axis entry falls back to the legacy string knob so
-    # the base scenario's max_queue_depth keeps applying.
+    # "queue_depth" axis entry names the base scenario's admission
+    # policy, so the base scenario's depth bound keeps applying.
     combo, spec = grid[1]
-    assert spec.cluster.placement == "join_shortest_queue"
-    assert spec.scenario.admission == "queue_depth"
-    assert spec.scenario.admission_spec is None
-    assert spec.scenario.effective_admission_spec() == PolicySpec(
-        "queue_depth", {"max_tenant_depth": SCENARIO.max_queue_depth})
+    assert spec.cluster.placement == PolicySpec("join_shortest_queue")
+    assert spec.scenario.admission == SCENARIO.admission
+    assert spec.scenario.admission.params == {"max_tenant_depth": 16}
     assert spec.scenario.dispatch_spec == PolicySpec("round_robin")
     assert spec.cluster.devices[0].system == "InterDy"
+    # Cell 4 is the first token-bucket cell: the entry's spec replaces
+    # the base admission outright.
+    _, bucketed = grid[4]
+    assert bucketed.scenario.admission == PolicySpec(
+        "token_bucket", {"rate_rps": 20.0, "burst": 4.0})
+
+
+def test_policy_grid_rejects_a_scheduler_entry_with_params():
+    with pytest.raises(ValueError, match="IntraO3"):
+        policy_grid_specs(
+            schedulers=(PolicySpec("IntraO3", {"depth": 2}),),
+            scenario=SCENARIO, device_config=DEVICE)
 
 
 def test_policy_grid_rejects_empty_axes_and_bad_device_count():

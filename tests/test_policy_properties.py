@@ -7,6 +7,10 @@ stable content hash (independent of param insertion order), and
 ``build_policy`` must reject unknown parameters with an actionable
 error.  The draws come from one fixed-seed RNG, so a failure is a
 reproducible counterexample, never flake.
+
+Every policy selection in a config is also one field with one identity:
+a bare name, its ``PolicySpec`` and the spec's dict build equal configs
+with equal hashes and experiment keys.
 """
 
 import inspect
@@ -15,6 +19,10 @@ import random
 
 import pytest
 
+from repro.eval.cluster import ClusterExperimentSpec
+from repro.eval.orchestrator import ExperimentSpec, WorkloadSpec
+from repro.eval.serving import ServingExperimentSpec
+from repro.platform import ClusterConfig, PlatformConfig
 from repro.policy import (
     POLICY_DOMAINS,
     PolicySpec,
@@ -25,6 +33,7 @@ from repro.policy import (
     policy_param_names,
     resolved_policy_spec,
 )
+from repro.serve import ServingScenario
 
 TRIALS_PER_POLICY = 5
 
@@ -161,3 +170,101 @@ def test_fuzzed_valid_parameterizations_instantiate_and_rekey():
                         (domain, name, key)
             # A different parameterization is a different cache identity.
             assert spec.config_hash() != PolicySpec(name).config_hash()
+
+
+# --------------------------------------------------------------------------- #
+# One spelling per policy knob                                                #
+# --------------------------------------------------------------------------- #
+DEVICE = PlatformConfig(input_scale=0.01)
+WORKLOAD = WorkloadSpec("homogeneous", "ATAX")
+
+
+def spellings(name):
+    """The three ways a caller may select one parameterless policy."""
+    return (name, PolicySpec(name), PolicySpec(name).to_dict())
+
+
+def keys(scenario=None, device=DEVICE, cluster=None):
+    """Every experiment key a config takes part in."""
+    scenario = scenario if scenario is not None else ServingScenario()
+    cluster = cluster if cluster is not None \
+        else ClusterConfig.homogeneous(2, device)
+    return (ExperimentSpec(WORKLOAD, device).key,
+            ServingExperimentSpec(scenario, device).key,
+            ClusterExperimentSpec(scenario, cluster).key)
+
+
+def assert_one_identity(configs):
+    first = configs[0]
+    for config in configs[1:]:
+        assert config == first
+        assert config.to_dict() == first.to_dict()
+    assert type(first).from_dict(
+        json.loads(json.dumps(first.to_dict()))) == first
+
+
+@pytest.mark.parametrize("name", policy_names("scheduler"))
+def test_every_scheduler_spelling_is_one_platform_config(name):
+    configs = [DEVICE.with_overrides(system=s) for s in spellings(name)]
+    assert_one_identity(configs)
+    assert {c.config_hash() for c in configs} == {configs[0].config_hash()}
+    assert {keys(device=c) for c in configs} == {keys(device=configs[0])}
+
+
+@pytest.mark.parametrize("domain, field", [
+    ("admission", "admission"), ("dispatch", "dispatch_spec")])
+def test_every_front_end_spelling_is_one_scenario(domain, field):
+    for name in policy_names(domain):
+        scenarios = [ServingScenario(**{field: s}) for s in spellings(name)]
+        assert_one_identity(scenarios)
+        assert {keys(scenario=s) for s in scenarios} \
+            == {keys(scenario=scenarios[0])}, name
+
+
+def test_every_placement_spelling_is_one_cluster_config():
+    for name in policy_names("placement"):
+        clusters = [ClusterConfig.homogeneous(2, DEVICE, placement=s)
+                    for s in spellings(name)]
+        assert_one_identity(clusters)
+        assert {c.config_hash() for c in clusters} \
+            == {clusters[0].config_hash()}, name
+        assert {keys(cluster=c) for c in clusters} \
+            == {keys(cluster=clusters[0])}, name
+
+
+def test_queue_depth_bound_keys_once():
+    # Regression: a depth-8 queue_depth admission had two spellings (a
+    # scenario-level depth knob and a spec param) with two cache keys.
+    params = {"max_tenant_depth": 8}
+    via_spec = ServingScenario(admission=PolicySpec("queue_depth", params))
+    via_dict = ServingScenario(
+        admission={"name": "queue_depth", "params": params})
+    assert via_spec == via_dict
+    assert keys(scenario=via_spec) == keys(scenario=via_dict)
+    assert via_spec.make_admission().max_tenant_depth == 8
+
+
+def test_admission_none_carries_no_depth_knob():
+    # Regression: admission="none" re-keyed when a depth knob it ignores
+    # changed; the scenario now serializes no knob outside the spec.
+    scenario = ServingScenario(admission="none")
+    assert scenario.to_dict()["admission"] == {"name": "none", "params": {}}
+    assert not [key for key in scenario.to_dict() if "depth" in key]
+    assert keys(scenario=scenario) \
+        == keys(scenario=ServingScenario(admission=PolicySpec("none")))
+
+
+def test_system_name_and_its_spec_are_one_platform_config():
+    # Regression: a scheduler spec and the system name were unequal.
+    assert PlatformConfig(system="IntraIo") \
+        == PlatformConfig(system=PolicySpec("IntraIo"))
+
+
+def test_placement_name_and_its_spec_are_one_cluster_config():
+    # Regression: a placement spec and the placement name were unequal.
+    by_name = ClusterConfig.homogeneous(
+        2, DEVICE, placement="join_shortest_queue")
+    by_spec = ClusterConfig.homogeneous(
+        2, DEVICE, placement=PolicySpec("join_shortest_queue"))
+    assert by_name == by_spec
+    assert by_name.config_hash() == by_spec.config_hash()

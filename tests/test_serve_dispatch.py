@@ -4,6 +4,7 @@ from collections import deque
 
 import pytest
 
+from repro.policy import PolicySpec
 from repro.serve import (
     RoundRobinDispatch,
     ServingScenario,
@@ -153,7 +154,7 @@ def test_strict_priority_favors_the_top_tenant_end_to_end():
         process="poisson", offered_rps=240.0, duration_s=0.4, seed=11,
         tenants=(TenantSpec("gold", 1.0, 0.25),
                  TenantSpec("bronze", 1.0, 0.25)),
-        max_queue_depth=32)
+        admission=PolicySpec("queue_depth", {"max_tenant_depth": 32}))
     config = PlatformConfig(system="IntraO3", input_scale=0.01)
 
     fair = ServingSession(base, config).run()

@@ -10,6 +10,7 @@ from repro.eval import (
     saturation_sweep,
 )
 from repro.platform import PlatformConfig
+from repro.policy import PolicySpec
 from repro.serve import (
     ServingReport,
     ServingScenario,
@@ -24,7 +25,8 @@ TENANTS = (TenantSpec("a", 1.0, 0.25), TenantSpec("b", 1.0, 0.25))
 
 def scenario(**overrides):
     kwargs = {"process": "poisson", "offered_rps": 60.0, "duration_s": 0.8,
-              "seed": 3, "tenants": TENANTS, "max_queue_depth": 24}
+              "seed": 3, "tenants": TENANTS,
+              "admission": PolicySpec("queue_depth", {"max_tenant_depth": 24})}
     kwargs.update(overrides)
     return ServingScenario(**kwargs)
 
@@ -128,7 +130,8 @@ def test_trace_scenario_session():
 def test_admission_caps_overload_latency():
     # Far beyond the baseline's capacity: with a depth bound the queue
     # (and hence the tail) stays finite and requests are rejected instead.
-    scen = scenario(offered_rps=240.0, max_queue_depth=4)
+    scen = scenario(offered_rps=240.0, admission=PolicySpec(
+        "queue_depth", {"max_tenant_depth": 4}))
     report = ServingSession(scen, config("SIMD")).run()
     assert report.rejected > 0
     check_report_invariants(report, scen)
