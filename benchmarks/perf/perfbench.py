@@ -43,9 +43,18 @@ fleet-failover ``wall_s``, with regression bounds).
   and bulk read of every screen's flash access.
 * ``range_lock_acquires_per_sec``  — range-lock acquire/release pairs
   beside eight held sections.
+* ``bandwidth_pipe_transfers_per_sec`` — eight processes contending for
+  one DDR3L-rate ``BandwidthPipe`` (the one FIFO mechanism behind DDR3L,
+  PCIe, the crossbar ports and the backbone's bulk lanes).
+* ``execution_chain_oldest_ready_per_sec`` — IntraO3's pick,
+  ``MultiAppExecutionChain.oldest_ready``, with eight screens in flight
+  until every kernel completes.
+* ``ftl_write_gc_groups_per_sec``  — page-group overwrites through
+  Flashvisor's write translation on a miniature backbone, with
+  Storengine's garbage collection keeping up behind them.
 
-The last two have no baseline and no floor; they locate a slowdown in
-the Flashvisor layer that repobench's end-to-end ``wall_s`` reports.
+The last five have no baseline and no floor; they locate a slowdown in
+the layer that repobench's end-to-end ``wall_s`` reports.
 
 Run:  python benchmarks/perf/perfbench.py [--quick] [--output PATH]
 See PERFORMANCE.md for how to read the output and the regression policy.
@@ -405,6 +414,118 @@ def range_lock_acquires(n_acquires: int) -> float:
     return float(n_acquires)
 
 
+def bandwidth_pipe_transfers(n_transfers: int) -> float:
+    """Eight processes move 4 KB blocks back to back over one DDR3L-rate
+    pipe, so nearly every transfer queues; returns transfers."""
+    from repro.sim import BandwidthPipe, Environment
+
+    clients = 8
+    env = Environment()
+    pipe = BandwidthPipe(env, 6.4e9, 50e-9, name="bench")
+    per_client = n_transfers // clients
+
+    def client(env):
+        for _ in range(per_client):
+            yield from pipe.transfer(4096)
+
+    for _ in range(clients):
+        env.process(client(env))
+    env.run()
+    moved = pipe.bytes_moved // 4096
+    if moved != per_client * clients:
+        raise RuntimeError(f"pipe bench moved {moved} of "
+                           f"{per_client * clients} transfers")
+    return float(moved)
+
+
+# --------------------------------------------------------------------------- #
+# Execution chain and FTL benchmarks                                           #
+# --------------------------------------------------------------------------- #
+def chain_bench_kernels(n_kernels: int) -> list:
+    """``n_kernels`` three-microblock kernels over four apps (built once:
+    a chain reads its kernels and never changes them)."""
+    from repro.core.kernel import build_kernel
+
+    return [build_kernel(f"k{i}", 1e6, 4096, 4096, 3, 1, 4, app_id=i % 4)
+            for i in range(n_kernels)]
+
+
+def execution_chain_oldest_ready(kernels: list) -> float:
+    """IntraO3's pick loop on a bare chain of ``kernels`` (eight offloaded
+    per instant): each screen is taken by ``oldest_ready`` and run to
+    done, with eight screens in flight; returns picks."""
+    from collections import deque
+
+    from repro.core.execution_chain import MultiAppExecutionChain
+
+    chain = MultiAppExecutionChain()
+    for i, kernel in enumerate(kernels):
+        chain.add_kernel(kernel, now=float(i // 8))
+    in_flight = deque()
+    picks = 0
+    while True:
+        picked = chain.oldest_ready()
+        if picked is None or len(in_flight) == 8:
+            if not in_flight:
+                break
+            kernel_chain, screen = in_flight.popleft()
+            chain.mark_done(kernel_chain, screen, 0.0)
+            continue
+        kernel_chain, _node, screen = picked
+        screen.claimed = True
+        chain.mark_running(screen, 0, 0.0)
+        in_flight.append((kernel_chain, screen))
+        picks += 1
+    if not chain.complete:
+        raise RuntimeError("chain bench left kernels incomplete")
+    return float(picks)
+
+
+def ftl_write_gc_groups(n_writes: int) -> float:
+    """Overwrite a quarter of a miniature backbone one page group at a
+    time while Storengine collects garbage behind it; returns page groups
+    written by the writer (GC migrations come on top)."""
+    from dataclasses import replace
+
+    from repro.core.accelerator import FlashAbacusAccelerator
+    from repro.core.storengine import Storengine
+    from repro.hw.spec import FlashSpec, prototype_spec
+
+    flash = FlashSpec(channels=2, packages_per_channel=1, dies_per_package=1,
+                      planes_per_die=2, page_bytes=4096, pages_per_block=8,
+                      blocks_per_die=16, page_read_latency_s=10e-6,
+                      page_program_latency_s=100e-6,
+                      block_erase_latency_s=200e-6,
+                      channel_bus_bandwidth=400 * 1024 * 1024,
+                      overprovision=0.2)
+    accelerator = FlashAbacusAccelerator(
+        spec=replace(prototype_spec(), flash=flash))
+    accelerator.storengine.stop()
+    env, flashvisor = accelerator.env, accelerator.flashvisor
+    storengine = Storengine(env, accelerator.cluster.storengine_lwp,
+                            flashvisor, accelerator.backbone,
+                            accelerator.energy, poll_interval_s=1e-4,
+                            journal_interval_s=1e3)
+    geometry = accelerator.backbone.geometry
+    group_bytes = geometry.page_group_bytes
+    words = group_bytes // flashvisor.word_bytes
+    span = max(1, geometry.page_groups_total // 4)
+
+    def writer():
+        for i in range(n_writes):
+            flashvisor.translate_write((i % span) * words, group_bytes)
+            yield env.timeout(2e-4)
+        storengine.stop()
+
+    done = env.process(writer())
+    env.run_until(lambda: done.triggered)
+    if not done.ok:
+        raise done.value
+    if storengine.stats.gc_invocations == 0:
+        raise RuntimeError("FTL bench never collected garbage")
+    return float(n_writes)
+
+
 # --------------------------------------------------------------------------- #
 # Harness                                                                      #
 # --------------------------------------------------------------------------- #
@@ -423,6 +544,9 @@ def build_report(quick: bool = False, repeats: int = 5) -> PerfReport:
     hit_lookups = max(200, int(1000 * scale))
     map_sections = max(500, int(4000 * scale))
     lock_acquires = max(10_000, int(50_000 * scale))
+    pipe_transfers = max(20_000, int(100_000 * scale))
+    chain_kernels = max(500, int(2000 * scale))
+    ftl_writes = max(2000, int(8000 * scale))
 
     seed_engine = load_seed_engine()
     import repro.sim.engine as current_engine
@@ -542,6 +666,28 @@ def build_report(quick: bool = False, repeats: int = 5) -> PerfReport:
                       repeats=repeats)
     report.add(PerfMetric("range_lock_acquires_per_sec", locking.rate,
                           "acquires/s"))
+
+    print(f"• sim: contended bandwidth pipe ({pipe_transfers} transfers)")
+    piping = measure("bandwidth_pipe_transfers_per_sec",
+                     lambda: bandwidth_pipe_transfers(pipe_transfers),
+                     repeats=repeats)
+    report.add(PerfMetric("bandwidth_pipe_transfers_per_sec", piping.rate,
+                          "transfers/s"))
+
+    print(f"• execution chain: oldest-ready picks ({chain_kernels} kernels)")
+    kernels = chain_bench_kernels(chain_kernels)
+    picking = measure("execution_chain_oldest_ready_per_sec",
+                      lambda: execution_chain_oldest_ready(kernels),
+                      repeats=repeats)
+    report.add(PerfMetric("execution_chain_oldest_ready_per_sec",
+                          picking.rate, "picks/s"))
+
+    print(f"• ftl: overwrites with background GC ({ftl_writes} groups)")
+    ftl = measure("ftl_write_gc_groups_per_sec",
+                  lambda: ftl_write_gc_groups(ftl_writes),
+                  repeats=repeats)
+    report.add(PerfMetric("ftl_write_gc_groups_per_sec", ftl.rate,
+                          "groups/s"))
     return report
 
 

@@ -32,7 +32,10 @@ def test_emits_at_least_four_named_metrics(quick_report):
                      "cluster_parallel_requests_per_sec",
                      "orchestrator_cache_hits_per_sec",
                      "flashvisor_map_requests_per_sec",
-                     "range_lock_acquires_per_sec"):
+                     "range_lock_acquires_per_sec",
+                     "bandwidth_pipe_transfers_per_sec",
+                     "execution_chain_oldest_ready_per_sec",
+                     "ftl_write_gc_groups_per_sec"):
         metric = quick_report.get(required)
         assert metric is not None, f"missing metric {required}"
         assert metric.value > 0

@@ -18,7 +18,9 @@ dominated cluster-run profiles).  All queries return exactly what the
 full scans returned: screens only become ready in a chain's current
 node and a screen never returns to ready once claimed or started, so
 completion is monotone per node, chain and app, and a per-node cursor
-to the first ready screen only ever advances.
+to the first ready screen only ever advances.  A chain drops its
+microblock nodes once its last screen is done; from then on it keeps
+only ``offloaded_at`` and ``completed_at``.
 """
 
 from __future__ import annotations
@@ -284,6 +286,10 @@ class MultiAppExecutionChain:
         if chain.complete:
             if chain.completed_at is None:
                 chain.completed_at = now
+            # A complete chain is read only for its two timestamps
+            # (kernel_latencies, completion_times): release its screen
+            # graph instead of keeping it for the rest of the run.
+            chain.nodes = []
             app_id = chain.kernel.app_id
             app = self._incomplete.get(app_id)
             if app is not None and app.pop(id(chain), None) is not None:

@@ -13,6 +13,12 @@ prunes every subtree that ends before the request starts or starts after
 it ends.  Releases find their node through an ``(start, end, owner)``
 index and unlink it with a red-black delete: no operation walks the
 whole tree.
+
+Tree nodes hold the range's fields as plain slots.  The validated
+:class:`LockedRange` record is built only where a caller sees one: a
+conflict report, :meth:`RangeLock.acquire`, :meth:`RangeLock.ranges` and
+:meth:`RangeLock.conflicts_with`.  A granted ``try_acquire`` (once per
+mapped data section) checks its arguments inline instead.
 """
 
 from __future__ import annotations
@@ -47,15 +53,22 @@ class LockedRange:
 
 
 class _Node:
-    __slots__ = ("range", "left", "right", "parent", "color", "max_end")
+    __slots__ = ("start", "end", "mode", "owner", "left", "right", "parent",
+                 "color", "max_end")
 
-    def __init__(self, locked_range: LockedRange):
-        self.range = locked_range
+    def __init__(self, start: int, end: int, mode: str, owner: int):
+        self.start = start
+        self.end = end
+        self.mode = mode
+        self.owner = owner
         self.left: Optional[_Node] = None
         self.right: Optional[_Node] = None
         self.parent: Optional[_Node] = None
         self.color = RED
-        self.max_end = locked_range.end
+        self.max_end = end
+
+    def record(self) -> LockedRange:
+        return LockedRange(self.start, self.end, self.mode, self.owner)
 
 
 class RangeLockConflict(Exception):
@@ -90,14 +103,24 @@ class RangeLock:
 
         Read/read overlaps are permitted (even between different kernels);
         any overlap involving a write is a conflict, matching the paper's
-        description of the protection rule.
+        description of the protection rule.  Raises ``ValueError`` for
+        the arguments :class:`LockedRange` rejects.
         """
-        requested = LockedRange(start=start, end=end, mode=mode, owner=owner)
+        if start < 0 or end < start:
+            raise ValueError("invalid range")
+        if mode != READ and mode != WRITE:
+            raise ValueError(f"unknown lock mode: {mode!r}")
         conflict = self._find_conflict(start, end, mode == READ)
         if conflict is not None:
-            return RangeLockConflict(requested, conflict)
-        node = self._insert(requested)
-        self._index.setdefault((start, end, owner), []).append(node)
+            return RangeLockConflict(
+                LockedRange(start, end, mode, owner), conflict.record())
+        node = self._insert(_Node(start, end, mode, owner))
+        key = (start, end, owner)
+        held = self._index.get(key)
+        if held is None:
+            self._index[key] = [node]
+        else:
+            held.append(node)
         return None
 
     def acquire(self, start: int, end: int, mode: str, owner: int) -> LockedRange:
@@ -130,17 +153,17 @@ class RangeLock:
 
     def ranges(self) -> List[LockedRange]:
         """All currently locked ranges, in start order."""
-        return [node.range for node in self._in_order(self._root)]
+        return [node.record() for node in self._in_order(self._root)]
 
     def conflicts_with(self, start: int, end: int, mode: str) -> List[LockedRange]:
         """All locked ranges that would block a [start, end] ``mode`` request."""
-        return [node.range for node in self._in_order(self._root)
-                if node.range.overlaps(start, end)
-                and not (node.range.mode == READ and mode == READ)]
+        return [node.record() for node in self._in_order(self._root)
+                if node.start <= end and start <= node.end
+                and not (node.mode == READ and mode == READ)]
 
     # -- conflict search ------------------------------------------------------
     def _find_conflict(self, start: int, end: int,
-                       read: bool) -> Optional[LockedRange]:
+                       read: bool) -> Optional[_Node]:
         """Some held range that blocks [start, end], or None.
 
         Pruned interval search: a subtree whose ``max_end`` is below
@@ -154,10 +177,9 @@ class RangeLock:
             node = stack.pop()
             if node.max_end < start:
                 continue
-            locked = node.range
-            if locked.start <= end:
-                if locked.end >= start and not (read and locked.mode == READ):
-                    return locked
+            if node.start <= end:
+                if node.end >= start and not (read and node.mode == READ):
+                    return node
                 if node.right is not None:
                     stack.append(node.right)
             if node.left is not None:
@@ -175,16 +197,16 @@ class RangeLock:
             yield node
             node = node.right
 
-    def _insert(self, locked_range: LockedRange) -> _Node:
-        new = _Node(locked_range)
+    def _insert(self, new: _Node) -> _Node:
+        start = new.start
         parent, node = None, self._root
         while node is not None:
             parent = node
-            node = node.left if locked_range.start < node.range.start else node.right
+            node = node.left if start < node.start else node.right
         new.parent = parent
         if parent is None:
             self._root = new
-        elif locked_range.start < parent.range.start:
+        elif start < parent.start:
             parent.left = new
         else:
             parent.right = new
@@ -330,7 +352,7 @@ class RangeLock:
         self._update_max(y)
 
     def _update_max(self, node: _Node) -> None:
-        node.max_end = node.range.end
+        node.max_end = node.end
         if node.left is not None:
             node.max_end = max(node.max_end, node.left.max_end)
         if node.right is not None:
@@ -392,15 +414,15 @@ class RangeLock:
             right = black_height(node.right)
             if left != right:
                 raise AssertionError("black heights differ")
-            expected_max = node.range.end
+            expected_max = node.end
             for child in (node.left, node.right):
                 if child is not None:
                     expected_max = max(expected_max, child.max_end)
             if node.max_end != expected_max:
                 raise AssertionError("max_end augmentation is stale")
-            if node.left is not None and node.left.range.start > node.range.start:
+            if node.left is not None and node.left.start > node.start:
                 raise AssertionError("BST order violated (left)")
-            if node.right is not None and node.right.range.start < node.range.start:
+            if node.right is not None and node.right.start < node.start:
                 raise AssertionError("BST order violated (right)")
             return left + (0 if node.color is RED else 1)
 
@@ -422,7 +444,5 @@ class RangeLock:
             raise AssertionError("release index out of sync with the tree")
         for (start, end, owner), held in self._index.items():
             for node in held:
-                locked = node.range
-                if (locked.start, locked.end, locked.owner) \
-                        != (start, end, owner):
+                if (node.start, node.end, node.owner) != (start, end, owner):
                     raise AssertionError("release index key mismatch")

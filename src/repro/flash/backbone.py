@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..sim.engine import Environment
-from ..sim.resources import Resource
+from ..sim.resources import BandwidthPipe
 from ..hw.power import EnergyAccountant, PowerMonitor, STORAGE_ACCESS
 from ..hw.spec import FlashSpec
 from .channel import FlashChannel
@@ -48,11 +48,14 @@ class FlashBackbone:
         # makespan purposes.  Reads are bus-limited while programs are
         # die-limited (the 2.6 ms TLC program dominates), so background
         # write-buffer flushes barely disturb the read path — they are kept
-        # on a separate lane.
-        self._bulk_read_lane = Resource(env, capacity=1,
-                                        name="backbone.bulk_read")
-        self._bulk_program_lane = Resource(env, capacity=1,
-                                           name="backbone.bulk_program")
+        # on a separate lane.  A lane's service time is the unloaded
+        # ``bulk_read_time`` / ``bulk_program_time``.
+        self._bulk_read_lane = BandwidthPipe(
+            env, self.aggregate_read_bandwidth, spec.page_read_latency_s,
+            name="backbone.bulk_read")
+        self._bulk_program_lane = BandwidthPipe(
+            env, self.aggregate_program_bandwidth,
+            spec.page_program_latency_s, name="backbone.bulk_program")
         self.bulk_bytes_read = 0
         self.bulk_bytes_written = 0
 
@@ -126,21 +129,15 @@ class FlashBackbone:
 
     def bulk_read_time(self, num_bytes: int) -> float:
         """Unloaded time to stream ``num_bytes`` out of the backbone."""
-        if num_bytes < 0:
-            raise ValueError("num_bytes must be non-negative")
         if num_bytes == 0:
             return 0.0
-        return (self.spec.page_read_latency_s
-                + num_bytes / self.aggregate_read_bandwidth)
+        return self._bulk_read_lane.occupancy_time(num_bytes)
 
     def bulk_program_time(self, num_bytes: int) -> float:
         """Unloaded time to stream ``num_bytes`` into the backbone."""
-        if num_bytes < 0:
-            raise ValueError("num_bytes must be non-negative")
         if num_bytes == 0:
             return 0.0
-        return (self.spec.page_program_latency_s
-                + num_bytes / self.aggregate_program_bandwidth)
+        return self._bulk_program_lane.occupancy_time(num_bytes)
 
     def bulk_read(self, num_bytes: int):
         """Process generator: stream ``num_bytes`` from flash (data section).
@@ -154,9 +151,7 @@ class FlashBackbone:
             return 0.0
         start = self.env.now
         self._stream_begin(self.spec.power_w)
-        with self._bulk_read_lane.request() as req:
-            yield req
-            yield self.env.timeout(self.bulk_read_time(num_bytes))
+        yield from self._bulk_read_lane.transfer(num_bytes)
         self._stream_end()
         self.bulk_bytes_read += num_bytes
         self._charge(start)
@@ -168,9 +163,7 @@ class FlashBackbone:
             return 0.0
         start = self.env.now
         self._stream_begin(self.spec.program_power_w)
-        with self._bulk_program_lane.request() as req:
-            yield req
-            yield self.env.timeout(self.bulk_program_time(num_bytes))
+        yield from self._bulk_program_lane.transfer(num_bytes)
         self._stream_end()
         self.bulk_bytes_written += num_bytes
         self._charge(start, self.spec.program_power_w)

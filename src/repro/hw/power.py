@@ -85,10 +85,19 @@ class EnergyAccountant:
         """Charge ``joules`` of energy consumed by ``component``."""
         if joules < 0:
             raise ValueError("energy must be non-negative")
-        if bucket not in BUCKETS:
+        # A few charges per simulated screen: add to the field directly
+        # rather than through getattr/setattr on the bucket name.
+        breakdown = self.breakdown
+        if bucket == COMPUTATION:
+            breakdown.computation += joules
+        elif bucket == STORAGE_ACCESS:
+            breakdown.storage_access += joules
+        elif bucket == DATA_MOVEMENT:
+            breakdown.data_movement += joules
+        else:
             raise ValueError(f"unknown energy bucket: {bucket!r}")
-        setattr(self.breakdown, bucket, getattr(self.breakdown, bucket) + joules)
-        self.by_component[component] = self.by_component.get(component, 0.0) + joules
+        by_component = self.by_component
+        by_component[component] = by_component.get(component, 0.0) + joules
 
     def charge_power(self, component: str, bucket: str, watts: float,
                      duration_s: float) -> None:

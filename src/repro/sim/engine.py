@@ -30,6 +30,10 @@ therefore byte-identical simulation results) stable:
   three frames deep per event), and recycle processed, unreferenced
   :class:`Timeout`/:class:`Event` objects through small free lists
   guarded by ``sys.getrefcount``.
+* ``Environment.timeout_at`` schedules an absolute instant.  A FIFO
+  server that knows when a transfer ends (``BandwidthPipe``) waits with
+  one timeout at exactly that instant instead of a grant event plus a
+  relative timeout.
 * ``Environment.run`` inlines the pop/dispatch loop with local aliases
   (no per-event ``step()``/``peek()`` method calls), with a separate
   tight loop for the run-to-drain case.
@@ -421,6 +425,30 @@ class Environment:
         eid = self._eid = self._eid + 1
         _heappush(self._queue,
                   (self._now + delay, _SEQ_NORMAL | eid, timeout))
+        return timeout
+
+    def timeout_at(self, when: float, value: Any = None) -> Timeout:
+        """Create an event that triggers at the absolute instant ``when``.
+
+        The heap key is ``when`` itself: a caller that computed an end
+        instant would otherwise pass ``when - now``, and ``now + (when -
+        now)`` can differ from ``when`` in the last bit.
+        """
+        now = self._now
+        if when < now:
+            raise ValueError(f"instant {when!r} is before now ({now!r})")
+        try:
+            timeout = self._timeout_pool.pop()
+        except IndexError:
+            timeout = Timeout.__new__(Timeout)
+            timeout.env = self
+            timeout.callbacks = []
+            timeout._ok = True
+            timeout._triggered = True
+        timeout._value = value
+        timeout.delay = when - now
+        eid = self._eid = self._eid + 1
+        _heappush(self._queue, (when, _SEQ_NORMAL | eid, timeout))
         return timeout
 
     def process(self, generator: Generator) -> Process:

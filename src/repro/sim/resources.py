@@ -1,11 +1,20 @@
 """Shared simulation resources: capacity resources, stores, bandwidth pipes.
 
 These primitives model contention: a :class:`Resource` is a server with a
-fixed capacity (e.g. a flash channel bus), a :class:`Store` is a FIFO of
-Python objects (e.g. a hardware message queue), and a
-:class:`BandwidthPipe` converts byte counts into occupancy time on a link
-with a fixed bandwidth and per-transfer latency (e.g. PCIe, DDR3L, the
-tier-1 crossbar).
+fixed capacity and priority-ordered waiters (e.g. a flash channel bus or
+a die), a :class:`Store` is a FIFO of Python objects (e.g. a hardware
+message queue), and a :class:`BandwidthPipe` converts byte counts into
+occupancy time on a one-lane FIFO link with a fixed bandwidth and
+per-transfer latency (e.g. PCIe, DDR3L, the tier-1 crossbar, the flash
+backbone's bulk lanes).
+
+A pipe serves one transfer at a time in arrival order, so it needs no
+wait queue: it keeps the instant it next falls free, and a transfer
+arriving at ``now`` ends at ``max(now, free_at) + occupancy_time(n)``.
+The transfer waits on one timeout at that absolute instant
+(:meth:`Environment.timeout_at`), where a ``Resource`` would cost a
+grant event plus a timeout.  The end instants are the ones a one-slot
+``Resource`` followed by a timeout produces, float for float.
 """
 
 from __future__ import annotations
@@ -211,9 +220,10 @@ class TransferRecord:
 class BandwidthPipe:
     """A link with fixed bandwidth, fixed per-transfer latency, one lane.
 
-    Transfers are serialized (single transaction at a time), which captures
-    the first-order contention behaviour of DDR buses, PCIe links and the
-    crossbar ports used in this reproduction.
+    Transfers are serialized in arrival order (one transaction at a
+    time), which captures the first-order contention behaviour of DDR
+    buses, PCIe links, the crossbar ports and the flash backbone's bulk
+    lanes in this reproduction.
     """
 
     def __init__(self, env: Environment, bandwidth_bytes_per_s: float,
@@ -226,8 +236,11 @@ class BandwidthPipe:
         self.bandwidth = float(bandwidth_bytes_per_s)
         self.latency = float(latency_s)
         self.name = name
-        self._resource = Resource(env, capacity=1, name=name)
         self.bytes_moved = 0
+        # The instant the lane next falls free, and the service time
+        # reserved so far (elapsed or still ahead of the clock).
+        self._free_at = env.now
+        self._reserved = 0.0
 
     def occupancy_time(self, num_bytes: int) -> float:
         """Pure service time for ``num_bytes`` (no queueing)."""
@@ -235,20 +248,30 @@ class BandwidthPipe:
             raise ValueError("num_bytes must be non-negative")
         return self.latency + num_bytes / self.bandwidth
 
-    def transfer(self, num_bytes: int, priority: int = 0):
+    def transfer(self, num_bytes: int):
         """Process generator: move ``num_bytes`` across the link.
 
         Yields from within a simulation process; returns a
-        :class:`TransferRecord`.
+        :class:`TransferRecord` whose duration includes the queue wait.
         """
-        start = self.env.now
-        with self._resource.request(priority=priority) as req:
-            yield req
-            yield self.env.timeout(self.occupancy_time(num_bytes))
+        env = self.env
+        start = env._now
+        service = self.occupancy_time(num_bytes)
+        free_at = self._free_at
+        end = (free_at if free_at > start else start) + service
+        self._free_at = end
+        self._reserved += service
+        yield env.timeout_at(end)
         self.bytes_moved += num_bytes
-        return TransferRecord(start=start, end=self.env.now,
-                              num_bytes=num_bytes)
+        return TransferRecord(start=start, end=end, num_bytes=num_bytes)
 
     def utilization(self) -> float:
         """Fraction of time the link was busy."""
-        return self._resource.utilization()
+        now = self.env.now
+        if now <= 0:
+            return 0.0
+        busy = self._reserved
+        ahead = self._free_at - now
+        if ahead > 0:
+            busy -= ahead
+        return busy / now

@@ -79,6 +79,42 @@ def test_invalid_range_and_mode_rejected():
         LockedRange(start=0, end=1, mode="exclusive", owner=0)
 
 
+@pytest.mark.parametrize("start, end, mode, message", [
+    (5, 4, READ, "invalid range"),
+    (-1, 3, WRITE, "invalid range"),
+    (0, 1, "exclusive", "unknown lock mode"),
+])
+def test_acquire_entry_points_validate_on_an_empty_lock(start, end, mode,
+                                                        message):
+    # The hot path checks its arguments inline instead of building a
+    # LockedRange; the errors must be the record's.
+    with pytest.raises(ValueError, match=message):
+        LockedRange(start=start, end=end, mode=mode, owner=0)
+    lock = RangeLock()
+    with pytest.raises(ValueError, match=message):
+        lock.try_acquire(start, end, mode, owner=0)
+    with pytest.raises(ValueError, match=message):
+        lock.acquire(start, end, mode, owner=0)
+    assert len(lock) == 0
+    lock.check_invariants()
+
+
+def test_conflicts_report_locked_range_records():
+    lock = RangeLock()
+    held = lock.acquire(0, 10, WRITE, owner=1)
+    assert held == LockedRange(0, 10, WRITE, 1)
+    conflict = lock.try_acquire(5, 15, READ, owner=2)
+    assert isinstance(conflict, RangeLockConflict)
+    assert conflict.requested == LockedRange(5, 15, READ, 2)
+    assert conflict.conflicting == LockedRange(0, 10, WRITE, 1)
+    assert "held by kernel 1" in str(conflict)
+    with pytest.raises(RangeLockConflict) as raised:
+        lock.acquire(10, 12, WRITE, owner=3)
+    assert raised.value.conflicting == held
+    assert lock.ranges() == [held]
+    assert lock.conflicts_with(0, 0, READ) == [held]
+
+
 def test_conflicts_with_lists_blocking_ranges():
     lock = RangeLock()
     lock.acquire(0, 10, WRITE, owner=1)

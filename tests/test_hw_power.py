@@ -1,6 +1,7 @@
 """Unit tests for energy accounting and power monitoring."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.hw.power import (
     BUCKETS,
@@ -58,6 +59,50 @@ def test_accountant_rejects_bad_charges():
         accountant.charge("x", "unknown_bucket", 1.0)
     with pytest.raises(ValueError):
         accountant.charge_power("x", COMPUTATION, 1.0, -1.0)
+    # The negative-joule check comes first, and a rejected charge
+    # leaves the ledger untouched.
+    with pytest.raises(ValueError, match="non-negative"):
+        accountant.charge("x", "unknown_bucket", -1.0)
+    assert accountant.breakdown == EnergyBreakdown()
+    assert accountant.by_component == {}
+
+
+class _ReferenceAccountant:
+    """The accountant before direct field adds: getattr/setattr by name."""
+
+    def __init__(self):
+        self.breakdown = EnergyBreakdown()
+        self.by_component = {}
+
+    def charge(self, component, bucket, joules):
+        setattr(self.breakdown, bucket,
+                getattr(self.breakdown, bucket) + joules)
+        self.by_component[component] = (
+            self.by_component.get(component, 0.0) + joules)
+
+
+_charges = st.lists(
+    st.tuples(st.sampled_from(["lwp0", "lwp1", "ddr3l", "flash_backbone",
+                               "pcie"]),
+              st.sampled_from(BUCKETS),
+              st.floats(min_value=0.0, max_value=1e3, allow_nan=False)),
+    max_size=60)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_charges)
+def test_accountant_is_bit_equal_to_named_attribute_adds(charges):
+    accountant = EnergyAccountant()
+    reference = _ReferenceAccountant()
+    for component, bucket, joules in charges:
+        accountant.charge(component, bucket, joules)
+        reference.charge(component, bucket, joules)
+    for bucket in BUCKETS:
+        assert getattr(accountant.breakdown, bucket).hex() \
+            == getattr(reference.breakdown, bucket).hex()
+    assert list(accountant.by_component) == list(reference.by_component)
+    assert {k: v.hex() for k, v in accountant.by_component.items()} \
+        == {k: v.hex() for k, v in reference.by_component.items()}
 
 
 def test_power_monitor_tracks_instantaneous_power():

@@ -145,6 +145,24 @@ def test_run_serving_wrapper():
     assert merged.system == "SIMD"
 
 
+def test_completed_chains_release_their_screen_graph():
+    """A complete kernel chain keeps only its two timestamps: the screen
+    graph is dropped at the last screen, not kept for the whole run."""
+    session = ServingSession(scenario(), config("IntraO3"))
+    report = session.run()
+    chain = session.frontend.backend.accelerator.scheduler.chain
+    chains = list(chain.all_chains())
+    assert len(chains) == report.completed > 0
+    for kernel_chain in chains:
+        assert kernel_chain.complete
+        assert kernel_chain.nodes == []
+        assert kernel_chain.current_node() is None
+        assert kernel_chain.completed_at >= kernel_chain.offloaded_at
+    assert chain.kernel_latencies() == [
+        c.completed_at - c.offloaded_at for c in chains]
+    assert chain.completion_times() == sorted(c.completed_at for c in chains)
+
+
 # --------------------------------------------------------------------------- #
 # Report serialization                                                         #
 # --------------------------------------------------------------------------- #

@@ -402,3 +402,66 @@ def test_run_until_watchdog_rearms_on_progress():
                             progress=lambda: progress[0], stall_s=5.0)
     assert outcome == "done"
     assert env.now == 120.0
+
+
+# --------------------------------------------------------------------------- #
+# timeout_at: absolute instants                                                #
+# --------------------------------------------------------------------------- #
+def test_timeout_at_fires_at_exactly_the_instant():
+    # 0.2 + (0.9 - 0.2) != 0.9 in binary floating point: a relative
+    # timeout would land one ulp off the instant the caller computed.
+    assert 0.2 + (0.9 - 0.2) != 0.9
+    env = Environment()
+    seen = []
+
+    def proc(env):
+        yield env.timeout(0.2)
+        value = yield env.timeout_at(0.9, value="end")
+        seen.append((env.now, value))
+        yield env.timeout_at(env.now)       # "now" is not in the past
+        seen.append(env.now)
+
+    env.process(proc(env))
+    env.run()
+    assert seen == [(0.9, "end"), 0.9]
+
+
+def test_timeout_at_rejects_a_past_instant():
+    env = Environment()
+    env.run(until=2.0)
+    with pytest.raises(ValueError):
+        env.timeout_at(1.5)
+    with pytest.raises(ValueError):
+        env.timeout_at(2.0 - 1e-12)
+
+
+def test_timeout_at_reuses_pooled_timeouts():
+    env = Environment()
+    # A process keeps a reference to the event it last waited on, so
+    # only the earlier of two timeouts returns to the free list.
+    def proc(env):
+        yield env.timeout(1.0)
+        yield env.timeout(0.5)
+
+    env.process(proc(env))
+    env.run()
+    assert len(env._timeout_pool) == 1
+    pooled = env._timeout_pool[-1]
+    timeout = env.timeout_at(3.0, value=7)
+    assert timeout is pooled
+    assert not env._timeout_pool
+    assert (timeout.delay, timeout.value) == (1.5, 7)
+    del timeout, pooled
+
+    def waiter(env):
+        yield env.timeout_at(4.0)
+        yield env.timeout_at(5.0)
+
+    env.process(waiter(env))
+    env.run()
+    assert env.now == 5.0
+    # The waited-on timeout_at(4.0) went back to the pool; the one at
+    # 3.0 had no waiter, and only waited-on events are recycled.
+    assert len(env._timeout_pool) == 1
+    assert env.timeout_at(6.0).delay == 1.0
+    assert not env._timeout_pool
