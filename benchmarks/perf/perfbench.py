@@ -14,6 +14,11 @@ fleet-failover ``wall_s``, with regression bounds).
   (``engine_seed_snapshot.py``) and recorded as the metric's baseline.
 * ``engine_pingpong_events_per_sec`` — event-signaling (succeed/wait)
   loop, with the same seed baseline.
+* ``engine_run_until_events_per_sec`` — the timeout workload driven
+  the way serving and cluster runs drive the engine: ``run_until`` with
+  a count predicate and a stall watchdog.  The seed engine has no
+  ``run_until``, so this rate has no baseline and no floor; it shows
+  what the stop check and watchdog cost on top of ``run()``.
 * ``serving_obs_requests_per_sec`` — a single-device open-loop serving
   run with the PR-7 observability layer (lifecycle tracing + metrics bus) on, interleaved
   A/B against the same run with it off, so the recorded ratio is the
@@ -157,6 +162,32 @@ def engine_pingpong_events(engine_module, n_pairs: int,
         env.process(consumer(env, box, rounds))
     env.run()
     return float(n_pairs * rounds * 2)
+
+
+def engine_run_until_events(n_procs: int, events_per_proc: int) -> float:
+    """The timeout workload under ``run_until``; returns events processed.
+
+    ``done`` counts finished workers and ``progress`` is the same count,
+    with the stall horizon of a serving run (ten times the simulated
+    span), so the watchdog is armed but never trips.
+    """
+    from repro.sim.engine import Environment
+
+    env = Environment()
+    finished = [0]
+
+    def worker(env, period, count):
+        for _ in range(count):
+            yield env.timeout(period)
+        finished[0] += 1
+
+    for i in range(n_procs):
+        env.process(worker(env, 1.0 + i * 1e-4, events_per_proc))
+    outcome = env.run_until(lambda: finished[0] >= n_procs,
+                            progress=lambda: finished[0],
+                            stall_s=10.0 * 2.0 * events_per_proc)
+    assert outcome == "done", outcome
+    return float(n_procs * events_per_proc)
 
 
 # --------------------------------------------------------------------------- #
@@ -588,6 +619,15 @@ def build_report(quick: bool = False, repeats: int = 5) -> PerfReport:
     report.add(PerfMetric("engine_pingpong_events_per_sec",
                           current_pp.best_rate,
                           "events/s", baseline=seed_pp.best_rate))
+
+    print("• engine: timeout-driven run_until with watchdog "
+          f"({n_procs} procs x {events_per_proc} events)")
+    until = measure("engine_run_until_events_per_sec",
+                    lambda: engine_run_until_events(n_procs,
+                                                    events_per_proc),
+                    repeats=repeats)
+    report.add(PerfMetric("engine_run_until_events_per_sec",
+                          until.best_rate, "events/s"))
 
     print(f"• serving: observability on vs off (240 rps x {serving_s:g}s)")
     # Interleaved A/B so the recorded ratio is the tracing + metrics-bus

@@ -28,6 +28,7 @@ def quick_report():
 def test_emits_at_least_four_named_metrics(quick_report):
     assert len(quick_report.metrics) >= 4
     for required in ("engine_events_per_sec",
+                     "engine_run_until_events_per_sec",
                      "serving_obs_requests_per_sec",
                      "cluster_parallel_requests_per_sec",
                      "orchestrator_cache_hits_per_sec",

@@ -88,7 +88,7 @@ from ..platform.cluster import ClusterConfig
 from ..policy import policy_is_learned
 from ..serve.report import ServingReport
 from ..serve.request import Request, RequestRecord, RequestStatus
-from ..serve.session import ServingScenario
+from ..serve.session import ServingScenario, drive_watched
 from ..serve.frontend import ServingFrontend
 from ..serve.slo import SLOTracker
 from ..sim.engine import Environment
@@ -398,7 +398,6 @@ class _ShardGroup:
         finish-at-settle-time.
         """
         results: Dict[int, Dict[str, Any]] = {}
-        stall_horizon = max(60.0, 10.0 * self.scenario.duration_s)
         for index in sorted(self.shards):
             shard = self.shards[index]
             env = shard.backend.env
@@ -416,17 +415,10 @@ class _ShardGroup:
                 frontend.close()
                 self._closed[index] = True
             tracker = shard.tracker
-            outcome = env.run_until(lambda: frontend.drained,
-                                    progress=lambda: tracker.settled,
-                                    stall_s=stall_horizon)
-            if outcome == "drained":
-                raise RuntimeError(
-                    f"device {index} stalled while draining at "
-                    f"t={env.now:.3f}s")
-            if outcome == "stalled":
-                raise RuntimeError(
-                    f"device {index} made no progress for "
-                    f"{stall_horizon:.0f} simulated seconds")
+            drive_watched(
+                env, lambda: frontend.drained, lambda: tracker.settled,
+                self.scenario.duration_s, f"device {index}",
+                lambda: f"{tracker.settled} requests settled while draining")
             payload = self._boundary_payload(index)
             payload["settled_s"] = self._buffers[index].last_settled_s
             results[index] = payload

@@ -13,13 +13,13 @@ static fleet pinned at ``max``), and rolls both runs into one
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from ..platform.cluster import ClusterConfig, FaultSpec
 from ..platform.config import PlatformConfig
 from ..policy import PolicySpec
+from ..serve.arrivals import churn_trace
 from ..serve.session import ServingScenario, TenantSpec
 from ..cluster.parallel import ParallelConfig
 from .cluster import ClusterExperimentSpec
@@ -126,29 +126,13 @@ def churn_scenario(duration_s: float = 3.0, seed: int = 13,
     autoscaler sees churn rather than a smooth curve.  The trace is a
     pure function of ``seed``.
     """
-    rng = random.Random(seed)
-    workloads = list(ServingScenario().workloads)
-    half = duration_s / 2.0
-
-    def wave(tenant: str, start: float, end: float, rps: float):
-        t = start
-        while True:
-            t += rng.expovariate(rps)
-            if t >= end:
-                return
-            yield (t, tenant, rng.choice(workloads))
-
-    events = []
-    events.extend(wave("tenant-a", 0.0, duration_s, quiet_rps))
-    events.extend(wave("tenant-b", 0.0, half, busy_rps))
-    events.extend(wave("tenant-c", half, duration_s, busy_rps))
-    events.sort()
     tenants = elastic_tenants() + (
         TenantSpec("tenant-c", 1.0, ELASTIC_SLO_S),)
     return ServingScenario(process="trace", duration_s=duration_s,
                            seed=seed, tenants=tenants,
                            admission=ELASTIC_ADMISSION,
-                           trace_events=tuple(events))
+                           trace_events=churn_trace(
+                               duration_s, seed, busy_rps, quiet_rps))
 
 
 # ---------------------------------------------------------------------- #

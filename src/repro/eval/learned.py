@@ -29,12 +29,12 @@ model's feedback count grows — the online-learning receipt.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Any, List, Optional, Sequence, Tuple
 
 from ..platform.config import PlatformConfig
 from ..policy import PolicySpec, policy_is_learned
+from ..serve.arrivals import churn_trace
 from ..serve.request import RequestStatus
 from ..serve.session import ServingScenario, ServingSession, TenantSpec
 from .orchestrator import ExperimentOrchestrator, default_orchestrator
@@ -120,29 +120,13 @@ def churn_scenario(duration_s: float = 3.0, seed: int = 23,
     serving the background tenant at par.  The trace is a pure function
     of ``seed``.
     """
-    rng = random.Random(seed)
-    workloads = list(ServingScenario().workloads)
-    half = duration_s / 2.0
-
-    def wave(tenant: str, start: float, end: float, rps: float):
-        t = start
-        while True:
-            t += rng.expovariate(rps)
-            if t >= end:
-                return
-            yield (t, tenant, rng.choice(workloads))
-
-    events: List[Tuple[float, str, str]] = []
-    events.extend(wave("tenant-a", 0.0, duration_s, quiet_rps))
-    events.extend(wave("tenant-b", 0.0, half, busy_rps))
-    events.extend(wave("tenant-c", half, duration_s, busy_rps))
-    events.sort()
     tenants = (TenantSpec("tenant-a", 1.0, LOOSE_SLO_S),
                TenantSpec("tenant-b", 1.0, TIGHT_SLO_S),
                TenantSpec("tenant-c", 1.0, TIGHT_SLO_S))
     return ServingScenario(process="trace", duration_s=duration_s,
                            seed=seed, tenants=tenants,
-                           trace_events=tuple(events))
+                           trace_events=churn_trace(
+                               duration_s, seed, busy_rps, quiet_rps))
 
 
 def hetero_scenario(offered_rps: float = 380.0, duration_s: float = 3.0,

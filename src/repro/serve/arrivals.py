@@ -15,6 +15,9 @@ Four processes cover the paper-style evaluation space:
   thinning a peak-rate Poisson stream.
 * :class:`TraceArrivals` — replay of an explicit (time, tenant, workload)
   event list, e.g. loaded from a JSON-lines trace file.
+
+:func:`churn_trace` builds one such event list: tenants arriving and
+departing in waves.
 """
 
 from __future__ import annotations
@@ -265,3 +268,29 @@ class TraceArrivals(ArrivalProcess):
     def _arrival_times(self, rng: random.Random,
                        duration_s: float) -> List[float]:  # pragma: no cover
         return [e[0] for e in self.events if e[0] < duration_s]
+
+
+def churn_trace(duration_s: float, seed: int, busy_rps: float,
+                quiet_rps: float) -> Tuple[Tuple[float, str, str], ...]:
+    """Tenant-churn events for :class:`TraceArrivals`.
+
+    ``tenant-a`` arrives at ``quiet_rps`` throughout; ``tenant-b`` at
+    ``busy_rps`` through the first half, then departs; ``tenant-c``
+    onboards at ``busy_rps`` for the second half.  Each arrival draws
+    its kernel uniformly from :data:`DEFAULT_WORKLOAD_POOL`.  The trace
+    is a pure function of its arguments.
+    """
+    rng = random.Random(seed)
+    workloads = list(DEFAULT_WORKLOAD_POOL)
+    half = duration_s / 2.0
+    events = []
+    for tenant, start, end, rps in (("tenant-a", 0.0, duration_s, quiet_rps),
+                                    ("tenant-b", 0.0, half, busy_rps),
+                                    ("tenant-c", half, duration_s, busy_rps)):
+        t = start
+        while True:
+            t += rng.expovariate(rps)
+            if t >= end:
+                break
+            events.append((t, tenant, rng.choice(workloads)))
+    return tuple(sorted(events))

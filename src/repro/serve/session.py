@@ -17,7 +17,7 @@ simulation until every request has settled, and assembles a
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..baseline.system import BaselineSystem
 from ..core.accelerator import FlashAbacusAccelerator
@@ -151,34 +151,43 @@ def assemble_serving_report(scenario: "ServingScenario", system: str,
     )
 
 
-def drive_until_settled(env, tracker: SLOTracker, expected: int,
-                        duration_s: float,
-                        label: str = "serving run") -> None:
-    """Run ``env`` until ``expected`` requests settled, with a watchdog.
+def drive_watched(env, done: Callable[[], bool],
+                  progress: Callable[[], int], duration_s: float,
+                  label: str, status: Callable[[], str]) -> None:
+    """Run ``env`` until ``done()`` holds, under the stall watchdog.
 
     An exhausted event queue can never happen while an accelerator
     backend is up (Storengine polls perpetually until stopped), so
-    progress is what is watched — if no request settles for a generous
-    simulated span, the run is wedged.  Crashes of backend-owned
+    ``progress`` (the settled-request count) is what is watched — if it
+    stays put for ``max(60, 10 * duration_s)`` simulated seconds, the
+    run is wedged.  Either way the run fails with a ``RuntimeError``
+    naming ``label`` and ``status()``.  Crashes of backend-owned
     processes need no polling here: they are spawned
     (:meth:`~repro.sim.engine.Environment.spawn`) and re-raise out of
     the engine loop.
     """
     stall_horizon = max(60.0, 10.0 * duration_s)
-    aggregate = tracker.aggregate
-    outcome = env.run_until(
-        lambda: aggregate.completed + aggregate.rejected >= expected,
-        progress=lambda: tracker.settled, stall_s=stall_horizon)
+    outcome = env.run_until(done, progress=progress, stall_s=stall_horizon)
     if outcome == "drained":
         raise RuntimeError(
-            f"{label} stalled: {tracker.settled}/{expected} "
-            f"requests settled at t={env.now:.3f}s")
+            f"{label} stalled: {status()} at t={env.now:.3f}s")
     if outcome == "stalled":
         raise RuntimeError(
             f"{label} stalled: no request settled for "
             f"{stall_horizon:.0f} simulated seconds "
-            f"({tracker.settled}/{expected} settled at "
-            f"t={env.now:.3f}s)")
+            f"({status()} at t={env.now:.3f}s)")
+
+
+def drive_until_settled(env, tracker: SLOTracker, expected: int,
+                        duration_s: float,
+                        label: str = "serving run") -> None:
+    """Run ``env`` until ``expected`` requests settled, with a watchdog
+    (see :func:`drive_watched`)."""
+    aggregate = tracker.aggregate
+    drive_watched(
+        env, lambda: aggregate.completed + aggregate.rejected >= expected,
+        lambda: tracker.settled, duration_s, label,
+        lambda: f"{tracker.settled}/{expected} requests settled")
 
 
 #: Default tenant set: two equal-share tenants with the same SLO, so the

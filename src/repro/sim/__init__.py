@@ -2,10 +2,8 @@
 
 from .engine import (
     AllOf,
-    AnyOf,
     Environment,
     Event,
-    Interrupt,
     Process,
     SimulationError,
     Timeout,
@@ -22,10 +20,8 @@ from .stats import (
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "Environment",
     "Event",
-    "Interrupt",
     "Process",
     "SimulationError",
     "Timeout",

@@ -237,12 +237,40 @@ def test_watchdog_reports_an_empty_queue():
         drive_until_settled(env, tracker, expected=1, duration_s=1.0)
 
 
-def test_wedged_serving_session_trips_watchdog(monkeypatch):
-    # Completions never reach the front-end while Storengine keeps
-    # polling: only the watchdog can end the run.
+def never_complete(monkeypatch) -> None:
+    """Completions never reach the front-ends while Storengine keeps
+    polling: only the watchdog can end the run."""
     monkeypatch.setattr(AcceleratorBackend, "_on_kernel_complete",
                         lambda self, kernel, now: None)
+
+
+def assert_trips_watchdog(run, match: str) -> None:
     start = time.perf_counter()
-    with pytest.raises(RuntimeError, match="no request settled"):
-        ServingSession(scenario(), device()).run()
+    with pytest.raises(RuntimeError, match=match):
+        run()
     assert time.perf_counter() - start < WALL_BOUND_S
+
+
+def test_wedged_serving_session_trips_watchdog(monkeypatch):
+    never_complete(monkeypatch)
+    assert_trips_watchdog(ServingSession(scenario(), device()).run,
+                          "serving run stalled: no request settled")
+
+
+def test_wedged_serial_cluster_trips_watchdog(monkeypatch):
+    never_complete(monkeypatch)
+    cluster = ClusterConfig.homogeneous(2, device())
+    assert_trips_watchdog(ClusterSession(scenario(), cluster).run,
+                          "cluster run stalled: no request settled")
+
+
+def test_wedged_inline_parallel_cluster_trips_watchdog(monkeypatch):
+    never_complete(monkeypatch)
+    cluster = ClusterConfig.homogeneous(2, device())
+    session = ParallelClusterSession(scenario(), cluster,
+                                     ParallelConfig(workers=1))
+    # The first shard to drain names itself in the message.
+    assert_trips_watchdog(session.run,
+                          r"device 0 stalled: no request settled for "
+                          r"60 simulated seconds \(\d+ requests settled "
+                          r"while draining")

@@ -26,7 +26,7 @@ from repro.perf import (
 from repro.platform import PlatformConfig
 from repro.policy import PolicySpec
 from repro.serve import ServingScenario, ServingSession, TenantSpec
-from repro.sim.engine import AllOf, Environment, Interrupt
+from repro.sim.engine import AllOf, Environment
 
 from helpers import check_golden
 
@@ -184,7 +184,7 @@ def test_measure_rejects_unsteady_benchmarks():
 # Determinism guards for the optimized engine                                  #
 # --------------------------------------------------------------------------- #
 def mixed_workload(env, log):
-    """Processes exercising timeouts, events, conditions, and interrupts."""
+    """Processes exercising timeouts, events, and conditions."""
 
     def ticker(env, name, period, count):
         for _ in range(count):
@@ -208,16 +208,6 @@ def mixed_workload(env, log):
         yield first
         log.append((env.now, "reyield", first.value))
 
-    def victim(env):
-        try:
-            yield env.timeout(100.0)
-        except Interrupt as interrupt:
-            log.append((env.now, "interrupted", interrupt.cause))
-
-    def attacker(env, target):
-        yield env.timeout(0.9)
-        target.interrupt(cause="preempt")
-
     gate = env.event()
     env.process(ticker(env, "a", 0.25, 8))
     env.process(ticker(env, "b", 0.4, 5))
@@ -225,8 +215,6 @@ def mixed_workload(env, log):
     env.process(waiter(env, gate, "w1"))
     env.process(waiter(env, gate, "w2"))   # two waiters on one event
     env.process(condition_user(env))
-    target = env.process(victim(env))
-    env.process(attacker(env, target))
 
 
 def test_run_and_step_process_events_identically():
@@ -289,28 +277,6 @@ def test_event_identity_stays_fresh_across_pooling():
     # objects are alive in `seen`, so no two can be the same object.
     assert len(set(map(id, seen))) == len(seen)
     assert all(event.processed for event in seen)
-
-
-def test_recycled_interrupt_carrier_does_not_pin_its_process():
-    """A pooled interrupt-carrier event must drop its Process reference."""
-    env = Environment()
-
-    def victim(env):
-        try:
-            yield env.timeout(100.0)
-        except Interrupt:
-            pass
-
-    def attacker(env, target):
-        yield env.timeout(1.0)
-        target.interrupt(cause="stop")
-
-    target = env.process(victim(env))
-    env.process(attacker(env, target))
-    env.run()
-    for pooled in env._event_pool:
-        assert not hasattr(pooled, "_interrupting"), \
-            "recycled carrier still pins its interrupted process"
 
 
 def test_optimized_engine_matches_serving_golden():

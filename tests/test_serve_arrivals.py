@@ -1,7 +1,13 @@
 """Unit tests for the serving arrival processes and trace helpers."""
 
+import hashlib
+
 import pytest
 
+from repro.eval.elastic import churn_scenario as elastic_churn
+from repro.eval.learned import churn_scenario as learned_churn
+from repro.eval.serving import ServingExperimentSpec
+from repro.platform.config import PlatformConfig
 from repro.serve import (
     DiurnalArrivals,
     MMPPArrivals,
@@ -106,3 +112,26 @@ def test_trace_rejects_unknown_tenant():
         TraceArrivals([(0.5, "stranger", "ATAX")], TENANTS)
     with pytest.raises(ValueError):
         TraceArrivals([(-1.0, "a", "ATAX")], TENANTS)
+
+
+@pytest.mark.parametrize("make, kwargs, count, trace_digest, key_digest", [
+    ("elastic", {}, 1090, "de4fe7455b8cce58", "6c51f91549504df4"),
+    ("elastic", {"duration_s": 2.0, "busy_rps": 240.0}, 623,
+     "fe2814df673cbc07", "16efc5cee701acab"),
+    ("learned", {}, 1494, "ef726b6c4b7db8fa", "3c52c98f88d569d6"),
+    ("learned", {"duration_s": 2.0, "busy_rps": 240.0}, 648,
+     "39413f2dd50b10ce", "a726eb9c5d3dc627"),
+])
+def test_churn_scenarios_share_one_pinned_trace(make, kwargs, count,
+                                                trace_digest, key_digest):
+    """Both churn scenarios build their trace with ``churn_trace``; the
+    events and the experiment cache keys are pinned to the values the
+    scenarios had before they shared it."""
+    scenario = {"elastic": elastic_churn,
+                "learned": learned_churn}[make](**kwargs)
+    events = scenario.trace_events
+    assert len(events) == count
+    assert hashlib.sha256(repr(events).encode()).hexdigest()[:16] \
+        == trace_digest
+    key = ServingExperimentSpec(scenario, PlatformConfig()).key
+    assert tuple(key) == ("IntraO3", "serve-trace-20rps", key_digest)

@@ -1,14 +1,9 @@
 """Unit tests for the discrete-event simulation engine."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.sim.engine import (
-    AllOf,
-    AnyOf,
-    Environment,
-    Interrupt,
-    SimulationError,
-)
+from repro.sim.engine import Environment, SimulationError
 
 
 def test_clock_starts_at_zero():
@@ -179,29 +174,6 @@ def test_all_of_waits_for_every_event():
     assert finished == [3.0]
 
 
-def test_any_of_fires_on_first_event():
-    env = Environment()
-    finished = []
-
-    def parent(env):
-        t1 = env.timeout(1.0)
-        t2 = env.timeout(3.0)
-        yield env.any_of([t1, t2])
-        finished.append(env.now)
-
-    env.process(parent(env))
-    env.run()
-    assert finished == [1.0]
-
-
-def test_condition_operators():
-    env = Environment()
-    t1 = env.timeout(1.0)
-    t2 = env.timeout(2.0)
-    assert isinstance(t1 & t2, AllOf)
-    assert isinstance(t1 | t2, AnyOf)
-
-
 def test_empty_all_of_triggers_immediately():
     env = Environment()
     finished = []
@@ -213,38 +185,6 @@ def test_empty_all_of_triggers_immediately():
     env.process(parent(env))
     env.run()
     assert finished == [0.0]
-
-
-def test_interrupt_raises_inside_process():
-    env = Environment()
-    outcomes = []
-
-    def victim(env):
-        try:
-            yield env.timeout(100.0)
-        except Interrupt as interrupt:
-            outcomes.append(("interrupted", env.now, interrupt.cause))
-
-    def attacker(env, victim_proc):
-        yield env.timeout(2.0)
-        victim_proc.interrupt(cause="preempt")
-
-    victim_proc = env.process(victim(env))
-    env.process(attacker(env, victim_proc))
-    env.run()
-    assert outcomes == [("interrupted", 2.0, "preempt")]
-
-
-def test_interrupt_finished_process_rejected():
-    env = Environment()
-
-    def quick(env):
-        yield env.timeout(0.5)
-
-    proc = env.process(quick(env))
-    env.run()
-    with pytest.raises(SimulationError):
-        proc.interrupt()
 
 
 def test_yielding_non_event_is_an_error():
@@ -437,31 +377,251 @@ def test_timeout_at_rejects_a_past_instant():
 
 def test_timeout_at_reuses_pooled_timeouts():
     env = Environment()
-    # A process keeps a reference to the event it last waited on, so
-    # only the earlier of two timeouts returns to the free list.
+    # Nothing but the heap and a waiter's callback list holds a timeout,
+    # so both waited-on timeouts return to the free list once processed.
     def proc(env):
         yield env.timeout(1.0)
         yield env.timeout(0.5)
 
     env.process(proc(env))
     env.run()
-    assert len(env._timeout_pool) == 1
+    assert len(env._timeout_pool) == 2
     pooled = env._timeout_pool[-1]
     timeout = env.timeout_at(3.0, value=7)
     assert timeout is pooled
-    assert not env._timeout_pool
-    assert (timeout.delay, timeout.value) == (1.5, 7)
+    assert len(env._timeout_pool) == 1
+    assert (env.peek(), timeout.value) == (3.0, 7)
     del timeout, pooled
+
+    fired = []
 
     def waiter(env):
         yield env.timeout_at(4.0)
+        fired.append(env.now)
         yield env.timeout_at(5.0)
+        fired.append(env.now)
 
     env.process(waiter(env))
     env.run()
-    assert env.now == 5.0
-    # The waited-on timeout_at(4.0) went back to the pool; the one at
-    # 3.0 had no waiter, and only waited-on events are recycled.
-    assert len(env._timeout_pool) == 1
-    assert env.timeout_at(6.0).delay == 1.0
-    assert not env._timeout_pool
+    assert fired == [4.0, 5.0]
+    # Both waited-on timeouts went back to the pool; the one at 3.0 had
+    # no waiter, and only waited-on events are recycled.
+    assert len(env._timeout_pool) == 2
+    reused = env._timeout_pool[-1]
+    assert env.timeout_at(6.0) is reused
+    assert env.peek() == 6.0
+
+
+# --------------------------------------------------------------------------- #
+# One loop: every entry point against the step() reference                     #
+# --------------------------------------------------------------------------- #
+INF = float("inf")
+N_GATES = 3
+
+
+class Boom(Exception):
+    """Carried by failed gates."""
+
+
+#: Quarter-second multiples are exact in binary floating point, so
+#: generated horizons often land exactly on event instants.
+QUARTERS = st.integers(0, 8).map(lambda q: q / 4)
+GATE = st.integers(0, N_GATES - 1)
+OPS = st.one_of(
+    st.tuples(st.just("timeout"), QUARTERS),
+    st.tuples(st.just("timeout_at"), QUARTERS),
+    st.tuples(st.just("all_of"), QUARTERS, QUARTERS),
+    st.tuples(st.just("wait"), GATE),
+    st.tuples(st.just("succeed"), GATE),
+    st.tuples(st.just("fail"), GATE),
+    st.tuples(st.just("reyield")),
+)
+#: (crash, ops): ``crash`` is None, "plain" (a failed env.process, which
+#: stays on the process) or "spawn" (a crash that aborts the run).
+PROCESS = st.tuples(st.sampled_from([None, None, "plain", "spawn"]),
+                    st.lists(OPS, min_size=1, max_size=6))
+PROGRAMS = st.lists(PROCESS, min_size=1, max_size=5)
+HORIZONS = st.lists(st.integers(0, 40).map(lambda q: q / 4),
+                    max_size=5).map(sorted)
+COUNTS = st.lists(st.integers(0, 15), max_size=5).map(sorted)
+
+
+def build_program(program):
+    """Start ``program``'s processes on a fresh environment.
+
+    Gates are shared events: a gate may get 0, 1 or 2+ waiters, may be
+    waited on after it was processed, and may fail with nobody waiting
+    (which aborts the run).  ``last`` keeps each process's previous
+    event alive, so pooled objects are exercised next to held ones.
+    """
+    env = Environment()
+    log = []
+    gates = [env.event() for _ in range(N_GATES)]
+
+    def proc(name, ops, crash):
+        last = env.timeout(0.0)          # an event nobody waits on
+        for op, *args in ops:
+            value = None
+            if op == "timeout":
+                last = env.timeout(args[0], value=name)
+                value = yield last
+            elif op == "timeout_at":
+                last = env.timeout_at(env.now + args[0], value=name)
+                value = yield last
+            elif op == "all_of":
+                last = env.all_of([env.timeout(args[0], value="a"),
+                                   env.timeout(args[1], value="b")])
+                value = tuple((yield last).values())
+            elif op == "wait":
+                last = gates[args[0]]
+                try:
+                    value = yield last
+                except Boom as exc:
+                    value = ("caught", str(exc))
+            elif op == "reyield":
+                try:
+                    value = yield last
+                except Boom as exc:
+                    value = ("caught again", str(exc))
+                if isinstance(value, dict):
+                    value = tuple(value.values())
+            elif not gates[args[0]].triggered:
+                if op == "succeed":
+                    gates[args[0]].succeed((name, env.now))
+                else:
+                    gates[args[0]].fail(Boom(f"{name} at {env.now}"))
+            log.append((env.now, name, op, value))
+        if crash:
+            raise Crash(f"{name} at {env.now}")
+
+    for index, (crash, ops) in enumerate(program):
+        start = env.spawn if crash == "spawn" else env.process
+        start(proc(f"p{index}", ops, crash))
+    return env, log
+
+
+def drive(program, driver):
+    """Run ``program`` under ``driver``; everything a reader can see."""
+    env, log = build_program(program)
+    checkpoints = []
+    now = None
+    try:
+        now = driver(env, log, checkpoints)
+        error = None
+    except (Boom, Crash) as exc:
+        error = (type(exc).__name__, str(exc))
+    return {"log": log, "checkpoints": checkpoints, "error": error,
+            "now": env.now if now is None else now, "eid": env._eid,
+            "peek": env.peek()}
+
+
+def snapshot(env, log, now=None):
+    return (len(log), env.now if now is None else now, env.peek(),
+            env._eid)
+
+
+def step_all(env, log, checkpoints):
+    while env.peek() != INF:
+        env.step()
+
+
+def step_through(env, horizon):
+    """Reference for one bounded chunk: step every event <= horizon."""
+    while env.peek() <= horizon:
+        env.step()
+
+
+def step_until(env, done):
+    """Reference for run_until: ``while not done(): step()``."""
+    while not done():
+        if env.peek() == INF:
+            return "drained"
+        env.step()
+    return "done"
+
+
+def run_all(env, log, checkpoints):
+    env.run()
+
+
+def run_chunks(horizons):
+    def driver(env, log, checkpoints):
+        for horizon in horizons:
+            env.run(until=horizon)
+            checkpoints.append(snapshot(env, log))
+        env.run()
+    return driver
+
+
+def step_run_chunks(horizons):
+    """run(until) reference: step the chunk, then the clock jumps."""
+    def driver(env, log, checkpoints):
+        floor = env.now
+        for horizon in horizons:
+            step_through(env, horizon)
+            floor = max(floor, horizon)
+            checkpoints.append(snapshot(env, log, now=floor))
+        step_all(env, log, checkpoints)
+        return max(env.now, floor)
+    return driver
+
+
+def run_event_chunks(horizons):
+    def driver(env, log, checkpoints):
+        for horizon in horizons:
+            env.run_events(horizon)
+            checkpoints.append(snapshot(env, log))
+        env.run()
+    return driver
+
+
+def step_event_chunks(horizons):
+    def driver(env, log, checkpoints):
+        for horizon in horizons:
+            step_through(env, horizon)
+            checkpoints.append(snapshot(env, log))
+        step_all(env, log, checkpoints)
+    return driver
+
+
+def run_until_counts(counts):
+    def driver(env, log, checkpoints):
+        for count in counts:
+            outcome = env.run_until(lambda: len(log) >= count,
+                                    progress=lambda: len(log),
+                                    stall_s=1e9)
+            checkpoints.append((outcome,) + snapshot(env, log))
+        checkpoints.append((env.run_until(lambda: False),)
+                           + snapshot(env, log))
+    return driver
+
+
+def step_until_counts(counts):
+    def driver(env, log, checkpoints):
+        for count in counts:
+            outcome = step_until(env, lambda: len(log) >= count)
+            checkpoints.append((outcome,) + snapshot(env, log))
+        checkpoints.append((step_until(env, lambda: False),)
+                           + snapshot(env, log))
+    return driver
+
+
+@settings(max_examples=150, deadline=None)
+@given(program=PROGRAMS, horizons=HORIZONS, counts=COUNTS)
+def test_every_loop_entry_point_matches_the_step_reference(
+        program, horizons, counts):
+    reference = drive(program, step_all)
+    pairs = [
+        (run_all, step_all),
+        (run_chunks(horizons), step_run_chunks(horizons)),
+        (run_event_chunks(horizons), step_event_chunks(horizons)),
+        (run_until_counts(counts), step_until_counts(counts)),
+    ]
+    for fast, slow in pairs:
+        ran = drive(program, fast)
+        # Same events, same order, same failures as plain stepping ...
+        for key in ("log", "error", "eid", "peek"):
+            assert ran[key] == reference[key], key
+        # ... and the same state at every stop as the entry point's
+        # step()-built reference (clock contract included).
+        assert ran == drive(program, slow)
