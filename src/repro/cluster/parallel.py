@@ -716,8 +716,8 @@ class ParallelClusterSession:
                                    self.parallel, group.snapshots(),
                                    requests)
 
-        def broadcast(command: str, *args) -> Dict[int, Dict[str, Any]]:
-            return getattr(group, command)(*args)
+        def broadcast(method, *args) -> Dict[int, Dict[str, Any]]:
+            return method(group, *args)
 
         report = self._drive(coordinator, broadcast)
         self._record_stats(coordinator, "inline", 1)
@@ -746,14 +746,14 @@ class ParallelClusterSession:
             finally:
                 _FORK_INIT.clear()
 
-        def broadcast(command: str, *args) -> Dict[int, Dict[str, Any]]:
+        def broadcast(method, *args) -> Dict[int, Dict[str, Any]]:
             for indices, parent in zip(chunks, pipes):
-                parent.send((command,
+                parent.send((method.__name__,
                              *[_share(arg, indices) for arg in args]))
             merged: Dict[int, Dict[str, Any]] = {}
             for parent in pipes:
                 for index, payload in _recv(parent).items():
-                    if command != "finalize":
+                    if method is not _ShardGroup.finalize:
                         payload = unpack_shard_result(payload)
                     merged[index] = payload
             return merged
@@ -783,18 +783,18 @@ class ParallelClusterSession:
         """The shared coordinator loop: epochs, settle, finalize.
 
         One code path for the in-process and forked modes — the mode
-        only decides how ``broadcast(command, *args)`` reaches the shard
-        groups, which is what makes worker count provably irrelevant to
-        the results.
+        only decides how ``broadcast(method, *args)`` runs a
+        :class:`_ShardGroup` method on the shard groups, which is what
+        makes worker count provably irrelevant to the results.
         """
         while True:
             step = coordinator.next_step()
             if step is None:
                 break
-            coordinator.fold_epoch(broadcast("run_epoch", *step))
+            coordinator.fold_epoch(broadcast(_ShardGroup.run_epoch, *step))
         adopted, restore = coordinator.take_reroutes()
-        settle_results = broadcast("settle", coordinator.last_end,
-                                   adopted, restore)
+        settle_results = broadcast(_ShardGroup.settle,
+                                   coordinator.last_end, adopted, restore)
         coordinator.fold_epoch(settle_results)
         if coordinator.adopted:
             # Every fault time is an epoch boundary, so an eviction can
@@ -805,7 +805,7 @@ class ParallelClusterSession:
                 "during the drain phase (fault outside the epoch "
                 "schedule)")
         settle_s = coordinator.settle_time(settle_results)
-        return coordinator.assemble(broadcast("finalize", settle_s))
+        return coordinator.assemble(broadcast(_ShardGroup.finalize, settle_s))
 
 
 def _recv(parent) -> Any:

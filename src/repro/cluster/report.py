@@ -91,11 +91,6 @@ class ClusterReport:
         return self.admitted / self.offered
 
     @property
-    def device_energy_j(self) -> List[float]:
-        """Per-device energy totals, in device order."""
-        return [device.energy_j for device in self.devices]
-
-    @property
     def reroutes(self) -> int:
         """Backlog records moved off failed devices."""
         return int(self.placement_stats.get("reroutes", 0))

@@ -51,20 +51,8 @@ class OffloadBatch:
     submitted_at: float = 0.0
 
     @property
-    def total_input_bytes(self) -> int:
-        return sum(k.input_bytes for k in self.kernels)
-
-    @property
-    def total_output_bytes(self) -> int:
-        return sum(k.output_bytes for k in self.kernels)
-
-    @property
     def total_instructions(self) -> float:
         return sum(k.instructions for k in self.kernels)
-
-    @property
-    def app_ids(self) -> List[int]:
-        return sorted({k.app_id for k in self.kernels})
 
     def __len__(self) -> int:
         return len(self.kernels)

@@ -253,6 +253,3 @@ class Flashvisor:
     def mapping_table_bytes(self) -> int:
         """Scratchpad footprint of the full mapping table (paper: ~2 MB)."""
         return self.mapping.size_bytes()
-
-    def mapped_capacity_bytes(self) -> int:
-        return len(self.mapping.mapped_groups()) * self.geometry.page_group_bytes

@@ -88,10 +88,6 @@ class Scheduler:
         """True once every offloaded kernel has completed."""
         return bool(self._offloaded) and self.chain.complete
 
-    @property
-    def offloaded_count(self) -> int:
-        return len(self._offloaded)
-
     # -- helpers for subclasses ---------------------------------------------
     @staticmethod
     def whole_kernel_item(chain: KernelChain) -> WorkItem:

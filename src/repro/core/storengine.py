@@ -70,10 +70,6 @@ class Storengine:
         """Ask the background loop to exit at its next poll."""
         self._stopped = True
 
-    @property
-    def stopped(self) -> bool:
-        return self._stopped
-
     # ------------------------------------------------------------------ #
     # Background loop                                                     #
     # ------------------------------------------------------------------ #

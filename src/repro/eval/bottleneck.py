@@ -42,12 +42,6 @@ class StageStats:
         """Summed end-to-end latency (the stage sums, by construction)."""
         return sum(self.totals.values())
 
-    def mean_s(self, stage: str) -> float:
-        """Mean seconds spent in ``stage`` per completed request."""
-        if self.completed == 0:
-            return 0.0
-        return self.totals[stage] / self.completed
-
     @property
     def dominant(self) -> Optional[str]:
         """The stage with the largest summed time (None if no data).

@@ -186,19 +186,6 @@ class FlashBackbone:
             self.energy.charge_power("flash_backbone", STORAGE_ACCESS,
                                      watts, self.env.now - start)
 
-    def unloaded_group_read_time(self) -> float:
-        """Lower bound on reading one page group (sense + striped transfer)."""
-        per_channel_pages = self.spec.planes_per_die
-        bus = per_channel_pages * self.spec.page_bytes \
-            / self.spec.channel_bus_bandwidth
-        return self.spec.page_read_latency_s + bus
-
-    def unloaded_group_program_time(self) -> float:
-        per_channel_pages = self.spec.planes_per_die
-        bus = per_channel_pages * self.spec.page_bytes \
-            / self.spec.channel_bus_bandwidth
-        return self.spec.page_program_latency_s + bus
-
     # -- metrics ----------------------------------------------------------------
     def bytes_read(self) -> int:
         return sum(c.bytes_read for c in self.channels) + self.bulk_bytes_read

@@ -9,7 +9,7 @@ enough outstanding requests the channel is transfer-limited, matching the
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from ..sim.engine import Environment
 from ..sim.resources import Resource
@@ -68,9 +68,3 @@ class FlashChannel:
     # -- metrics -------------------------------------------------------------
     def bus_utilization(self) -> float:
         return self._bus.utilization()
-
-    def die_utilization(self) -> float:
-        dies: List[FlashDie] = [d for p in self.packages for d in p.dies]
-        if not dies:
-            return 0.0
-        return sum(d.utilization() for d in dies) / len(dies)

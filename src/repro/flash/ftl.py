@@ -157,9 +157,6 @@ class BlockAllocator:
         if row_id in self.rows:
             self.rows[row_id].valid_groups.discard(physical_group)
 
-    def row_of(self, physical_group: int) -> BlockRowState:
-        return self.rows[physical_group // self.groups_per_row]
-
     def pick_victim_round_robin(self) -> Optional[int]:
         """Pop the oldest used row (the paper's Storengine victim policy)."""
         if not self.used_rows:

@@ -69,14 +69,6 @@ class FlashGeometry:
             return 0
         return -(-num_bytes // self.page_group_bytes)
 
-    def bytes_to_pages(self, num_bytes: int) -> int:
-        """Number of flash pages needed to hold ``num_bytes``."""
-        if num_bytes < 0:
-            raise ValueError("num_bytes must be non-negative")
-        if num_bytes == 0:
-            return 0
-        return -(-num_bytes // self.page_bytes)
-
     def word_address_to_group(self, word_address: int,
                               word_bytes: int = 4) -> int:
         """Map a word-based backbone address to its page-group number."""

@@ -69,7 +69,3 @@ class FlashPackage:
 
     def die(self, index: int) -> FlashDie:
         return self.dies[index % len(self.dies)]
-
-    @property
-    def total_operations(self) -> int:
-        return sum(d.reads + d.programs + d.erases for d in self.dies)

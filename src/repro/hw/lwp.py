@@ -75,7 +75,7 @@ class LWP:
         self.activity = activity
         self._energy_key = f"lwp{lwp_id}"
         self._busy = IntervalAccumulator()
-        self._fu_active = TimeWeightedStat(0.0, env.now)
+        self._fu_active = 0
         self.instructions_retired = 0.0
         self.kernels_executed = 0
         self.screens_executed = 0
@@ -140,8 +140,7 @@ class LWP:
     def begin_busy(self, functional_units: int = 1) -> None:
         now = self.env.now
         self._busy.begin(now)
-        fu_active = self._fu_active
-        fu_active.update(now, fu_active.value + functional_units)
+        self._fu_active += functional_units
         if self.activity is not None:
             self.activity.adjust(functional_units, now)
         if self.power_monitor is not None:
@@ -151,11 +150,10 @@ class LWP:
     def end_busy(self, functional_units: int = 1) -> None:
         now = self.env.now
         self._busy.end(now)
-        fu_active = self._fu_active
-        fu_active.update(now, fu_active.value - functional_units)
+        self._fu_active -= functional_units
         if self.activity is not None:
             self.activity.adjust(-functional_units, now)
-        if self.power_monitor is not None and fu_active.value <= 0:
+        if self.power_monitor is not None and self._fu_active <= 0:
             self.power_monitor.set_draw(self._energy_key, 0.0)
 
     # -- metrics ---------------------------------------------------------------
@@ -168,12 +166,6 @@ class LWP:
         if horizon <= 0:
             return 0.0
         return min(1.0, self._busy.busy_time(self.env.now) / horizon)
-
-    def active_functional_units(self) -> float:
-        return self._fu_active.value
-
-    def mean_functional_units(self) -> float:
-        return self._fu_active.mean(self.env.now)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"LWP(id={self.lwp_id}, role={self.role})"
@@ -234,6 +226,3 @@ class LWPCluster:
         if not workers:
             return 0.0
         return sum(w.utilization(horizon) for w in workers) / len(workers)
-
-    def total_active_functional_units(self) -> float:
-        return sum(w.active_functional_units() for w in self.workers)

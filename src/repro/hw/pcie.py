@@ -42,10 +42,6 @@ class PCIeLink:
         yield self.env.timeout(self.spec.latency_s)
         self.interrupts_delivered += 1
 
-    def transfer_time(self, num_bytes: int) -> float:
-        """Unloaded transfer time for ``num_bytes``."""
-        return self.pipe.occupancy_time(num_bytes)
-
     @property
     def bytes_moved(self) -> int:
         return self.pipe.bytes_moved

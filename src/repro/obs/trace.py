@@ -42,7 +42,7 @@ produce different traces.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Dict, Iterator, List, Tuple
+from typing import Any, Deque, Dict, Iterator, Tuple
 
 from .config import DEFAULT_TRACE_CAPACITY
 
@@ -100,11 +100,3 @@ class Tracer:
             counts[phase] = counts.get(phase, 0) + 1
         return counts
 
-    def spans_for(self, request_id: int) -> List[SpanEvent]:
-        """All retained events of one request, in recording order.
-
-        Note that ``screen`` events carry a *kernel* id in the
-        request-id slot and are therefore keyed separately.
-        """
-        return [e for e in self.events
-                if e[2] == request_id and e[1] != "screen"]

@@ -68,13 +68,6 @@ class ServingReport:
             return 0.0
         return self.admitted / self.offered
 
-    @property
-    def completed_rps(self) -> float:
-        """Completions per second of the offered-load window."""
-        if self.duration_s <= 0:
-            return 0.0
-        return self.completed / self.duration_s
-
     # -- serialization --------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
         """Plain-dict (JSON-safe) form for caching and goldens."""

@@ -71,13 +71,6 @@ class RequestRecord:
         return self.completed_at - self.request.arrival_s
 
     @property
-    def queue_delay_s(self) -> Optional[float]:
-        """Arrival-to-dispatch wait, or None if not dispatched."""
-        if self.dispatched_at is None:
-            return None
-        return self.dispatched_at - self.request.arrival_s
-
-    @property
     def service_s(self) -> Optional[float]:
         """Dispatch-to-completion time, or None while pending."""
         if self.completed_at is None or self.dispatched_at is None:

@@ -14,7 +14,6 @@ from typing import List
 from ..core.app import Application
 from ..core.kernel import Kernel, build_kernel
 from .characteristics import (
-    POLYBENCH,
     POLYBENCH_ORDER,
     WorkloadCharacteristics,
     lookup,
@@ -80,7 +79,3 @@ def homogeneous_workload(name: str, instances: int = 6,
 
 def all_polybench_names() -> List[str]:
     return list(POLYBENCH_ORDER)
-
-
-def polybench_characteristics(name: str) -> WorkloadCharacteristics:
-    return POLYBENCH[name.upper()] if name.upper() in POLYBENCH else lookup(name)

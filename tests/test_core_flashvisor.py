@@ -5,6 +5,7 @@ from dataclasses import asdict
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from repro.core import FlashAbacusAccelerator
 from repro.core.flashvisor import Flashvisor
 from repro.core.kernel import build_kernel
 from repro.flash.backbone import FlashBackbone
@@ -13,7 +14,11 @@ from repro.hw.interconnect import Interconnect
 from repro.hw.lwp import LWPCluster
 from repro.hw.memory import DDR3L, Scratchpad
 from repro.hw.power import EnergyAccountant
+from repro.platform import PlatformConfig
+from repro.serve import ServingScenario, ServingSession
+from repro.serve.session import build_serving_backend
 from repro.sim import Environment
+from repro.workloads import heterogeneous_workload
 
 from helpers import run_process
 
@@ -298,3 +303,59 @@ def test_out_of_space_mid_extent_counts_resolved_groups(spec, tiny_flash_spec):
     assert flashvisor.stats.groups_allocated == 64
     assert flashvisor.stats.reclaim_requests == 1
     assert flashvisor.mapping.lookup(62) is None
+
+
+# --------------------------------------------------------------------------- #
+# Range-lock traffic: the bound the list-based lock is sized by                #
+# --------------------------------------------------------------------------- #
+def record_held_ranges(accelerator):
+    """Wrap the accelerator's ``try_acquire`` on the instance; returns the
+    list that collects ``len(lock)`` at every call."""
+    lock = accelerator.flashvisor.range_lock
+    inner = lock.try_acquire
+    held = []
+
+    def counting(start, end, mode, owner):
+        held.append(len(lock))
+        return inner(start, end, mode, owner)
+
+    lock.try_acquire = counting
+    return held
+
+
+def serving_held_ranges(config):
+    class RecordingSession(ServingSession):
+        def _build_backend(self):
+            backend = build_serving_backend(self.scenario, self.config)
+            self.held = record_held_ranges(backend.accelerator)
+            self.workers = len(backend.accelerator.cluster.workers)
+            return backend
+
+    session = RecordingSession(
+        ServingScenario(process="poisson", offered_rps=240.0,
+                        duration_s=0.3, seed=3), config)
+    session.run()
+    return session.held, session.workers
+
+
+def batch_held_ranges(config):
+    accelerator = FlashAbacusAccelerator(config=config)
+    held = record_held_ranges(accelerator)
+    accelerator.run_workload(
+        heterogeneous_workload("MX2", instances_per_kernel=2,
+                               input_scale=config.input_scale), "MX2")
+    accelerator.shutdown()
+    return held, len(accelerator.cluster.workers)
+
+
+@pytest.mark.parametrize("run", [serving_held_ranges, batch_held_ranges])
+@pytest.mark.parametrize("lwp_count", [None, 4])
+def test_range_lock_never_holds_more_ranges_than_workers(run, lwp_count):
+    # Only worker LWPs run screens and a screen holds at most one mapped
+    # section, so an acquire sees at most one range held per *other*
+    # worker.  The runs reach that bound, so the check is not vacuous:
+    # five ranges held at the default eight LWPs (six workers).
+    config = PlatformConfig(system="IntraO3", lwp_count=lwp_count,
+                            input_scale=0.01)
+    held, workers = run(config)
+    assert max(held) == workers - 1

@@ -62,16 +62,6 @@ def test_release_requires_exact_match():
     assert len(lock) == 0
 
 
-def test_release_owner_drops_everything_held_by_kernel():
-    lock = RangeLock()
-    lock.acquire(0, 5, READ, owner=7)
-    lock.acquire(10, 15, WRITE, owner=7)
-    lock.acquire(20, 25, READ, owner=8)
-    assert lock.release_owner(7) == 2
-    assert len(lock) == 1
-    assert lock.ranges()[0].owner == 8
-
-
 def test_invalid_range_and_mode_rejected():
     with pytest.raises(ValueError):
         LockedRange(start=5, end=4, mode=READ, owner=0)
@@ -96,7 +86,6 @@ def test_acquire_entry_points_validate_on_an_empty_lock(start, end, mode,
     with pytest.raises(ValueError, match=message):
         lock.acquire(start, end, mode, owner=0)
     assert len(lock) == 0
-    lock.check_invariants()
 
 
 def test_conflicts_report_locked_range_records():
@@ -112,17 +101,6 @@ def test_conflicts_report_locked_range_records():
         lock.acquire(10, 12, WRITE, owner=3)
     assert raised.value.conflicting == held
     assert lock.ranges() == [held]
-    assert lock.conflicts_with(0, 0, READ) == [held]
-
-
-def test_conflicts_with_lists_blocking_ranges():
-    lock = RangeLock()
-    lock.acquire(0, 10, WRITE, owner=1)
-    lock.acquire(20, 30, READ, owner=2)
-    blocking = lock.conflicts_with(5, 25, READ)
-    owners = {r.owner for r in blocking}
-    assert 1 in owners          # the write blocks a read
-    assert 2 not in owners      # read/read never blocks
 
 
 def test_adjacent_ranges_do_not_conflict():
@@ -132,22 +110,11 @@ def test_adjacent_ranges_do_not_conflict():
 
 
 # --------------------------------------------------------------------------- #
-# Property-based tests: red-black + interval invariants                        #
+# Property-based tests: the protection rule                                   #
 # --------------------------------------------------------------------------- #
 range_strategy = st.tuples(st.integers(min_value=0, max_value=500),
                            st.integers(min_value=0, max_value=50),
                            st.sampled_from([READ, WRITE]))
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.lists(range_strategy, min_size=1, max_size=40))
-def test_tree_invariants_hold_after_arbitrary_inserts(ranges):
-    lock = RangeLock()
-    for owner, (start, length, mode) in enumerate(ranges):
-        lock.try_acquire(start, start + length, mode, owner)
-        lock.check_invariants()
-    starts = [r.start for r in lock.ranges()]
-    assert starts == sorted(starts)
 
 
 @settings(max_examples=100, deadline=None)
@@ -184,11 +151,14 @@ def test_release_restores_acquirability(ranges):
 
 
 # --------------------------------------------------------------------------- #
-# Differential test against a brute-force list model                           #
+# Differential test against a sorted-list model                                #
 # --------------------------------------------------------------------------- #
 class ListModel:
-    """The range lock as a plain list, sorted by start and stable in
-    acquisition order among equal starts; every query is a full scan."""
+    """The range lock as a list kept sorted by start on insert, stable in
+    acquisition order among equal starts; every query is a full scan.
+
+    The lock keeps its held ranges in acquisition order instead and sorts
+    only in ``ranges()``, so the two layouts check each other."""
 
     def __init__(self):
         self.held = []          # (start, end, mode, owner)
@@ -209,9 +179,9 @@ class ListModel:
         return False
 
 
-# Read-heavy (reads share ranges, so trees grow deep enough to exercise
-# every delete-fixup case) over a narrow key space (equal starts and
-# repeated (start, end, owner) read locks are common).
+# Read-heavy (reads share ranges, so many ranges are held at once) over a
+# narrow key space (equal starts and repeated (start, end, owner) read
+# locks are common, so release order among duplicates is exercised).
 operation = st.tuples(
     st.sampled_from(["acquire"] * 3 + ["release", "release_held"]),
     st.integers(min_value=0, max_value=24),     # start
@@ -241,7 +211,6 @@ def test_range_lock_matches_list_model(operations):
                 end = start + length
             assert lock.release(start, end, owner) \
                 == model.release(start, end, owner)
-        lock.check_invariants()
         assert len(lock) == len(model.held)
         assert [(r.start, r.end, r.mode, r.owner)
                 for r in lock.ranges()] == model.held
