@@ -746,13 +746,19 @@ class ParallelClusterSession:
             finally:
                 _FORK_INIT.clear()
 
+        def receive(slot: int, phase: str) -> Any:
+            return _recv(pipes[slot], slot, chunks[slot], processes[slot],
+                         phase)
+
         def broadcast(method, *args) -> Dict[int, Dict[str, Any]]:
             for indices, parent in zip(chunks, pipes):
                 parent.send((method.__name__,
                              *[_share(arg, indices) for arg in args]))
+            # Every phase's first argument is the instant it runs to.
+            phase = f"in {method.__name__} to t={args[0]!r}s"
             merged: Dict[int, Dict[str, Any]] = {}
-            for parent in pipes:
-                for index, payload in _recv(parent).items():
+            for slot in range(len(pipes)):
+                for index, payload in receive(slot, phase).items():
                     if method is not _ShardGroup.finalize:
                         payload = unpack_shard_result(payload)
                     merged[index] = payload
@@ -760,8 +766,8 @@ class ParallelClusterSession:
 
         try:
             snapshots: Dict[int, Tuple] = {}
-            for parent in pipes:
-                snapshots.update(_recv(parent))
+            for slot in range(len(pipes)):
+                snapshots.update(receive(slot, "while building its shards"))
             coordinator = _Coordinator(self.scenario, self.cluster,
                                        self.parallel, snapshots, requests)
             report = self._drive(coordinator, broadcast)
@@ -808,11 +814,28 @@ class ParallelClusterSession:
         return coordinator.assemble(broadcast(_ShardGroup.finalize, settle_s))
 
 
-def _recv(parent) -> Any:
-    """Receive one worker reply, surfacing shipped failures."""
-    kind, payload = parent.recv()
+#: Host seconds to wait for a dead worker's exit code.
+_REAP_TIMEOUT_S = 1.0
+
+
+def _recv(parent, slot: int, indices: Tuple[int, ...], process,
+          phase: str) -> Any:
+    """Receive one worker reply, surfacing shipped failures and deaths.
+
+    A worker that raises ships its error before exiting.  One that dies
+    without a word (killed, ``os._exit``) only closes its pipe; the
+    bare ``EOFError``/``OSError`` becomes a ``RuntimeError`` naming the
+    worker slot, its devices, its exit code and the phase it died in.
+    """
+    try:
+        kind, payload = parent.recv()
+    except (EOFError, OSError) as error:
+        process.join(timeout=_REAP_TIMEOUT_S)
+        raise RuntimeError(
+            f"cluster worker {slot} (devices {list(indices)}) died "
+            f"{phase}: exit code {process.exitcode}") from error
     if kind == "error":
-        raise RuntimeError(f"cluster worker failed: {payload}")
+        raise RuntimeError(f"cluster worker {slot} failed: {payload}")
     return payload
 
 

@@ -22,7 +22,7 @@ translation cost charged to the Flashvisor LWP.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from ..sim.engine import Environment
 from ..hw.interconnect import MessageQueue
@@ -60,6 +60,10 @@ class FlashvisorStats:
     reclaim_requests: int = 0
 
 
+def _no_wake() -> None:
+    """The wake hook while no Storengine listens."""
+
+
 class Flashvisor:
     """Address translation, protection, and I/O brokering for the backbone."""
 
@@ -87,11 +91,28 @@ class Flashvisor:
                                         backbone.spec.overprovision)
         self.range_lock = RangeLock()
         self.stats = FlashvisorStats()
-        self.pending_flush_bytes = 0
+        self._pending_flush_bytes = 0
+        #: Called when background work appears: the write buffer grows,
+        #: or an allocation leaves the allocator needing GC.  Storengine
+        #: installs its wake here and restores the no-op in ``stop()``,
+        #: so a finished device graph holds no cycle through it.
+        self.wake_storengine: Callable[[], None] = _no_wake
         self._next_write_group = 0
         scratchpad.allocate("flashvisor.mapping_table",
                             min(self.mapping.size_bytes(),
                                 scratchpad.capacity_bytes // 2))
+
+    @property
+    def pending_flush_bytes(self) -> int:
+        """Bytes buffered in DDR3L that Storengine has yet to program."""
+        return self._pending_flush_bytes
+
+    @pending_flush_bytes.setter
+    def pending_flush_bytes(self, value: int) -> None:
+        grew = value > self._pending_flush_bytes
+        self._pending_flush_bytes = value
+        if grew:
+            self.wake_storengine()
 
     # ------------------------------------------------------------------ #
     # Address translation (pure logic, no simulated time)                 #
@@ -142,6 +163,8 @@ class Flashvisor:
             except OutOfSpaceError:
                 self.stats.translations += offset
                 raise
+            finally:
+                self._wake_if_gc_due()
         self.stats.translations += count
         return groups
 
@@ -157,8 +180,14 @@ class Flashvisor:
         except OutOfSpaceError:
             self.stats.translations += offset
             raise
+        finally:
+            self._wake_if_gc_due()
         self.stats.translations += count
         return groups
+
+    def _wake_if_gc_due(self) -> None:
+        if self.allocator.needs_gc():
+            self.wake_storengine()
 
     def _allocate_physical(self, logical_group: int) -> int:
         try:

@@ -11,6 +11,12 @@ that address translation never stalls kernel execution:
 
 All of this runs as a background simulation process that competes with the
 workers only for backbone bandwidth — exactly the paper's design point.
+
+The modelled firmware checks for work every ``poll_interval_s`` (2 ms).
+The simulation keeps that grid but does not simulate checks whose outcome
+is already known: an idle Storengine sleeps on one timeout at the first
+grid tick where the journal falls due, and three state changes wake it
+early, at the first grid tick at or after the wake (see :meth:`_wake`).
 """
 
 from __future__ import annotations
@@ -22,7 +28,14 @@ from ..sim.engine import Environment
 from ..hw.lwp import LWP
 from ..hw.power import STORAGE_ACCESS, EnergyAccountant
 from ..flash.backbone import FlashBackbone
-from .flashvisor import Flashvisor
+from .flashvisor import Flashvisor, _no_wake
+
+
+#: Most grid ticks one idle sleep spans.  A journal interval far longer
+#: than the poll interval (1000 s against 0.1 ms, say) would otherwise
+#: cost one float addition per skipped tick up front; a sleep that
+#: reaches this cap ends in one idle check and sleeps again.
+_MAX_SLEEP_TICKS = 256
 
 
 @dataclass
@@ -61,6 +74,11 @@ class Storengine:
         self.stats = StorengineStats()
         self._stopped = False
         self._last_journal = env.now
+        # The idle sleep: its pending timeout (None while awake or once
+        # woken) and the tick of the idle check that started it.
+        self._timer = None
+        self._idle_tick = env.now
+        flashvisor.wake_storengine = self._wake
         self._process = env.spawn(self._run())
 
     # ------------------------------------------------------------------ #
@@ -69,24 +87,75 @@ class Storengine:
     def stop(self) -> None:
         """Ask the background loop to exit at its next poll."""
         self._stopped = True
+        self._wake()
+        # Drop Flashvisor's back-reference: left in place it would keep
+        # the whole device graph in a reference cycle after the run.
+        if self.flashvisor.wake_storengine == self._wake:
+            self.flashvisor.wake_storengine = _no_wake
 
     # ------------------------------------------------------------------ #
     # Background loop                                                     #
     # ------------------------------------------------------------------ #
     def _run(self):
+        env = self.env
+        flashvisor = self.flashvisor
         while not self._stopped:
             did_work = False
-            if self.flashvisor.pending_flush_bytes > 0:
+            if flashvisor.pending_flush_bytes > 0:
                 yield from self._flush_some()
                 did_work = True
-            if self.flashvisor.allocator.needs_gc():
+            if flashvisor.allocator.needs_gc():
                 yield from self._collect_garbage()
                 did_work = True
-            if (self.env.now - self._last_journal) >= self.journal_interval_s:
+            if (env.now - self._last_journal) >= self.journal_interval_s:
                 yield from self._journal_metadata()
                 did_work = True
             if not did_work:
-                yield self.env.timeout(self.poll_interval_s)
+                self._idle_tick = env.now
+                self._timer = env.timeout_at(self._sleep_until())
+                yield self._timer
+                self._timer = None
+
+    def _sleep_until(self) -> float:
+        """The first poll tick after this idle check where the journal is
+        due, or the tick ``_MAX_SLEEP_TICKS`` ahead if that comes first.
+
+        Ticks are built by repeated float addition, as successive
+        ``timeout(poll_interval_s)`` calls would build them, so every
+        tick is bit-identical to the poll it stands for.
+        """
+        tick = self._idle_tick
+        poll = self.poll_interval_s
+        last = self._last_journal
+        interval = self.journal_interval_s
+        for _ in range(_MAX_SLEEP_TICKS):
+            tick = tick + poll
+            if tick - last >= interval:
+                break
+        return tick
+
+    def _wake(self) -> None:
+        """New work may exist: end the idle sleep at the next grid tick.
+
+        The wake sources are the write buffer growing, an allocation
+        leaving the allocator needing GC (both via
+        ``Flashvisor.wake_storengine``) and :meth:`stop`.  The grid is
+        the polls after the idle check that began the sleep; the sleep
+        is re-keyed to the first of them at or after now, the poll at
+        which the firmware would first see the change.  Tie rule: a
+        wake at exactly a grid tick re-keys to that tick.  A wake while
+        Storengine is awake or already woken is a no-op.
+        """
+        timer = self._timer
+        if timer is None:
+            return
+        self._timer = None
+        now = self.env.now
+        poll = self.poll_interval_s
+        tick = self._idle_tick + poll
+        while tick < now:
+            tick = tick + poll
+        self.env.reschedule(timer, tick)
 
     # ------------------------------------------------------------------ #
     # Write-buffer flushing                                               #

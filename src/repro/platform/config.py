@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, fields, replace
 from types import MappingProxyType
 from typing import Any, Dict, List, Mapping, Optional
@@ -136,6 +137,25 @@ class PlatformConfig:
         # field may be mutable in place (the dataclass itself is frozen).
         object.__setattr__(self, "features",
                            MappingProxyType(dict(self.features)))
+        # Fail here, naming the field, rather than deep in a platform
+        # build with a name the caller never wrote.
+        scale = self.input_scale
+        if not isinstance(scale, (int, float)) or not math.isfinite(scale) \
+                or scale <= 0:
+            raise ValueError(
+                f"input_scale must be a finite number > 0, got {scale!r}")
+        # FlashAbacus reserves a Flashvisor and a Storengine LWP (the
+        # builder's default); every other LWP is a worker.
+        reserved = 2 if self.feature("reserve_management_cores",
+                                     not self.is_baseline) else 0
+        count = self.effective_spec().lwp.count
+        if count - reserved < 1:
+            field_name = ("lwp_count" if self.lwp_count is not None
+                          else "spec.lwp.count")
+            raise ValueError(
+                f"{field_name}={count} leaves no worker LWP for "
+                f"{self.system} ({reserved} reserved for Flashvisor and "
+                f"Storengine); need at least {reserved + 1}")
 
     def __hash__(self) -> int:
         # The generated hash would choke on the mapping field; the content

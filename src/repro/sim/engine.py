@@ -423,6 +423,27 @@ class Environment:
                 return True
         return False
 
+    def reschedule(self, timeout: Timeout, when: float) -> None:
+        """Move a pending ``timeout`` to the absolute instant ``when``.
+
+        The timeout keeps its waiters and gets a fresh sequence number,
+        so among events at ``when`` it sorts exactly as if
+        :meth:`timeout_at` had created it now.  Storengine re-keys its
+        idle sleep with this when new work appears.  O(queue), like
+        :meth:`cancel`: for rare re-keys, not the hot loop.
+        """
+        if when < self._now:
+            raise ValueError(f"instant {when!r} is before now "
+                             f"({self._now!r})")
+        queue = self._queue
+        for index, entry in enumerate(queue):
+            if entry[2] is timeout:
+                eid = self._eid = self._eid + 1
+                queue[index] = (when, _SEQ_NORMAL | eid, timeout)
+                heapq.heapify(queue)
+                return
+        raise SimulationError("timeout is not scheduled")
+
     def step(self) -> None:
         """Process exactly one event."""
         if not self._queue:

@@ -9,6 +9,7 @@ exception promptly and returns no report; the watchdog drills check that
 a wedged run still fails with its stall message.
 """
 
+import os
 import time
 
 import pytest
@@ -16,7 +17,11 @@ import pytest
 from helpers import StubBackend
 from repro.baseline import BaselineSystem
 from repro.cluster.autoscale import QueueDepthThresholdAutoscaler
-from repro.cluster.parallel import ParallelClusterSession, ParallelConfig
+from repro.cluster.parallel import (
+    ParallelClusterSession,
+    ParallelConfig,
+    _ShardGroup,
+)
 from repro.cluster.session import ClusterSession
 from repro.core import FlashAbacusAccelerator, run_flashabacus
 from repro.obs import ObsConfig
@@ -99,6 +104,25 @@ def test_inline_parallel_cluster_surfaces_backend_crash(monkeypatch):
     assert_crashes(session.run)
     assert len(calls) == 31
     assert session.execution_stats == {}
+
+
+def test_killed_forked_worker_is_named_in_the_error(monkeypatch):
+    """A forked worker that dies without shipping an error (killed, or
+    ``os._exit``) only closes its pipe; the run still fails fast, naming
+    the worker slot, its devices, its exit code and the epoch end."""
+    def run_epoch(self, *args):
+        os._exit(9)
+
+    monkeypatch.setattr(_ShardGroup, "run_epoch", run_epoch)
+    cluster = ClusterConfig.homogeneous(4, device())
+    session = ParallelClusterSession(scenario(), cluster,
+                                     ParallelConfig(workers=2))
+    start = time.perf_counter()
+    with pytest.raises(RuntimeError,
+                       match=r"cluster worker 0 \(devices \[0, 2\]\) died "
+                             r"in run_epoch to t=\S+s: exit code 9"):
+        session.run()
+    assert time.perf_counter() - start < WALL_BOUND_S
 
 
 def test_run_workload_surfaces_worker_crash(monkeypatch):

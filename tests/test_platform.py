@@ -1,6 +1,7 @@
 """Tests for the platform layer: PlatformConfig and PlatformBuilder."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -27,6 +28,35 @@ SCALE = 0.02
 def test_config_rejects_unknown_system():
     with pytest.raises(ValueError):
         PlatformConfig(system="NotASystem")
+
+
+@pytest.mark.parametrize("scale", [0, -1, 0.0, float("nan"), float("inf"),
+                                   "0.5", None])
+def test_config_rejects_a_bad_input_scale(scale):
+    with pytest.raises(ValueError, match="input_scale"):
+        PlatformConfig(input_scale=scale)
+
+
+@pytest.mark.parametrize("system,count", [("IntraO3", 2), ("InterSt", 1),
+                                          ("SIMD", 0)])
+def test_config_rejects_an_lwp_count_without_workers(system, count):
+    with pytest.raises(ValueError, match="lwp_count") as raised:
+        PlatformConfig(system=system, lwp_count=count)
+    assert "num_workers" not in str(raised.value)
+
+
+def test_config_names_the_spec_when_its_lwp_count_leaves_no_worker():
+    spec = prototype_spec()
+    tiny = replace(spec, lwp=replace(spec.lwp, count=2))
+    with pytest.raises(ValueError, match=r"spec\.lwp\.count"):
+        PlatformConfig(system="IntraO3", spec=tiny)
+    # The baseline reserves no management cores: two LWPs are two workers.
+    assert PlatformConfig(system="SIMD", spec=tiny).effective_spec() is tiny
+
+
+def test_config_accepts_the_smallest_worker_pools():
+    PlatformConfig(system="IntraO3", lwp_count=3, input_scale=1e-6)
+    PlatformConfig(system="SIMD", lwp_count=1)
 
 
 def test_config_roundtrip_to_dict_from_dict():

@@ -413,6 +413,68 @@ def test_timeout_at_reuses_pooled_timeouts():
 
 
 # --------------------------------------------------------------------------- #
+# reschedule: moving a pending timeout                                         #
+# --------------------------------------------------------------------------- #
+def test_reschedule_moves_a_pending_timeout_and_keeps_its_waiter():
+    env = Environment()
+    log = []
+    sleep = env.timeout_at(5.0, value="woken")
+
+    def sleeper(env):
+        value = yield sleep
+        log.append((env.now, value))
+
+    def waker(env):
+        yield env.timeout(1.0)
+        env.reschedule(sleep, 2.0)
+
+    env.process(sleeper(env))
+    env.process(waker(env))
+    env.run()
+    # Resumed once, at the new instant: the old heap entry is gone.
+    assert log == [(2.0, "woken")]
+    assert env.now == 2.0
+
+
+def test_reschedule_sorts_after_events_already_at_the_instant():
+    # A fresh sequence number: among events at the new instant the
+    # moved timeout runs as if timeout_at had created it at the re-key.
+    env = Environment()
+    order = []
+    sleep = env.timeout_at(9.0)
+
+    def sleeper(env):
+        yield sleep
+        order.append("sleeper")
+
+    def other(env):
+        yield env.timeout_at(3.0)
+        order.append("other")
+
+    def waker(env):
+        yield env.timeout(1.0)
+        env.reschedule(sleep, 3.0)
+
+    env.process(sleeper(env))
+    env.process(other(env))
+    env.process(waker(env))
+    env.run()
+    assert order == ["other", "sleeper"]
+
+
+def test_reschedule_rejects_a_past_instant_and_an_unscheduled_timeout():
+    env = Environment()
+    pending = env.timeout_at(4.0)
+    env.run(until=2.0)
+    with pytest.raises(ValueError):
+        env.reschedule(pending, 1.0)
+    env.run()
+    # Processed: no longer in the queue.
+    with pytest.raises(SimulationError):
+        env.reschedule(pending, 5.0)
+
+
+# --------------------------------------------------------------------------- #
 # One loop: every entry point against the step() reference                     #
 # --------------------------------------------------------------------------- #
 INF = float("inf")

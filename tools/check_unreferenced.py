@@ -17,14 +17,20 @@ miss a dead method that shares its name with a live one.
 Used by the CI lint job; run locally with:
 
     python tools/check_unreferenced.py
+
+``--outside-tests`` is a report-only survey of the surface only tests
+use: names that appear only under ``tests/`` do not count, and a class
+decorated with ``@register_policy`` counts as used (the registry builds
+it by name).  It lists what it finds and always exits 0.
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 import sys
 from pathlib import Path
-from typing import Iterator, List, Set, Tuple
+from typing import Iterator, List, Optional, Set, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = REPO_ROOT / "src" / "repro"
@@ -38,7 +44,7 @@ DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 def python_files(root: Path) -> Iterator[Path]:
     for path in sorted(root.rglob("*.py")):
-        relative = path.relative_to(REPO_ROOT).parts
+        relative = path.relative_to(root).parts
         if not any(part in SKIP_DIRS or part.endswith(".egg-info")
                    for part in relative):
             yield path
@@ -69,20 +75,53 @@ def definitions(tree: ast.AST) -> Iterator[Tuple[str, int]]:
             yield node.name, node.lineno
 
 
-def unreferenced() -> List[str]:
+def registered_policies(tree: ast.AST) -> Set[str]:
+    """Classes decorated with ``@register_policy(...)``."""
+    names: Set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for decorator in node.decorator_list:
+                target = (decorator.func if isinstance(decorator, ast.Call)
+                          else decorator)
+                if getattr(target, "id", getattr(target, "attr", None)) \
+                        == "register_policy":
+                    names.add(node.name)
+    return names
+
+
+def unreferenced(root: Path = REPO_ROOT,
+                 outside_tests: bool = False) -> List[str]:
+    """``path:line: name`` of every definition under ``root/src/repro``
+    that no Python file under ``root`` names (outside ``tests/`` only,
+    with registered policies counted as used, if ``outside_tests``)."""
+    package = root / "src" / "repro"
     used: Set[str] = set()
-    for path in python_files(REPO_ROOT):
+    for path in python_files(root):
+        if outside_tests and path.relative_to(root).parts[0] == "tests":
+            continue
         used |= used_names(parse(path))
-    return [f"{path.relative_to(REPO_ROOT)}:{line}: {name}"
-            for path in python_files(PACKAGE)
+    if outside_tests:
+        for path in python_files(package):
+            used |= registered_policies(parse(path))
+    return [f"{path.relative_to(root)}:{line}: {name}"
+            for path in python_files(package)
             for name, line in definitions(parse(path))
             if name not in used]
 
 
-def main() -> int:
-    dead = unreferenced()
+def main(argv: Optional[List[str]] = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--outside-tests", action="store_true",
+        help="report (exit 0) definitions that only tests/ names")
+    args = parser.parse_args(argv)
+    dead = unreferenced(outside_tests=args.outside_tests)
     for entry in dead:
         print(entry)
+    if args.outside_tests:
+        print(f"{len(dead)} definition(s) in src/repro are named only "
+              f"under tests/ (or nowhere)", file=sys.stderr)
+        return 0
     if dead:
         print(f"{len(dead)} definition(s) in src/repro are never named "
               f"by any Python file in the repository", file=sys.stderr)
