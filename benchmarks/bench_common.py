@@ -10,7 +10,7 @@ orchestrator, figures reuse each other's (system, workload, config) runs:
 a benchmark's measured wall-clock time is the *incremental* simulation
 cost given everything run before it in the session (order-dependent; a
 solo run of the same test measures the full cost).  The printed figure
-rows themselves are order-independent; EXPERIMENTS.md records them.
+rows themselves are order-independent.
 
 Fig. 10b's heterogeneous throughput sweep uses two instances per kernel
 (the paper uses four) to bound its runtime; the other heterogeneous

@@ -521,6 +521,7 @@ def ftl_write_gc_groups(n_writes: int) -> float:
     from repro.core.accelerator import FlashAbacusAccelerator
     from repro.core.storengine import Storengine
     from repro.hw.spec import FlashSpec, prototype_spec
+    from repro.platform.config import PlatformConfig
 
     flash = FlashSpec(channels=2, packages_per_channel=1, dies_per_package=1,
                       planes_per_die=2, page_bytes=4096, pages_per_block=8,
@@ -529,8 +530,8 @@ def ftl_write_gc_groups(n_writes: int) -> float:
                       block_erase_latency_s=200e-6,
                       channel_bus_bandwidth=400 * 1024 * 1024,
                       overprovision=0.2)
-    accelerator = FlashAbacusAccelerator(
-        spec=replace(prototype_spec(), flash=flash))
+    accelerator = FlashAbacusAccelerator(config=PlatformConfig(
+        spec=replace(prototype_spec(), flash=flash)))
     accelerator.storengine.stop()
     env, flashvisor = accelerator.env, accelerator.flashvisor
     storengine = Storengine(env, accelerator.cluster.storengine_lwp,

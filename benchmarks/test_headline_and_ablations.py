@@ -6,8 +6,14 @@ The ablations exercise the design choices DESIGN.md calls out:
 * screen-count scaling of the intra-kernel schedulers.
 """
 
-from repro.core import FlashAbacusAccelerator, run_flashabacus
-from repro.eval import format_table, headline_summary, improvement_pct
+from repro import PlatformConfig
+from repro.core import FlashAbacusAccelerator
+from repro.eval import (
+    format_table,
+    headline_summary,
+    improvement_pct,
+    run_system,
+)
 from repro.workloads import homogeneous_workload
 
 from bench_common import BENCH_INPUT_SCALE, BENCH_ORCHESTRATOR, run_once
@@ -96,7 +102,8 @@ def test_ablation_screen_count(benchmark):
             kernels = homogeneous_workload(
                 "MVT", instances=6, screens_per_microblock=screens,
                 input_scale=BENCH_INPUT_SCALE)
-            report = run_flashabacus(kernels, "IntraO3", "MVT")
+            report = run_system(PlatformConfig(system="IntraO3"), kernels,
+                                "MVT")
             results[screens] = report.throughput_mb_per_s
         return results
 
@@ -117,7 +124,7 @@ def test_ablation_range_lock_contention(benchmark):
         # concurrently; forcing every kernel's output region on top of the
         # shared input region makes write mappings collide with the long
         # read mappings of other screens, so the range lock must arbitrate.
-        accelerator = FlashAbacusAccelerator(scheduler="IntraO3")
+        accelerator = FlashAbacusAccelerator()
         kernels = homogeneous_workload("MVT", instances=6,
                                        input_scale=BENCH_INPUT_SCALE)
         accelerator.address_space.output_region = lambda num_bytes: 0

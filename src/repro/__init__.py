@@ -9,11 +9,13 @@ regenerating every table and figure of the paper's Section 5.
 
 Quick start::
 
-    from repro import run_flashabacus, run_baseline, homogeneous_workload
+    from repro import PlatformConfig, homogeneous_workload
+    from repro.eval import run_system
 
-    kernels = homogeneous_workload("ATAX", instances=6)
-    flashabacus = run_flashabacus(kernels, scheduler="IntraO3")
-    simd = run_baseline(homogeneous_workload("ATAX", instances=6))
+    flashabacus = run_system(PlatformConfig(system="IntraO3"),
+                             homogeneous_workload("ATAX", instances=6))
+    simd = run_system(PlatformConfig(system="SIMD"),
+                      homogeneous_workload("ATAX", instances=6))
     print(flashabacus.throughput_mb_per_s / simd.throughput_mb_per_s)
 """
 
@@ -24,9 +26,8 @@ from .core import (
     Microblock,
     Screen,
     build_kernel,
-    run_flashabacus,
 )
-from .baseline import BaselineSystem, run_baseline
+from .baseline import BaselineSystem
 from .hw import HardwareSpec, prototype_spec
 from .policy import (
     POLICY_DOMAINS,
@@ -40,7 +41,6 @@ from .platform import (
     FaultSpec,
     PlatformBuilder,
     PlatformConfig,
-    build_system,
 )
 from .workloads import (
     heterogeneous_workload,
@@ -74,9 +74,7 @@ __all__ = [
     "Microblock",
     "Screen",
     "build_kernel",
-    "run_flashabacus",
     "BaselineSystem",
-    "run_baseline",
     "HardwareSpec",
     "prototype_spec",
     "POLICY_DOMAINS",
@@ -88,7 +86,6 @@ __all__ = [
     "FaultSpec",
     "PlatformBuilder",
     "PlatformConfig",
-    "build_system",
     "heterogeneous_workload",
     "homogeneous_workload",
     "realworld_workload",

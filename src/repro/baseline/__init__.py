@@ -3,7 +3,7 @@
 from .ssd import NVMeSSD
 from .storage_stack import HostStorageStack, IO_REQUEST_BYTES, StackStats
 from .host import HostCPU
-from .system import BaselineSystem, KernelTimeBreakdown, run_baseline
+from .system import BaselineSystem, KernelTimeBreakdown
 
 __all__ = [
     "NVMeSSD",
@@ -13,5 +13,4 @@ __all__ = [
     "HostCPU",
     "BaselineSystem",
     "KernelTimeBreakdown",
-    "run_baseline",
 ]

@@ -19,7 +19,7 @@ storage stack) produced here also drives the motivation study (Fig. 3d/3e).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from ..sim.engine import Environment
 from ..hw.power import (
@@ -27,8 +27,7 @@ from ..hw.power import (
     DATA_MOVEMENT,
     EnergyBreakdown,
 )
-from ..hw.spec import HardwareSpec
-from ..platform.builder import HardwareSubstrate, resolve_substrate
+from ..platform.builder import resolve_substrate
 from ..platform.config import PlatformConfig
 from ..core.accelerator import ExecutionReport
 from ..core.kernel import Kernel, Microblock
@@ -47,16 +46,6 @@ class KernelTimeBreakdown:
     def total_s(self) -> float:
         return self.accelerator_s + self.ssd_s + self.host_stack_s
 
-    def fractions(self) -> Dict[str, float]:
-        total = self.total_s
-        if total <= 0:
-            return {"accelerator": 0.0, "ssd": 0.0, "host_stack": 0.0}
-        return {
-            "accelerator": self.accelerator_s / total,
-            "ssd": self.ssd_s / total,
-            "host_stack": self.host_stack_s / total,
-        }
-
 
 class BaselineSystem:
     """Host + NVMe SSD + low-power accelerator over PCIe (``SIMD``)."""
@@ -65,15 +54,8 @@ class BaselineSystem:
     STAGING_BUFFER_BYTES = 256 * 1024 * 1024
 
     def __init__(self, env: Optional[Environment] = None,
-                 spec: Optional[HardwareSpec] = None,
-                 track_power_series: bool = False,
-                 lwp_count: Optional[int] = None,
-                 config: Optional[PlatformConfig] = None,
-                 substrate: Optional[HardwareSubstrate] = None):
-        substrate = resolve_substrate(
-            baseline=True, env=env, spec=spec,
-            track_power_series=track_power_series,
-            lwp_count=lwp_count, config=config, substrate=substrate)
+                 config: Optional[PlatformConfig] = None):
+        substrate = resolve_substrate(baseline=True, env=env, config=config)
         config = substrate.config
         self.config = config
         self.substrate = substrate
@@ -263,14 +245,3 @@ class BaselineSystem:
 
     def time_breakdowns(self) -> List[KernelTimeBreakdown]:
         return list(self.breakdowns)
-
-
-def run_baseline(kernels: Sequence[Kernel], workload_name: str = "workload",
-                 spec: Optional[HardwareSpec] = None,
-                 track_power_series: bool = False,
-                 lwp_count: Optional[int] = None,
-                 config: Optional[PlatformConfig] = None) -> ExecutionReport:
-    """Convenience wrapper mirroring :func:`repro.core.run_flashabacus`."""
-    system = BaselineSystem(spec=spec, track_power_series=track_power_series,
-                            lwp_count=lwp_count, config=config)
-    return system.run_workload(kernels, workload_name)

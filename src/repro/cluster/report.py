@@ -84,13 +84,6 @@ class ClusterReport:
         return self.percentile_s("p99")
 
     @property
-    def admission_rate(self) -> float:
-        """Fraction of offered requests admitted fleet-wide."""
-        if self.offered == 0:
-            return 0.0
-        return self.admitted / self.offered
-
-    @property
     def reroutes(self) -> int:
         """Backlog records moved off failed devices."""
         return int(self.placement_stats.get("reroutes", 0))

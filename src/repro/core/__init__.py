@@ -11,7 +11,7 @@ from .kernel import (
     TEXT_SECTION,
     build_kernel,
 )
-from .app import Application, OffloadBatch
+from .app import Application
 from .execution_chain import (
     KernelChain,
     MicroblockNode,
@@ -26,7 +26,7 @@ from .range_lock import (
     RangeLock,
     RangeLockConflict,
 )
-from .flashvisor import Flashvisor, FlashvisorStats, MappingRequest
+from .flashvisor import Flashvisor, FlashvisorStats
 from .storengine import Storengine, StorengineStats
 from .offload import BootRecord, OffloadController, PowerSleepController
 from .schedulers import (
@@ -41,7 +41,6 @@ from .accelerator import (
     ExecutionReport,
     FlashAbacusAccelerator,
     FlashAddressSpace,
-    run_flashabacus,
 )
 
 __all__ = [
@@ -55,7 +54,6 @@ __all__ = [
     "TEXT_SECTION",
     "build_kernel",
     "Application",
-    "OffloadBatch",
     "KernelChain",
     "MicroblockNode",
     "MultiAppExecutionChain",
@@ -68,7 +66,6 @@ __all__ = [
     "RangeLockConflict",
     "Flashvisor",
     "FlashvisorStats",
-    "MappingRequest",
     "Storengine",
     "StorengineStats",
     "BootRecord",
@@ -83,5 +80,4 @@ __all__ = [
     "ExecutionReport",
     "FlashAbacusAccelerator",
     "FlashAddressSpace",
-    "run_flashabacus",
 ]

@@ -30,9 +30,8 @@ from ..hw.power import (
     STORAGE_ACCESS,
     EnergyBreakdown,
 )
-from ..hw.spec import HardwareSpec
-from ..platform.builder import HardwareSubstrate, resolve_substrate
-from ..platform.config import FLASHABACUS_SCHEDULERS, PlatformConfig
+from ..platform.builder import resolve_substrate
+from ..platform.config import PlatformConfig
 from ..policy import build_policy
 from .execution_chain import MicroblockNode, ScreenNode
 from .flashvisor import Flashvisor
@@ -159,27 +158,14 @@ class FlashAbacusAccelerator:
     """The self-governing flash-based accelerator.
 
     The hardware substrate comes from :class:`repro.platform.PlatformBuilder`
-    (pass ``substrate`` to share a pre-built one; a prebuilt substrate's
-    config is authoritative and keyword arguments that conflict with it
-    are errors); this class adds the self-governing software on top:
-    Flashvisor, Storengine, the offload controller, the flash address
-    space, and a kernel scheduler.
+    (``config`` defaults to the ``IntraO3`` prototype); this class adds
+    the self-governing software on top: Flashvisor, Storengine, the
+    offload controller, the flash address space, and a kernel scheduler.
     """
 
     def __init__(self, env: Optional[Environment] = None,
-                 spec: Optional[HardwareSpec] = None,
-                 scheduler: Optional[str] = None,
-                 track_power_series: bool = False,
-                 config: Optional[PlatformConfig] = None,
-                 substrate: Optional[HardwareSubstrate] = None):
-        if scheduler is not None and scheduler not in FLASHABACUS_SCHEDULERS:
-            raise ValueError(
-                f"unknown scheduler {scheduler!r}; choose from "
-                f"{FLASHABACUS_SCHEDULERS}")
-        substrate = resolve_substrate(
-            baseline=False, env=env, spec=spec,
-            track_power_series=track_power_series,
-            system=scheduler, config=config, substrate=substrate)
+                 config: Optional[PlatformConfig] = None):
+        substrate = resolve_substrate(baseline=False, env=env, config=config)
         config = substrate.config
         self.config = config
         self.substrate = substrate
@@ -298,10 +284,6 @@ class FlashAbacusAccelerator:
     # ------------------------------------------------------------------ #
     # Online serving (incremental submission, used by repro.serve)        #
     # ------------------------------------------------------------------ #
-    @property
-    def serving(self) -> bool:
-        return self._serving
-
     @property
     def worker_count(self) -> int:
         return len(self.cluster.workers)
@@ -431,18 +413,3 @@ class FlashAbacusAccelerator:
     def shutdown(self) -> None:
         """Stop background services (used by long-lived interactive users)."""
         self.storengine.stop()
-
-
-def run_flashabacus(kernels: Sequence[Kernel],
-                    scheduler: Optional[str] = None,
-                    workload_name: str = "workload",
-                    spec: Optional[HardwareSpec] = None,
-                    track_power_series: bool = False,
-                    config: Optional[PlatformConfig] = None) -> ExecutionReport:
-    """Convenience wrapper: build a fresh accelerator and run one workload."""
-    accelerator = FlashAbacusAccelerator(spec=spec, scheduler=scheduler,
-                                         track_power_series=track_power_series,
-                                         config=config)
-    report = accelerator.run_workload(kernels, workload_name)
-    accelerator.shutdown()
-    return report

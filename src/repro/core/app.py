@@ -37,22 +37,3 @@ class Application:
                 kernel = factory(self.app_id, instance)
                 kernels.append(kernel)
         return kernels
-
-    @property
-    def kernel_count(self) -> int:
-        return len(self.kernel_factories)
-
-
-@dataclass
-class OffloadBatch:
-    """A set of kernels submitted to the accelerator in one offload burst."""
-
-    kernels: List[Kernel]
-    submitted_at: float = 0.0
-
-    @property
-    def total_instructions(self) -> float:
-        return sum(k.instructions for k in self.kernels)
-
-    def __len__(self) -> int:
-        return len(self.kernels)

@@ -86,10 +86,6 @@ class MicroblockNode:
     def complete(self) -> bool:
         return self._done >= len(self.screens)
 
-    @property
-    def started(self) -> bool:
-        return any(s.status is not ScreenStatus.PENDING for s in self.screens)
-
     def first_pending(self) -> Optional[ScreenNode]:
         """The first pending, unclaimed screen, or None.
 
@@ -200,9 +196,6 @@ class MultiAppExecutionChain:
     def apps(self) -> List[int]:
         return sorted(self._per_app)
 
-    def chains_for_app(self, app_id: int) -> List[KernelChain]:
-        return list(self._per_app.get(app_id, []))
-
     def chain_for_kernel(self, kernel: Kernel) -> KernelChain:
         return self._by_kernel[kernel.kernel_id]
 
@@ -215,17 +208,6 @@ class MultiAppExecutionChain:
     def complete(self) -> bool:
         return self._incomplete_count == 0
 
-    def incomplete_chains(self) -> Iterator[KernelChain]:
-        """Incomplete chains in :meth:`all_chains` order.
-
-        Exactly the subsequence of :meth:`all_chains` whose chains are
-        not yet complete — completed chains would contribute nothing to
-        a readiness scan, so iterating this instead is behaviorally
-        identical and O(live work) rather than O(history).
-        """
-        for app_id in self._apps:
-            yield from self._incomplete[app_id].values()
-
     def first_incomplete(self) -> Optional[KernelChain]:
         """The first incomplete chain in :meth:`all_chains` order."""
         if not self._apps:
@@ -237,11 +219,12 @@ class MultiAppExecutionChain:
         """The ready screen that sorts first by ``(offloaded_at,
         kernel_id, microblock.index)``, or None when nothing is ready.
 
-        Equal to the head of :meth:`ready_screens` stably sorted by that
-        key (each chain exposes only its current node, so the key picks
-        the chain and node order picks the screen), without building or
-        sorting the list: the incomplete chains are kept in age order
-        and each node's cursor finds its first ready screen.
+        Equal to the head of the ready screens (the pending, unclaimed
+        screens of each chain's current node) stably sorted by that key
+        (each chain exposes only its current node, so the key picks the
+        chain and node order picks the screen), without building or
+        sorting a list: the incomplete chains are kept in age order and
+        each node's cursor finds its first ready screen.
         """
         for entry in self._by_age:
             chain = entry[3]
@@ -251,19 +234,6 @@ class MultiAppExecutionChain:
                 if screen is not None:
                     return chain, node, screen
         return None
-
-    def ready_screens(self) -> List[Tuple[KernelChain, MicroblockNode, ScreenNode]]:
-        """All screens that may start now, across every app and kernel."""
-        ready = []
-        for chain in self.incomplete_chains():
-            node = chain.current_node()
-            if node is None:
-                continue
-            for screen in node.screens:
-                if screen.status is ScreenStatus.PENDING \
-                        and not screen.claimed:
-                    ready.append((chain, node, screen))
-        return ready
 
     def mark_running(self, screen_node: ScreenNode, lwp_id: int,
                      now: float) -> None:

@@ -36,17 +36,6 @@ from .range_lock import READ, WRITE, RangeLock
 
 
 @dataclass
-class MappingRequest:
-    """The queue message a kernel sends to Flashvisor (Figure 9)."""
-
-    request_type: str            # "read" | "write"
-    kernel_id: int
-    data_section_pointer: int    # DDR3L address of the data section
-    flash_word_address: int
-    num_bytes: int
-
-
-@dataclass
 class FlashvisorStats:
     """Operation counters exposed for tests and reports."""
 
@@ -117,19 +106,6 @@ class Flashvisor:
     # ------------------------------------------------------------------ #
     # Address translation (pure logic, no simulated time)                 #
     # ------------------------------------------------------------------ #
-    def translate_read(self, flash_word_address: int,
-                       num_bytes: int) -> List[int]:
-        """Logical word address + length -> physical page-group numbers.
-
-        Follows Figure 9a: divide the word address by the channel count to
-        obtain the logical page group, look it up in the mapping table, and
-        derive the package index / page number from the physical group.
-        Unmapped logical groups are treated as freshly-initialized data
-        (mapped on first use), mirroring how the prototype pre-loads input
-        files into the backbone.
-        """
-        return self._read_extent(*self._extent(flash_word_address, num_bytes))
-
     def translate_write(self, flash_word_address: int,
                         num_bytes: int) -> List[int]:
         """Allocate fresh physical groups for a write (log-structured)."""

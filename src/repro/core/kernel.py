@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, List, Optional
 
 _kernel_ids = itertools.count()
 
@@ -38,10 +38,6 @@ class Screen:
             raise ValueError("byte counts must be non-negative")
         if not 0.0 <= self.ld_st_ratio <= 1.0:
             raise ValueError("ld_st_ratio must be in [0, 1]")
-
-    @property
-    def total_bytes(self) -> int:
-        return self.input_bytes + self.output_bytes
 
 
 @dataclass
@@ -114,14 +110,6 @@ class KernelDescriptionTable:
         return sum(size for name, size in self.section_bytes.items()
                    if name != DATA_SECTION)
 
-    @property
-    def data_section_bytes(self) -> int:
-        return self.section_bytes.get(DATA_SECTION, 0)
-
-    def l2_resident_bytes(self) -> int:
-        """Bytes that must fit into the executing LWP's L2 cache."""
-        return self.image_bytes
-
 
 class Kernel:
     """One offloadable kernel: a description table plus its microblocks."""
@@ -167,18 +155,6 @@ class Kernel:
         return sum(m.output_bytes for m in self.microblocks)
 
     @property
-    def flash_read_bytes(self) -> int:
-        return sum(m.input_bytes for m in self.microblocks if m.reads_flash)
-
-    @property
-    def flash_write_bytes(self) -> int:
-        return sum(m.output_bytes for m in self.microblocks if m.writes_flash)
-
-    @property
-    def serial_microblock_count(self) -> int:
-        return sum(1 for m in self.microblocks if m.serial)
-
-    @property
     def serial_fraction(self) -> float:
         """Fraction of the kernel's instructions in serial microblocks."""
         total = self.instructions
@@ -186,13 +162,6 @@ class Kernel:
             return 0.0
         serial = sum(m.instructions for m in self.microblocks if m.serial)
         return serial / total
-
-    def iter_screens(self) -> Iterator[Screen]:
-        for mblk in self.microblocks:
-            yield from mblk.screens
-
-    def screen_count(self) -> int:
-        return sum(len(m) for m in self.microblocks)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Kernel({self.name!r}, app={self.app_id}, "

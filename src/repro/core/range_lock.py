@@ -27,7 +27,6 @@ data section) checks its arguments inline instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import List, Optional, Tuple
 
 READ = "read"
@@ -48,9 +47,6 @@ class LockedRange:
             raise ValueError("invalid range")
         if self.mode not in (READ, WRITE):
             raise ValueError(f"unknown lock mode: {self.mode!r}")
-
-    def overlaps(self, start: int, end: int) -> bool:
-        return self.start <= end and start <= self.end
 
 
 class RangeLockConflict(Exception):
@@ -115,9 +111,3 @@ class RangeLock:
                 del held[index]
                 return True
         return False
-
-    def ranges(self) -> List[LockedRange]:
-        """All currently locked ranges, in start order; equal starts stay
-        in acquisition order."""
-        return [LockedRange(*held)
-                for held in sorted(self._held, key=itemgetter(0))]

@@ -41,7 +41,3 @@ class DynamicInterKernelScheduler(Scheduler):
         self.dispatches += 1
         chain = self.chain.chain_for_kernel(kernel)
         return self.whole_kernel_item(chain)
-
-    @property
-    def queued_kernels(self) -> int:
-        return len(self._ready)

@@ -42,7 +42,3 @@ class StaticInterKernelScheduler(Scheduler):
         kernel = queue.popleft()
         chain = self.chain.chain_for_kernel(kernel)
         return self.whole_kernel_item(chain)
-
-    def pending_for_worker(self, worker_index: int) -> int:
-        """Kernels still waiting in ``worker_index``'s private queue."""
-        return len(self._queues.get(worker_index % self.num_workers, ()))

@@ -56,8 +56,3 @@ class InOrderIntraKernelScheduler(Scheduler):
             return None
         self.dispatches += 1
         return self.single_screen_item(chain, node, screen)
-
-    @property
-    def pending_kernels(self) -> int:
-        return sum(1 for k in self._pending
-                   if not self.chain.chain_for_kernel(k).complete)

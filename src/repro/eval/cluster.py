@@ -4,7 +4,7 @@ The cluster counterpart of :mod:`repro.eval.serving`: a
 :class:`ClusterExperimentSpec` pairs a
 :class:`~repro.serve.session.ServingScenario` with a
 :class:`~repro.platform.cluster.ClusterConfig` and runs through the same
-registry, result cache and parallel pool as every other experiment — a
+result cache and parallel pool as every other experiment — a
 cluster run is deterministic for a fixed scenario seed and fleet config,
 so its report is cacheable by content hash.
 

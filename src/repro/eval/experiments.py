@@ -5,8 +5,7 @@ system) so the benchmarks can both print paper-style rows and assert the
 qualitative relations that define a successful reproduction.  ``input_scale``
 shrinks the data sets proportionally — the scheduling/energy *ratios* are
 scale-invariant, so the default benchmark configuration uses a moderate
-scale to keep run time reasonable, and the EXPERIMENTS.md numbers record
-the scale used.
+scale to keep run time reasonable.
 
 All figure functions route through the
 :class:`~repro.eval.orchestrator.ExperimentOrchestrator`: pass one
@@ -50,28 +49,6 @@ __all__ = [
 ]
 
 
-def _compare(kind: str, name: str, systems: Sequence[str],
-             instances: Optional[int], input_scale: float,
-             spec: Optional[HardwareSpec],
-             orchestrator: Optional[ExperimentOrchestrator],
-             track_power_series: bool = False) -> ComparisonResult:
-    """Run one workload across ``systems`` through the orchestrator."""
-    return _compare_many(kind, [name], systems, instances, input_scale,
-                         spec, orchestrator,
-                         track_power_series=track_power_series)[name]
-
-
-def _compare_flavor(heterogeneous: bool, name: str, systems: Sequence[str],
-                    input_scale: float, spec: Optional[HardwareSpec],
-                    orchestrator: Optional[ExperimentOrchestrator]
-                    ) -> ComparisonResult:
-    """The shared homogeneous-vs-heterogeneous resolution of Figs. 11-14."""
-    kind = "heterogeneous" if heterogeneous else "homogeneous"
-    instances = None if heterogeneous else HOMOGENEOUS_INSTANCES
-    return _compare(kind, name, systems, instances, input_scale, spec,
-                    orchestrator)
-
-
 def _compare_many(kind: str, names: Sequence[str], systems: Sequence[str],
                   instances: Optional[int], input_scale: float,
                   spec: Optional[HardwareSpec],
@@ -112,6 +89,7 @@ def _compare_flavor_many(heterogeneous: bool, names: Sequence[str],
                          spec: Optional[HardwareSpec],
                          orchestrator: Optional[ExperimentOrchestrator]
                          ) -> Dict[str, ComparisonResult]:
+    """The shared homogeneous-vs-heterogeneous resolution of Figs. 11-14."""
     kind = "heterogeneous" if heterogeneous else "homogeneous"
     instances = None if heterogeneous else HOMOGENEOUS_INSTANCES
     return _compare_many(kind, names, systems, instances, input_scale, spec,
@@ -180,8 +158,9 @@ def fig12_completion_cdf(workload: str = "ATAX",
                          orchestrator: Optional[ExperimentOrchestrator] = None
                          ) -> Dict[str, List[Tuple[float, int]]]:
     """(completion time, #kernels completed) series per system (Fig. 12)."""
-    comparison = _compare_flavor(heterogeneous, workload, systems,
-                                 input_scale, spec, orchestrator)
+    comparison = _compare_flavor_many(heterogeneous, [workload], systems,
+                                      input_scale, spec,
+                                      orchestrator)[workload]
     out: Dict[str, List[Tuple[float, int]]] = {}
     for system in systems:
         completions = comparison.reports[system].completion_times
@@ -276,9 +255,9 @@ def fig15_timeseries(workload: str = "MX1",
                      orchestrator: Optional[ExperimentOrchestrator] = None
                      ) -> Dict[str, TimeSeriesResult]:
     """FU-utilization and power time series for SIMD vs. IntraO3 (Fig. 15)."""
-    comparison = _compare("heterogeneous", workload, systems, None,
-                          input_scale, spec, orchestrator,
-                          track_power_series=True)
+    comparison = _compare_many("heterogeneous", [workload], systems, None,
+                               input_scale, spec, orchestrator,
+                               track_power_series=True)[workload]
     out: Dict[str, TimeSeriesResult] = {}
     for system in systems:
         report = comparison.reports[system]

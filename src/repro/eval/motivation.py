@@ -16,15 +16,15 @@ breakdowns run the Table 2 workloads through the full SIMD baseline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence
+from dataclasses import dataclass
+from typing import List, Sequence
 
-from ..hw.spec import HardwareSpec, prototype_spec
 from ..workloads.characteristics import MOTIVATION_ORDER, POLYBENCH
 from ..workloads.generator import serial_sweep_kernels
 from ..workloads.polybench import build_workload_kernel
 from ..baseline.system import BaselineSystem
-from ..core.accelerator import run_flashabacus
+from ..platform.config import PlatformConfig
+from .runner import run_system
 
 #: Serial fractions swept by Figs. 3b/3c.
 SERIAL_FRACTIONS: List[float] = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5]
@@ -41,14 +41,6 @@ class SerialSweepPoint:
     serial_fraction: float
     throughput_gb_per_s: float
     utilization_pct: float
-
-
-def _spec_with_cores(cores: int, base: Optional[HardwareSpec] = None) -> HardwareSpec:
-    base = prototype_spec() if base is None else base
-    # The sweep reserves no management cores: it measures raw multi-core
-    # scalability, so every LWP is a worker.
-    lwp = replace(base.lwp, count=cores)
-    return replace(base, lwp=lwp)
 
 
 def serial_fraction_sweep(cores_list: Sequence[int] = CORE_COUNTS,
@@ -71,7 +63,7 @@ def serial_fraction_sweep(cores_list: Sequence[int] = CORE_COUNTS,
     for cores in cores_list:
         # Keep the two management LWPs out of the worker pool, as in the
         # real platform.
-        spec = _spec_with_cores(cores + 2)
+        config = PlatformConfig(system="IntraO3", lwp_count=cores + 2)
         for fraction in serial_fractions:
             kernels = serial_sweep_kernels(
                 serial_fraction=fraction,
@@ -80,9 +72,7 @@ def serial_fraction_sweep(cores_list: Sequence[int] = CORE_COUNTS,
                 instructions_per_instance=instructions_per_instance,
                 input_bytes=0,
             )
-            report = run_flashabacus(kernels, scheduler="IntraO3",
-                                     workload_name=f"serial-{fraction}",
-                                     spec=spec)
+            report = run_system(config, kernels, f"serial-{fraction}")
             data_bytes = instances * data_bytes_per_instance
             throughput = data_bytes / report.makespan_s if report.makespan_s else 0.0
             points.append(SerialSweepPoint(

@@ -1,8 +1,8 @@
-"""Experiment orchestration: registry, persistent result cache, parallel runner.
+"""Experiment orchestration: persistent result cache and parallel runner.
 
 The paper's evaluation re-runs dozens of (system, workload) simulations.
-Before this module existed every figure function looped over
-``compare_systems`` serially and recomputed everything from scratch on each
+Before this module existed every figure function looped over the
+systems serially and recomputed everything from scratch on each
 invocation.  The orchestrator turns that into a declarative, cached and
 parallelizable sweep:
 
@@ -15,7 +15,7 @@ parallelizable sweep:
 * :class:`ResultCache` — in-memory plus optional on-disk JSON cache of
   :class:`~repro.core.accelerator.ExecutionReport` objects keyed by
   :class:`ExperimentKey`; re-running an experiment set is served from disk.
-* :class:`ExperimentOrchestrator` — the registry plus runner.  Each
+* :class:`ExperimentOrchestrator` — the cache plus runner.  Each
   simulation owns an independent :class:`~repro.sim.engine.Environment`,
   so uncached experiments can fan out over a ``multiprocessing`` pool.
 """
@@ -336,12 +336,12 @@ class ResultCache:
 
 
 class ExperimentOrchestrator:
-    """Registry + cache + (optionally parallel) experiment runner.
+    """Cache + (optionally parallel) experiment runner.
 
     Specs are duck-typed: anything with a stable ``.key``
     (:class:`ExperimentKey`) and a picklable ``.execute()`` returning a
-    registered report class runs through the same registry, cache and
-    pool — batch :class:`ExperimentSpec` and the serving layer's
+    registered report class runs through the same cache and pool —
+    batch :class:`ExperimentSpec` and the serving layer's
     :class:`~repro.eval.serving.ServingExperimentSpec` alike.
     """
 
@@ -351,7 +351,6 @@ class ExperimentOrchestrator:
             raise ValueError("workers must be >= 1")
         self.cache = ResultCache(cache_dir)
         self.workers = workers
-        self.registry: Dict[ExperimentKey, Any] = {}
         self.simulations_run = 0
         #: One worker pool kept alive across :meth:`run` calls.  A sweep
         #: is many small ``run()`` batches (one per sweep point), so a
@@ -389,29 +388,6 @@ class ExperimentOrchestrator:
         if workers == 0:
             workers = os.cpu_count() or 1
         return cls(cache_dir=cache, workers=max(1, workers))
-
-    # ------------------------------------------------------------------ #
-    # Registry                                                             #
-    # ------------------------------------------------------------------ #
-    def register(self, spec: Any) -> ExperimentKey:
-        """Record ``spec`` under its key and return the key.
-
-        The registry is the queryable record of every experiment this
-        orchestrator has seen (result *reuse* is the cache's job); use
-        :meth:`experiments` / :meth:`spec_for` to enumerate or resolve it,
-        e.g. to re-run a sweep or audit what produced a cache entry.
-        """
-        key = spec.key
-        self.registry.setdefault(key, spec)
-        return key
-
-    def experiments(self) -> List[Any]:
-        """Every registered experiment, in first-registration order."""
-        return list(self.registry.values())
-
-    def spec_for(self, key: ExperimentKey) -> Optional[Any]:
-        """The spec registered under ``key``, if any."""
-        return self.registry.get(key)
 
     # ------------------------------------------------------------------ #
     # Worker pool lifecycle                                                #
@@ -469,7 +445,7 @@ class ExperimentOrchestrator:
         pending_keys: List[ExperimentKey] = []
         pending_seen: set = set()
         for spec in specs:
-            key = self.register(spec)
+            key = spec.key
             if key in results or key in pending_seen:
                 continue
             cached = self.cache.get(key)
@@ -561,10 +537,3 @@ def default_orchestrator() -> ExperimentOrchestrator:
     if _default_orchestrator is None:
         _default_orchestrator = ExperimentOrchestrator.from_env()
     return _default_orchestrator
-
-
-def set_default_orchestrator(
-        orchestrator: Optional[ExperimentOrchestrator]) -> None:
-    """Replace (or with ``None`` reset) the process-wide orchestrator."""
-    global _default_orchestrator
-    _default_orchestrator = orchestrator

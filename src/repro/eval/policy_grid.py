@@ -5,8 +5,8 @@ four policy families on the unified registry (:mod:`repro.policy`), a
 whole cross product — device scheduler x admission x dispatch x placement
 — is one orchestrated batch: :func:`policy_grid` expands the axes into
 one :class:`~repro.eval.cluster.ClusterExperimentSpec` per combination
-and submits them through the same registry, result cache and parallel
-pool as every other experiment, so re-running a grid is served from the
+and submits them through the same result cache and parallel pool as
+every other experiment, so re-running a grid is served from the
 cache and only new cells simulate.
 
 Every axis accepts policy selections in all three spellings a

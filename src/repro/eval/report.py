@@ -1,8 +1,7 @@
 """Plain-text table rendering for experiment results.
 
 Every benchmark prints the same kind of rows the paper's tables and figures
-report; EXPERIMENTS.md is assembled from the same strings so that the
-recorded numbers always match what the harness produces.
+report, rendered by these helpers.
 """
 
 from __future__ import annotations

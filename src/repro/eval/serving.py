@@ -4,7 +4,7 @@ The serving counterpart of :mod:`repro.eval.experiments`: a
 :class:`ServingExperimentSpec` pairs a
 :class:`~repro.serve.session.ServingScenario` with a
 :class:`~repro.platform.PlatformConfig` and runs through the same
-registry, result cache and parallel pool as the batch experiments — a
+result cache and parallel pool as the batch experiments — a
 serving run is deterministic for a fixed scenario seed, so its report is
 cacheable by content hash exactly like a batch report.
 

@@ -48,8 +48,8 @@ class FlashBackbone:
         # makespan purposes.  Reads are bus-limited while programs are
         # die-limited (the 2.6 ms TLC program dominates), so background
         # write-buffer flushes barely disturb the read path — they are kept
-        # on a separate lane.  A lane's service time is the unloaded
-        # ``bulk_read_time`` / ``bulk_program_time``.
+        # on a separate lane.  A lane's unloaded service time is the
+        # access latency plus the bytes over its aggregate bandwidth.
         self._bulk_read_lane = BandwidthPipe(
             env, self.aggregate_read_bandwidth, spec.page_read_latency_s,
             name="backbone.bulk_read")
@@ -126,18 +126,6 @@ class FlashBackbone:
         array_rate = (self.geometry.dies_total * self.spec.page_bytes
                       / self.spec.page_program_latency_s)
         return min(array_rate, self.aggregate_read_bandwidth)
-
-    def bulk_read_time(self, num_bytes: int) -> float:
-        """Unloaded time to stream ``num_bytes`` out of the backbone."""
-        if num_bytes == 0:
-            return 0.0
-        return self._bulk_read_lane.occupancy_time(num_bytes)
-
-    def bulk_program_time(self, num_bytes: int) -> float:
-        """Unloaded time to stream ``num_bytes`` into the backbone."""
-        if num_bytes == 0:
-            return 0.0
-        return self._bulk_program_lane.occupancy_time(num_bytes)
 
     def bulk_read(self, num_bytes: int):
         """Process generator: stream ``num_bytes`` from flash (data section).

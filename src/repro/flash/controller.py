@@ -10,7 +10,7 @@ channel, and posts completions to the outbound queue.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 from ..sim.engine import Environment, Event
 from ..sim.resources import Store
@@ -51,7 +51,6 @@ class FlashController:
                              name=f"ch{channel.channel_id}.inbound")
         self.outbound = Store(env, capacity=queue_depth,
                               name=f"ch{channel.channel_id}.outbound")
-        self.completed: List[FlashTransaction] = []
         self._tag = 0
         self._service_proc = env.spawn(self._service_loop())
 
@@ -73,7 +72,6 @@ class FlashController:
             txn = yield self.inbound.get()
             yield from self._execute(txn)
             txn.completed_at = self.env.now
-            self.completed.append(txn)
             if txn.done is not None and not txn.done.triggered:
                 txn.done.succeed(txn)
             yield self.outbound.put(txn)
@@ -89,13 +87,3 @@ class FlashController:
             yield from self.channel.program_page(addr.package, addr.die)
         else:
             yield from self.channel.erase_block(addr.package, addr.die)
-
-    # -- metrics -------------------------------------------------------------
-    @property
-    def completed_count(self) -> int:
-        return len(self.completed)
-
-    def mean_latency(self) -> float:
-        if not self.completed:
-            return 0.0
-        return sum(t.latency for t in self.completed) / len(self.completed)

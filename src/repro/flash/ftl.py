@@ -99,9 +99,6 @@ class PageGroupMappingTable:
         """Scratchpad bytes needed to map the whole backbone."""
         return self.geometry.page_groups_total * self.ENTRY_BYTES
 
-    def mapped_groups(self) -> List[int]:
-        return sorted(self._map)
-
 
 class BlockAllocator:
     """Log-structured allocator over block rows with free/used pools."""
@@ -191,8 +188,3 @@ class BlockAllocator:
     def needs_gc(self) -> bool:
         """True when the free pool has shrunk into the reserved region."""
         return len(self.free_rows) <= self.reserved_rows
-
-    def wear_spread(self) -> int:
-        """Difference between the most- and least-erased rows."""
-        counts = [row.erase_count for row in self.rows.values()]
-        return max(counts) - min(counts)

@@ -27,10 +27,6 @@ class PhysicalPageAddress:
     block: int
     page: int
 
-    def as_tuple(self):
-        return (self.channel, self.package, self.die, self.plane,
-                self.block, self.page)
-
 
 class FlashGeometry:
     """Derived sizes and address conversion helpers for a :class:`FlashSpec`."""

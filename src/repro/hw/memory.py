@@ -64,14 +64,7 @@ class MemoryDevice:
         """Release the allocation registered under ``tag``."""
         return self._allocations.pop(tag, 0)
 
-    def holds(self, tag: str) -> bool:
-        return tag in self._allocations
-
     # -- timed accesses -----------------------------------------------------
-    def access_time(self, num_bytes: int) -> float:
-        """Unloaded access time for ``num_bytes``."""
-        return self.pipe.occupancy_time(num_bytes)
-
     def read(self, num_bytes: int):
         """Process generator: timed read of ``num_bytes``."""
         record = yield from self.pipe.transfer(num_bytes)

@@ -16,7 +16,7 @@ state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 from ..sim.engine import Environment
 from ..sim.stats import TimeSeries
@@ -45,17 +45,6 @@ class EnergyBreakdown:
         if total <= 0:
             return 0.0
         return getattr(self, bucket) / total
-
-    def normalized_to(self, other: "EnergyBreakdown") -> "EnergyBreakdown":
-        """Scale every bucket by ``other``'s total (for paper-style plots)."""
-        denom = other.total
-        if denom <= 0:
-            raise ValueError("cannot normalize to zero total energy")
-        return EnergyBreakdown(
-            data_movement=self.data_movement / denom,
-            computation=self.computation / denom,
-            storage_access=self.storage_access / denom,
-        )
 
     def as_dict(self) -> Dict[str, float]:
         return {
@@ -106,10 +95,6 @@ class EnergyAccountant:
             raise ValueError("duration must be non-negative")
         self.charge(component, bucket, watts * duration_s)
 
-    @property
-    def total_joules(self) -> float:
-        return self.breakdown.total
-
 
 class PowerMonitor:
     """Tracks instantaneous system power as a time series (Fig. 15b)."""
@@ -133,22 +118,3 @@ class PowerMonitor:
 
     def current_power(self) -> float:
         return self.baseline_w + sum(self._draws.values())
-
-    def average_power(self, start: float = 0.0,
-                      end: Optional[float] = None) -> float:
-        """Time-weighted average power over [start, end]."""
-        end = self.env.now if end is None else end
-        if end <= start:
-            return self.current_power()
-        series = self.series
-        total = 0.0
-        prev_t, prev_v = start, series.value_at(start)
-        for time, value in series:
-            if time <= start:
-                continue
-            if time >= end:
-                break
-            total += prev_v * (time - prev_t)
-            prev_t, prev_v = time, value
-        total += prev_v * (end - prev_t)
-        return total / (end - start)

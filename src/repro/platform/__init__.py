@@ -31,7 +31,7 @@ from .cluster import (
     ClusterConfig,
     FaultSpec,
 )
-from .builder import HardwareSubstrate, PlatformBuilder, build_system
+from .builder import HardwareSubstrate, PlatformBuilder
 
 __all__ = [
     "BASELINE_SYSTEM",
@@ -44,5 +44,4 @@ __all__ = [
     "FaultSpec",
     "HardwareSubstrate",
     "PlatformBuilder",
-    "build_system",
 ]

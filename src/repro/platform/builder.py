@@ -12,7 +12,7 @@ layers (Flashvisor, Storengine, schedulers, OpenMP driver) on top of it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional, TYPE_CHECKING
+from typing import Optional, TYPE_CHECKING
 
 from ..sim.engine import Environment
 from ..hw.interconnect import Interconnect
@@ -174,83 +174,16 @@ def _check_flavor(config: PlatformConfig, baseline: bool) -> None:
 
 def resolve_substrate(baseline: bool,
                       env: Optional[Environment] = None,
-                      spec: Optional[HardwareSpec] = None,
-                      track_power_series: bool = False,
-                      system: Optional[str] = None,
-                      lwp_count: Optional[int] = None,
-                      config: Optional[PlatformConfig] = None,
-                      substrate: Optional[HardwareSubstrate] = None
+                      config: Optional[PlatformConfig] = None
                       ) -> HardwareSubstrate:
     """Shared front-end of the two system constructors.
 
-    Reconciles the legacy keyword arguments with ``config`` (explicit
-    arguments override the corresponding config fields rather than being
-    silently dropped), validates the config's flavor *before* paying for
-    construction, and builds the substrate.  When a prebuilt ``substrate``
-    is passed its config is authoritative: it is validated and returned
-    as-is, and any *conflicting* argument (a different ``env``, ``config``,
-    ``system``, ``spec``, ``lwp_count``, or a power-series request the
-    substrate cannot honor) is an error rather than a silent ignore.
+    An omitted ``config`` is the default platform of the constructor's
+    flavour.  The flavour is checked *before* paying for construction,
+    then the builder assembles the substrate.
     """
-    if substrate is not None:
-        if env is not None and env is not substrate.env:
-            raise ValueError(
-                "pass either env= or substrate=, not both: a prebuilt "
-                "substrate already owns its Environment")
-        if config is not None and config != substrate.config:
-            raise ValueError(
-                "config= conflicts with the prebuilt substrate's config; "
-                "rebuild the substrate or drop the argument")
-        # Either the config's raw spec or the effective (lwp_count-applied)
-        # spec the substrate was actually built with counts as "the same".
-        if spec is not None and spec != substrate.config.spec \
-                and spec != substrate.spec:
-            raise ValueError(
-                "spec= conflicts with the prebuilt substrate's config; "
-                "rebuild the substrate or drop the argument")
-        for name, given, actual in (
-                ("system", system, substrate.config.system),
-                ("lwp_count", lwp_count, substrate.config.lwp_count)):
-            if given is not None and given != actual:
-                raise ValueError(
-                    f"{name}={given!r} conflicts with the prebuilt "
-                    f"substrate's config; rebuild the substrate or drop "
-                    f"the argument")
-        if track_power_series and substrate.power_monitor is None:
-            raise ValueError(
-                "track_power_series=True conflicts with a prebuilt "
-                "substrate built without a power monitor")
-        _check_flavor(substrate.config, baseline)
-        return substrate
     if config is None:
-        kwargs = {
-            "system": system or (BASELINE_SYSTEM if baseline else "IntraO3"),
-            "track_power_series": track_power_series,
-            "lwp_count": lwp_count,
-        }
-        if spec is not None:
-            kwargs["spec"] = spec
-        config = PlatformConfig(**kwargs)
-    else:
-        config = config.merged(system=system, spec=spec, lwp_count=lwp_count,
-                               track_power_series=track_power_series)
+        config = PlatformConfig(system=BASELINE_SYSTEM) if baseline \
+            else PlatformConfig()
     _check_flavor(config, baseline)
-    builder = PlatformBuilder(config, env=env)
-    return (builder.build_baseline_substrate() if baseline
-            else builder.build_flashabacus_substrate())
-
-
-def build_system(config: PlatformConfig,
-                 env: Optional[Environment] = None) -> Any:
-    """Instantiate the full system (hardware + software) for ``config``.
-
-    Returns a :class:`repro.baseline.BaselineSystem` for ``SIMD`` and a
-    :class:`repro.core.FlashAbacusAccelerator` for the FlashAbacus
-    schedulers; both expose ``run_workload(kernels, name)``.
-    """
-    # Lazy imports: both system modules import this module.
-    if config.is_baseline:
-        from ..baseline.system import BaselineSystem
-        return BaselineSystem(env=env, config=config)
-    from ..core.accelerator import FlashAbacusAccelerator
-    return FlashAbacusAccelerator(env=env, config=config)
+    return PlatformBuilder(config, env=env).build()

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, replace
 from typing import Any, Dict, Optional, Tuple
 
@@ -39,8 +40,9 @@ class FaultSpec:
     state: str
 
     def __post_init__(self) -> None:
-        if self.time_s < 0:
-            raise ValueError("fault time_s must be non-negative")
+        if not 0 <= self.time_s < math.inf:
+            raise ValueError(f"fault time_s must be a finite number >= 0, "
+                             f"got {self.time_s!r}")
         if self.device < 0:
             raise ValueError("fault device index must be non-negative")
         if self.state not in HEALTH_STATES:
@@ -63,7 +65,7 @@ class ClusterConfig:
 
     Frozen like :class:`PlatformConfig`: cluster configs act as cache
     identities via :meth:`config_hash`, so evolution goes through copies
-    (:meth:`with_overrides` / :meth:`scaled_to`).
+    (:meth:`with_overrides`).
 
     Attributes
     ----------
@@ -170,22 +172,6 @@ class ClusterConfig:
         if count < 1:
             raise ValueError("count must be >= 1")
         return cls(devices=tuple(device for _ in range(count)), **kwargs)
-
-    def scaled_to(self, count: int) -> "ClusterConfig":
-        """Copy of this cluster resized to ``count`` devices.
-
-        Grows by repeating the first device's config; shrinking keeps the
-        prefix.  Faults naming devices beyond the new size are dropped.
-        """
-        if count < 1:
-            raise ValueError("count must be >= 1")
-        if count <= len(self.devices):
-            devices = self.devices[:count]
-        else:
-            devices = self.devices + tuple(
-                self.devices[0] for _ in range(count - len(self.devices)))
-        faults = tuple(f for f in self.faults if f.device < count)
-        return replace(self, devices=devices, faults=faults)
 
     def with_overrides(self, **kwargs: Any) -> "ClusterConfig":
         """Copy of this cluster with ``kwargs`` fields replaced."""

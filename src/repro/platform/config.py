@@ -77,7 +77,7 @@ class PlatformConfig:
 
     Frozen (like :class:`HardwareSpec`): configs act as cache identities
     via :meth:`config_hash`, so evolution goes through copies
-    (:meth:`with_overrides` / :meth:`merged`), never in-place mutation.
+    (:meth:`with_overrides`), never in-place mutation.
 
     Attributes
     ----------
@@ -192,30 +192,6 @@ class PlatformConfig:
     def with_overrides(self, **kwargs: Any) -> "PlatformConfig":
         """Copy of this config with dataclass fields replaced."""
         return replace(self, **kwargs)
-
-    def merged(self, system: Optional[str] = None,
-               spec: Optional[HardwareSpec] = None,
-               lwp_count: Optional[int] = None,
-               track_power_series: bool = False) -> "PlatformConfig":
-        """Copy with explicit (non-default) arguments layered on top.
-
-        The shared reconciliation used wherever a config meets individual
-        keyword arguments (``run_system`` and the two system constructors):
-        an explicit value wins over the config field, an omitted one keeps
-        it.  Note the one-way ``track_power_series`` contract: ``False`` is
-        indistinguishable from "not passed", so it cannot switch a config's
-        ``True`` off.
-        """
-        config = self
-        if system is not None and system != config.system:
-            config = replace(config, system=system)
-        if spec is not None:
-            config = replace(config, spec=spec)
-        if lwp_count is not None:
-            config = replace(config, lwp_count=lwp_count)
-        if track_power_series and not config.track_power_series:
-            config = replace(config, track_power_series=True)
-        return config
 
     # ------------------------------------------------------------------ #
     # Serialization                                                        #

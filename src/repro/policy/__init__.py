@@ -19,7 +19,6 @@ from .registry import (
     policy_class,
     policy_is_learned,
     policy_names,
-    policy_param_names,
     register_policy,
     registered_policies,
     resolved_policy_spec,
@@ -36,7 +35,6 @@ __all__ = [
     "policy_class",
     "policy_is_learned",
     "policy_names",
-    "policy_param_names",
     "register_policy",
     "registered_policies",
     "resolved_policy_spec",

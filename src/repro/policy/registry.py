@@ -124,12 +124,6 @@ def policy_class(domain: str, name: str) -> Type[Any]:
             f"choose from {sorted(_REGISTRY[domain])}") from None
 
 
-def policy_param_names(domain: str, name: str) -> List[str]:
-    """Sorted constructor parameter names of one registered policy."""
-    accepted, _ = _constructor_params(policy_class(domain, name))
-    return sorted(accepted)
-
-
 def _constructor_params(cls: type):
     """(accepted keyword names, accepts-arbitrary-kwargs) of ``cls``."""
     if cls.__init__ is object.__init__:

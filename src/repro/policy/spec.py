@@ -66,13 +66,6 @@ class PolicySpec:
         return hash(self._canonical)
 
     # ------------------------------------------------------------------ #
-    # Evolution                                                           #
-    # ------------------------------------------------------------------ #
-    def with_params(self, **params: Any) -> "PolicySpec":
-        """Copy of this spec with ``params`` layered on top."""
-        return PolicySpec(self.name, {**self.params, **params})
-
-    # ------------------------------------------------------------------ #
     # Serialization                                                       #
     # ------------------------------------------------------------------ #
     def to_dict(self) -> Dict[str, Any]:

@@ -25,11 +25,9 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..workloads.characteristics import lookup
-from ..workloads.traces import load_trace
 from .request import Request
 
 #: Default request pool: a bandwidth-light slice of Table 2 so serving
@@ -50,10 +48,12 @@ class TenantSpec:
     slo_s: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.weight <= 0:
-            raise ValueError("tenant weight must be positive")
-        if self.slo_s is not None and self.slo_s <= 0:
-            raise ValueError("slo_s must be positive")
+        if not 0 < self.weight < math.inf:
+            raise ValueError(f"tenant weight must be a finite number > 0, "
+                             f"got {self.weight!r}")
+        if self.slo_s is not None and not 0 < self.slo_s < math.inf:
+            raise ValueError(f"slo_s must be a finite number > 0, "
+                             f"got {self.slo_s!r}")
 
 
 def _weighted_choice(rng: random.Random, items: Sequence[str],
@@ -155,14 +155,6 @@ class MMPPArrivals(ArrivalProcess):
         self.normal_dwell_s = normal_dwell_s
         self.burst_dwell_s = burst_dwell_s
 
-    def mean_rate_rps(self) -> float:
-        """Long-run average rate over the normal/burst dwell cycle."""
-        weight_normal = self.normal_dwell_s
-        weight_burst = self.burst_dwell_s
-        return (self.rate_rps * weight_normal
-                + self.rate_rps * self.burst_factor * weight_burst) \
-            / (weight_normal + weight_burst)
-
     def _arrival_times(self, rng: random.Random,
                        duration_s: float) -> List[float]:
         times: List[float] = []
@@ -246,14 +238,6 @@ class TraceArrivals(ArrivalProcess):
             if tenant not in known:
                 raise ValueError(f"trace names unknown tenant {tenant!r}")
         self.events = sorted(events, key=lambda e: e[0])
-
-    @classmethod
-    def from_file(cls, path: Union[str, Path],
-                  tenants: Sequence[TenantSpec]) -> "TraceArrivals":
-        """Load a JSON-lines trace: one object per line with
-        ``arrival_s``, ``tenant`` and ``workload`` keys
-        (the :func:`repro.workloads.traces.load_trace` format)."""
-        return cls(load_trace(path), tenants)
 
     def generate(self, duration_s: float) -> List[Request]:
         """Materialize trace events before ``duration_s`` as requests."""

@@ -61,13 +61,6 @@ class ServingReport:
         """99th-percentile end-to-end latency."""
         return self.percentile_s("p99")
 
-    @property
-    def admission_rate(self) -> float:
-        """Fraction of offered requests that were admitted."""
-        if self.offered == 0:
-            return 0.0
-        return self.admitted / self.offered
-
     # -- serialization --------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
         """Plain-dict (JSON-safe) form for caching and goldens."""

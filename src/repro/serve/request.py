@@ -24,13 +24,6 @@ class Request:
     arrival_s: float            # absolute simulation time of arrival
     slo_s: Optional[float] = None   # end-to-end latency objective
 
-    @property
-    def deadline_s(self) -> Optional[float]:
-        """Absolute completion deadline, or None without an SLO."""
-        if self.slo_s is None:
-            return None
-        return self.arrival_s + self.slo_s
-
 
 class RequestStatus(Enum):
     """Lifecycle of one request inside the serving front-end."""

@@ -16,6 +16,7 @@ simulation until every request has settled, and assembles a
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -204,7 +205,7 @@ class ServingScenario:
 
     ``offered_rps`` is the base rate of the arrival process (the peak rate
     for ``diurnal``; ignored for ``trace``).  All fields are hashable
-    plain data so scenarios can key the experiment registry/cache.
+    plain data so scenarios can key the experiment cache.
 
     Admission and dispatch are policy domains of the unified registry
     (:mod:`repro.policy`).  ``admission`` and ``dispatch_spec`` each hold
@@ -237,10 +238,14 @@ class ServingScenario:
         if self.process not in ARRIVAL_PROCESSES:
             raise ValueError(f"unknown arrival process {self.process!r}; "
                              f"choose from {ARRIVAL_PROCESSES}")
-        if self.process != "trace" and self.offered_rps <= 0:
-            raise ValueError("offered_rps must be positive")
-        if self.duration_s <= 0:
-            raise ValueError("duration_s must be positive")
+        # A NaN or infinite rate or horizon would hang the run or report
+        # NaN: fail here, naming the field.
+        if self.process != "trace" and not 0 < self.offered_rps < math.inf:
+            raise ValueError(f"offered_rps must be a finite number > 0, "
+                             f"got {self.offered_rps!r}")
+        if not 0 < self.duration_s < math.inf:
+            raise ValueError(f"duration_s must be a finite number > 0, "
+                             f"got {self.duration_s!r}")
         if not self.tenants:
             raise ValueError("at least one tenant is required")
         if self.process == "trace" and not self.trace_events:

@@ -127,11 +127,6 @@ class Event:
         return self._triggered
 
     @property
-    def processed(self) -> bool:
-        """``True`` once callbacks have run and waiters were resumed."""
-        return self.callbacks is None
-
-    @property
     def ok(self) -> bool:
         """``False`` if the event carries a failure (exception) value."""
         return self._ok

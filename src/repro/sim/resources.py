@@ -82,11 +82,6 @@ class Resource:
         """Number of slots currently held."""
         return len(self._users)
 
-    @property
-    def queue_length(self) -> int:
-        """Number of requests waiting for a slot."""
-        return len(self._queue)
-
     def request(self, priority: int = 0) -> Request:
         """Ask for one slot; the returned event triggers when granted."""
         return Request(self, priority)

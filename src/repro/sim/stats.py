@@ -19,8 +19,7 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_left, bisect_right
-from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
-                    Tuple)
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 
 class Counter:
@@ -256,11 +255,6 @@ class SummaryStats:
         rank = max(1, math.ceil(pct / 100.0 * len(self._values)))
         return self._values[rank - 1]
 
-    def cdf_points(self) -> List[Tuple[float, float]]:
-        """(value, cumulative fraction) pairs, suitable for a CDF plot."""
-        n = len(self._values)
-        return [(v, (i + 1) / n) for i, v in enumerate(self._values)]
-
     def as_dict(self) -> Dict[str, float]:
         """min/mean/max/count as a plain dict."""
         return {"min": self.min, "mean": self.mean, "max": self.max,
@@ -352,11 +346,6 @@ class LatencyReservoir:
             raise ValueError("no samples")
         return self._max
 
-    @property
-    def saturated(self) -> bool:
-        """True once percentiles are estimates over a uniform sample."""
-        return self._count > self.capacity
-
     # -- percentiles ---------------------------------------------------------
     def summary(self) -> SummaryStats:
         """A :class:`SummaryStats` over the reservoir's current sample."""
@@ -367,13 +356,6 @@ class LatencyReservoir:
         if pct >= 100.0 and self._count:
             return self._max     # the exact maximum is always tracked
         return self.summary().percentile(pct)
-
-    def percentiles(self, pcts: Sequence[float] = (50.0, 95.0, 99.0, 99.9)
-                    ) -> Dict[float, float]:
-        """Several percentiles from one sorted pass (p50/p95/p99/p99.9)."""
-        summary = self.summary()
-        return {pct: (self._max if pct >= 100.0 else summary.percentile(pct))
-                for pct in pcts}
 
     # -- serialization --------------------------------------------------------
     def to_dict(self) -> Dict[str, object]:

@@ -14,22 +14,19 @@ from .characteristics import (
 )
 from .polybench import (
     DEFAULT_SCREENS_PER_MICROBLOCK,
-    all_polybench_names,
     build_workload_kernel,
     homogeneous_workload,
     polybench_application,
 )
-from .rodinia import all_realworld_names, realworld_application, realworld_workload
+from .rodinia import realworld_application, realworld_workload
 from .mixes import (
     INSTANCES_PER_KERNEL,
     MIX_COMPOSITIONS,
     MIX_ORDER,
-    all_mix_names,
     heterogeneous_workload,
     mix_applications,
 )
-from .generator import random_characteristics, serial_sweep_kernels, synthetic_kernel
-from .traces import TraceEvent, load_trace, synthetic_trace, write_trace
+from .generator import serial_sweep_kernels, synthetic_kernel
 
 __all__ = [
     "COMPUTE_INTENSIVE",
@@ -43,24 +40,16 @@ __all__ = [
     "lookup",
     "table2_rows",
     "DEFAULT_SCREENS_PER_MICROBLOCK",
-    "all_polybench_names",
     "build_workload_kernel",
     "homogeneous_workload",
     "polybench_application",
-    "all_realworld_names",
     "realworld_application",
     "realworld_workload",
     "INSTANCES_PER_KERNEL",
     "MIX_COMPOSITIONS",
     "MIX_ORDER",
-    "all_mix_names",
     "heterogeneous_workload",
     "mix_applications",
-    "random_characteristics",
     "serial_sweep_kernels",
     "synthetic_kernel",
-    "TraceEvent",
-    "load_trace",
-    "synthetic_trace",
-    "write_trace",
 ]

@@ -3,17 +3,14 @@
 Used by the motivation study (Fig. 3b/3c): kernels with a controlled
 fraction of serial instructions and a configurable number of parallel
 screens, so the Amdahl-style scalability of the multi-kernel execution
-model can be measured directly.  Also provides a deterministic pseudo-random
-mixed-workload generator for stress tests.
+model can be measured directly.
 """
 
 from __future__ import annotations
 
-import random
 from typing import List
 
 from ..core.kernel import Kernel, Microblock, Screen
-from .characteristics import WorkloadCharacteristics
 
 
 def synthetic_kernel(name: str, total_instructions: float, input_bytes: int,
@@ -95,24 +92,3 @@ def serial_sweep_kernels(serial_fraction: float, instances: int,
         ld_st_ratio=ld_st_ratio,
         app_id=0, instance=i)
         for i in range(instances)]
-
-
-def random_characteristics(seed: int, count: int,
-                           suite: str = "synthetic") -> List[WorkloadCharacteristics]:
-    """Deterministic pseudo-random workload descriptors for stress tests."""
-    rng = random.Random(seed)
-    out = []
-    for i in range(count):
-        microblocks = rng.randint(1, 4)
-        serial = rng.randint(0, max(0, microblocks - 1))
-        out.append(WorkloadCharacteristics(
-            name=f"rand{i}",
-            description="randomly generated workload",
-            microblocks=microblocks,
-            serial_microblocks=serial,
-            input_mb=rng.choice([64, 128, 256, 512]),
-            ld_st_ratio_pct=rng.uniform(20.0, 55.0),
-            bytes_per_kilo_instruction=rng.uniform(2.0, 80.0),
-            suite=suite,
-        ))
-    return out

@@ -70,7 +70,3 @@ def heterogeneous_workload(mix_name: str,
         for app_kernels in per_app:
             kernels.append(app_kernels[round_index])
     return kernels
-
-
-def all_mix_names() -> List[str]:
-    return list(MIX_ORDER)

@@ -13,11 +13,7 @@ from typing import List
 
 from ..core.app import Application
 from ..core.kernel import Kernel, build_kernel
-from .characteristics import (
-    POLYBENCH_ORDER,
-    WorkloadCharacteristics,
-    lookup,
-)
+from .characteristics import WorkloadCharacteristics, lookup
 
 DEFAULT_SCREENS_PER_MICROBLOCK = 6
 
@@ -75,7 +71,3 @@ def homogeneous_workload(name: str, instances: int = 6,
                                 screens_per_microblock=screens_per_microblock,
                                 input_scale=input_scale)
     return app.instantiate(instances)
-
-
-def all_polybench_names() -> List[str]:
-    return list(POLYBENCH_ORDER)

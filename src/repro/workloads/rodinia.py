@@ -45,7 +45,3 @@ def realworld_workload(name: str, instances: int = 6,
                                 screens_per_microblock=screens_per_microblock,
                                 input_scale=input_scale)
     return app.instantiate(instances)
-
-
-def all_realworld_names() -> List[str]:
-    return list(REALWORLD_ORDER)

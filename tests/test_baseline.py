@@ -8,9 +8,10 @@ from repro.baseline import (
     HostStorageStack,
     IO_REQUEST_BYTES,
     NVMeSSD,
-    run_baseline,
 )
+from repro.eval import run_system
 from repro.hw.power import EnergyAccountant
+from repro.platform import PlatformConfig
 from repro.workloads import POLYBENCH, build_workload_kernel, homogeneous_workload
 
 from helpers import run_process
@@ -95,7 +96,7 @@ def test_host_cpu_busy_and_idle_accounting(env, spec):
 # --------------------------------------------------------------------------- #
 def test_baseline_completes_every_kernel():
     kernels = homogeneous_workload("ATAX", instances=3, input_scale=SCALE)
-    report = run_baseline(kernels, "ATAX")
+    report = run_system(PlatformConfig(system="SIMD"), kernels, "ATAX")
     assert report.system == "SIMD"
     assert len(report.completion_times) == 3
     assert report.makespan_s > 0
@@ -129,8 +130,8 @@ def test_baseline_data_intensive_kernels_dominated_by_storage_path():
     kernels = [build_workload_kernel(characteristics, input_scale=0.1)]
     system.run_workload(kernels, "ATAX")
     breakdown = system.time_breakdowns()[0]
-    io_fraction = breakdown.fractions()["ssd"] + breakdown.fractions()["host_stack"]
-    assert io_fraction > 0.5
+    io_s = breakdown.ssd_s + breakdown.host_stack_s
+    assert io_s / breakdown.total_s > 0.5
 
 
 def test_baseline_compute_intensive_kernels_dominated_by_accelerator():
@@ -139,12 +140,12 @@ def test_baseline_compute_intensive_kernels_dominated_by_accelerator():
     kernels = [build_workload_kernel(characteristics, input_scale=0.1)]
     system.run_workload(kernels, "SYRK")
     breakdown = system.time_breakdowns()[0]
-    assert breakdown.fractions()["accelerator"] > 0.5
+    assert breakdown.accelerator_s / breakdown.total_s > 0.5
 
 
 def test_baseline_storage_energy_fraction_is_large_for_data_intensive():
     kernels = homogeneous_workload("BICG", instances=2, input_scale=SCALE)
-    report = run_baseline(kernels, "BICG")
+    report = run_system(PlatformConfig(system="SIMD"), kernels, "BICG")
     energy = report.energy
     non_compute = energy.data_movement + energy.storage_access
     assert non_compute / energy.total > 0.6
@@ -166,7 +167,9 @@ def test_baseline_empty_workload_rejected():
 
 def test_baseline_power_series_reflects_io_phases():
     kernels = homogeneous_workload("ATAX", instances=1, input_scale=SCALE)
-    report = run_baseline(kernels, "ATAX", track_power_series=True)
+    report = run_system(
+        PlatformConfig(system="SIMD", track_power_series=True), kernels,
+        "ATAX")
     assert report.power_series is not None
     peak = max(report.power_series.values())
     # During I/O the host (active) plus SSD dominate: tens of watts.

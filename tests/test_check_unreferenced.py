@@ -1,7 +1,9 @@
-"""Self-test of ``tools/check_unreferenced.py`` on a planted repository."""
+"""Self-test of ``tools/check_unreferenced.py`` on planted repositories."""
 
 import importlib.util
 from pathlib import Path
+
+import pytest
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "check_unreferenced.py"
 
@@ -20,31 +22,51 @@ def plant(root: Path, files) -> None:
         path.write_text(text)
 
 
-def test_outside_tests_reports_a_helper_only_tests_name(tmp_path):
-    plant(tmp_path, {
-        "src/repro/mod.py": (
-            "from .policy import register_policy\n"
-            "def live():\n    return 1\n"
-            "def test_only_helper():\n    return 2\n"
-            "def dead():\n    return 3\n"
+def check(root: Path, files) -> int:
+    """Exit code of the check on a repository holding ``files`` plus one
+    definition an example uses."""
+    plant(root, {
+        "src/repro/mod.py": "def live():\n    return 1\n",
+        "examples/use.py": "from repro.mod import live\nlive()\n",
+        **files,
+    })
+    return load_tool().main([], root=root)
+
+
+def test_outside_tests_reports_a_helper_only_tests_name(tmp_path, capsys):
+    assert check(tmp_path, {
+        "src/repro/helper.py": "def test_only_helper():\n    return 2\n",
+        "tests/test_mod.py": (
+            "from repro.helper import test_only_helper\n"
+            "def test_it():\n    assert test_only_helper() == 2\n"),
+    }) == 1
+    assert "src/repro/helper.py:1: test_only_helper" in capsys.readouterr().out
+
+
+def test_a_package_reexport_is_not_a_use(tmp_path, capsys):
+    assert check(tmp_path, {
+        "src/repro/__init__.py": (
+            "from .helper import exported\n__all__ = ['exported']\n"),
+        "src/repro/helper.py": "def exported():\n    return 2\n",
+    }) == 1
+    assert "src/repro/helper.py:1: exported" in capsys.readouterr().out
+
+
+def test_a_registered_policy_is_used(tmp_path):
+    assert check(tmp_path, {
+        "src/repro/policies.py": (
+            "from .registry import register_policy\n"
             "@register_policy('dispatch')\n"
             "class ByNameOnly:\n    pass\n"),
-        "examples/use.py": "from repro.mod import live\nlive()\n",
-        "tests/test_mod.py": (
-            "from repro.mod import test_only_helper\n"
-            "def test_it():\n    assert test_only_helper() == 2\n"),
-    })
-    tool = load_tool()
-    # The CI mode: anything named anywhere counts, tests included.
-    assert tool.unreferenced(tmp_path) == [
-        "src/repro/mod.py:6: dead", "src/repro/mod.py:9: ByNameOnly"]
-    # The survey: names used only under tests/ do not count; a
-    # registered policy does.
-    assert tool.unreferenced(tmp_path, outside_tests=True) == [
-        "src/repro/mod.py:4: test_only_helper", "src/repro/mod.py:6: dead"]
+    }) == 0
 
 
-def test_outside_tests_mode_is_report_only(capsys):
-    tool = load_tool()
-    assert tool.main(["--outside-tests"]) == 0
-    assert "named only under tests/" in capsys.readouterr().err
+def test_a_name_used_only_by_an_example_is_used(tmp_path, capsys):
+    assert check(tmp_path, {}) == 0
+    assert "every function" in capsys.readouterr().out
+
+
+def test_the_check_has_one_mode():
+    with pytest.raises(SystemExit) as raised:
+        load_tool().main(["--outside-tests"])
+    assert raised.value.code == 2

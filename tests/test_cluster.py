@@ -66,16 +66,12 @@ def test_cluster_config_validation():
         FaultSpec(0.0, 0, "sideways")
 
 
-def test_cluster_config_scaled_to():
-    config = ClusterConfig.homogeneous(
-        2, PlatformConfig(), faults=(FaultSpec(0.5, 1, "failed"),))
-    grown = config.scaled_to(4)
-    assert grown.device_count == 4
-    assert grown.faults == config.faults
-    shrunk = config.scaled_to(1)
-    assert shrunk.device_count == 1
-    # The fault named device 1, which no longer exists: dropped.
-    assert shrunk.faults == ()
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_fault_spec_rejects_a_non_finite_time(value):
+    # NaN used to fail the device at t=0 (serial) or trip the epoch
+    # runner's boundary check; infinity reported an infinite makespan.
+    with pytest.raises(ValueError, match="fault time_s must be a finite"):
+        FaultSpec(value, 0, "failed")
 
 
 def test_mixed_fleet_label():

@@ -2,8 +2,10 @@
 
 import pytest
 
-from repro.core import FlashAbacusAccelerator, run_flashabacus
+from repro.core import FlashAbacusAccelerator
 from repro.core.accelerator import FlashAddressSpace
+from repro.eval import run_system
+from repro.platform import PlatformConfig
 from repro.workloads import heterogeneous_workload, homogeneous_workload
 
 SCALE = 0.02   # shrink the Table 2 data sets; ratios are scale-invariant
@@ -77,7 +79,7 @@ def test_address_space_wrap_respects_alignment_rounding():
 @pytest.mark.parametrize("scheduler", ["InterSt", "InterDy", "IntraIo", "IntraO3"])
 def test_every_scheduler_completes_all_kernels(scheduler):
     kernels = homogeneous_workload("ATAX", instances=3, input_scale=SCALE)
-    report = run_flashabacus(kernels, scheduler, "ATAX")
+    report = run_system(PlatformConfig(system=scheduler), kernels, "ATAX")
     assert report.system == scheduler
     assert len(report.kernel_latencies) == len(kernels)
     assert len(report.completion_times) == len(kernels)
@@ -90,13 +92,13 @@ def test_every_scheduler_completes_all_kernels(scheduler):
 def test_report_bytes_processed_matches_workload():
     kernels = homogeneous_workload("MVT", instances=2, input_scale=SCALE)
     expected = sum(k.input_bytes + k.output_bytes for k in kernels)
-    report = run_flashabacus(kernels, "InterDy", "MVT")
+    report = run_system(PlatformConfig(system="InterDy"), kernels, "MVT")
     assert report.bytes_processed == expected
 
 
 def test_completion_times_monotonic_and_bounded_by_makespan():
     kernels = homogeneous_workload("BICG", instances=4, input_scale=SCALE)
-    report = run_flashabacus(kernels, "IntraO3", "BICG")
+    report = run_system(PlatformConfig(system="IntraO3"), kernels, "BICG")
     times = report.completion_times
     assert times == sorted(times)
     assert times[-1] == pytest.approx(report.makespan_s)
@@ -105,7 +107,7 @@ def test_completion_times_monotonic_and_bounded_by_makespan():
 
 
 def test_flash_traffic_covers_inputs_and_outputs():
-    accelerator = FlashAbacusAccelerator(scheduler="InterDy")
+    accelerator = FlashAbacusAccelerator(config=PlatformConfig(system="InterDy"))
     kernels = homogeneous_workload("2DCON", instances=2, input_scale=SCALE)
     report = accelerator.run_workload(kernels, "2DCON")
     total_input = sum(k.input_bytes for k in kernels)
@@ -115,30 +117,30 @@ def test_flash_traffic_covers_inputs_and_outputs():
     assert accelerator.flashvisor.pending_flush_bytes == 0
     assert accelerator.backbone.bytes_written() >= total_output
     assert report.scheduler_stats["screens_executed"] == \
-        sum(k.screen_count() for k in kernels)
+        sum(len(mb) for k in kernels for mb in k.microblocks)
 
 
 def test_dynamic_scheduler_balances_instances_across_workers():
     kernels = homogeneous_workload("GESUM", instances=6, input_scale=SCALE)
-    report = run_flashabacus(kernels, "InterDy", "GESUM")
+    report = run_system(PlatformConfig(system="InterDy"), kernels, "GESUM")
     busy = [u for u in report.per_lwp_utilization if u > 0.1]
     assert len(busy) == 6
 
 
 def test_static_scheduler_uses_single_worker_for_one_app():
     kernels = homogeneous_workload("GESUM", instances=4, input_scale=SCALE)
-    report = run_flashabacus(kernels, "InterSt", "GESUM")
+    report = run_system(PlatformConfig(system="InterSt"), kernels, "GESUM")
     busy = [u for u in report.per_lwp_utilization if u > 0.1]
     assert len(busy) == 1
 
 
 def test_out_of_order_beats_in_order_for_serial_microblock_workloads():
-    in_order = run_flashabacus(
-        homogeneous_workload("ATAX", instances=6, input_scale=SCALE),
-        "IntraIo", "ATAX")
-    out_of_order = run_flashabacus(
-        homogeneous_workload("ATAX", instances=6, input_scale=SCALE),
-        "IntraO3", "ATAX")
+    in_order = run_system(
+        PlatformConfig(system="IntraIo"),
+        homogeneous_workload("ATAX", instances=6, input_scale=SCALE), "ATAX")
+    out_of_order = run_system(
+        PlatformConfig(system="IntraO3"),
+        homogeneous_workload("ATAX", instances=6, input_scale=SCALE), "ATAX")
     assert out_of_order.makespan_s < in_order.makespan_s
 
 
@@ -146,14 +148,15 @@ def test_heterogeneous_mix_runs_on_all_schedulers():
     for scheduler in ("InterSt", "InterDy", "IntraIo", "IntraO3"):
         kernels = heterogeneous_workload("MX2", instances_per_kernel=1,
                                          input_scale=SCALE)
-        report = run_flashabacus(kernels, scheduler, "MX2")
+        report = run_system(PlatformConfig(system=scheduler), kernels, "MX2")
         assert len(report.completion_times) == len(kernels)
 
 
 def test_power_series_collected_when_requested():
     kernels = homogeneous_workload("MVT", instances=2, input_scale=SCALE)
-    report = run_flashabacus(kernels, "IntraO3", "MVT",
-                             track_power_series=True)
+    report = run_system(
+        PlatformConfig(system="IntraO3", track_power_series=True), kernels,
+        "MVT")
     assert report.power_series is not None
     assert len(report.power_series) > 2
     assert max(report.power_series.values()) > 0
@@ -166,10 +169,10 @@ def test_empty_workload_rejected():
 
 
 def test_management_cores_never_execute_screens():
-    accelerator = FlashAbacusAccelerator(scheduler="IntraO3")
+    accelerator = FlashAbacusAccelerator()
     kernels = homogeneous_workload("ATAX", instances=2, input_scale=SCALE)
     accelerator.run_workload(kernels, "ATAX")
     assert accelerator.cluster.flashvisor_lwp.screens_executed == 0
     assert accelerator.cluster.storengine_lwp.screens_executed == 0
     executed = sum(w.screens_executed for w in accelerator.cluster.workers)
-    assert executed == sum(k.screen_count() for k in kernels)
+    assert executed == sum(len(mb) for k in kernels for mb in k.microblocks)

@@ -19,7 +19,7 @@ from repro.core.kernel import (
 def test_screen_validation():
     screen = Screen(screen_id=0, instructions=100, input_bytes=10,
                     output_bytes=5)
-    assert screen.total_bytes == 15
+    assert (screen.input_bytes, screen.output_bytes) == (10, 5)
     with pytest.raises(ValueError):
         Screen(screen_id=0, instructions=-1)
     with pytest.raises(ValueError):
@@ -59,8 +59,7 @@ def test_descriptor_image_excludes_data_section():
     table = KernelDescriptionTable(name="k", section_bytes={
         TEXT_SECTION: 100, DATA_SECTION: 10_000, ".heap": 10, ".stack": 10})
     assert table.image_bytes == 120
-    assert table.data_section_bytes == 10_000
-    assert table.l2_resident_bytes() == 120
+    assert table.section_bytes[DATA_SECTION] == 10_000
 
 
 def test_descriptor_rejects_negative_section():
@@ -97,8 +96,7 @@ def test_build_kernel_structure_matches_request():
                           input_bytes=1024, output_bytes=256,
                           microblock_count=3, serial_microblocks=1,
                           screens_per_microblock=4)
-    assert len(kernel.microblocks) == 3
-    assert kernel.serial_microblock_count == 1
+    assert [m.serial for m in kernel.microblocks] == [False, False, True]
     # Serial microblocks are placed last and have exactly one screen.
     assert kernel.microblocks[-1].serial
     assert len(kernel.microblocks[-1]) == 1
@@ -123,8 +121,9 @@ def test_build_kernel_first_reads_last_writes_flash():
     assert kernel.microblocks[0].reads_flash
     assert kernel.microblocks[-1].writes_flash
     assert not kernel.microblocks[1].reads_flash
-    assert kernel.flash_read_bytes == 1000
-    assert kernel.flash_write_bytes == 300
+    assert not kernel.microblocks[1].writes_flash
+    assert kernel.microblocks[0].input_bytes == 1000
+    assert kernel.microblocks[-1].output_bytes == 300
 
 
 def test_build_kernel_serial_weight_controls_serial_fraction():
@@ -142,14 +141,15 @@ def test_build_kernel_fully_parallel_has_no_serial_fraction():
     kernel = build_kernel("par", 1e6, 100, 0, microblock_count=1,
                           serial_microblocks=0, screens_per_microblock=4)
     assert kernel.serial_fraction == 0.0
-    assert kernel.serial_microblock_count == 0
+    assert not any(m.serial for m in kernel.microblocks)
 
 
 def test_build_kernel_screen_count_and_iteration():
     kernel = build_kernel("count", 1e6, 100, 10, microblock_count=2,
                           serial_microblocks=1, screens_per_microblock=5)
-    assert kernel.screen_count() == 6
-    assert len(list(kernel.iter_screens())) == 6
+    assert [len(m) for m in kernel.microblocks] == [5, 1]
+    screen_ids = [s.screen_id for m in kernel.microblocks for s in m.screens]
+    assert screen_ids == list(range(6))
 
 
 def test_build_kernel_validation():
@@ -171,4 +171,4 @@ def test_build_kernel_validation():
 def test_kernel_descriptor_data_section_matches_bytes():
     kernel = build_kernel("data", 1e6, 5000, 500, microblock_count=2,
                           serial_microblocks=0, screens_per_microblock=2)
-    assert kernel.descriptor.data_section_bytes == 5500
+    assert kernel.descriptor.section_bytes[DATA_SECTION] == 5500

@@ -23,7 +23,8 @@ from repro.cluster.parallel import (
     _ShardGroup,
 )
 from repro.cluster.session import ClusterSession
-from repro.core import FlashAbacusAccelerator, run_flashabacus
+from repro.core import FlashAbacusAccelerator
+from repro.eval import run_system
 from repro.obs import ObsConfig
 from repro.obs.metrics import Gauge
 from repro.platform.cluster import ClusterConfig
@@ -138,7 +139,7 @@ def test_run_workload_surfaces_worker_crash(monkeypatch):
     monkeypatch.setattr(FlashAbacusAccelerator, "_execute_screen",
                         execute_screen)
     kernels = homogeneous_workload("ATAX", instances=3, input_scale=0.02)
-    assert_crashes(lambda: run_flashabacus(kernels, "IntraO3", "ATAX"))
+    assert_crashes(lambda: run_system(PlatformConfig(), kernels, "ATAX"))
     assert len(screens) == 6
 
 

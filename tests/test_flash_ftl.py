@@ -46,7 +46,8 @@ def test_mapping_mapped_groups_sorted(geometry):
     table = PageGroupMappingTable(geometry)
     for logical in (9, 3, 7):
         table.update(logical, logical * 10)
-    assert table.mapped_groups() == [3, 7, 9]
+    assert len(table) == 3
+    assert [g for g in range(10) if table.lookup(g) is not None] == [3, 7, 9]
 
 
 # --------------------------------------------------------------------------- #
@@ -113,7 +114,7 @@ def test_allocator_reclaim_returns_row_and_counts_erase(geometry):
     allocator.reclaim_row(victim)
     assert len(allocator.free_rows) == free_before + 1
     assert allocator.rows[victim].erase_count == 1
-    assert allocator.wear_spread() == 1
+    assert sorted({r.erase_count for r in allocator.rows.values()}) == [0, 1]
 
 
 def test_allocator_needs_gc_when_free_pool_shrinks(geometry):
@@ -167,7 +168,8 @@ def test_reverse_lookup_consistent_under_churn(geometry):
         else:
             table.update(logical, next_physical)
             next_physical += 1
-    forward = {log: table.lookup(log) for log in table.mapped_groups()}
+    forward = {log: table.lookup(log) for log in range(32)
+               if table.lookup(log) is not None}
     for logical, physical in forward.items():
         assert table.reverse_lookup(physical) == logical
     for physical in range(next_physical):

@@ -83,13 +83,13 @@ def test_sustained_writes_keep_wear_spread_bounded(
     env.process(sustained_writer(env, flashvisor, geometry, rounds,
                                  logical_span))
     env.run(until=rounds * 2e-4 + 1.0)
-    mean_erases = (sum(r.erase_count for r in allocator.rows.values())
-                   / allocator.total_rows)
+    erases = [r.erase_count for r in allocator.rows.values()]
+    mean_erases = sum(erases) / allocator.total_rows
     assert mean_erases >= 1.0, "churn must actually cycle the device"
     # Log-structured allocation plus pool-ordered victim selection keeps
     # erase counts close together: the spread must not grow with the
     # number of overwrite cycles.
-    assert allocator.wear_spread() <= 3
+    assert max(erases) - min(erases) <= 3
 
 
 @pytest.mark.parametrize("victim_policy", ["round_robin", "greedy"])

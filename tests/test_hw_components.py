@@ -148,12 +148,12 @@ def test_cluster_activity_tracks_functional_units(env, spec):
 def test_ddr_allocation_and_capacity(env, spec):
     ddr = DDR3L(env, spec.memory)
     ddr.allocate("input", 512 * MB)
-    assert ddr.holds("input")
+    assert ddr.allocated_bytes == 512 * MB
     assert ddr.free_bytes == spec.memory.ddr_capacity_bytes - 512 * MB
     with pytest.raises(CapacityError):
         ddr.allocate("too_big", 600 * MB)
     assert ddr.free("input") == 512 * MB
-    assert not ddr.holds("input")
+    assert ddr.allocated_bytes == 0
 
 
 def test_ddr_timed_read_write(env, spec):
@@ -174,7 +174,8 @@ def test_ddr_timed_read_write(env, spec):
 def test_scratchpad_is_faster_than_ddr(env, spec):
     ddr = DDR3L(env, spec.memory)
     scratchpad = Scratchpad(env, spec.memory)
-    assert scratchpad.access_time(1 * MB) < ddr.access_time(1 * MB)
+    assert scratchpad.pipe.occupancy_time(1 * MB) \
+        < ddr.pipe.occupancy_time(1 * MB)
 
 
 # --------------------------------------------------------------------------- #

@@ -32,13 +32,15 @@ def test_energy_breakdown_normalization():
                            storage_access=1.0)
     flashabacus = EnergyBreakdown(data_movement=0.0, computation=1.0,
                                   storage_access=1.0)
-    normalized = flashabacus.normalized_to(simd)
-    assert normalized.total == pytest.approx(0.2)
-
-
-def test_energy_breakdown_normalize_to_zero_rejected():
-    with pytest.raises(ValueError):
-        EnergyBreakdown().normalized_to(EnergyBreakdown())
+    # Normalized to the baseline's total, as the paper's energy plots are.
+    assert flashabacus.total / simd.total == pytest.approx(0.2)
+    # Each breakdown's own fractions are normalized to one.
+    for breakdown in (simd, flashabacus):
+        assert sum(breakdown.fraction(b) for b in BUCKETS) \
+            == pytest.approx(1.0)
+    assert simd.fraction(DATA_MOVEMENT) == pytest.approx(0.8)
+    # A breakdown without energy has zero fractions, not a division error.
+    assert EnergyBreakdown().fraction(DATA_MOVEMENT) == 0.0
 
 
 def test_accountant_charges_by_component_and_bucket():
@@ -48,7 +50,7 @@ def test_accountant_charges_by_component_and_bucket():
     assert accountant.breakdown.computation == pytest.approx(2.0)
     assert accountant.breakdown.storage_access == pytest.approx(5.0)
     assert accountant.by_component == {"lwp0": 2.0, "ssd": 5.0}
-    assert accountant.total_joules == pytest.approx(7.0)
+    assert accountant.breakdown.total == pytest.approx(7.0)
 
 
 def test_accountant_rejects_bad_charges():
@@ -128,7 +130,10 @@ def test_power_monitor_average_power_over_window():
 
     env.process(scenario(env))
     env.run()
-    assert monitor.average_power(0.0, 2.0) == pytest.approx(5.0)
+    # Sampled every 0.5 s over the window [0, 2): 10, 10, 0, 0 W.
+    samples = monitor.series.resample(0.5, end=1.5).values()
+    assert samples == [10.0, 10.0, 0.0, 0.0]
+    assert sum(samples) / len(samples) == pytest.approx(5.0)
 
 
 def test_power_monitor_rejects_negative_draw():

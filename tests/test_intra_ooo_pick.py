@@ -21,8 +21,9 @@ def _incomplete(kernel_chain) -> bool:
                for node in kernel_chain.nodes for screen in node.screens)
 
 
-def reference_pick(chain):
-    """(pick, borrowed) under the sort-based rule, from chain state only."""
+def ready_screens(chain):
+    """Every screen that may start now: the pending, unclaimed screens of
+    each chain's first incomplete node, in ``all_chains()`` order."""
     ready = []
     for kernel_chain in chain.all_chains():
         node = next((n for n in kernel_chain.nodes
@@ -33,6 +34,12 @@ def reference_pick(chain):
         for screen in node.screens:
             if screen.status is ScreenStatus.PENDING and not screen.claimed:
                 ready.append((kernel_chain, node, screen))
+    return ready
+
+
+def reference_pick(chain):
+    """(pick, borrowed) under the sort-based rule, from chain state only."""
+    ready = ready_screens(chain)
     if not ready:
         return None, False
     ready.sort(key=lambda entry: (entry[0].offloaded_at,
@@ -99,7 +106,7 @@ def test_next_work_matches_sorted_reference(shapes, data):
         elif op == "claim":
             # Claim a ready screen behind the scheduler's back, leaving
             # partly claimed nodes for the cursor to skip.
-            ready = chain.ready_screens()
+            ready = ready_screens(chain)
             if ready:
                 index = data.draw(st.integers(0, len(ready) - 1))
                 kernel_chain, _node, screen = ready[index]

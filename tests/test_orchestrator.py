@@ -1,4 +1,4 @@
-"""Tests for the experiment orchestrator: registry, cache, parallel runner."""
+"""Tests for the experiment orchestrator: cache and parallel runner."""
 
 import json
 import multiprocessing
@@ -13,7 +13,6 @@ from repro.eval import (
     default_orchestrator,
     fig10a_homogeneous_throughput,
     fig11_latency,
-    set_default_orchestrator,
 )
 from repro.platform import PlatformConfig
 
@@ -180,16 +179,6 @@ def test_run_deduplicates_identical_specs():
     assert orch.simulations_run == 1
 
 
-def test_registry_records_and_resolves_experiments():
-    orch = ExperimentOrchestrator()
-    specs = [_spec(system="SIMD"), _spec(system="IntraO3")]
-    orch.run(specs)
-    seen = orch.experiments()
-    assert [s.key for s in seen] == [s.key for s in specs]
-    assert orch.spec_for(specs[0].key).config.system == "SIMD"
-    assert orch.spec_for(_spec(system="InterSt").key) is None
-
-
 def test_from_env_rejects_non_integer_parallel(monkeypatch):
     monkeypatch.setenv("REPRO_PARALLEL", "auto")
     with pytest.raises(ValueError, match="REPRO_PARALLEL"):
@@ -296,16 +285,15 @@ def test_cache_key_includes_revision(monkeypatch):
 # Default orchestrator                                                         #
 # --------------------------------------------------------------------------- #
 def test_default_orchestrator_env_configuration(tmp_path, monkeypatch):
-    set_default_orchestrator(None)
-    try:
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        monkeypatch.setenv("REPRO_PARALLEL", "3")
-        orch = default_orchestrator()
-        assert orch.cache.cache_dir == tmp_path / "cache"
-        assert orch.workers == 3
-        assert default_orchestrator() is orch   # process-wide singleton
-    finally:
-        set_default_orchestrator(None)
+    from repro.eval import orchestrator as orch_mod
+
+    monkeypatch.setattr(orch_mod, "_default_orchestrator", None)
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    monkeypatch.setenv("REPRO_PARALLEL", "3")
+    orch = default_orchestrator()
+    assert orch.cache.cache_dir == tmp_path / "cache"
+    assert orch.workers == 3
+    assert default_orchestrator() is orch   # process-wide singleton
 
 
 def test_cache_files_record_experiment_metadata(tmp_path):

@@ -7,8 +7,13 @@ results: who wins, in which regime, and by roughly what kind of factor.
 
 import pytest
 
-from repro.eval import compare_systems, headline_summary
-from repro.workloads import heterogeneous_workload, homogeneous_workload
+from repro.eval import (
+    SYSTEMS,
+    ExperimentOrchestrator,
+    WorkloadSpec,
+    headline_summary,
+)
+from repro.platform import PlatformConfig
 
 SCALE = 0.05
 
@@ -16,18 +21,17 @@ SCALE = 0.05
 @pytest.fixture(scope="module")
 def atax_comparison():
     """Data-intensive homogeneous workload across all five systems."""
-    return compare_systems(
-        "ATAX",
-        lambda: homogeneous_workload("ATAX", instances=6, input_scale=SCALE))
+    return ExperimentOrchestrator().compare(
+        WorkloadSpec("homogeneous", "ATAX"), SYSTEMS,
+        PlatformConfig(instances=6, input_scale=SCALE))
 
 
 @pytest.fixture(scope="module")
 def mix_comparison():
     """Heterogeneous mix across all five systems."""
-    return compare_systems(
-        "MX1",
-        lambda: heterogeneous_workload("MX1", instances_per_kernel=2,
-                                       input_scale=SCALE))
+    return ExperimentOrchestrator().compare(
+        WorkloadSpec("heterogeneous", "MX1"), SYSTEMS,
+        PlatformConfig(instances=2, input_scale=SCALE))
 
 
 # --------------------------------------------------------------------------- #

@@ -256,7 +256,7 @@ def test_timeout_pool_reuse_is_unobservable():
     env.process(churner(env))
     env.run()
     assert held[0].value == "precious"
-    assert held[0].processed
+    assert held[0].callbacks is None        # processed, waiters resumed
 
 
 def test_event_identity_stays_fresh_across_pooling():
@@ -276,7 +276,7 @@ def test_event_identity_stays_fresh_across_pooling():
     # Every handed-out event stayed distinct while referenced: all 100
     # objects are alive in `seen`, so no two can be the same object.
     assert len(set(map(id, seen))) == len(seen)
-    assert all(event.processed for event in seen)
+    assert all(event.callbacks is None for event in seen)
 
 
 def test_optimized_engine_matches_serving_golden():

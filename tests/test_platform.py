@@ -1,4 +1,5 @@
-"""Tests for the platform layer: PlatformConfig and PlatformBuilder."""
+"""Tests for the platform layer: PlatformConfig, PlatformBuilder and the
+systems built from them."""
 
 import json
 from dataclasses import replace
@@ -13,7 +14,6 @@ from repro.sim.engine import Environment
 from repro.platform import (
     PlatformBuilder,
     PlatformConfig,
-    build_system,
     spec_from_dict,
     spec_to_dict,
 )
@@ -154,34 +154,26 @@ def test_builder_tracks_power_series_toggle():
 
 
 def test_systems_reject_mismatched_substrate():
-    baseline_sub = PlatformBuilder(
-        PlatformConfig(system="SIMD")).build_baseline_substrate()
-    with pytest.raises(ValueError):
-        FlashAbacusAccelerator(substrate=baseline_sub)
-    flash_sub = PlatformBuilder(
-        PlatformConfig(system="IntraO3")).build_flashabacus_substrate()
-    with pytest.raises(ValueError):
-        BaselineSystem(substrate=flash_sub)
+    """Each constructor builds only its own flavour of substrate."""
+    with pytest.raises(ValueError, match="FlashAbacus config"):
+        FlashAbacusAccelerator(config=PlatformConfig(system="SIMD"))
+    with pytest.raises(ValueError, match="SIMD config"):
+        BaselineSystem(config=PlatformConfig(system="IntraO3"))
 
 
-def test_systems_reject_conflicting_env_and_substrate():
-    """A prebuilt substrate owns its Environment; a second env is an error."""
-    substrate = PlatformBuilder(
-        PlatformConfig(system="IntraO3")).build_flashabacus_substrate()
-    with pytest.raises(ValueError, match="env"):
-        FlashAbacusAccelerator(env=Environment(), substrate=substrate)
-    # The substrate's own environment is fine (not a conflict).
-    accelerator = FlashAbacusAccelerator(env=substrate.env,
-                                         substrate=substrate)
-    assert accelerator.env is substrate.env
+def test_systems_default_to_their_own_flavour():
+    assert FlashAbacusAccelerator().config == PlatformConfig()
+    assert BaselineSystem().config == PlatformConfig(system="SIMD")
 
 
 def test_accelerator_runs_on_prebuilt_substrate():
-    substrate = PlatformBuilder(
-        PlatformConfig(system="InterDy")).build_flashabacus_substrate()
-    accelerator = FlashAbacusAccelerator(substrate=substrate)
-    assert accelerator.env is substrate.env
-    assert accelerator.backbone is substrate.backbone
+    """The accelerator runs on the substrate the builder assembled from
+    its config, in the environment it was given."""
+    env = Environment()
+    accelerator = FlashAbacusAccelerator(
+        env=env, config=PlatformConfig(system="InterDy"))
+    assert accelerator.env is env
+    assert accelerator.backbone is accelerator.substrate.backbone
     report = accelerator.run_workload(
         homogeneous_workload("ATAX", instances=2, input_scale=SCALE), "ATAX")
     accelerator.shutdown()
@@ -190,84 +182,60 @@ def test_accelerator_runs_on_prebuilt_substrate():
 
 
 # --------------------------------------------------------------------------- #
-# Config-driven entry points                                                   #
+# The batch entry point                                                        #
 # --------------------------------------------------------------------------- #
-def test_build_system_dispatches_on_config():
-    assert isinstance(build_system(PlatformConfig(system="SIMD")),
-                      BaselineSystem)
-    assert isinstance(build_system(PlatformConfig(system="IntraIo")),
-                      FlashAbacusAccelerator)
-
-
 def test_run_system_accepts_platform_config():
-    kernels = homogeneous_workload("ATAX", instances=2, input_scale=SCALE)
-    config = PlatformConfig(system="IntraO3")
-    report = run_system(config, kernels, workload_name="ATAX")
-    assert report.system == "IntraO3"
-    # Identical to the name-based path (simulations are deterministic).
-    kernels2 = homogeneous_workload("ATAX", instances=2, input_scale=SCALE)
-    by_name = run_system("IntraO3", kernels2, workload_name="ATAX")
-    assert report.to_dict() == by_name.to_dict()
+    for system in ("SIMD", "IntraIo"):
+        kernels = homogeneous_workload("ATAX", instances=2, input_scale=SCALE)
+        report = run_system(PlatformConfig(system=system), kernels,
+                            workload_name="ATAX")
+        assert report.system == system
+        assert report.workload == "ATAX"
 
 
 def test_run_system_config_keyword_overrides_spec_path():
+    """``lwp_count`` overrides the spec's LWP count on FlashAbacus, which
+    keeps two of them for Flashvisor and Storengine."""
     kernels = homogeneous_workload("MVT", instances=2, input_scale=SCALE)
-    report = run_system("SIMD", kernels, workload_name="MVT",
-                        config=PlatformConfig(system="SIMD", lwp_count=4))
-    assert report.system == "SIMD"
+    report = run_system(PlatformConfig(system="IntraO3", lwp_count=6),
+                        kernels, workload_name="MVT")
     assert len(report.per_lwp_utilization) == 4
 
 
 def test_accelerator_rejects_unknown_scheduler_name():
-    with pytest.raises(ValueError, match="unknown scheduler"):
-        FlashAbacusAccelerator(scheduler="RoundRobin")
-
-
-def test_accelerator_scheduler_argument_overrides_config_system():
-    from repro import run_flashabacus
-
-    kernels = homogeneous_workload("ATAX", instances=1, input_scale=SCALE)
-    report = run_flashabacus(kernels, "InterSt",
-                             config=PlatformConfig(system="IntraO3"))
-    assert report.system == "InterSt"
+    with pytest.raises(ValueError, match="unknown system 'RoundRobin'"):
+        FlashAbacusAccelerator(config=PlatformConfig(system="RoundRobin"))
 
 
 def test_baseline_lwp_count_argument_overrides_config():
-    from repro import run_baseline
-
+    """``lwp_count`` overrides the spec's LWP count on the baseline, where
+    every LWP is a worker."""
     kernels = homogeneous_workload("ATAX", instances=1, input_scale=SCALE)
-    report = run_baseline(kernels, lwp_count=4,
-                          config=PlatformConfig(system="SIMD"))
+    system = BaselineSystem(config=PlatformConfig(system="SIMD", lwp_count=4))
+    report = system.run_workload(kernels)
     assert len(report.per_lwp_utilization) == 4
 
 
 def test_run_system_explicit_spec_overrides_config_spec():
-    from dataclasses import replace
+    """A config's own spec replaces the Table 1 prototype."""
     base = prototype_spec()
     small = replace(base, lwp=replace(base.lwp, count=6))
     kernels = homogeneous_workload("ATAX", instances=2, input_scale=SCALE)
-    report = run_system("SIMD", kernels, workload_name="ATAX", spec=small,
-                        config=PlatformConfig(system="SIMD"))
+    report = run_system(PlatformConfig(system="SIMD", spec=small), kernels,
+                        workload_name="ATAX")
     assert len(report.per_lwp_utilization) == 6
 
 
-def test_run_system_rejects_double_config():
-    config = PlatformConfig(system="SIMD")
-    with pytest.raises(ValueError):
-        run_system(config, [], config=config)
-
-
 def test_config_driven_runs_match_legacy_wrappers():
-    """The builder path reproduces the hand-wired path bit for bit."""
-    from repro import run_flashabacus
-
-    kernels = homogeneous_workload("BICG", instances=2, input_scale=SCALE)
-    legacy = run_flashabacus(kernels, scheduler="IntraO3",
-                             workload_name="BICG")
-    kernels2 = homogeneous_workload("BICG", instances=2, input_scale=SCALE)
-    configured = run_system(PlatformConfig(system="IntraO3"), kernels2,
-                            workload_name="BICG")
-    assert legacy.to_dict() == configured.to_dict()
+    """run_system reproduces a hand-built accelerator bit for bit."""
+    config = PlatformConfig(system="IntraO3")
+    accelerator = FlashAbacusAccelerator(config=config)
+    by_hand = accelerator.run_workload(
+        homogeneous_workload("BICG", instances=2, input_scale=SCALE), "BICG")
+    configured = run_system(
+        config, homogeneous_workload("BICG", instances=2, input_scale=SCALE),
+        workload_name="BICG")
+    assert by_hand.to_dict() == configured.to_dict()
 
 
 # --------------------------------------------------------------------------- #

@@ -128,7 +128,7 @@ def test_geometry_group_expansion_is_unique_and_in_bounds(flash_spec, group):
     group = group % geometry.page_groups_total
     pages = geometry.group_to_physical_pages(group)
     assert len(pages) == geometry.pages_per_group
-    assert len({p.as_tuple() for p in pages}) == len(pages)
+    assert len(set(pages)) == len(pages)
     for page in pages:
         assert 0 <= page.channel < flash_spec.channels
         assert 0 <= page.package < flash_spec.packages_per_channel
@@ -187,7 +187,7 @@ def test_build_kernel_conserves_totals(instructions, input_bytes, output_bytes,
     assert kernel.instructions == pytest.approx(instructions, rel=1e-9)
     assert kernel.input_bytes == input_bytes
     assert kernel.output_bytes == output_bytes
-    assert kernel.serial_microblock_count == serial
+    assert sum(m.serial for m in kernel.microblocks) == serial
     assert 0.0 <= kernel.serial_fraction <= 1.0
     # Exactly one microblock reads flash and exactly one writes it.
     assert sum(1 for m in kernel.microblocks if m.reads_flash) == 1
@@ -212,14 +212,16 @@ def test_chain_never_exposes_later_microblocks_early(mblks, screens, kernels):
     completed_per_kernel = {c.kernel.kernel_id: -1 for c in chain.all_chains()}
     # Drain the chain in arbitrary (but deterministic) order.
     while not chain.complete:
-        ready = chain.ready_screens()
+        for kernel_chain in chain.all_chains():
+            node = kernel_chain.current_node()
+            # An exposed microblock is never more than one step ahead of
+            # the last completed microblock of its kernel.
+            if node is not None:
+                assert node.microblock.index \
+                    == completed_per_kernel[kernel_chain.kernel.kernel_id] + 1
+        ready = chain.oldest_ready()
         assert ready, "chain stalled with incomplete kernels"
-        for kernel_chain, node, screen in ready:
-            # A ready microblock is never more than one step ahead of the
-            # last completed microblock of its kernel.
-            assert node.microblock.index \
-                == completed_per_kernel[kernel_chain.kernel.kernel_id] + 1
-        kernel_chain, node, screen = ready[0]
+        kernel_chain, node, screen = ready
         chain.mark_running(screen, 0, 0.0)
         chain.mark_done(kernel_chain, screen, 1.0)
         if node.complete:

@@ -53,6 +53,20 @@ def test_scenario_validation():
         scenario(process="trace")    # trace scenarios need events
 
 
+# NaN and infinity used to hang a run (inf) or report NaN goodput or an
+# empty report (nan); they fail at construction, naming the field.
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_scenario_rejects_a_non_finite_duration(value):
+    with pytest.raises(ValueError, match="duration_s must be a finite"):
+        scenario(duration_s=value)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_scenario_rejects_a_non_finite_offered_rate(value):
+    with pytest.raises(ValueError, match="offered_rps must be a finite"):
+        scenario(offered_rps=value)
+
+
 def test_scenario_roundtrip_and_label():
     base = scenario(process="mmpp", offered_rps=42.0)
     clone = ServingScenario.from_dict(base.to_dict())
@@ -171,7 +185,7 @@ def test_serving_report_roundtrip():
     clone = ServingReport.from_dict(report.to_dict())
     assert clone.to_dict() == report.to_dict()
     assert clone.p99_s == report.p99_s
-    assert clone.admission_rate == report.admission_rate
+    assert (clone.admitted, clone.offered) == (report.admitted, report.offered)
 
 
 # --------------------------------------------------------------------------- #

@@ -132,7 +132,7 @@ def _mixed_priority_trace(resource_cls):
     def user(name, arrive, priority, hold):
         yield env.timeout(arrive)
         with res.request(priority=priority) as req:
-            log.append((env.now, name, "asked", res.count, res.queue_length))
+            log.append((env.now, name, "asked", res.count, len(res._queue)))
             yield req
             log.append((env.now, name, "granted"))
             yield env.timeout(hold)

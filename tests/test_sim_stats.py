@@ -152,7 +152,9 @@ def test_summary_stats_add_keeps_sorted_percentiles():
 
 def test_summary_stats_cdf_points():
     stats = SummaryStats([1.0, 2.0])
-    assert stats.cdf_points() == [(1.0, 0.5), (2.0, 1.0)]
+    # Nearest-rank percentiles step through the empirical CDF.
+    assert [stats.percentile(p) for p in (25, 50, 51, 100)] \
+        == [1.0, 1.0, 2.0, 2.0]
 
 
 def test_summary_stats_empty_raises():
@@ -179,13 +181,13 @@ def test_reservoir_exact_below_capacity():
     for v in values:
         reservoir.observe(v)
     assert reservoir.count == 50
-    assert not reservoir.saturated
+    assert len(reservoir) == 50         # every sample kept: exact
     assert reservoir.min == 1.0
     assert reservoir.max == 50.0
     assert reservoir.mean == pytest.approx(sum(values) / 50)
     assert reservoir.percentile(50) == 25.0
     assert reservoir.percentile(100) == 50.0
-    assert reservoir.percentiles((50.0, 99.0))[99.0] == 50.0
+    assert reservoir.percentile(99) == 50.0
 
 
 def test_reservoir_bounded_memory_and_sane_estimates():
@@ -194,7 +196,7 @@ def test_reservoir_bounded_memory_and_sane_estimates():
     for v in range(10_000):
         reservoir.observe(float(v))
     assert len(reservoir) == 256
-    assert reservoir.saturated
+    assert reservoir.count > len(reservoir)     # a uniform sample now
     assert reservoir.count == 10_000
     assert reservoir.min == 0.0
     assert reservoir.max == 9999.0

@@ -31,10 +31,10 @@ from hypothesis import (HealthCheck, assume, example, given, settings,
 from repro.core import (
     FlashAbacusAccelerator,
     accelerator as accelerator_module,
-    run_flashabacus,
 )
 from repro.core.flashvisor import Flashvisor
 from repro.core.storengine import Storengine
+from repro.eval import run_system
 from repro.flash.backbone import FlashBackbone
 from repro.flash.ftl import OutOfSpaceError
 from repro.hw.interconnect import Interconnect
@@ -286,7 +286,7 @@ def test_a_finished_run_is_freed_by_refcounting():
     enabled = gc.isenabled()
     gc.disable()
     try:
-        report = run_flashabacus(kernels, "IntraO3", "MX1")
+        report = run_system(PlatformConfig(), kernels, "MX1")
         del report, kernels
         gc.set_debug(gc.DEBUG_SAVEALL)
         gc.collect()

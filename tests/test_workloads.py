@@ -11,13 +11,11 @@ from repro.workloads import (
     POLYBENCH_ORDER,
     REALWORLD,
     REALWORLD_ORDER,
-    WorkloadCharacteristics,
     build_workload_kernel,
     heterogeneous_workload,
     homogeneous_workload,
     lookup,
     mix_applications,
-    random_characteristics,
     realworld_workload,
     serial_sweep_kernels,
     synthetic_kernel,
@@ -96,7 +94,7 @@ def test_build_workload_kernel_matches_characteristics():
     kernel = build_workload_kernel(wc, screens_per_microblock=4)
     assert kernel.name == "FDTD"
     assert len(kernel.microblocks) == wc.microblocks
-    assert kernel.serial_microblock_count == wc.serial_microblocks
+    assert sum(m.serial for m in kernel.microblocks) == wc.serial_microblocks
     assert kernel.input_bytes == wc.input_bytes
     assert kernel.instructions == pytest.approx(wc.instructions, rel=1e-6)
 
@@ -130,7 +128,7 @@ def test_application_factory_assigns_ids():
     app = polybench_application("MVT", app_id=3)
     kernels = app.instantiate(2)
     assert all(k.app_id == 3 for k in kernels)
-    assert app.kernel_count == 1
+    assert len(kernels) == 2
     with pytest.raises(ValueError):
         app.instantiate(0)
 
@@ -179,7 +177,8 @@ def test_synthetic_kernel_extremes():
                                       output_bytes=128)
     assert fully_parallel.serial_fraction == 0.0
     assert len(fully_parallel.microblocks) == 1
-    assert fully_parallel.flash_write_bytes == 128
+    assert fully_parallel.output_bytes == 128
+    assert fully_parallel.microblocks[0].writes_flash
     fully_serial = synthetic_kernel("s", 1e6, 1024, 1.0, 4)
     assert fully_serial.serial_fraction == 1.0
     assert len(fully_serial.microblocks) == 1
@@ -199,13 +198,3 @@ def test_serial_sweep_kernels_builder():
                                    parallel_screens=4)
     assert len(kernels) == 3
     assert all(k.serial_fraction == pytest.approx(0.2) for k in kernels)
-
-
-def test_random_characteristics_deterministic():
-    a = random_characteristics(seed=7, count=5)
-    b = random_characteristics(seed=7, count=5)
-    assert [w.name for w in a] == [w.name for w in b]
-    assert [w.input_mb for w in a] == [w.input_mb for w in b]
-    assert all(isinstance(w, WorkloadCharacteristics) for w in a)
-    assert all(0 <= w.serial_microblocks < w.microblocks or w.microblocks == 1
-               for w in a)

@@ -1,14 +1,22 @@
 #!/usr/bin/env python3
-"""Fail if ``src/repro`` defines a function, method or class nothing names.
+"""Fail if ``src/repro`` defines a function, method or class only tests use.
 
 Collects every ``def`` and ``class`` in ``src/repro`` (dunder names are
 skipped: the language calls them).  Then it collects every identifier
-the repository's Python files use — a name read or written
-(``foo``), an attribute (``x.foo``) or an import (``from m import
-foo``) — parsed with :mod:`ast`, so comments and string literals do not
-count and f-string expressions do.  A definition whose name no file
-uses is dead code: the script lists each one with its location and
-exits 1.  There is no allowlist; delete the definition or use it.
+the repository's Python files outside ``tests/`` use — a name read or
+written (``foo``), an attribute (``x.foo``) or an import (``from m
+import foo``) — parsed with :mod:`ast`, so comments and string literals
+do not count and f-string expressions do.  Two rules keep the count
+honest:
+
+- an import in a ``src/repro/**/__init__.py`` is not a use: a package
+  re-export names a definition without calling it;
+- a class decorated with ``@register_policy`` is used: the policy
+  registry builds it by name.
+
+A definition whose name nothing else uses is dead code or surface only
+tests need: the script lists each one with its location and exits 1.
+There is no allowlist; delete the definition or use it.
 
 A name shared by several definitions counts as used for all of them,
 so the check is conservative: it never reports live code, but it can
@@ -17,11 +25,6 @@ miss a dead method that shares its name with a live one.
 Used by the CI lint job; run locally with:
 
     python tools/check_unreferenced.py
-
-``--outside-tests`` is a report-only survey of the surface only tests
-use: names that appear only under ``tests/`` do not count, and a class
-decorated with ``@register_policy`` counts as used (the registry builds
-it by name).  It lists what it finds and always exits 0.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ from pathlib import Path
 from typing import Iterator, List, Optional, Set, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
-PACKAGE = REPO_ROOT / "src" / "repro"
 
 SKIP_DIRS = {".git", ".github", "__pycache__", ".pytest_cache",
              ".hypothesis", ".repro-cache", ".repobench", ".bench_build",
@@ -54,14 +56,14 @@ def parse(path: Path) -> ast.AST:
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
-def used_names(tree: ast.AST) -> Set[str]:
+def used_names(tree: ast.AST, count_imports: bool = True) -> Set[str]:
     names: Set[str] = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
-        elif isinstance(node, ast.alias):
+        elif isinstance(node, ast.alias) and count_imports:
             names.update(node.name.split("."))
             if node.asname:
                 names.add(node.asname)
@@ -89,44 +91,39 @@ def registered_policies(tree: ast.AST) -> Set[str]:
     return names
 
 
-def unreferenced(root: Path = REPO_ROOT,
-                 outside_tests: bool = False) -> List[str]:
+def unreferenced(root: Path = REPO_ROOT) -> List[str]:
     """``path:line: name`` of every definition under ``root/src/repro``
-    that no Python file under ``root`` names (outside ``tests/`` only,
-    with registered policies counted as used, if ``outside_tests``)."""
+    that no Python file under ``root`` outside ``tests/`` names."""
     package = root / "src" / "repro"
     used: Set[str] = set()
     for path in python_files(root):
-        if outside_tests and path.relative_to(root).parts[0] == "tests":
+        if path.relative_to(root).parts[0] == "tests":
             continue
-        used |= used_names(parse(path))
-    if outside_tests:
-        for path in python_files(package):
-            used |= registered_policies(parse(path))
+        tree = parse(path)
+        reexport = (path.name == "__init__.py"
+                    and path.is_relative_to(package))
+        used |= used_names(tree, count_imports=not reexport)
+        if path.is_relative_to(package):
+            used |= registered_policies(tree)
     return [f"{path.relative_to(root)}:{line}: {name}"
             for path in python_files(package)
             for name, line in definitions(parse(path))
             if name not in used]
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--outside-tests", action="store_true",
-        help="report (exit 0) definitions that only tests/ names")
-    args = parser.parse_args(argv)
-    dead = unreferenced(outside_tests=args.outside_tests)
+def main(argv: Optional[List[str]] = None, root: Path = REPO_ROOT) -> int:
+    argparse.ArgumentParser(description=__doc__.splitlines()[0]) \
+        .parse_args(argv)
+    dead = unreferenced(root)
     for entry in dead:
         print(entry)
-    if args.outside_tests:
-        print(f"{len(dead)} definition(s) in src/repro are named only "
-              f"under tests/ (or nowhere)", file=sys.stderr)
-        return 0
     if dead:
-        print(f"{len(dead)} definition(s) in src/repro are never named "
-              f"by any Python file in the repository", file=sys.stderr)
+        print(f"{len(dead)} definition(s) in src/repro are named by no "
+              f"Python file outside tests/ and package re-exports",
+              file=sys.stderr)
         return 1
-    print("every function, method and class in src/repro is referenced")
+    print("every function, method and class in src/repro is used "
+          "outside tests/")
     return 0
 
 
