@@ -32,11 +32,6 @@ fleet-failover ``wall_s``, with regression bounds).
   (1.5x on multi-core hosts, 1.1x on single-core where adaptive epochs
   and smaller per-shard heaps must still win) at full scale and a
   conservative 1.0x (never lose to serial) in quick mode.
-* ``parallel_ipc_bytes_per_epoch`` / ``parallel_ipc_roundtrips_per_sec``
-  — the packed epoch-boundary wire format: pickled size of one
-  representative shard payload (baselined against the naive dict-of-
-  tuples shipping it replaced, so the ratio is the shrink factor) and
-  full pack → pickle → unpickle → unpack round-trips per second.
 * ``orchestrator_cache_hits_per_sec`` / ``orchestrator_cache_miss_s`` —
   experiment orchestrator result-cache lookup and full-miss cost.
 * ``reservoir_observes_per_sec``   — LatencyReservoir ingestion.
@@ -253,51 +248,11 @@ def fleet_parallel_run(offered_rps: float, duration_s: float) -> float:
     floor enforces.  Byte-identity of the two reports is the test
     suite's job (tests/test_cluster_parallel.py); this pair only times.
     """
-    from repro.cluster.parallel import ParallelConfig, run_cluster_parallel
+    from repro.cluster.parallel import ParallelClusterSession
 
     scenario, cluster = _fleet(offered_rps, duration_s)
-    report = run_cluster_parallel(scenario, cluster, ParallelConfig())
+    report = ParallelClusterSession(scenario, cluster).run()
     return float(report.offered)
-
-
-def parallel_ipc_stats(n_completions: int, roundtrips: int):
-    """Size and codec cost of one packed epoch-boundary payload.
-
-    Builds a representative busy-shard boundary payload (one epoch of
-    completions plus counter deltas, an eviction batch, and a health
-    event), verifies the codec round-trips it losslessly, and returns
-    ``(packed_bytes, naive_bytes, roundtrips_per_second)`` where
-    ``naive_bytes`` is the pickled size of the dict-of-tuples form the
-    packed wire format replaced.
-    """
-    import pickle
-    import time
-
-    from repro.cluster.parallel import pack_shard_result, unpack_shard_result
-
-    payload = {
-        "snapshot": (3, 4, 8, 1.25, "ok"),
-        "admitted": {0: (n_completions + 1) // 2, 1: n_completions // 2},
-        "rejected": {0: 3},
-        "completions": [
-            (1e-3 * i, i % 2, 4e-4 + (i % 7) * 1e-5, i % 11 == 0)
-            for i in range(n_completions)],
-        "evicted": [(0, [(17, 0.125, 1), (21, 0.1375, 0)])],
-        "health_events": [[0, 0.15, 1, "failed"]],
-    }
-    packed = pack_shard_result(payload)
-    wire = pickle.dumps(packed, protocol=pickle.HIGHEST_PROTOCOL)
-    naive = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-    if unpack_shard_result(pickle.loads(wire)) != payload:
-        raise RuntimeError("packed boundary payload did not round-trip")
-
-    start = time.perf_counter()
-    for _ in range(roundtrips):
-        unpack_shard_result(pickle.loads(
-            pickle.dumps(pack_shard_result(payload),
-                         protocol=pickle.HIGHEST_PROTOCOL)))
-    elapsed = time.perf_counter() - start
-    return len(wire), len(naive), roundtrips / elapsed
 
 
 def reservoir_observes(n_samples: int) -> float:
@@ -569,8 +524,6 @@ def build_report(quick: bool = False, repeats: int = 5) -> PerfReport:
     pairs, rounds = 50, max(200, int(2000 * scale))
     serving_s = max(2.0, 5.0 * scale)
     fleet_s = max(2.0, 8.0 * scale)
-    ipc_completions = 720  # one 2s epoch of the fleet scenario at 360 rps
-    ipc_roundtrips = max(500, int(5000 * scale))
     reservoir_n = max(50_000, int(400_000 * scale))
     frontend_n = max(5_000, int(20_000 * scale))
     hit_lookups = max(200, int(1000 * scale))
@@ -660,17 +613,6 @@ def build_report(quick: bool = False, repeats: int = 5) -> PerfReport:
     report.add(PerfMetric("cluster_parallel_requests_per_sec",
                           fleet_par.best_rate, "requests/s",
                           baseline=fleet_serial.best_rate))
-
-    print(f"• cluster: epoch-boundary IPC codec ({ipc_completions} "
-          f"completions x {ipc_roundtrips} round-trips)")
-    packed_bytes, naive_bytes, codec_rate = parallel_ipc_stats(
-        ipc_completions, ipc_roundtrips)
-    report.add(PerfMetric("parallel_ipc_bytes_per_epoch",
-                          float(packed_bytes), "bytes",
-                          higher_is_better=False,
-                          baseline=float(naive_bytes)))
-    report.add(PerfMetric("parallel_ipc_roundtrips_per_sec", codec_rate,
-                          "roundtrips/s"))
 
     print(f"• orchestrator: cache miss + {hit_lookups} hit lookups")
     miss_s, hits_per_s = orchestrator_cache(hit_lookups)

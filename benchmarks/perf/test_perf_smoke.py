@@ -80,21 +80,6 @@ def test_parallel_runner_never_loses_to_serial(quick_report):
         f"runner lost to the serial session on the same fleet")
 
 
-def test_ipc_codec_metrics_present_and_packed_smaller(quick_report):
-    # The packed wire format must beat the naive dict-of-tuples payload
-    # it replaced (the baseline, measured on the same synthetic epoch).
-    size = quick_report.get("parallel_ipc_bytes_per_epoch")
-    assert size is not None, "missing metric parallel_ipc_bytes_per_epoch"
-    assert not size.higher_is_better
-    assert size.baseline is not None and size.baseline > 0
-    assert size.ratio is not None and size.ratio > 1.0, (
-        f"packed epoch payload ({size.value:g} B) is not smaller than "
-        f"the naive encoding ({size.baseline:g} B)")
-    rate = quick_report.get("parallel_ipc_roundtrips_per_sec")
-    assert rate is not None
-    assert rate.value > 0
-
-
 def test_obs_overhead_metric_present_and_sane(quick_report):
     # Observability on vs off, interleaved A/B: the ratio is the obs
     # overhead factor.  The floor is deliberately loose — tracing plus

@@ -38,7 +38,6 @@ from .placement import (
 from .parallel import (
     ParallelClusterSession,
     ParallelConfig,
-    run_cluster_parallel,
 )
 from .report import ClusterReport
 from .session import ClusterSession, run_cluster
@@ -61,7 +60,6 @@ __all__ = [
     "stable_tenant_hash",
     "ParallelClusterSession",
     "ParallelConfig",
-    "run_cluster_parallel",
     "ClusterReport",
     "ClusterSession",
     "run_cluster",

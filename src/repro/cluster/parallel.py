@@ -29,14 +29,15 @@ entire scenario in one coordinator round-trip.  Snapshot-dependent
 policies (JSQ, least-outstanding, power-aware) additionally keep the
 fixed ``epoch_s`` grid so routing keeps observing fresh queue state.
 
-What crosses the process boundary is packed flat
-(:func:`pack_shard_result` / :func:`unpack_shard_result`): arrivals ship
-as request indices into the fork-shared request list (never as pickled
-request objects), completions as parallel typed arrays with interned
-tenant indices and no reconstructible fields (the per-shard sequence is
-the list position), evicted backlogs as ``(request index, admitted_at,
-reroutes)`` triples, and admission outcomes as per-tenant count deltas —
-only touched tenants are ever shipped.
+A forked worker sends back exactly what its :class:`_ShardGroup` method
+returned — plain dicts, tuples and lists, pickled by the pipe — so the
+forked and in-process paths fold the same payloads.  Arrivals ship as
+request indices into the fork-shared request list (never as pickled
+request objects), completions as ``(completed_at, tenant, latency_s,
+slo_met)`` tuples, evicted backlogs as ``(request index, admitted_at,
+reroutes)`` triples, and admission outcomes as per-tenant count deltas.
+PERFORMANCE.md records the measured traffic and why it is not packed
+further.
 
 The coordinator keeps its accounts in the same
 :class:`~repro.cluster.report.FleetLedger` the serial dispatcher uses, and
@@ -46,22 +47,24 @@ builds its shards and per-device reports with the serial session's
 
 Determinism contract: the run is seed-reproducible and **independent of
 the worker count** — one worker and eight workers produce byte-identical
-:class:`~repro.cluster.report.ClusterReport`s, and the in-process
-``workers=1`` path executes the exact same coordinator logic on the
-exact same payloads (the wire codec is lossless).  For
-snapshot-independent placement the report is additionally byte-identical
-to the serial session's whenever the fleet still has work at the final
-epoch boundary (the normal operating regime for every shipped benchmark
-and sweep): forced fault boundaries reproduce the serial reroute
-interleaving exactly (faults at the same instant are replayed one by one
-in fault order), shard clocks are never advanced past their last
-processed event (:meth:`~repro.sim.engine.Environment.run_events`), and
-the drain runs in two phases — settle every shard, compute the fleet
-settle time, then finish every backend at that shared instant like the
-serial session does.  In a run that goes fully idle before the horizon,
-background poller events can leave a shard's clock past the fleet settle
-time, and the single ``makespan_s`` value may then differ from serial;
-every other field still matches.
+:class:`~repro.cluster.report.ClusterReport`s.  For snapshot-independent
+placement the report is additionally byte-identical to the serial
+session's:
+
+* forced fault boundaries reproduce the serial reroute interleaving
+  exactly (faults at the same instant are replayed one by one in fault
+  order);
+* shard clocks are never advanced past their last processed event
+  (:meth:`~repro.sim.engine.Environment.run_events`);
+* once the last arrival is routed, no shard runs past the fleet's settle
+  instant: each shard stops on its own last settlement, and only if
+  another shard is still busy at the boundary do the idle ones advance
+  to it.  A fleet that goes idle before the horizon therefore stops
+  where the serial session stops, and a later fault fires in the final
+  drain, as in serial;
+* the drain runs in two phases — settle every shard, compute the fleet
+  settle time, then finish every backend at that shared instant like
+  the serial session does.
 
 Refusals: :func:`parallel_refusal` names the run shapes this runner does
 not take — observability (:mod:`repro.obs`; per-worker span rings and
@@ -80,9 +83,9 @@ import multiprocessing
 import os
 import sys
 import threading
-from array import array
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Any, Dict, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 from ..platform.cluster import ClusterConfig
 from ..policy import policy_is_learned
@@ -100,16 +103,25 @@ from .session import build_shard, device_report
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..obs import ObsConfig
 
-#: Completion event crossing the epoch boundary:
-#: (completed_at, tenant_index, latency_s, violated).  The per-shard
-#: sequence number is the position in the epoch's list — it is not
-#: shipped.
-CompletionEvent = Tuple[float, int, float, bool]
-
 #: One evicted backlog record on the wire: (request index into the
 #: shared arrival list, admitted_at, reroute count).  Everything else
 #: about the record is reconstructed from the request it points at.
 EvictedRecord = Tuple[int, Optional[float], int]
+
+#: One completion on the wire: (completed_at, tenant, latency_s,
+#: slo_met).  The per-shard sequence number is the list position.
+CompletionEvent = Tuple[float, str, float, bool]
+
+
+class _Completion(NamedTuple):
+    """The fields :meth:`~repro.serve.slo.SLOTracker.on_completed` reads,
+    built by the coordinator from one :data:`CompletionEvent`.  Shipping
+    plain tuples instead keeps about 4 bytes per completion off the pipe.
+    """
+
+    tenant: str
+    latency_s: float
+    slo_met: bool
 
 
 @dataclass(frozen=True)
@@ -136,11 +148,6 @@ class ParallelConfig:
     def to_dict(self) -> Dict[str, object]:
         """Cache-key form: only the semantic field."""
         return {"epoch_s": self.epoch_s}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "ParallelConfig":
-        """Rebuild from :meth:`to_dict` output (workers stays auto)."""
-        return cls(epoch_s=float(data.get("epoch_s", 0.25)))
 
 
 def build_epoch_schedule(scenario: ServingScenario, cluster: ClusterConfig,
@@ -171,61 +178,62 @@ def build_epoch_schedule(scenario: ServingScenario, cluster: ClusterConfig,
 
 
 class _EpochBuffer:
-    """One shard's settlements since the last epoch boundary.
+    """One shard's settlements and faults since the last epoch boundary.
 
     The serial session's fleet tracker hears completions in-process;
     across a process boundary they are instead buffered here — the
-    buffer subscribes to the shard front-end's completion stream — as
-    flat tuples with interned tenant indices.  Admission outcomes are
-    counted by the epoch arrival feeder from the record each submit
-    returns, as per-tenant deltas keyed by tenant index: a tenant that
-    saw no traffic this epoch costs zero bytes.  ``last_settled_s`` is
-    the simulated time of the most recent settlement (completion or
+    buffer subscribes to the shard front-end's completion stream.
+    Admission outcomes are counted by the epoch arrival feeder from the
+    record each submit returns, as per-tenant deltas: a tenant that saw
+    no traffic this epoch is not shipped.  ``last_settled_s`` is the
+    simulated time of the most recent settlement (completion or
     rejection): the coordinator takes the fleet-wide max as the settle
     instant at which every backend is finished, mirroring the serial
-    session's finish-at-settle-time.
+    session's finish-at-settle-time.  ``outstanding`` counts the requests
+    delivered or due to this shard that have neither settled nor been
+    evicted.  The shard's fault driver adds health events and evicted
+    backlogs, both tagged with the fault's ordinal.
     """
 
-    def __init__(self, tenant_index: Dict[str, int]):
-        self._tenant_index = tenant_index
+    def __init__(self) -> None:
         self.last_settled_s = 0.0
-        self.admitted: Dict[int, int] = {}
-        self.rejected: Dict[int, int] = {}
+        self.outstanding = 0
+        self.admitted: Dict[str, int] = {}
+        self.rejected: Dict[str, int] = {}
         self.completions: List[CompletionEvent] = []
+        self.evicted: List[Tuple[int, List[EvictedRecord]]] = []
+        self.health_events: List[List[Any]] = []
+
+    def idle(self) -> bool:
+        """No work left until a boundary brings more.  An evicted backlog
+        is not settled: it still has to be rerouted at the boundary."""
+        return self.outstanding == 0 and not self.evicted
 
     def on_submitted(self, record: RequestRecord, now: float) -> None:
         """Count one admission outcome at simulated time ``now``."""
-        index = self._tenant_index[record.tenant]
+        tenant = record.tenant
         if record.status is RequestStatus.REJECTED:
-            self.rejected[index] = self.rejected.get(index, 0) + 1
+            self.rejected[tenant] = self.rejected.get(tenant, 0) + 1
             self.last_settled_s = now
+            self.outstanding -= 1
         else:
-            self.admitted[index] = self.admitted.get(index, 0) + 1
+            self.admitted[tenant] = self.admitted.get(tenant, 0) + 1
 
     def on_complete(self, record: RequestRecord) -> None:
         """Completion stream hook: buffer one completion."""
-        self.completions.append(
-            (record.completed_at, self._tenant_index[record.tenant],
-             record.latency_s, record.slo_met is False))
+        self.completions.append((record.completed_at, record.tenant,
+                                 record.latency_s, record.slo_met))
         self.last_settled_s = record.completed_at
+        self.outstanding -= 1
 
-    def drain(self) -> Tuple[Dict[int, int], Dict[int, int],
-                             List[CompletionEvent]]:
+    def drain(self) -> Dict[str, Any]:
         """Hand over and reset this epoch's buffered events."""
-        out = (self.admitted, self.rejected, self.completions)
-        self.admitted, self.rejected, self.completions = {}, {}, []
+        out = {"admitted": self.admitted, "rejected": self.rejected,
+               "completions": self.completions, "evicted": self.evicted,
+               "health_events": self.health_events}
+        self.admitted, self.rejected = {}, {}
+        self.completions, self.evicted, self.health_events = [], [], []
         return out
-
-
-class _FleetCompletion:
-    """Duck-typed completion record for the fleet tracker's feed."""
-
-    __slots__ = ("tenant", "latency_s", "slo_met")
-
-    def __init__(self, tenant: str, latency_s: float, violated: bool):
-        self.tenant = tenant
-        self.latency_s = latency_s
-        self.slo_met = not violated
 
 
 class _ShardGroup:
@@ -234,8 +242,8 @@ class _ShardGroup:
     Used identically by worker processes and by the in-process
     (``workers=1``) path, so both execute the exact same code per shard
     — the determinism contract across worker counts reduces to the
-    coordinator merging payloads in canonical order (the wire codec the
-    forked path adds on top is lossless).
+    coordinator merging payloads in canonical order.  Every method takes
+    arguments for the whole fleet and skips the devices it does not own.
     """
 
     def __init__(self, scenario: ServingScenario, cluster: ClusterConfig,
@@ -243,14 +251,9 @@ class _ShardGroup:
         self.scenario = scenario
         self.cluster = cluster
         self.requests = requests
-        tenant_index = {tenant.name: i
-                        for i, tenant in enumerate(scenario.tenants)}
         self.shards: Dict[int, DeviceShard] = {}
         self._buffers: Dict[int, _EpochBuffer] = {}
-        self._evicted: Dict[int, List[Tuple[int, List[EvictedRecord]]]] = {}
-        self._health_events: Dict[int, List[List[Any]]] = {}
         self._self_draining: Dict[int, bool] = {}
-        self._closed: Dict[int, bool] = {}
         # Global fault ordinals: the serial dispatcher fires all faults
         # from one driver over the stable time-sorted config list, so
         # same-time faults keep their config order.  Tagging every
@@ -264,12 +267,9 @@ class _ShardGroup:
         for index in indices:
             shard = build_shard(scenario, cluster, Environment(), index)
             self.shards[index] = shard
-            self._buffers[index] = buffer = _EpochBuffer(tenant_index)
+            self._buffers[index] = buffer = _EpochBuffer()
             shard.frontend.completion_hooks.append(buffer.on_complete)
-            self._evicted[index] = []
-            self._health_events[index] = []
             self._self_draining[index] = False
-            self._closed[index] = False
             shard.backend.start()
             mine = [(ordinal[i], fault)
                     for i, fault in enumerate(cluster.faults)
@@ -286,54 +286,72 @@ class _ShardGroup:
     # -- in-simulation fault handling -----------------------------------
     def _fault_driver(self, shard: DeviceShard, faults):
         env = shard.backend.env
+        buffer = self._buffers[shard.index]
         for ordinal, fault in faults:
             delay = fault.time_s - env.now
             if delay > 0:
                 yield env.timeout(delay)
             state = DeviceHealth(fault.state)
-            self._health_events[shard.index].append(
+            buffer.health_events.append(
                 [ordinal, env.now, shard.index, state.value])
             evicted = shard.apply_health(
                 state, self.cluster.degraded_capacity_factor)
             if evicted:
-                self._evicted[shard.index].append(
-                    (ordinal, [_pack_record(r) for r in evicted]))
+                buffer.outstanding -= len(evicted)
+                buffer.evicted.append(
+                    (ordinal, [(record.request.request_id,
+                                record.admitted_at, record.reroutes)
+                               for record in evicted]))
             if state is not DeviceHealth.FAILED:
                 self._self_draining[shard.index] = False
 
     # -- per-epoch execution --------------------------------------------
+    def _deliver(self, index: int, at_s: float,
+                 arrivals: Dict[int, Sequence[int]],
+                 adopted: Dict[int, Sequence[EvictedRecord]],
+                 restore: Sequence[int]) -> bool:
+        """Schedule one boundary's deliveries into shard ``index``.
+
+        ``arrivals`` are indices into the shared request list;
+        ``adopted`` backlogs (evicted at ``at_s``, the previous
+        boundary) are re-enqueued at exactly ``at_s``, which is when the
+        serial dispatcher moves them.  Returns whether a backlog is
+        adopted.
+        """
+        shard = self.shards[index]
+        env = shard.backend.env
+        buffer = self._buffers[index]
+        restoring = index in restore
+        if restoring:
+            # Self-drain fallback: no routable peer exists, so the
+            # failed device works off its own backlog (serial
+            # semantics); don't re-evict it at the epoch boundary.
+            self._self_draining[index] = True
+        batch = adopted.get(index, ())
+        mine = arrivals.get(index, ())
+        buffer.outstanding += len(batch) + len(mine)
+        if batch or restoring:
+            env.spawn(self._adopt_at(shard, at_s, batch, restoring))
+        if mine:
+            env.spawn(_epoch_arrivals(env, shard.frontend, buffer,
+                                      self.requests, mine))
+        return bool(batch) or restoring
+
     def run_epoch(self, end_s: float, at_s: float,
                   arrivals: Dict[int, Sequence[int]],
                   adopted: Dict[int, Sequence[EvictedRecord]],
                   restore: Sequence[int]) -> Dict[int, Dict[str, Any]]:
         """Advance every owned shard to ``end_s``; ship the boundary.
 
-        ``arrivals`` are indices into the shared request list;
-        ``adopted`` backlogs (evicted at ``at_s``, the previous
-        boundary) are re-enqueued at exactly ``at_s``, which is when the
-        serial dispatcher moves them.  The clock is never forced to
-        ``end_s``: after the burst each shard's clock reads its last
-        processed event, exactly like the serial shared clock would.
+        The clock is never forced to ``end_s``: after the burst each
+        shard's clock reads its last processed event, exactly like the
+        serial shared clock would.
         """
         results: Dict[int, Dict[str, Any]] = {}
         for index in sorted(self.shards):
             shard = self.shards[index]
-            env = shard.backend.env
-            if index in restore:
-                # Self-drain fallback: no routable peer exists, so the
-                # failed device works off its own backlog (serial
-                # semantics); don't re-evict it at the epoch boundary.
-                self._self_draining[index] = True
-            batch = adopted.get(index)
-            if batch or index in restore:
-                env.spawn(self._adopt_at(shard, at_s, batch or (),
-                                         index in restore))
-            mine = arrivals.get(index)
-            if mine:
-                env.spawn(_epoch_arrivals(env, shard.frontend,
-                                          self._buffers[index],
-                                          self.requests, mine))
-            env.run_events(end_s)
+            self._deliver(index, at_s, arrivals, adopted, restore)
+            shard.backend.env.run_events(end_s)
             if shard.health is DeviceHealth.FAILED \
                     and not self._self_draining[index] \
                     and shard.frontend.total_queued:
@@ -349,6 +367,28 @@ class _ShardGroup:
                     f"schedule missed a fault boundary")
             results[index] = self._boundary_payload(index)
         return results
+
+    def run_until_idle(self, end_s: float, at_s: float,
+                       arrivals: Dict[int, Sequence[int]],
+                       adopted: Dict[int, Sequence[EvictedRecord]],
+                       restore: Sequence[int]) -> Dict[int, bool]:
+        """Advance every owned shard to ``end_s`` or its last settlement.
+
+        The epoch step once every arrival is routed: a shard whose work
+        all settles before ``end_s`` stops on that settlement, as the
+        serial session stops on the fleet's last one.  Returns which
+        shards are idle and keeps the payloads buffered.  While any shard
+        is still busy, the coordinator follows up with :meth:`run_epoch`
+        to the same ``end_s``, which brings the idle shards there too.
+        """
+        idle: Dict[int, bool] = {}
+        for index in sorted(self.shards):
+            self._deliver(index, at_s, arrivals, adopted, restore)
+            buffer = self._buffers[index]
+            self.shards[index].backend.env.run_events(end_s,
+                                                      done=buffer.idle)
+            idle[index] = buffer.idle()
+        return idle
 
     def _adopt_at(self, shard: DeviceShard, at_s: float,
                   batch: Sequence[EvictedRecord], restore: bool):
@@ -368,20 +408,8 @@ class _ShardGroup:
             shard.frontend.enqueue_record(record)
 
     def _boundary_payload(self, index: int) -> Dict[str, Any]:
-        shard = self.shards[index]
-        admitted, rejected, completions = self._buffers[index].drain()
-        evicted = self._evicted[index]
-        self._evicted[index] = []
-        events = self._health_events[index]
-        self._health_events[index] = []
-        return {
-            "snapshot": _snapshot(shard),
-            "admitted": admitted,
-            "rejected": rejected,
-            "completions": completions,
-            "evicted": evicted,
-            "health_events": events,
-        }
+        return {"snapshot": _snapshot(self.shards[index]),
+                **self._buffers[index].drain()}
 
     # -- two-phase drain -------------------------------------------------
     def settle(self, at_s: float,
@@ -402,18 +430,11 @@ class _ShardGroup:
             shard = self.shards[index]
             env = shard.backend.env
             frontend = shard.frontend
-            if index in restore:
-                self._self_draining[index] = True
-            batch = adopted.get(index)
-            if batch or index in restore:
-                env.spawn(self._adopt_at(shard, at_s, batch or (),
-                                         index in restore))
+            if self._deliver(index, at_s, {}, adopted, restore):
                 # Deliver before closing: the adoption event must land
                 # while the dispatch loop is still alive.
                 env.run_events(at_s if at_s > env.now else env.now)
-            if not self._closed[index]:
-                frontend.close()
-                self._closed[index] = True
+            frontend.close()
             tracker = shard.tracker
             drive_watched(
                 env, lambda: frontend.drained, lambda: tracker.settled,
@@ -430,8 +451,9 @@ class _ShardGroup:
         Each shard first replays its idle timeline up to ``settle_s``
         (events the serial run processed before calling ``finish()``),
         then finishes its backend and drains the remaining background
-        work (Storengine flush/GC) to empty — the same clock readings
-        and event order the serial session produces.
+        work (Storengine flush/GC, faults after the settle instant) to
+        empty — the same clock readings and event order the serial
+        session produces.
         """
         results: Dict[int, Dict[str, Any]] = {}
         for index in sorted(self.shards):
@@ -453,11 +475,6 @@ class _ShardGroup:
         return results
 
 
-def _pack_record(record: RequestRecord) -> EvictedRecord:
-    """Wire form of one evicted record: everything else is derivable."""
-    return (record.request.request_id, record.admitted_at, record.reroutes)
-
-
 def _epoch_arrivals(env: Environment, frontend: ServingFrontend,
                     buffer: _EpochBuffer, requests: Sequence[Request],
                     indices: Sequence[int]):
@@ -476,56 +493,6 @@ def _snapshot(shard: DeviceShard) -> Tuple[int, int, int, float, str]:
             shard.energy_j, shard.health.value)
 
 
-# --------------------------------------------------------------------- #
-# Wire codec (forked path only; the in-process path skips it)            #
-# --------------------------------------------------------------------- #
-def pack_shard_result(payload: Dict[str, Any]) -> Tuple:
-    """Flatten one shard's boundary payload for the worker pipe.
-
-    Completions become four parallel typed arrays (machine doubles,
-    16-bit tenant indices, one flag byte each) instead of a list of
-    per-event tuples; counters are already sparse deltas and evictions
-    already index triples, so they ship as plain tuples.  Lossless:
-    ``unpack_shard_result(pack_shard_result(p))`` folds identically to
-    ``p``, which is what keeps the forked and in-process paths
-    byte-identical.
-    """
-    completions = payload["completions"]
-    return (
-        payload["snapshot"],
-        tuple(sorted(payload["admitted"].items())),
-        tuple(sorted(payload["rejected"].items())),
-        array("d", [c[0] for c in completions]),
-        array("H", [c[1] for c in completions]),
-        array("d", [c[2] for c in completions]),
-        bytes(bool(c[3]) for c in completions),
-        tuple((ordinal, tuple(records))
-              for ordinal, records in payload["evicted"]),
-        tuple(tuple(event) for event in payload["health_events"]),
-        payload.get("settled_s"),
-    )
-
-
-def unpack_shard_result(packed: Tuple) -> Dict[str, Any]:
-    """Rebuild the boundary payload :func:`pack_shard_result` flattened."""
-    (snapshot, admitted, rejected, times, tenants, latencies, violated,
-     evicted, events, settled_s) = packed
-    payload: Dict[str, Any] = {
-        "snapshot": snapshot,
-        "admitted": dict(admitted),
-        "rejected": dict(rejected),
-        "completions": [
-            (times[i], tenants[i], latencies[i], bool(violated[i]))
-            for i in range(len(times))],
-        "evicted": [(ordinal, list(records))
-                    for ordinal, records in evicted],
-        "health_events": [list(event) for event in events],
-    }
-    if settled_s is not None:
-        payload["settled_s"] = settled_s
-    return payload
-
-
 class _EpochShardView:
     """Placement-policy view of one shard, coordinator side.
 
@@ -537,13 +504,10 @@ class _EpochShardView:
     __slots__ = ("index", "queued", "in_flight", "capacity", "energy_j",
                  "health")
 
-    def __init__(self, index: int, capacity: int):
+    def __init__(self, index: int,
+                 snapshot: Tuple[int, int, int, float, str]):
         self.index = index
-        self.queued = 0
-        self.in_flight = 0
-        self.capacity = capacity
-        self.energy_j = 0.0
-        self.health = DeviceHealth.HEALTHY
+        self.apply(snapshot)
 
     def apply(self, snapshot: Tuple[int, int, int, float, str]) -> None:
         """Fold one epoch-boundary snapshot into the view."""
@@ -575,8 +539,8 @@ _FORK_INIT_LOCK = threading.Lock()
 def _worker_main(slot: int, conn) -> None:
     """Worker loop: build the shard group, serve coordinator commands.
 
-    A command names the :class:`_ShardGroup` method to run; boundary
-    payloads go back packed, the final per-device reports as they are.
+    A command names the :class:`_ShardGroup` method to run; the worker
+    sends back exactly what the method returned.
     """
     scenario, cluster, indices, requests = _FORK_INIT[slot]
     try:
@@ -586,31 +550,13 @@ def _worker_main(slot: int, conn) -> None:
             command, *args = conn.recv()
             if command == "stop":
                 return
-            results = getattr(group, command)(*args)
-            if command != "finalize":
-                results = {index: pack_shard_result(payload)
-                           for index, payload in results.items()}
-            conn.send((command, results))
+            conn.send((command, getattr(group, command)(*args)))
     except BaseException as error:  # ship the failure to the coordinator
         try:
             conn.send(("error", f"{type(error).__name__}: {error}"))
         except (BrokenPipeError, OSError):
             pass
         raise
-
-
-def _share(arg: Any, owned: Sequence[int]) -> Any:
-    """One worker's share of a broadcast argument.
-
-    Per-device mappings and device lists keep only the worker's own
-    devices; scalars (boundary instants) go to every worker unchanged.
-    """
-    if isinstance(arg, dict):
-        return {index: value for index, value in arg.items()
-                if index in owned}
-    if isinstance(arg, list):
-        return [index for index in arg if index in owned]
-    return arg
 
 
 def parallel_refusal(scenario: ServingScenario, cluster: ClusterConfig,
@@ -716,7 +662,7 @@ class ParallelClusterSession:
                                    self.parallel, group.snapshots(),
                                    requests)
 
-        def broadcast(method, *args) -> Dict[int, Dict[str, Any]]:
+        def broadcast(method, *args) -> Dict[int, Any]:
             return method(group, *args)
 
         report = self._drive(coordinator, broadcast)
@@ -750,18 +696,14 @@ class ParallelClusterSession:
             return _recv(pipes[slot], slot, chunks[slot], processes[slot],
                          phase)
 
-        def broadcast(method, *args) -> Dict[int, Dict[str, Any]]:
-            for indices, parent in zip(chunks, pipes):
-                parent.send((method.__name__,
-                             *[_share(arg, indices) for arg in args]))
+        def broadcast(method, *args) -> Dict[int, Any]:
+            for parent in pipes:
+                parent.send((method.__name__, *args))
             # Every phase's first argument is the instant it runs to.
             phase = f"in {method.__name__} to t={args[0]!r}s"
-            merged: Dict[int, Dict[str, Any]] = {}
+            merged: Dict[int, Any] = {}
             for slot in range(len(pipes)):
-                for index, payload in receive(slot, phase).items():
-                    if method is not _ShardGroup.finalize:
-                        payload = unpack_shard_result(payload)
-                    merged[index] = payload
+                merged.update(receive(slot, phase))
             return merged
 
         try:
@@ -797,6 +739,15 @@ class ParallelClusterSession:
             step = coordinator.next_step()
             if step is None:
                 break
+            if coordinator.arrivals_routed:
+                # No arrival is left to route: if the whole fleet
+                # settles before this boundary, the run stops there, as
+                # serial does, and later faults fire in the final drain.
+                idle = broadcast(_ShardGroup.run_until_idle, *step)
+                if all(idle.values()):
+                    break
+                end_s = step[0]
+                step = (end_s, end_s, {}, {}, [])
             coordinator.fold_epoch(broadcast(_ShardGroup.run_epoch, *step))
         adopted, restore = coordinator.take_reroutes()
         settle_results = broadcast(_ShardGroup.settle,
@@ -847,20 +798,18 @@ class _Coordinator:
                  requests: Sequence[Request]):
         self.scenario = scenario
         self.cluster = cluster
-        self.tenants = [t.name for t in scenario.tenants]
-        self._tenant_rank = {name: i for i, name in enumerate(self.tenants)}
+        tenants = [t.name for t in scenario.tenants]
+        self._tenant_rank = {name: i for i, name in enumerate(tenants)}
         fleet = SLOTracker(
-            self.tenants, reservoir_capacity=scenario.reservoir_capacity,
+            tenants, reservoir_capacity=scenario.reservoir_capacity,
             seed=scenario.seed)
         # Built exactly like the serial dispatcher's ledger (device
         # count, scenario seed), so stateful placement
         # cursors (round-robin) follow the same sequence.
         self.ledger = FleetLedger(fleet, cluster, cluster.device_count,
                                   seed=scenario.seed)
-        self.views = {index: _EpochShardView(index, snapshots[index][2])
+        self.views = {index: _EpochShardView(index, snapshots[index])
                       for index in sorted(snapshots)}
-        for index, snapshot in snapshots.items():
-            self.views[index].apply(snapshot)
         self.requests = requests
         self.schedule = build_epoch_schedule(scenario, cluster, parallel)
         self._boundary = 0
@@ -875,7 +824,12 @@ class _Coordinator:
         self._cursor = 0
 
     # -- epoch planning --------------------------------------------------
-    def next_step(self) -> Optional[Tuple[float, float, Dict[int, array],
+    @property
+    def arrivals_routed(self) -> bool:
+        """Whether every arrival of the run has been routed."""
+        return self._cursor >= len(self.requests)
+
+    def next_step(self) -> Optional[Tuple[float, float, Dict[int, List[int]],
                                           Dict[int, list], List[int]]]:
         """The next epoch command, or None when epochs are exhausted.
 
@@ -887,8 +841,7 @@ class _Coordinator:
         """
         while self._boundary < len(self.schedule):
             end_s, is_fault = self.schedule[self._boundary]
-            if self._cursor >= len(self.requests) \
-                    and not self.adopted and not is_fault:
+            if self.arrivals_routed and not self.adopted and not is_fault:
                 self._boundary += 1
                 continue
             break
@@ -898,7 +851,7 @@ class _Coordinator:
         self.epochs_run += 1
         at_s = self.last_end
         adopted, restore = self.take_reroutes()
-        arrivals: Dict[int, array] = {}
+        arrivals: Dict[int, List[int]] = {}
         ledger = self.ledger
         views = list(self.views.values())
         cursor = self._cursor
@@ -910,7 +863,7 @@ class _Coordinator:
             view = ledger.route(request, views, request.arrival_s)
             if view is not None:
                 view.queued += 1
-                arrivals.setdefault(view.index, array("I")).append(
+                arrivals.setdefault(view.index, []).append(
                     request.request_id)
         self._cursor = cursor
         self.last_end = end_s
@@ -926,9 +879,8 @@ class _Coordinator:
     def fold_epoch(self, results: Dict[int, Dict[str, Any]]) -> None:
         """Merge one boundary's payloads in canonical shard order."""
         ledger = self.ledger
-        tenants = self.tenants
         before = {index: view.health for index, view in self.views.items()}
-        completions: List[Tuple[float, int, int, int, float, bool]] = []
+        completions: List[Tuple[float, int, int, _Completion]] = []
         events: List[List[Any]] = []
         evicted: Dict[int, Tuple[int, list]] = {}
         for index in sorted(results):
@@ -936,19 +888,25 @@ class _Coordinator:
             self.views[index].apply(payload["snapshot"])
             # Count deltas are order-insensitive, so they are applied
             # directly instead of replaying one outcome per request.
-            for tenant_index, count in payload["admitted"].items():
-                ledger.settle(index, tenants[tenant_index], True, count)
-            for tenant_index, count in payload["rejected"].items():
-                ledger.settle(index, tenants[tenant_index], False, count)
-            for seq, (done, tenant, latency, violated) \
+            for tenant, count in payload["admitted"].items():
+                ledger.settle(index, tenant, True, count)
+            for tenant, count in payload["rejected"].items():
+                ledger.settle(index, tenant, False, count)
+            for seq, (done, tenant, latency, slo_met) \
                     in enumerate(payload["completions"]):
                 completions.append(
-                    (done, index, seq, tenant, latency, violated))
+                    (done, index, seq, _Completion(tenant, latency, slo_met)))
             for ordinal, records in payload["evicted"]:
                 evicted[ordinal] = (index, records)
             events.extend(payload["health_events"])
         self._replay_faults(before, sorted(events), evicted)
-        self._feed_completions(completions)
+        # Canonical merge order — (time, shard, shard-sequence) — makes
+        # the fleet reservoir's sample stream identical no matter how
+        # shards were partitioned over workers.
+        completions.sort(key=lambda c: c[:3])
+        on_completed = ledger.fleet.on_completed
+        for *_, completion in completions:
+            on_completed(completion)
 
     def _replay_faults(self, before: Dict[int, DeviceHealth],
                        events: List[List[Any]],
@@ -1011,19 +969,6 @@ class _Coordinator:
             self.adopted.setdefault(view.index, []).append(
                 (request_index, admitted_at, reroutes + 1))
 
-    def _feed_completions(
-            self, completions: List[Tuple[float, int, int, int,
-                                          float, bool]]) -> None:
-        # Canonical merge order — (time, shard, shard-sequence) — makes
-        # the fleet reservoir's sample stream identical no matter how
-        # shards were partitioned over workers.
-        completions.sort(key=lambda c: (c[0], c[1], c[2]))
-        tenants = self.tenants
-        fleet = self.ledger.fleet
-        for _, _, _, tenant_index, latency, violated in completions:
-            fleet.on_completed(
-                _FleetCompletion(tenants[tenant_index], latency, violated))
-
     def settle_time(self, settle_results: Dict[int, Dict[str, Any]]
                     ) -> float:
         """The fleet settle instant: when serial calls ``finish()``.
@@ -1057,19 +1002,9 @@ class _Coordinator:
             final_health=[finish[index]["health"] for index in indices])
 
 
-def run_cluster_parallel(
-        scenario: ServingScenario, cluster: ClusterConfig,
-        parallel: Optional[ParallelConfig] = None) -> ClusterReport:
-    """Convenience wrapper: run one scenario on one fleet in parallel."""
-    return ParallelClusterSession(scenario, cluster, parallel).run()
-
-
 __all__ = [
     "ParallelClusterSession",
     "ParallelConfig",
     "build_epoch_schedule",
-    "pack_shard_result",
     "parallel_refusal",
-    "run_cluster_parallel",
-    "unpack_shard_result",
 ]

@@ -313,14 +313,7 @@ class FlashAbacusAccelerator:
         :meth:`run_workload`.
         """
         yield from self.offloader.offload_kernel(kernel)
-        input_base = self.address_space.input_region(
-            f"{kernel.name}:{kernel.app_id}", kernel.input_bytes)
-        output_base = self.address_space.output_region(
-            max(kernel.output_bytes, 1))
-        self._kernel_regions[kernel.kernel_id] = {
-            "input": input_base, "output": output_base}
-        self.scheduler.offload([kernel], now=self.env.now)
-        self._wake_workers()
+        self._map_and_schedule([kernel])
 
     def end_service(self) -> None:
         """Let the worker loops drain and exit once all work completes."""
@@ -332,6 +325,11 @@ class FlashAbacusAccelerator:
     # ------------------------------------------------------------------ #
     def _host_offload(self, kernels: List[Kernel]):
         yield from self.offloader.offload_batch(kernels)
+        self._map_and_schedule(kernels)
+
+    def _map_and_schedule(self, kernels: List[Kernel]) -> None:
+        """Map offloaded kernels' input and output regions, then hand
+        them to the scheduler and wake the workers."""
         for kernel in kernels:
             input_base = self.address_space.input_region(
                 f"{kernel.name}:{kernel.app_id}", kernel.input_bytes)

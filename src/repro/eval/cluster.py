@@ -177,7 +177,6 @@ def scaling_sweep(device_counts: Sequence[int],
                   device_config: Optional[PlatformConfig] = None,
                   placement: str = "round_robin",
                   orchestrator: Optional[ExperimentOrchestrator] = None,
-                  parallel: Optional[bool] = None,
                   parallel_config: Optional[ParallelConfig] = None
                   ) -> List[ScalingPoint]:
     """Fleet goodput and tail latency vs. device count at fixed load.
@@ -195,7 +194,7 @@ def scaling_sweep(device_counts: Sequence[int],
         default_orchestrator()
     specs = scaling_specs(device_counts, offered_rps, scenario,
                           device_config, placement, parallel_config)
-    reports = orch.run(specs, parallel=parallel)
+    reports = orch.run(specs)
     points = [ScalingPoint.from_report(reports[spec.key]) for spec in specs]
     return sorted(points, key=lambda p: p.device_count)
 

@@ -431,14 +431,12 @@ class ExperimentOrchestrator:
     # ------------------------------------------------------------------ #
     # Execution                                                            #
     # ------------------------------------------------------------------ #
-    def run(self, specs: Sequence[Any],
-            parallel: Optional[bool] = None
-            ) -> Dict[ExperimentKey, Any]:
+    def run(self, specs: Sequence[Any]) -> Dict[ExperimentKey, Any]:
         """Run ``specs``, serving cached results and fanning out the rest.
 
-        ``parallel=None`` parallelizes iff the orchestrator was built with
-        ``workers > 1``; ``False`` forces the serial in-process path (the
-        results are identical — each simulation owns its Environment).
+        Uncached specs fan out over the worker pool iff the orchestrator
+        was built with ``workers > 1`` (the results are identical to the
+        serial in-process path — each simulation owns its Environment).
         """
         results: Dict[ExperimentKey, Any] = {}
         pending: List[Any] = []
@@ -455,11 +453,7 @@ class ExperimentOrchestrator:
                 pending.append(spec)
                 pending_keys.append(key)
                 pending_seen.add(key)
-        # The constructor's worker count is a hard capacity bound:
-        # parallel=True cannot fan out beyond it (workers=1 stays serial).
-        use_pool = (parallel if parallel is not None else True) \
-            and self.workers > 1 and len(pending) > 1
-        if use_pool:
+        if self.workers > 1 and len(pending) > 1:
             # Tasks ship the spec itself (pickled): the workers may predate
             # these specs.  Chunked so each worker gets a batch per IPC
             # round-trip while keeping ~2 chunks per worker, so a slow
@@ -502,14 +496,13 @@ class ExperimentOrchestrator:
         return self.run([spec])[spec.key]
 
     def compare(self, workload: WorkloadSpec, systems: Sequence[str],
-                config: Optional[PlatformConfig] = None,
-                parallel: Optional[bool] = None) -> ComparisonResult:
+                config: Optional[PlatformConfig] = None) -> ComparisonResult:
         """Run one workload across ``systems`` and bundle the reports."""
         base = config if config is not None else PlatformConfig()
         specs = [ExperimentSpec(workload=workload,
                                 config=base.with_overrides(system=system))
                  for system in systems]
-        reports = self.run(specs, parallel=parallel)
+        reports = self.run(specs)
         result = ComparisonResult(workload=workload.name)
         for system, spec in zip(systems, specs):
             result.reports[system] = reports[spec.key]

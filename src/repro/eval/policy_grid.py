@@ -214,8 +214,8 @@ def policy_grid(
         device_config: Optional[PlatformConfig] = None,
         device_count: int = 2,
         devices: Optional[Sequence[PlatformConfig]] = None,
-        orchestrator: Optional[ExperimentOrchestrator] = None,
-        parallel: Optional[bool] = None) -> List[PolicyGridPoint]:
+        orchestrator: Optional[ExperimentOrchestrator] = None
+        ) -> List[PolicyGridPoint]:
     """Run the whole cross product as one orchestrated batch.
 
     Cached cells are served from disk, uncached ones fan out over the
@@ -228,7 +228,7 @@ def policy_grid(
                              device_count, devices)
     orch = orchestrator if orchestrator is not None else \
         default_orchestrator()
-    reports = orch.run([spec for _, spec in grid], parallel=parallel)
+    reports = orch.run([spec for _, spec in grid])
     return [PolicyGridPoint.from_report(combo, reports[spec.key])
             for combo, spec in grid]
 

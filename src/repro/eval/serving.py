@@ -135,8 +135,7 @@ def saturation_sweep(rates: Sequence[float],
                      systems: Sequence[str] = DEFAULT_SWEEP_SYSTEMS,
                      scenario: Optional[ServingScenario] = None,
                      config: Optional[PlatformConfig] = None,
-                     orchestrator: Optional[ExperimentOrchestrator] = None,
-                     parallel: Optional[bool] = None
+                     orchestrator: Optional[ExperimentOrchestrator] = None
                      ) -> Dict[str, List[SaturationPoint]]:
     """Offered-load sweep: goodput and latency tail per system and rate.
 
@@ -152,8 +151,7 @@ def saturation_sweep(rates: Sequence[float],
     orch = orchestrator if orchestrator is not None else \
         default_orchestrator()
     grid = sweep_specs(rates, systems, scenario, config)
-    reports = orch.run([spec for specs in grid.values() for spec in specs],
-                       parallel=parallel)
+    reports = orch.run([spec for specs in grid.values() for spec in specs])
     curves: Dict[str, List[SaturationPoint]] = {}
     for system, specs in grid.items():
         points = [SaturationPoint.from_report(rate, reports[spec.key])

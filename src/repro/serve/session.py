@@ -455,12 +455,7 @@ class ServingSession:
 
 def run_serving(scenario: ServingScenario,
                 config: Optional[PlatformConfig] = None,
-                system: Optional[str] = None,
                 obs: Optional[ObsConfig] = None) -> ServingReport:
-    """Convenience wrapper: run one scenario on one system."""
-    if config is None:
-        config = PlatformConfig(system=system) if system \
-            else PlatformConfig()
-    elif system is not None:
-        config = config.with_overrides(system=system)
-    return ServingSession(scenario, config, obs=obs).run()
+    """Convenience wrapper: run one scenario on one platform config."""
+    return ServingSession(scenario, config if config is not None
+                          else PlatformConfig(), obs=obs).run()

@@ -512,18 +512,21 @@ class Environment:
         """
         return self._loop(_INF, done, progress, stall_s)
 
-    def run_events(self, until: float) -> None:
+    def run_events(self, until: float,
+                   done: Optional[Callable[[], bool]] = None) -> None:
         """Process every event with ``time <= until``; keep the clock put.
 
         Same bounded loop as :meth:`run`, minus the final jump of the
         clock to ``until`` — after the last qualifying event the clock
-        reads that event's time.  The epoch-parallel cluster runner uses
-        this at epoch boundaries so a shard that goes idle before the
-        boundary keeps the same clock reading the serial session would
-        have (the serial drain stops at the last settlement event), which
-        is what makes the two makespans byte-identical.
+        reads that event's time.  With ``done``, the loop also stops on
+        the first event after which ``done()`` holds, checked as in
+        :meth:`run_until`.  The epoch-parallel cluster runner uses this
+        at epoch boundaries, and stops a shard on its last settlement
+        once every arrival is routed, so each shard keeps the clock
+        reading the serial session would have (the serial drain stops at
+        the fleet's last settlement event).
         """
-        self._loop(until, None, None, _INF)
+        self._loop(until, done, None, _INF)
 
     def _loop(self, until: float, done: Optional[Callable[[], bool]],
               progress: Optional[Callable[[], Any]], stall_s: float) -> str:

@@ -13,6 +13,7 @@ faults of one instant are replayed one by one in fault order.
 
 import json
 import random
+from multiprocessing.reduction import ForkingPickler
 
 import pytest
 
@@ -21,11 +22,7 @@ from repro.cluster import (
     ParallelClusterSession,
     ParallelConfig,
 )
-from repro.cluster.parallel import (
-    build_epoch_schedule,
-    pack_shard_result,
-    unpack_shard_result,
-)
+from repro.cluster.parallel import build_epoch_schedule
 from repro.eval.cluster import ClusterExperimentSpec
 from repro.platform import ClusterConfig, FaultSpec, PlatformConfig
 from repro.policy import PolicySpec
@@ -217,6 +214,35 @@ def test_failure_at_time_zero_matches_serial():
         assert canonical_bytes(parallel) == canonical_bytes(serial)
 
 
+#: Three arrivals early in a 2 s horizon: device 0 serves 0.01 and 0.05,
+#: device 1 serves 0.02, and the fleet settles near 0.07 s, then idles
+#: to the horizon with its Storengine pollers still ticking.
+IDLE_TAIL_SCENARIO = ServingScenario(
+    process="trace", duration_s=2.0, seed=3,
+    trace_events=((0.01, "tenant-a", "ATAX"), (0.02, "tenant-b", "ATAX"),
+                  (0.05, "tenant-a", "ATAX")))
+
+
+@pytest.mark.parametrize("faults", [
+    (),
+    # Lands after the fleet settled: serial fires it in the final drain.
+    (FaultSpec(1.0, 1, "failed"),),
+    # 0.06 s: device 1 is idle but device 0 still busy, so the idle
+    # shard must advance to the boundary; 1.5 s lands after the settle.
+    (FaultSpec(0.06, 1, "failed"), FaultSpec(1.5, 0, "degraded")),
+], ids=["no-fault", "fault-after-settle", "fault-while-one-busy"])
+def test_fleet_idle_before_the_horizon_matches_serial(faults):
+    cluster = ClusterConfig.homogeneous(
+        2, PlatformConfig(system="IntraO3", input_scale=0.01),
+        faults=faults)
+    serial = ClusterSession(IDLE_TAIL_SCENARIO, cluster).run()
+    if not faults:
+        assert serial.makespan_s < 0.1
+    for workers in (1, 2):
+        parallel = run_parallel(cluster, workers, scenario=IDLE_TAIL_SCENARIO)
+        assert canonical_bytes(parallel) == canonical_bytes(serial)
+
+
 # --------------------------------------------------------------------------- #
 # Worker-count / schedule independence                                          #
 # --------------------------------------------------------------------------- #
@@ -391,20 +417,39 @@ def test_schedule_missing_a_fault_boundary_fails_fast(monkeypatch):
 
 
 # --------------------------------------------------------------------------- #
-# Wire codec                                                                    #
+# Boundary traffic                                                              #
 # --------------------------------------------------------------------------- #
-def test_pack_unpack_round_trips_boundary_payloads():
-    payload = {
-        "snapshot": (3, 1, 4, 2.5, "healthy"),
-        "admitted": {0: 5, 1: 2},
-        "rejected": {1: 1},
-        "completions": [(0.125, 0, 0.03, False), (0.25, 1, 0.6, True)],
-        "evicted": [(0, [(7, 0.1, 0), (9, None, 2)])],
-        "health_events": [[0, 0.15, 1, "failed"]],
-    }
-    assert unpack_shard_result(pack_shard_result(payload)) == payload
-    settled = dict(payload, settled_s=0.375)
-    assert unpack_shard_result(pack_shard_result(settled)) == settled
+#: Pickled epoch and settle payload bytes per completion: 35.3 on the
+#: fleet below (157 completions, JSQ on a 0.1 s grid, one failure with
+#: 8 reroutes), plus a 50 % margin.  A payload that grows past it (say,
+#: shipped span rings) re-opens the question of packing the wire format.
+MAX_PAYLOAD_BYTES_PER_COMPLETION = 53
+
+
+def test_boundary_payload_bytes_per_completion_stay_bounded(monkeypatch):
+    from repro.cluster.parallel import _ShardGroup
+
+    shipped = []
+    drive = ParallelClusterSession._drive
+
+    def measured(self, coordinator, broadcast):
+        def counted(method, *args):
+            results = broadcast(method, *args)
+            if method in (_ShardGroup.run_epoch, _ShardGroup.settle):
+                shipped.append(len(ForkingPickler.dumps(results)))
+            return results
+        return drive(self, coordinator, counted)
+
+    monkeypatch.setattr(ParallelClusterSession, "_drive", measured)
+    cluster = ClusterConfig.homogeneous(
+        3, SLOW_CONFIG, placement="join_shortest_queue",
+        faults=(FaultSpec(0.15, 1, "failed"),))
+    report = ParallelClusterSession(
+        BACKLOG_SCENARIO, cluster,
+        ParallelConfig(workers=1, epoch_s=0.1)).run()
+    assert report.completed >= 100 and len(shipped) >= 4
+    per_completion = sum(shipped) / report.completed
+    assert per_completion < MAX_PAYLOAD_BYTES_PER_COMPLETION, per_completion
 
 
 # --------------------------------------------------------------------------- #
@@ -444,10 +489,8 @@ def test_spec_key_folds_epoch_for_snapshot_dependent_placement():
     assert plain.key != one.key
 
 
-def test_parallel_config_round_trips():
-    config = ParallelConfig(workers=3, epoch_s=0.5)
-    restored = ParallelConfig.from_dict(config.to_dict())
-    assert restored.epoch_s == config.epoch_s
+def test_parallel_config_key_form_drops_worker_count():
     # to_dict deliberately drops the worker count (execution strategy:
     # results are byte-identical either way).
-    assert config.to_dict() == {"epoch_s": 0.5}
+    assert ParallelConfig(workers=3, epoch_s=0.5).to_dict() == \
+        {"epoch_s": 0.5}

@@ -113,7 +113,7 @@ def test_scaling_sweep_parallel_equals_serial():
         orchestrator=ExperimentOrchestrator(workers=1))
     parallel = scaling_sweep(
         counts, 240.0, scenario=SCENARIO, device_config=DEVICE,
-        orchestrator=ExperimentOrchestrator(workers=2), parallel=True)
+        orchestrator=ExperimentOrchestrator(workers=2))
     assert [vars(p) for p in serial] == [vars(p) for p in parallel]
     assert [p.device_count for p in serial] == list(counts)
     text = format_scaling_sweep(serial, slo_s=0.25)

@@ -202,7 +202,7 @@ def test_parallel_sweep_matches_serial_results():
 
     serial = ExperimentOrchestrator(workers=1).run(make())
     parallel_orch = ExperimentOrchestrator(workers=4)
-    parallel = parallel_orch.run(make(), parallel=True)
+    parallel = parallel_orch.run(make())
 
     assert set(serial) == set(parallel) and len(serial) == 4
     for key in serial:
@@ -261,7 +261,7 @@ def test_workers_must_be_positive():
 
 
 def test_parallel_request_respects_worker_capacity(monkeypatch):
-    """workers=1 is a hard bound: parallel=True must not spawn a pool."""
+    """workers=1 is a hard bound: a multi-spec batch must not spawn a pool."""
     import multiprocessing
 
     def forbidden(*args, **kwargs):
@@ -269,8 +269,7 @@ def test_parallel_request_respects_worker_capacity(monkeypatch):
 
     monkeypatch.setattr(multiprocessing, "get_context", forbidden)
     orch = ExperimentOrchestrator(workers=1)
-    results = orch.run([_spec(system=s) for s in ("SIMD", "IntraO3")],
-                       parallel=True)
+    results = orch.run([_spec(system=s) for s in ("SIMD", "IntraO3")])
     assert len(results) == 2
 
 

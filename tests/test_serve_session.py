@@ -153,10 +153,8 @@ def test_admission_caps_overload_latency():
 
 def test_run_serving_wrapper():
     scen = scenario(offered_rps=20.0, duration_s=0.4)
-    by_system = run_serving(scen, system="InterDy")
-    assert by_system.system == "InterDy"
-    merged = run_serving(scen, config=config("IntraO3"), system="SIMD")
-    assert merged.system == "SIMD"
+    assert run_serving(scen).system == PlatformConfig().system
+    assert run_serving(scen, config=config("SIMD")).system == "SIMD"
 
 
 def test_completed_chains_release_their_screen_graph():
@@ -248,7 +246,7 @@ def test_saturation_sweep_parallel_equals_serial(tmp_path):
     parallel = saturation_sweep(
         rates, ("SIMD", "InterDy"), scenario=scen,
         config=PlatformConfig(input_scale=SCALE),
-        orchestrator=ExperimentOrchestrator(workers=2), parallel=True)
+        orchestrator=ExperimentOrchestrator(workers=2))
     assert serial == parallel
     assert [p.offered_rps for p in serial["InterDy"]] == list(rates)
     print(format_saturation_sweep(serial, slo_s=0.25))
