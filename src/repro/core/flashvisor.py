@@ -17,6 +17,12 @@ engines:
 
 Both include the hardware-queue message latency and the per-group
 translation cost charged to the Flashvisor LWP.
+
+Translation works on a data section's whole extent.  A section that is
+already mapped costs a read one bitmap scan.  A wholly unmapped section,
+and the rewrite of a wholly mapped one, bind whole runs of the active block
+row; a section that is partly mapped walks its groups one at a time.  The
+simulated translation cost is per group either way.
 """
 
 from __future__ import annotations
@@ -125,55 +131,89 @@ class Flashvisor:
                 f"{flash_word_address} runs past the backbone")
         return start, count
 
-    # Both extent walks count one translation per group that resolved, so
-    # an allocation failure part-way leaves the same counters as a
+    # A read binds the extent's unmapped groups, a write all of them.
+    # Either counts one translation per group that resolved, so an
+    # allocation failure part-way leaves the same counters as a
     # group-at-a-time walk would.
-    def _read_extent(self, start: int, count: int) -> List[int]:
-        groups = self.mapping.lookup_range(start, count)
-        if None in groups:
-            try:
-                for offset, physical in enumerate(groups):
-                    if physical is None:
-                        groups[offset] = self._allocate_physical(
-                            start + offset)
-            except OutOfSpaceError:
-                self.stats.translations += offset
-                raise
-            finally:
-                self._wake_if_gc_due()
+    def _read_extent(self, start: int, count: int) -> None:
+        mapped = self.mapping.mapped_count(start, count)
+        if mapped < count:
+            self._bind_extent(start, count, mapped, rewrite=False)
         self.stats.translations += count
-        return groups
 
     def _write_extent(self, start: int, count: int) -> List[int]:
-        invalidate = self.allocator.invalidate_group
-        groups = []
-        try:
-            for offset, stale in enumerate(
-                    self.mapping.lookup_range(start, count)):
-                if stale is not None:
-                    invalidate(stale)
-                groups.append(self._allocate_physical(start + offset))
-        except OutOfSpaceError:
-            self.stats.translations += offset
-            raise
-        finally:
-            self._wake_if_gc_due()
+        groups = self._bind_extent(start, count,
+                                   self.mapping.mapped_count(start, count),
+                                   rewrite=True)
         self.stats.translations += count
         return groups
 
-    def _wake_if_gc_due(self) -> None:
-        if self.allocator.needs_gc():
-            self.wake_storengine()
+    def _bind_extent(self, start: int, count: int, mapped: int,
+                     rewrite: bool) -> List[int]:
+        """Bind fresh physical groups to the extent's unmapped groups, and
+        on a rewrite to its ``mapped`` ones too; returns them in order.
 
-    def _allocate_physical(self, logical_group: int) -> int:
+        A wholly unmapped extent, and the rewrite of a wholly mapped one,
+        bind whole runs of the active block row.  A mixed extent walks
+        group by group.  So does a rewrite whose stale groups the
+        allocator could hand out again, which happens only after a row
+        was erased with them still mapped: the walk invalidates each stale
+        group just before the next allocation, and then that order decides
+        which groups end up valid.
+        """
+        allocator = self.allocator
         try:
-            physical = self.allocator.allocate_group()
+            stale = None
+            if mapped:
+                if rewrite and mapped == count:
+                    stale = self.mapping.lookup_range(start, count)
+                if stale is None or not allocator.retire(stale):
+                    return self._walk_extent(start, count, rewrite)
+            return self._bind_runs(start, count)
+        finally:
+            if allocator.needs_gc():
+                self.wake_storengine()
+
+    def _bind_runs(self, start: int, count: int) -> List[int]:
+        allocate_run = self.allocator.allocate_run
+        bind_run = self.mapping.bind_run
+        stats = self.stats
+        groups: List[int] = []
+        try:
+            while len(groups) < count:
+                physical = allocate_run(count - len(groups))
+                bind_run(start + len(groups), physical)
+                groups += physical
         except OutOfSpaceError:
-            self.stats.reclaim_requests += 1
+            stats.reclaim_requests += 1
+            stats.translations += len(groups)
             raise
-        self.mapping.update(logical_group, physical)
-        self.stats.groups_allocated += 1
-        return physical
+        finally:
+            stats.groups_allocated += len(groups)
+        return groups
+
+    def _walk_extent(self, start: int, count: int,
+                     rewrite: bool) -> List[int]:
+        allocator = self.allocator
+        mapping = self.mapping
+        stats = self.stats
+        groups = []
+        try:
+            for offset, old in enumerate(mapping.lookup_range(start, count)):
+                if old is not None:
+                    if not rewrite:
+                        continue
+                    allocator.invalidate_group(old)
+                physical = allocator.allocate_group()
+                mapping.update(start + offset, physical)
+                groups.append(physical)
+        except OutOfSpaceError:
+            stats.reclaim_requests += 1
+            stats.translations += offset
+            raise
+        finally:
+            stats.groups_allocated += len(groups)
+        return groups
 
     # ------------------------------------------------------------------ #
     # Timed request handling                                              #

@@ -9,10 +9,20 @@ which Storengine reclaims them round-robin.
 This module holds the pure data structures (no timing): the mapping table,
 the block/group allocator, and validity tracking needed by garbage
 collection.  Timing is applied by the components that use them.
+
+A data section is contiguous, so it maps onto consecutive physical groups
+of one block row.  Both structures therefore also work in runs: the table
+keeps a mapped bitmap that answers "is this section all mapped?" with one
+scan, :meth:`BlockAllocator.allocate_run` hands out up to the rest of the
+active row in one call, :meth:`PageGroupMappingTable.bind_run` binds a run
+in one pass, and :meth:`BlockAllocator.retire` invalidates the groups a
+rewrite replaces, row by row.  A block row's state is built when the row
+is first opened; a row never opened is erased, empty and unworn.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Set
@@ -38,9 +48,6 @@ class BlockRowState:
     valid_groups: Set[int] = field(default_factory=set)
     next_free_offset: int = 0
 
-    def is_full(self, groups_per_row: int) -> bool:
-        return self.next_free_offset >= groups_per_row
-
     @property
     def valid_count(self) -> int:
         return len(self.valid_groups)
@@ -63,6 +70,10 @@ class PageGroupMappingTable:
         # logical owner of every valid group it migrates, so the reverse
         # direction must be O(1) rather than a table scan.
         self._reverse: Dict[int, int] = {}
+        # One byte per logical group, 1 while it is mapped, grown only up
+        # to the highest group ever mapped (a full-size bitmap would be
+        # 512 KB per device).
+        self._mapped = bytearray()
 
     def lookup(self, logical_group: int) -> Optional[int]:
         """Physical group currently backing ``logical_group`` (or None)."""
@@ -71,6 +82,17 @@ class PageGroupMappingTable:
     def lookup_range(self, start: int, count: int) -> List[Optional[int]]:
         """Physical groups (or None) backing ``count`` groups from ``start``."""
         return list(map(self._map.get, range(start, start + count)))
+
+    def mapped_count(self, start: int, count: int) -> int:
+        """How many of ``count`` groups from ``start`` are mapped."""
+        return self._mapped.count(1, start, start + count)
+
+    def _mark(self, start: int, end: int) -> None:
+        """Set the mapped bits of groups ``start`` to ``end - 1``."""
+        mapped = self._mapped
+        if end > len(mapped):
+            mapped.extend(bytes(end - len(mapped)))
+        mapped[start:end] = b"\x01" * (end - start)
 
     def update(self, logical_group: int, physical_group: int) -> Optional[int]:
         """Bind ``logical_group`` to ``physical_group``; returns the old one."""
@@ -81,13 +103,29 @@ class PageGroupMappingTable:
             del self._reverse[old]
         self._map[logical_group] = physical_group
         self._reverse[physical_group] = logical_group
+        if old is None:
+            self._mark(logical_group, logical_group + 1)
         return old
 
-    def invalidate(self, logical_group: int) -> Optional[int]:
-        old = self._map.pop(logical_group, None)
-        if old is not None and self._reverse.get(old) == logical_group:
-            del self._reverse[old]
-        return old
+    def bind_run(self, start: int, physical: List[int]) -> None:
+        """Bind the groups from ``start`` to ``physical``, one for one.
+
+        The result is :meth:`update` per group, in order.
+        """
+        forward = self._map
+        reverse = self._reverse
+        end = start + len(physical)
+        unmapped = False
+        for owner, new in zip(range(start, end), physical):
+            old = forward.get(owner)
+            if old is None:
+                unmapped = True
+            elif reverse.get(old) == owner:
+                del reverse[old]
+            forward[owner] = new
+            reverse[new] = owner
+        if unmapped:
+            self._mark(start, end)
 
     def reverse_lookup(self, physical_group: int) -> Optional[int]:
         return self._reverse.get(physical_group)
@@ -111,9 +149,9 @@ class BlockAllocator:
         total_rows = geometry.page_groups_total // self.groups_per_row
         self.total_rows = total_rows
         self.reserved_rows = max(1, int(total_rows * overprovision))
-        self.rows: Dict[int, BlockRowState] = {
-            r: BlockRowState(r) for r in range(total_rows)
-        }
+        # Built on first open: a run opens a few dozen to about a hundred
+        # of the device's rows.
+        self.rows: Dict[int, BlockRowState] = {}
         # Both pools are popped from the left on every allocation / GC
         # cycle; deques make those O(1) where lists would shift the whole
         # pool (the Storengine GC hot path under sustained writes).
@@ -125,34 +163,83 @@ class BlockAllocator:
     # -- allocation ---------------------------------------------------------
     def allocate_group(self) -> int:
         """Return the next free physical page-group number."""
-        if self._active_row is None or self.rows[self._active_row].is_full(
-                self.groups_per_row):
+        return self.allocate_run(1)[0]
+
+    def allocate_run(self, count: int) -> List[int]:
+        """Up to ``count`` consecutive free groups of the active row.
+
+        Opens the next free row first when no row is active, and raises
+        :class:`OutOfSpaceError` when none is left; otherwise returns at
+        least one group.
+        """
+        # A row leaves the active slot the moment it fills.
+        if self._active_row is None:
             self._open_new_row()
         row = self.rows[self._active_row]
-        physical_group = (row.row_id * self.groups_per_row
-                          + row.next_free_offset)
-        row.next_free_offset += 1
-        row.valid_groups.add(physical_group)
-        self.groups_written += 1
-        if row.is_full(self.groups_per_row):
+        per_row = self.groups_per_row
+        offset = row.next_free_offset
+        taken = per_row - offset
+        if count < taken:
+            taken = count
+        first = row.row_id * per_row + offset
+        run = list(range(first, first + taken))
+        row.next_free_offset = offset + taken
+        row.valid_groups.update(run)
+        self.groups_written += taken
+        if offset + taken == per_row:
             self.used_rows.append(row.row_id)
             self._active_row = None
-        return physical_group
+        return run
 
     def _open_new_row(self) -> None:
         if not self.free_rows:
             raise OutOfSpaceError("no free block rows; GC required")
-        self._active_row = self.free_rows.popleft()
-        row = self.rows[self._active_row]
-        row.next_free_offset = 0
-        row.valid_groups.clear()
+        row_id = self._active_row = self.free_rows.popleft()
+        row = self.rows.get(row_id)
+        if row is None:
+            self.rows[row_id] = BlockRowState(row_id)
+        else:
+            row.next_free_offset = 0
+            row.valid_groups.clear()
+
+    def retire(self, stale: List[int]) -> bool:
+        """Invalidate the groups a rewrite of ``len(stale)`` groups replaces.
+
+        A group-at-a-time rewrite invalidates each stale group just
+        before it allocates the replacement, so when space runs out
+        part-way, the stale groups past the failing one stay valid; this
+        does the same.  Returns False and changes nothing if a stale group
+        was not written since its row's last erase: the rewrite could then
+        be handed that group again, and only the group-at-a-time order
+        gives the right result.
+        """
+        per_row = self.groups_per_row
+        if len(stale) > len(self.free_rows) * per_row:
+            stale = stale[:self.free_group_count + 1]
+        # Row by row, lowest first: the highest stale group of each row
+        # must lie below the row's fill point.
+        ordered = sorted(stale)
+        rows = []
+        index = 0
+        while index < len(ordered):
+            row = self.rows.get(ordered[index] // per_row)
+            if row is None:
+                return False
+            base = row.row_id * per_row
+            index = bisect_left(ordered, base + per_row, index)
+            if ordered[index - 1] >= base + row.next_free_offset:
+                return False
+            rows.append(row)
+        for row in rows:
+            row.valid_groups.difference_update(stale)
+        return True
 
     # -- validity / GC support -----------------------------------------------
     def invalidate_group(self, physical_group: int) -> None:
         """Mark a physical group as stale (its row may later be reclaimed)."""
-        row_id = physical_group // self.groups_per_row
-        if row_id in self.rows:
-            self.rows[row_id].valid_groups.discard(physical_group)
+        row = self.rows.get(physical_group // self.groups_per_row)
+        if row is not None:
+            row.valid_groups.discard(physical_group)
 
     def pick_victim_round_robin(self) -> Optional[int]:
         """Pop the oldest used row (the paper's Storengine victim policy)."""

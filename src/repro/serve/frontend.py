@@ -148,7 +148,15 @@ class ServingFrontend:
         record.status = RequestStatus.QUEUED
         self.queues[record.request.tenant].append(record)
         self._queued_total += 1
-        self._kick()
+        if self._dispatcher.is_alive:
+            self._kick()
+            return
+        # The loop returned once this front-end drained, and a fault has
+        # since rerouted backlog here: start a loop parked on a fired
+        # wake, so it dispatches when a parked loop would have.
+        wake = self._wake
+        self._wake = self.env.event()
+        self._dispatcher = self.env.spawn(self._dispatch_loop(wake.succeed()))
 
     def evict_queued(self) -> List[RequestRecord]:
         """Remove and return every queued (not yet dispatched) record.
@@ -196,11 +204,13 @@ class ServingFrontend:
         self._queued_total -= 1
         return self.queues[tenant].popleft()
 
-    def _dispatch_loop(self):
+    def _dispatch_loop(self, wake: Optional[Event] = None):
         backend = self.backend
         dispatch = backend.dispatch
         on_complete = self._on_complete
         tracer = self._tracer
+        if wake is not None:
+            yield wake
         while True:
             while (backend.in_flight < self.dispatch_capacity
                    and self._queued_total > 0):

@@ -243,6 +243,29 @@ def test_fleet_idle_before_the_horizon_matches_serial(faults):
         assert canonical_bytes(parallel) == canonical_bytes(serial)
 
 
+#: Tenant affinity puts tenant-b's one request on device 0 and tenant-a's
+#: burst of 40 on device 1.  Device 0 drains after the last arrival closed
+#: the front-ends, and the fault at 0.03 s reroutes device 1's backlog
+#: onto it.
+LATE_REROUTE_SCENARIO = ServingScenario(
+    process="trace", duration_s=2.0, seed=3,
+    trace_events=tuple(sorted(
+        [(0.01 + 0.0002 * i, "tenant-a", "ATAX") for i in range(40)]
+        + [(0.011, "tenant-b", "ATAX")])))
+
+
+def test_backlog_rerouted_onto_a_drained_device_matches_serial():
+    cluster = ClusterConfig.homogeneous(
+        2, PlatformConfig(system="IntraO3", input_scale=0.01),
+        placement="tenant_affinity", faults=(FaultSpec(0.03, 1, "failed"),))
+    serial = ClusterSession(LATE_REROUTE_SCENARIO, cluster).run()
+    assert serial.placement_stats["routed"] == [1, 40]
+    assert serial.completed == 41
+    assert serial.reroutes == 32
+    parallel = run_parallel(cluster, 1, scenario=LATE_REROUTE_SCENARIO)
+    assert canonical_bytes(parallel) == canonical_bytes(serial)
+
+
 # --------------------------------------------------------------------------- #
 # Worker-count / schedule independence                                          #
 # --------------------------------------------------------------------------- #

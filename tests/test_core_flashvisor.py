@@ -226,14 +226,19 @@ def reference_translate(flashvisor, kind, word_address, num_bytes):
 
 
 def translation_state(flashvisor):
+    """The whole FTL state, dict insertion orders included."""
+    mapping = flashvisor.mapping
     allocator = flashvisor.allocator
-    rows = {row_id: (row.erase_count, sorted(row.valid_groups),
-                     row.next_free_offset)
-            for row_id, row in allocator.rows.items()}
-    return (dict(flashvisor.mapping._map), dict(flashvisor.mapping._reverse),
-            rows, list(allocator.free_rows), list(allocator.used_rows),
-            allocator._active_row, allocator.groups_written,
-            asdict(flashvisor.stats))
+    # The mapped bitmap marks exactly the mapped logical groups.
+    assert [group for group, bit in enumerate(mapping._mapped) if bit] \
+        == sorted(mapping._map)
+    rows = [(row_id, row.erase_count, sorted(row.valid_groups),
+             row.next_free_offset)
+            for row_id, row in allocator.rows.items()]
+    return (list(mapping._map.items()), list(mapping._reverse.items()),
+            bytes(mapping._mapped), rows, list(allocator.free_rows),
+            list(allocator.used_rows), allocator._active_row,
+            allocator.groups_written, asdict(flashvisor.stats))
 
 
 def apply_op(flashvisor, op, translate):
@@ -277,15 +282,24 @@ extent_ops = st.lists(
 # Stale groups across a block-row boundary, then reclaim and rewrite.
 @example(ops=[("read", 3, 9, 100), ("write", 5, 12, 0), ("reclaim",),
               ("write", 0, 20, 4095), ("read", 0, 20, 0)])
+# A rewrite handed its own stale group: logical 1 maps to physical 0 and
+# logical 0 to physical 1, row 0 is erased without migration, rows 1-7
+# fill, and the rewrite of logical 0-1 reopens row 0.  Physical 0 goes to
+# logical 0 first and is then invalidated as logical 1's stale group.
+@example(ops=[("write", 1, 1, 0), ("write", 0, 1, 0), ("write", 8, 6, 0),
+              ("reclaim",), ("write", 14, 50, 0), ("write", 14, 6, 0),
+              ("write", 0, 2, 0)])
 def test_extent_translation_matches_group_walk(spec, tiny_flash_spec, ops):
     _env, extent, _backbone, _energy = build_flashvisor(spec, tiny_flash_spec)
     _env, walk, _backbone, _energy = build_flashvisor(spec, tiny_flash_spec)
     assert extent.geometry.page_groups_total == TINY_GROUPS
 
     def by_extent(kind, word_address, num_bytes):
-        walk_extent = (extent._read_extent if kind == "read"
-                       else extent._write_extent)
-        return walk_extent(*extent._extent(word_address, num_bytes))
+        start, count = extent._extent(word_address, num_bytes)
+        if kind == "write":
+            return extent._write_extent(start, count)
+        extent._read_extent(start, count)
+        return extent.mapping.lookup_range(start, count)
 
     def by_group(kind, word_address, num_bytes):
         return reference_translate(walk, kind, word_address, num_bytes)
@@ -330,28 +344,41 @@ def record_held_ranges(accelerator):
     return held
 
 
-def serving_held_ranges(config):
+def serving_run(config, instrument):
+    """A short seed-3 serving run, with ``instrument(accelerator)`` called
+    before it starts; returns what it returned and the accelerator."""
     class RecordingSession(ServingSession):
         def _build_backend(self):
             backend = build_serving_backend(self.scenario, self.config)
-            self.held = record_held_ranges(backend.accelerator)
-            self.workers = len(backend.accelerator.cluster.workers)
+            self.accelerator = backend.accelerator
+            self.recorded = instrument(backend.accelerator)
             return backend
 
     session = RecordingSession(
         ServingScenario(process="poisson", offered_rps=240.0,
                         duration_s=0.3, seed=3), config)
     session.run()
-    return session.held, session.workers
+    return session.recorded, session.accelerator
 
 
-def batch_held_ranges(config):
+def batch_run(config, instrument):
+    """The MX2 batch mix, instrumented like :func:`serving_run`."""
     accelerator = FlashAbacusAccelerator(config=config)
-    held = record_held_ranges(accelerator)
+    recorded = instrument(accelerator)
     accelerator.run_workload(
         heterogeneous_workload("MX2", instances_per_kernel=2,
                                input_scale=config.input_scale), "MX2")
     accelerator.shutdown()
+    return recorded, accelerator
+
+
+def serving_held_ranges(config):
+    held, accelerator = serving_run(config, record_held_ranges)
+    return held, len(accelerator.cluster.workers)
+
+
+def batch_held_ranges(config):
+    held, accelerator = batch_run(config, record_held_ranges)
     return held, len(accelerator.cluster.workers)
 
 
@@ -366,3 +393,51 @@ def test_range_lock_never_holds_more_ranges_than_workers(run, lwp_count):
                             input_scale=0.01)
     held, workers = run(config)
     assert max(held) == workers - 1
+
+
+# --------------------------------------------------------------------------- #
+# Extent traffic: the shapes the run path is sized by                          #
+# --------------------------------------------------------------------------- #
+def record_translation_paths(accelerator):
+    """Count run binds, group walks and opened block rows on the instance."""
+    flashvisor = accelerator.flashvisor
+    allocator = flashvisor.allocator
+    seen = {"runs": 0, "walks": 0, "opened": set()}
+    bind_runs = flashvisor._bind_runs
+    walk_extent = flashvisor._walk_extent
+    open_new_row = allocator._open_new_row
+
+    def counting_runs(start, count):
+        seen["runs"] += 1
+        return bind_runs(start, count)
+
+    def counting_walk(start, count, rewrite):
+        seen["walks"] += 1
+        return walk_extent(start, count, rewrite)
+
+    def recording_open():
+        open_new_row()
+        seen["opened"].add(allocator._active_row)
+
+    flashvisor._bind_runs = counting_runs
+    flashvisor._walk_extent = counting_walk
+    allocator._open_new_row = recording_open
+    return seen
+
+
+@pytest.mark.parametrize("run", [serving_run, batch_run])
+def test_data_sections_map_as_whole_runs(run):
+    # A data section is read or written whole, so every extent is wholly
+    # mapped or wholly unmapped: none takes the group walk, and only the
+    # block rows the runs opened exist.
+    seen, accelerator = run(PlatformConfig(system="IntraO3",
+                                           input_scale=0.01),
+                            record_translation_paths)
+    flashvisor = accelerator.flashvisor
+    assert seen["runs"] > 0
+    assert seen["walks"] == 0
+    assert len(flashvisor.allocator.rows) == len(seen["opened"]) > 0
+    # The count is not vacuous: the highest mapped group plus the
+    # unmapped one after it is a mixed extent, and that walks.
+    flashvisor._read_extent(len(flashvisor.mapping._mapped) - 1, 2)
+    assert seen["walks"] == 1

@@ -14,16 +14,14 @@ def geometry(tiny_flash_spec):
 # --------------------------------------------------------------------------- #
 # Mapping table                                                                #
 # --------------------------------------------------------------------------- #
-def test_mapping_lookup_update_invalidate(geometry):
+def test_mapping_lookup_and_update(geometry):
     table = PageGroupMappingTable(geometry)
     assert table.lookup(5) is None
     assert table.update(5, 100) is None
     assert table.lookup(5) == 100
     assert table.update(5, 200) == 100
     assert table.reverse_lookup(200) == 5
-    assert table.invalidate(5) == 200
-    assert table.lookup(5) is None
-    assert len(table) == 0
+    assert len(table) == 1
 
 
 def test_mapping_rejects_negative_logical_group(geometry):
@@ -50,6 +48,18 @@ def test_mapping_mapped_groups_sorted(geometry):
     assert [g for g in range(10) if table.lookup(g) is not None] == [3, 7, 9]
 
 
+def test_mapped_bitmap_counts_and_grows_only_to_the_highest_group(geometry):
+    table = PageGroupMappingTable(geometry)
+    assert table.mapped_count(0, geometry.page_groups_total) == 0
+    table.bind_run(4, [40, 41, 42])
+    table.update(9, 90)
+    assert len(table._mapped) == 10
+    assert table.mapped_count(0, 16) == 4
+    assert table.mapped_count(4, 3) == 3
+    assert table.lookup_range(4, 3) == [40, 41, 42]
+    assert table.reverse_lookup(41) == 5
+
+
 # --------------------------------------------------------------------------- #
 # Block allocator                                                              #
 # --------------------------------------------------------------------------- #
@@ -58,6 +68,17 @@ def test_allocator_hands_out_sequential_groups(geometry):
     groups = [allocator.allocate_group() for _ in range(10)]
     assert groups == list(range(10))
     assert allocator.groups_written == 10
+
+
+def test_allocate_run_stops_at_the_row_end_and_rows_build_on_open(geometry):
+    allocator = BlockAllocator(geometry, overprovision=0.1)
+    per_row = allocator.groups_per_row
+    assert allocator.rows == {}
+    assert allocator.allocate_run(per_row + 3) == list(range(per_row))
+    assert list(allocator.used_rows) == [0]
+    assert allocator.allocate_run(3) == [per_row, per_row + 1, per_row + 2]
+    assert sorted(allocator.rows) == [0, 1]
+    assert allocator.groups_written == per_row + 3
 
 
 def test_allocator_free_count_decreases(geometry):
@@ -107,14 +128,20 @@ def test_allocator_greedy_victim_prefers_fewest_valid(geometry):
 
 def test_allocator_reclaim_returns_row_and_counts_erase(geometry):
     allocator = BlockAllocator(geometry, overprovision=0.1)
-    for _ in range(allocator.groups_per_row):
+    # Fill one row and open the next.
+    for _ in range(allocator.groups_per_row + 1):
         allocator.allocate_group()
     victim = allocator.pick_victim_round_robin()
     free_before = len(allocator.free_rows)
+    erases_before = {row_id: row.erase_count
+                     for row_id, row in allocator.rows.items()}
     allocator.reclaim_row(victim)
     assert len(allocator.free_rows) == free_before + 1
+    # Only the victim's erase count moved.
+    assert {row_id: row.erase_count
+            for row_id, row in allocator.rows.items()} \
+        == {**erases_before, victim: erases_before[victim] + 1}
     assert allocator.rows[victim].erase_count == 1
-    assert sorted({r.erase_count for r in allocator.rows.values()}) == [0, 1]
 
 
 def test_allocator_needs_gc_when_free_pool_shrinks(geometry):
@@ -146,15 +173,6 @@ def test_reverse_lookup_tracks_remaps(geometry):
     assert table.reverse_lookup(40) == 4
 
 
-def test_reverse_lookup_tracks_invalidate(geometry):
-    table = PageGroupMappingTable(geometry)
-    table.update(7, 70)
-    assert table.invalidate(7) == 70
-    assert table.reverse_lookup(70) is None
-    # Invalidating an unmapped logical group is a no-op.
-    assert table.invalidate(7) is None
-
-
 def test_reverse_lookup_consistent_under_churn(geometry):
     """reverse_lookup must agree with a full scan after arbitrary churn."""
     table = PageGroupMappingTable(geometry)
@@ -164,11 +182,15 @@ def test_reverse_lookup_consistent_under_churn(geometry):
     for _ in range(500):
         logical = rng.randrange(32)
         if rng.random() < 0.25:
-            table.invalidate(logical)
+            # A run over mapped and unmapped groups alike.
+            run = rng.randint(1, 4)
+            table.bind_run(logical, list(range(next_physical,
+                                               next_physical + run)))
+            next_physical += run
         else:
             table.update(logical, next_physical)
             next_physical += 1
-    forward = {log: table.lookup(log) for log in range(32)
+    forward = {log: table.lookup(log) for log in range(36)
                if table.lookup(log) is not None}
     for logical, physical in forward.items():
         assert table.reverse_lookup(physical) == logical
