@@ -45,7 +45,7 @@ fleet-failover ``wall_s``, with regression bounds).
   beside eight held sections.
 * ``bandwidth_pipe_transfers_per_sec`` — eight processes contending for
   one DDR3L-rate ``BandwidthPipe`` (the one FIFO mechanism behind DDR3L,
-  PCIe, the crossbar ports and the backbone's bulk lanes).
+  PCIe and the backbone's bulk lanes).
 * ``execution_chain_oldest_ready_per_sec`` — IntraO3's pick,
   ``MultiAppExecutionChain.oldest_ready``, with eight screens in flight
   until every kernel completes.

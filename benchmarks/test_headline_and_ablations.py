@@ -41,7 +41,7 @@ def test_ablation_gc_victim_policy(benchmark):
     from repro.core.flashvisor import Flashvisor
     from repro.core.storengine import Storengine
     from repro.flash.backbone import FlashBackbone
-    from repro.hw import DDR3L, EnergyAccountant, Interconnect, LWPCluster, Scratchpad
+    from repro.hw import DDR3L, EnergyAccountant, LWPCluster, Scratchpad
     from repro.hw.spec import FlashSpec, prototype_spec
     from repro.sim import Environment
 
@@ -62,7 +62,7 @@ def test_ablation_gc_victim_policy(benchmark):
         flashvisor = Flashvisor(env, cluster.flashvisor_lwp, backbone,
                                 DDR3L(env, spec.memory, energy),
                                 Scratchpad(env, spec.memory, energy),
-                                Interconnect(env, spec.interconnect).new_queue("fv"),
+                                spec.interconnect.message_queue_latency_s,
                                 energy)
         storengine = Storengine(env, cluster.storengine_lwp, flashvisor,
                                 backbone, energy, poll_interval_s=1e-4,

@@ -24,7 +24,7 @@ from repro.platform import PlatformBuilder
 
 
 def build_platform(flash_spec):
-    # The substrate (LWPs, DDR3L, scratchpad, crossbars, backbone) comes
+    # The substrate (LWPs, DDR3L, scratchpad, backbone) comes
     # from the shared builder; only the flash geometry is customized, and
     # the Flashvisor/Storengine software is wired by hand so this example
     # can use aggressive poll/journal intervals.
@@ -34,7 +34,8 @@ def build_platform(flash_spec):
     sub = PlatformBuilder(config).build_flashabacus_substrate()
     flashvisor = Flashvisor(sub.env, sub.cluster.flashvisor_lwp, sub.backbone,
                             sub.ddr, sub.scratchpad,
-                            sub.interconnect.new_queue("fv"), sub.energy)
+                            sub.spec.interconnect.message_queue_latency_s,
+                            sub.energy)
     storengine = Storengine(sub.env, sub.cluster.storengine_lwp, flashvisor,
                             sub.backbone, sub.energy, poll_interval_s=1e-4,
                             journal_interval_s=50e-3)

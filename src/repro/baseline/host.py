@@ -5,7 +5,6 @@ from __future__ import annotations
 from typing import Optional
 
 from ..sim.engine import Environment
-from ..sim.stats import IntervalAccumulator
 from ..hw.power import DATA_MOVEMENT, EnergyAccountant
 from ..hw.spec import HostSpec
 
@@ -25,19 +24,6 @@ class HostCPU:
         self.env = env
         self.spec = spec
         self.energy = energy
-        self._busy = IntervalAccumulator()
-
-    def busy(self, seconds: float, component: str = "host_cpu",
-             bucket: str = DATA_MOVEMENT):
-        """Process generator: occupy the host CPU for ``seconds``."""
-        if seconds < 0:
-            raise ValueError("seconds must be non-negative")
-        self._busy.begin(self.env.now)
-        yield self.env.timeout(seconds)
-        self._busy.end(self.env.now)
-        if self.energy is not None:
-            self.energy.charge_power(component, bucket,
-                                     self.spec.cpu_active_power_w, seconds)
 
     def charge_idle(self, duration: float,
                     bucket: str = DATA_MOVEMENT) -> None:
@@ -49,12 +35,3 @@ class HostCPU:
                                      self.spec.cpu_idle_power_w, duration)
             self.energy.charge_power("host_dram.idle", bucket,
                                      self.spec.dram_power_w, duration)
-
-    def busy_time(self) -> float:
-        return self._busy.busy_time(self.env.now)
-
-    def utilization(self, horizon: Optional[float] = None) -> float:
-        horizon = self.env.now if horizon is None else horizon
-        if horizon <= 0:
-            return 0.0
-        return min(1.0, self._busy.busy_time(self.env.now) / horizon)

@@ -288,9 +288,8 @@ class _ShardGroup:
         env = shard.backend.env
         buffer = self._buffers[shard.index]
         for ordinal, fault in faults:
-            delay = fault.time_s - env.now
-            if delay > 0:
-                yield env.timeout(delay)
+            if fault.time_s > env.now:
+                yield env.timeout_at(fault.time_s)
             state = DeviceHealth(fault.state)
             buffer.health_events.append(
                 [ordinal, env.now, shard.index, state.value])
@@ -394,9 +393,8 @@ class _ShardGroup:
                   batch: Sequence[EvictedRecord], restore: bool):
         """Deliver rerouted backlog at exactly the eviction instant."""
         env = shard.backend.env
-        delay = at_s - env.now
-        if delay > 0:
-            yield env.timeout(delay)
+        if at_s > env.now:
+            yield env.timeout_at(at_s)
         if restore:
             # Serial fallback restores the failed device's capacity the
             # moment it self-requeues (the dispatch loop must not wedge).
@@ -481,9 +479,8 @@ def _epoch_arrivals(env: Environment, frontend: ServingFrontend,
     """Feed one epoch's routed arrivals into one shard's front-end."""
     for request_index in indices:
         request = requests[request_index]
-        delay = request.arrival_s - env.now
-        if delay > 0:
-            yield env.timeout(delay)
+        if request.arrival_s > env.now:
+            yield env.timeout_at(request.arrival_s)
         buffer.on_submitted(frontend.submit(request), env.now)
 
 

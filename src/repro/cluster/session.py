@@ -111,9 +111,8 @@ class ClusterSession:
     def _fault_driver(env: Environment, dispatcher: ClusterDispatcher,
                       faults: List[FaultSpec]):
         for fault in faults:
-            delay = fault.time_s - env.now
-            if delay > 0:
-                yield env.timeout(delay)
+            if fault.time_s > env.now:
+                yield env.timeout_at(fault.time_s)
             dispatcher.set_health(fault.device,
                                   DeviceHealth(fault.state))
 

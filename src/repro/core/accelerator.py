@@ -1,7 +1,7 @@
 """FlashAbacus accelerator: platform assembly and multi-kernel execution.
 
 This module wires the hardware substrate (LWPs, DDR3L, scratchpad,
-crossbars, PCIe, flash backbone) together with the self-governing software
+PCIe, flash backbone) together with the self-governing software
 components (Flashvisor, Storengine, the offload controller and a kernel
 scheduler) and drives multi-kernel execution:
 
@@ -176,12 +176,11 @@ class FlashAbacusAccelerator:
         self.cluster = substrate.cluster
         self.ddr = substrate.ddr
         self.scratchpad = substrate.scratchpad
-        self.interconnect = substrate.interconnect
         self.pcie = substrate.pcie
         self.backbone = substrate.backbone
         self.flashvisor = Flashvisor(
             self.env, self.cluster.flashvisor_lwp, self.backbone, self.ddr,
-            self.scratchpad, self.interconnect.new_queue("flashvisor"),
+            self.scratchpad, self.spec.interconnect.message_queue_latency_s,
             self.energy)
         self.storengine = Storengine(
             self.env, self.cluster.storengine_lwp, self.flashvisor,

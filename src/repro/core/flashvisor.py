@@ -18,11 +18,13 @@ engines:
 Both include the hardware-queue message latency and the per-group
 translation cost charged to the Flashvisor LWP.
 
-Translation works on a data section's whole extent.  A section that is
-already mapped costs a read one bitmap scan.  A wholly unmapped section,
-and the rewrite of a wholly mapped one, bind whole runs of the active block
-row; a section that is partly mapped walks its groups one at a time.  The
-simulated translation cost is per group either way.
+Translation works on a data section's whole extent, in runs.  A read
+binds each maximal run of the section's unmapped groups (a section already
+mapped costs one bitmap scan); a write binds the whole section.  A run
+binds to consecutive groups of the active block row, and only then are
+the groups it replaced invalidated, so a write that runs out of space
+part-way leaves every group it did not reach mapped and valid.  The
+simulated translation cost is per group.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 from ..sim.engine import Environment
-from ..hw.interconnect import MessageQueue
 from ..hw.lwp import LWP
 from ..hw.memory import DDR3L, Scratchpad
 from ..hw.power import STORAGE_ACCESS, EnergyAccountant
@@ -69,7 +70,7 @@ class Flashvisor:
 
     def __init__(self, env: Environment, lwp: LWP, backbone: FlashBackbone,
                  ddr: DDR3L, scratchpad: Scratchpad,
-                 queue: MessageQueue,
+                 message_latency_s: float,
                  energy: Optional[EnergyAccountant] = None,
                  word_bytes: int = 4):
         self.env = env
@@ -77,7 +78,8 @@ class Flashvisor:
         self.backbone = backbone
         self.ddr = ddr
         self.scratchpad = scratchpad
-        self.queue = queue
+        #: Hardware message-queue latency of one request to Flashvisor.
+        self.message_latency_s = message_latency_s
         self.energy = energy
         self.word_bytes = word_bytes
         self.geometry = backbone.geometry
@@ -92,7 +94,6 @@ class Flashvisor:
         #: installs its wake here and restores the no-op in ``stop()``,
         #: so a finished device graph holds no cycle through it.
         self.wake_storengine: Callable[[], None] = _no_wake
-        self._next_write_group = 0
         scratchpad.allocate("flashvisor.mapping_table",
                             min(self.mapping.size_bytes(),
                                 scratchpad.capacity_bytes // 2))
@@ -131,88 +132,45 @@ class Flashvisor:
                 f"{flash_word_address} runs past the backbone")
         return start, count
 
-    # A read binds the extent's unmapped groups, a write all of them.
-    # Either counts one translation per group that resolved, so an
-    # allocation failure part-way leaves the same counters as a
-    # group-at-a-time walk would.
     def _read_extent(self, start: int, count: int) -> None:
-        mapped = self.mapping.mapped_count(start, count)
-        if mapped < count:
-            self._bind_extent(start, count, mapped, rewrite=False)
-        self.stats.translations += count
+        runs = self.mapping.unmapped_runs(start, count)
+        if runs:
+            self._bind_extent(start, count, runs)
+        else:
+            # Most reads find their section mapped: skip the binder.
+            self.stats.translations += count
 
     def _write_extent(self, start: int, count: int) -> List[int]:
-        groups = self._bind_extent(start, count,
-                                   self.mapping.mapped_count(start, count),
-                                   rewrite=True)
-        self.stats.translations += count
-        return groups
+        return self._bind_extent(start, count, [(start, count)])
 
-    def _bind_extent(self, start: int, count: int, mapped: int,
-                     rewrite: bool) -> List[int]:
-        """Bind fresh physical groups to the extent's unmapped groups, and
-        on a rewrite to its ``mapped`` ones too; returns them in order.
+    def _bind_extent(self, start: int, count: int,
+                     runs: List[Tuple[int, int]]) -> List[int]:
+        """Bind fresh physical groups to each ``(first, length)`` run of
+        the extent; returns them in order.
 
-        A wholly unmapped extent, and the rewrite of a wholly mapped one,
-        bind whole runs of the active block row.  A mixed extent walks
-        group by group.  So does a rewrite whose stale groups the
-        allocator could hand out again, which happens only after a row
-        was erased with them still mapped: the walk invalidates each stale
-        group just before the next allocation, and then that order decides
-        which groups end up valid.
+        Counts one translation per group of the extent, or on running out
+        of space, one per group before the one that found no space.
         """
         allocator = self.allocator
-        try:
-            stale = None
-            if mapped:
-                if rewrite and mapped == count:
-                    stale = self.mapping.lookup_range(start, count)
-                if stale is None or not allocator.retire(stale):
-                    return self._walk_extent(start, count, rewrite)
-            return self._bind_runs(start, count)
-        finally:
-            if allocator.needs_gc():
-                self.wake_storengine()
-
-    def _bind_runs(self, start: int, count: int) -> List[int]:
-        allocate_run = self.allocator.allocate_run
-        bind_run = self.mapping.bind_run
         stats = self.stats
         groups: List[int] = []
         try:
-            while len(groups) < count:
-                physical = allocate_run(count - len(groups))
-                bind_run(start + len(groups), physical)
-                groups += physical
+            for first, length in runs:
+                end = first + length
+                while first < end:
+                    physical = allocator.allocate_run(end - first)
+                    allocator.retire(self.mapping.bind_run(first, physical))
+                    first += len(physical)
+                    groups += physical
         except OutOfSpaceError:
             stats.reclaim_requests += 1
-            stats.translations += len(groups)
+            stats.translations += first - start
             raise
         finally:
             stats.groups_allocated += len(groups)
-        return groups
-
-    def _walk_extent(self, start: int, count: int,
-                     rewrite: bool) -> List[int]:
-        allocator = self.allocator
-        mapping = self.mapping
-        stats = self.stats
-        groups = []
-        try:
-            for offset, old in enumerate(mapping.lookup_range(start, count)):
-                if old is not None:
-                    if not rewrite:
-                        continue
-                    allocator.invalidate_group(old)
-                physical = allocator.allocate_group()
-                mapping.update(start + offset, physical)
-                groups.append(physical)
-        except OutOfSpaceError:
-            stats.reclaim_requests += 1
-            stats.translations += offset
-            raise
-        finally:
-            stats.groups_allocated += len(groups)
+            if allocator.needs_gc():
+                self.wake_storengine()
+        stats.translations += count
         return groups
 
     # ------------------------------------------------------------------ #
@@ -247,7 +205,7 @@ class Flashvisor:
         start, count = self._extent(flash_word_address, num_bytes)
         end = start + count - 1
         # Queue message latency from the requesting LWP to Flashvisor.
-        yield self.env.timeout(self.queue.latency_s)
+        yield self.env.timeout(self.message_latency_s)
         yield from self._acquire_range_lock(start, end, READ,
                                             kernel.kernel_id)
         try:
@@ -279,7 +237,7 @@ class Flashvisor:
         self.stats.write_requests += 1
         start, count = self._extent(flash_word_address, num_bytes)
         end = start + count - 1
-        yield self.env.timeout(self.queue.latency_s)
+        yield self.env.timeout(self.message_latency_s)
         yield from self._acquire_range_lock(start, end, WRITE,
                                             kernel.kernel_id)
         try:

@@ -7,7 +7,9 @@ that address translation never stalls kernel execution:
 * it journals the scratchpad-resident mapping table to flash periodically,
 * it reclaims physical block rows, choosing victims from the used pool in a
   simple round-robin order (the paper's deliberately cheap policy) and
-  migrating the still-valid page groups before erasing.
+  migrating the still-valid page groups before erasing.  A copy is bound
+  only if its group is still live when the copy lands, so a physical
+  group stays valid exactly while a logical group maps to it.
 
 All of this runs as a background simulation process that competes with the
 workers only for backbone bandwidth — exactly the paper's design point.
@@ -200,8 +202,15 @@ class Storengine:
         return allocator.pick_victim_round_robin()
 
     def _collect_garbage(self):
-        """Reclaim one block row: migrate valid groups, erase, free."""
+        """Reclaim one block row: migrate valid groups, erase, free.
+
+        Flashvisor keeps serving while the copies are made, so a group
+        rewritten since the victim was picked is no longer valid and is
+        skipped, and a copy whose owner was rewritten during the copy is
+        invalidated rather than bound.
+        """
         allocator = self.flashvisor.allocator
+        mapping = self.flashvisor.mapping
         victim_row = self._pick_victim()
         if victim_row is None:
             yield self.env.timeout(self.poll_interval_s)
@@ -214,12 +223,16 @@ class Storengine:
         # metadata pages of the victim block).
         yield from self.backbone.bulk_read(2 * self.backbone.spec.page_bytes)
         for physical_group in valid_groups:
-            logical = self.flashvisor.mapping.reverse_lookup(physical_group)
+            if physical_group not in row.valid_groups:
+                continue
+            logical = mapping.reverse_lookup(physical_group)
             yield from self.backbone.read_page_group(physical_group)
-            new_physical = allocator.allocate_group()
-            yield from self.backbone.program_page_group(new_physical)
-            if logical is not None:
-                self.flashvisor.mapping.update(logical, new_physical)
+            copy = allocator.allocate_run(1)
+            yield from self.backbone.program_page_group(copy[0])
+            if mapping.lookup(logical) == physical_group:
+                allocator.retire(mapping.bind_run(logical, copy))
+            else:
+                allocator.retire(copy)
             self.stats.migrated_groups += 1
         yield from self.backbone.erase_block_row(victim_row)
         allocator.reclaim_row(victim_row)

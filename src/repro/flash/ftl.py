@@ -11,21 +11,26 @@ the block/group allocator, and validity tracking needed by garbage
 collection.  Timing is applied by the components that use them.
 
 A data section is contiguous, so it maps onto consecutive physical groups
-of one block row.  Both structures therefore also work in runs: the table
-keeps a mapped bitmap that answers "is this section all mapped?" with one
-scan, :meth:`BlockAllocator.allocate_run` hands out up to the rest of the
-active row in one call, :meth:`PageGroupMappingTable.bind_run` binds a run
-in one pass, and :meth:`BlockAllocator.retire` invalidates the groups a
-rewrite replaces, row by row.  A block row's state is built when the row
-is first opened; a row never opened is erased, empty and unworn.
+of one block row.  Both structures therefore work in runs, and runs are
+the only way the table changes: :meth:`BlockAllocator.allocate_run` hands
+out up to the rest of the active row, :meth:`PageGroupMappingTable.bind_run`
+binds a run of logical groups to them and returns the groups it replaced,
+and :meth:`BlockAllocator.retire` invalidates those.  The table keeps a
+mapped bitmap, so :meth:`PageGroupMappingTable.unmapped_runs` finds the
+parts of a section that still need binding.
+
+Every caller binds before it retires, so a physical group is valid exactly
+while a logical group maps to it.  Garbage collection relies on that: a
+row's valid groups are the ones it must migrate, and no mapping can point
+into a row it erased.  A block row's state is built when the row is first
+opened; a row never opened is erased, empty and unworn.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Set
+from typing import Deque, Dict, List, Optional, Set, Tuple
 
 from .geometry import FlashGeometry
 
@@ -79,53 +84,48 @@ class PageGroupMappingTable:
         """Physical group currently backing ``logical_group`` (or None)."""
         return self._map.get(logical_group)
 
-    def lookup_range(self, start: int, count: int) -> List[Optional[int]]:
-        """Physical groups (or None) backing ``count`` groups from ``start``."""
-        return list(map(self._map.get, range(start, start + count)))
+    def unmapped_runs(self, start: int,
+                      count: int) -> List[Tuple[int, int]]:
+        """``(first, length)`` of each maximal run of unmapped groups
+        among the ``count`` groups from ``start``, in order (groups past
+        the end of the bitmap are unmapped)."""
+        bits = self._mapped[start:start + count].ljust(count, b"\0")
+        runs = []
+        offset = bits.find(0)
+        while offset >= 0:
+            stop = bits.find(1, offset)
+            if stop < 0:
+                stop = count
+            runs.append((start + offset, stop - offset))
+            offset = bits.find(0, stop)
+        return runs
 
-    def mapped_count(self, start: int, count: int) -> int:
-        """How many of ``count`` groups from ``start`` are mapped."""
-        return self._mapped.count(1, start, start + count)
-
-    def _mark(self, start: int, end: int) -> None:
-        """Set the mapped bits of groups ``start`` to ``end - 1``."""
-        mapped = self._mapped
-        if end > len(mapped):
-            mapped.extend(bytes(end - len(mapped)))
-        mapped[start:end] = b"\x01" * (end - start)
-
-    def update(self, logical_group: int, physical_group: int) -> Optional[int]:
-        """Bind ``logical_group`` to ``physical_group``; returns the old one."""
-        if logical_group < 0:
-            raise ValueError("logical_group must be non-negative")
-        old = self._map.get(logical_group)
-        if old is not None and self._reverse.get(old) == logical_group:
-            del self._reverse[old]
-        self._map[logical_group] = physical_group
-        self._reverse[physical_group] = logical_group
-        if old is None:
-            self._mark(logical_group, logical_group + 1)
-        return old
-
-    def bind_run(self, start: int, physical: List[int]) -> None:
+    def bind_run(self, start: int, physical: List[int]) -> List[int]:
         """Bind the groups from ``start`` to ``physical``, one for one.
 
-        The result is :meth:`update` per group, in order.
+        Returns the physical groups the run replaced, for the caller to
+        retire once the binding is in place.
         """
         forward = self._map
         reverse = self._reverse
         end = start + len(physical)
+        replaced = []
         unmapped = False
         for owner, new in zip(range(start, end), physical):
             old = forward.get(owner)
             if old is None:
                 unmapped = True
-            elif reverse.get(old) == owner:
+            else:
                 del reverse[old]
+                replaced.append(old)
             forward[owner] = new
             reverse[new] = owner
         if unmapped:
-            self._mark(start, end)
+            mapped = self._mapped
+            if end > len(mapped):
+                mapped.extend(bytes(end - len(mapped)))
+            mapped[start:end] = b"\x01" * (end - start)
+        return replaced
 
     def reverse_lookup(self, physical_group: int) -> Optional[int]:
         return self._reverse.get(physical_group)
@@ -161,10 +161,6 @@ class BlockAllocator:
         self.groups_written = 0
 
     # -- allocation ---------------------------------------------------------
-    def allocate_group(self) -> int:
-        """Return the next free physical page-group number."""
-        return self.allocate_run(1)[0]
-
     def allocate_run(self, count: int) -> List[int]:
         """Up to ``count`` consecutive free groups of the active row.
 
@@ -202,45 +198,14 @@ class BlockAllocator:
             row.next_free_offset = 0
             row.valid_groups.clear()
 
-    def retire(self, stale: List[int]) -> bool:
-        """Invalidate the groups a rewrite of ``len(stale)`` groups replaces.
+    def retire(self, stale: List[int]) -> None:
+        """Invalidate ``stale`` groups, which no logical group maps any
+        more (the row may later be reclaimed)."""
+        rows = self.rows
+        for row_id in {group // self.groups_per_row for group in stale}:
+            rows[row_id].valid_groups.difference_update(stale)
 
-        A group-at-a-time rewrite invalidates each stale group just
-        before it allocates the replacement, so when space runs out
-        part-way, the stale groups past the failing one stay valid; this
-        does the same.  Returns False and changes nothing if a stale group
-        was not written since its row's last erase: the rewrite could then
-        be handed that group again, and only the group-at-a-time order
-        gives the right result.
-        """
-        per_row = self.groups_per_row
-        if len(stale) > len(self.free_rows) * per_row:
-            stale = stale[:self.free_group_count + 1]
-        # Row by row, lowest first: the highest stale group of each row
-        # must lie below the row's fill point.
-        ordered = sorted(stale)
-        rows = []
-        index = 0
-        while index < len(ordered):
-            row = self.rows.get(ordered[index] // per_row)
-            if row is None:
-                return False
-            base = row.row_id * per_row
-            index = bisect_left(ordered, base + per_row, index)
-            if ordered[index - 1] >= base + row.next_free_offset:
-                return False
-            rows.append(row)
-        for row in rows:
-            row.valid_groups.difference_update(stale)
-        return True
-
-    # -- validity / GC support -----------------------------------------------
-    def invalidate_group(self, physical_group: int) -> None:
-        """Mark a physical group as stale (its row may later be reclaimed)."""
-        row = self.rows.get(physical_group // self.groups_per_row)
-        if row is not None:
-            row.valid_groups.discard(physical_group)
-
+    # -- GC support ----------------------------------------------------------
     def pick_victim_round_robin(self) -> Optional[int]:
         """Pop the oldest used row (the paper's Storengine victim policy)."""
         if not self.used_rows:

@@ -69,7 +69,7 @@ class FlashGeometry:
                               word_bytes: int = 4) -> int:
         """Map a word-based backbone address to its page-group number."""
         if word_address < 0:
-            raise ValueError("word_address must be non-negative")
+            raise ValueError(f"address {word_address} is negative")
         byte_address = word_address * word_bytes
         group = byte_address // self.page_group_bytes
         if group >= self.page_groups_total:

@@ -40,10 +40,6 @@ class ClusterActivity:
         stat.update(now, stat.value + delta)
         self.series.record(now, stat.value)
 
-    @property
-    def active(self) -> float:
-        return self.stat.value
-
     def mean(self) -> float:
         return self.stat.mean(self.env.now)
 

@@ -60,10 +60,6 @@ class MemoryDevice:
                 f"{self.free_bytes} free of {self.capacity_bytes}")
         self._allocations[tag] = existing + num_bytes
 
-    def free(self, tag: str) -> int:
-        """Release the allocation registered under ``tag``."""
-        return self._allocations.pop(tag, 0)
-
     # -- timed accesses -----------------------------------------------------
     def read(self, num_bytes: int):
         """Process generator: timed read of ``num_bytes``."""

@@ -40,12 +40,6 @@ class EnergyBreakdown:
     def total(self) -> float:
         return self.data_movement + self.computation + self.storage_access
 
-    def fraction(self, bucket: str) -> float:
-        total = self.total
-        if total <= 0:
-            return 0.0
-        return getattr(self, bucket) / total
-
     def as_dict(self) -> Dict[str, float]:
         return {
             DATA_MOVEMENT: self.data_movement,

@@ -21,7 +21,6 @@ from .config import (
 )
 from .export import to_chrome_trace, validate_chrome_trace, write_chrome_trace
 from .metrics import (
-    Counter,
     Gauge,
     Histogram,
     Instrument,
@@ -34,7 +33,6 @@ from .wire import wire_cluster_metrics, wire_serving_metrics
 
 __all__ = [
     "CLUSTER_EDGE",
-    "Counter",
     "DEFAULT_CADENCE_S",
     "DEFAULT_TRACE_CAPACITY",
     "Gauge",

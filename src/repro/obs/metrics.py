@@ -1,8 +1,8 @@
 """Time-series metrics bus: named instruments sampled on a sim-time cadence.
 
 A :class:`MetricsBus` owns a set of named instruments — pull
-:class:`Gauge` s, cumulative-counter :class:`Rate` s, push
-:class:`Counter` s and windowed :class:`Histogram` s — and a sampler
+:class:`Gauge` s, cumulative-counter :class:`Rate` s and windowed
+:class:`Histogram` s — and a sampler
 process that reads every instrument on a fixed simulated cadence into a
 compact :class:`MetricsTimeline`.  The timeline serializes alongside
 :class:`~repro.serve.report.ServingReport` /
@@ -82,22 +82,6 @@ class Rate(Instrument):
         if prev is None or now <= prev[0]:
             return None
         return {"": (value - prev[1]) / (now - prev[0])}
-
-
-class Counter(Instrument):
-    """Push counter: instrumented code calls :meth:`add`; each tick
-    records the cumulative total."""
-
-    def __init__(self, name: str):
-        super().__init__(name)
-        self.total = 0.0
-
-    def add(self, amount: float = 1.0) -> None:
-        """Increment the counter by ``amount``."""
-        self.total += amount
-
-    def sample(self, now: float) -> Optional[Dict[str, float]]:
-        return {"": self.total}
 
 
 class Histogram(Instrument):
@@ -209,12 +193,6 @@ class MetricsBus:
         rate = Rate(name, fn)
         self.register(rate)
         return rate
-
-    def counter(self, name: str) -> Counter:
-        """Register a push counter."""
-        counter = Counter(name)
-        self.register(counter)
-        return counter
 
     def histogram(self, name: str) -> Histogram:
         """Register a windowed histogram."""

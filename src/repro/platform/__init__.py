@@ -10,7 +10,7 @@ This package sits between the device models (``repro.hw`` / ``repro.flash``
   counts, input scale, and feature toggles.  Its stable
   :meth:`~PlatformConfig.config_hash` keys the experiment result cache.
 * :class:`PlatformBuilder` — the single place the hardware substrate
-  (LWP cluster, DDR3L, scratchpad, crossbars, PCIe, flash backbone or
+  (LWP cluster, DDR3L, scratchpad, PCIe, flash backbone or
   NVMe SSD + host storage stack) is assembled.  Both systems consume the
   :class:`HardwareSubstrate` it produces instead of hand-wiring parts.
 * :class:`ClusterConfig` — a serializable fleet description for the

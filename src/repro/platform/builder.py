@@ -2,8 +2,8 @@
 
 Historically ``baseline/system.py`` and ``core/accelerator.py`` each
 hand-wired their own copies of the shared hardware (LWP cluster, DDR3L,
-PCIe, power monitoring) plus their private parts (flash backbone and
-crossbars vs. NVMe SSD and host storage stack).  :class:`PlatformBuilder`
+PCIe, power monitoring) plus their private parts (flash backbone
+vs. NVMe SSD and host storage stack).  :class:`PlatformBuilder`
 centralizes that wiring: it turns a :class:`~repro.platform.PlatformConfig`
 into a :class:`HardwareSubstrate`, and both systems build their software
 layers (Flashvisor, Storengine, schedulers, OpenMP driver) on top of it.
@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Optional, TYPE_CHECKING
 
 from ..sim.engine import Environment
-from ..hw.interconnect import Interconnect
 from ..hw.lwp import LWPCluster
 from ..hw.memory import DDR3L, Scratchpad
 from ..hw.pcie import PCIeLink
@@ -62,7 +61,7 @@ class HardwareSubstrate:
 
     The common parts (environment, energy accounting, LWP cluster, DDR3L,
     PCIe) are always present; the FlashAbacus-only parts (scratchpad,
-    crossbars, flash backbone) and the baseline-only parts (NVMe SSD, host
+    flash backbone) and the baseline-only parts (NVMe SSD, host
     CPU, host storage stack) are ``None`` on the other side.
     """
 
@@ -76,7 +75,6 @@ class HardwareSubstrate:
     pcie: PCIeLink
     # FlashAbacus side
     scratchpad: Optional[Scratchpad] = None
-    interconnect: Optional[Interconnect] = None
     backbone: Optional[FlashBackbone] = None
     # Baseline (SIMD) side
     ssd: Optional["NVMeSSD"] = None
@@ -112,7 +110,7 @@ class PlatformBuilder:
     # The two platform flavors                                             #
     # ------------------------------------------------------------------ #
     def build_flashabacus_substrate(self) -> HardwareSubstrate:
-        """LWPs + DDR3L + scratchpad + crossbars + PCIe + flash backbone."""
+        """LWPs + DDR3L + scratchpad + PCIe + flash backbone."""
         spec, energy, monitor, cluster, ddr, pcie = self._common(
             reserve_management_cores=True)
         return HardwareSubstrate(
@@ -125,7 +123,6 @@ class PlatformBuilder:
             ddr=ddr,
             pcie=pcie,
             scratchpad=Scratchpad(self.env, spec.memory, energy),
-            interconnect=Interconnect(self.env, spec.interconnect),
             backbone=FlashBackbone(self.env, spec.flash, energy,
                                    power_monitor=monitor),
         )

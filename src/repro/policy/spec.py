@@ -24,11 +24,12 @@ class PolicySpec:
     Frozen and deep-frozen (the params mapping is wrapped read-only):
     specs are embedded in cache-identity configs, so no field may be
     mutable in place.  Params must be JSON-serializable plain data —
-    :meth:`canonical` is the content identity the experiment cache keys
-    on, and it is computed eagerly so a non-serializable param fails at
-    construction, not deep inside a sweep.  Equality and hashing both
-    use the canonical form, so the eq/hash contract holds by
-    construction (two specs are equal iff they serialize identically).
+    the canonical JSON form (sorted keys, no whitespace) is the content
+    identity the experiment cache keys on, and it is computed eagerly so
+    a non-serializable param fails at construction, not deep inside a
+    sweep.  Equality and hashing both use the canonical form, so the
+    eq/hash contract holds by construction (two specs are equal iff they
+    serialize identically).
     """
 
     name: str
@@ -98,10 +99,6 @@ class PolicySpec:
         raise TypeError(f"cannot interpret {value!r} as a policy spec; "
                         f"pass a PolicySpec, a name string, or a "
                         f"{{'name': ..., 'params': ...}} dict")
-
-    def canonical(self) -> str:
-        """Canonical JSON form (sorted keys, no whitespace)."""
-        return self._canonical
 
     def config_hash(self) -> str:
         """Stable short hash of the canonical form (cache-key style)."""

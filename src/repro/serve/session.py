@@ -102,9 +102,8 @@ def arrival_driver(env, sink, requests: List[Request]):
     single-device front-end or the cluster layer's sharding dispatcher.
     """
     for request in requests:
-        delay = request.arrival_s - env.now
-        if delay > 0:
-            yield env.timeout(delay)
+        if request.arrival_s > env.now:
+            yield env.timeout_at(request.arrival_s)
         sink.submit(request)
     sink.close()
 

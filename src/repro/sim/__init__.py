@@ -10,7 +10,6 @@ from .engine import (
 )
 from .resources import BandwidthPipe, Resource, Store, TransferRecord
 from .stats import (
-    Counter,
     IntervalAccumulator,
     LatencyReservoir,
     SummaryStats,
@@ -29,7 +28,6 @@ __all__ = [
     "Resource",
     "Store",
     "TransferRecord",
-    "Counter",
     "IntervalAccumulator",
     "LatencyReservoir",
     "SummaryStats",

@@ -7,7 +7,7 @@ owns the virtual clock and the pending-event heap and advances time by
 popping the earliest scheduled event.
 
 The engine is the substrate for every timed model in this repository:
-LWPs, memories, crossbars, the flash backbone, the host storage stack of
+LWPs, memories, the flash backbone, the host storage stack of
 the baseline, and the FlashAbacus schedulers all run as processes on a
 single :class:`Environment`.
 

@@ -2,10 +2,10 @@
 
 These primitives model contention: a :class:`Resource` is a server with a
 fixed capacity and priority-ordered waiters (e.g. a flash channel bus or
-a die), a :class:`Store` is a FIFO of Python objects (e.g. a hardware
-message queue), and a :class:`BandwidthPipe` converts byte counts into
-occupancy time on a one-lane FIFO link with a fixed bandwidth and
-per-transfer latency (e.g. PCIe, DDR3L, the tier-1 crossbar, the flash
+a die), a :class:`Store` is a FIFO of Python objects (e.g. a flash
+controller's inbound transaction queue), and a :class:`BandwidthPipe`
+converts byte counts into occupancy time on a one-lane FIFO link with a
+fixed bandwidth and per-transfer latency (e.g. PCIe, DDR3L, the flash
 backbone's bulk lanes).
 
 A pipe serves one transfer at a time in arrival order, so it needs no
@@ -217,8 +217,8 @@ class BandwidthPipe:
 
     Transfers are serialized in arrival order (one transaction at a
     time), which captures the first-order contention behaviour of DDR
-    buses, PCIe links, the crossbar ports and the flash backbone's bulk
-    lanes in this reproduction.
+    buses, PCIe links and the flash backbone's bulk lanes in this
+    reproduction.
     """
 
     def __init__(self, env: Environment, bandwidth_bytes_per_s: float,

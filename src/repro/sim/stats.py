@@ -3,7 +3,6 @@
 Provides small accumulators used throughout the hardware and scheduler
 models:
 
-* :class:`Counter` — monotonically increasing named counters.
 * :class:`IntervalAccumulator` — accumulates busy intervals for utilization.
 * :class:`TimeWeightedStat` — time-weighted average of a piecewise-constant
   signal (queue depths, active-core counts, instantaneous power).
@@ -20,30 +19,6 @@ import math
 import random
 from bisect import bisect_left, bisect_right
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
-
-
-class Counter:
-    """A bag of named, monotonically increasing counters."""
-
-    def __init__(self) -> None:
-        self._values: Dict[str, float] = {}
-
-    def add(self, name: str, amount: float = 1.0) -> None:
-        """Increase counter ``name`` by ``amount`` (non-negative)."""
-        if amount < 0:
-            raise ValueError("counters only increase")
-        self._values[name] = self._values.get(name, 0.0) + amount
-
-    def get(self, name: str) -> float:
-        """Current value of ``name`` (0.0 if never incremented)."""
-        return self._values.get(name, 0.0)
-
-    def as_dict(self) -> Dict[str, float]:
-        """Copy of all counters as a plain dict."""
-        return dict(self._values)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Counter({self._values!r})"
 
 
 class IntervalAccumulator:

@@ -82,3 +82,18 @@ def check_golden(name: str, payload: Dict[str, Any],
         f"If the behavior change is intentional, regenerate with "
         f"`python -m pytest tests/test_goldens.py --update-goldens` and "
         f"commit the diff.")
+
+
+def assert_valid_exactly_while_mapped(flashvisor) -> None:
+    """The FTL invariant: a physical group is valid exactly while a
+    logical group maps to it."""
+    mapping = flashvisor.mapping
+    valid = set().union(*(row.valid_groups
+                          for row in flashvisor.allocator.rows.values()))
+    # Every valid group has an owner that still maps it ...
+    for group in valid:
+        owner = mapping.reverse_lookup(group)
+        assert owner is not None, f"valid group {group} has no owner"
+        assert mapping.lookup(owner) == group
+    # ... and there are as many valid groups as mapped logical groups.
+    assert len(valid) == len(mapping)

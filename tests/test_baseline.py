@@ -74,19 +74,14 @@ def test_stack_file_io_counts_copies_and_mode_switches(env, spec):
     assert energy.breakdown.data_movement > 0
 
 
-def test_host_cpu_busy_and_idle_accounting(env, spec):
+def test_host_cpu_idle_accounting(env, spec):
     energy = EnergyAccountant()
     host = HostCPU(env, spec.host, energy)
-
-    def work(env):
-        yield from host.busy(2.0)
-        yield env.timeout(2.0)
-
-    run_process(env, work(env))
     host.charge_idle(2.0)
-    assert host.busy_time() == pytest.approx(2.0)
-    assert host.utilization() == pytest.approx(0.5)
-    assert energy.breakdown.data_movement > 0
+    # Idle CPU and DRAM power, both charged to data movement.
+    assert energy.breakdown.data_movement == pytest.approx(
+        2.0 * (spec.host.cpu_idle_power_w + spec.host.dram_power_w))
+    assert energy.breakdown.total == energy.breakdown.data_movement
     with pytest.raises(ValueError):
         host.charge_idle(-1.0)
 

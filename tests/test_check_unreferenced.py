@@ -61,6 +61,34 @@ def test_a_registered_policy_is_used(tmp_path):
     }) == 0
 
 
+def test_a_local_variable_is_not_a_use_of_a_method(tmp_path, capsys):
+    assert check(tmp_path, {
+        "src/repro/table.py": (
+            "class Table:\n"
+            "    def invalidate(self):\n        return 1\n"
+            "    def busy(self):\n        return 2\n"
+            "    def nested(self):\n"
+            "        def helper():\n            return 3\n"
+            "        return helper()\n"
+            "    def counter(self):\n        return 4\n"
+            "def shadow(busy, counter):\n"
+            "    invalidate = busy\n"
+            "    def closure():\n        return counter\n"
+            "    return invalidate, closure()\n"),
+        "examples/table.py": (
+            "from repro.table import Table, shadow\n"
+            "shadow(Table().nested(), 0)\n"),
+    }) == 1
+    out = capsys.readouterr().out
+    # The local and the parameters are bound in the function that reads
+    # them or in one enclosing it; the nested defs are called, which is
+    # a use.
+    assert "src/repro/table.py:2: invalidate" in out
+    assert "src/repro/table.py:4: busy" in out
+    assert "src/repro/table.py:10: counter" in out
+    assert "helper" not in out and "closure" not in out
+
+
 def test_a_name_used_only_by_an_example_is_used(tmp_path, capsys):
     assert check(tmp_path, {}) == 0
     assert "every function" in capsys.readouterr().out

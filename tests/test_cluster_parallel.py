@@ -266,6 +266,60 @@ def test_backlog_rerouted_onto_a_drained_device_matches_serial():
     assert canonical_bytes(parallel) == canonical_bytes(serial)
 
 
+#: Two tenants for the sparse-trace differentials below.
+TRACE_TENANTS = (TenantSpec("a", 1.0, 0.25), TenantSpec("b", 1.0, 0.25))
+
+
+def sparse_trace_case(rng):
+    """A random sparse-trace fleet: 2-3 devices, 0-3 faults, 3-10
+    arrivals in 2 s."""
+    devices = rng.randint(2, 3)
+    cluster = ClusterConfig.homogeneous(
+        devices, PlatformConfig(system="IntraO3", input_scale=0.01),
+        placement=rng.choice(("round_robin", "tenant_affinity")),
+        faults=tuple(sorted(
+            (FaultSpec(round(rng.uniform(0.0, 2.0), 4),
+                       rng.randrange(devices),
+                       rng.choice(("failed", "degraded", "healthy")))
+             for _ in range(rng.randint(0, 3))),
+            key=lambda fault: fault.time_s)))
+    scenario = ServingScenario(
+        process="trace", duration_s=2.0, seed=rng.randrange(100),
+        tenants=TRACE_TENANTS,
+        trace_events=tuple(sorted(
+            (round(rng.uniform(0.0, 2.0), 6), rng.choice("ab"),
+             rng.choice(("ATAX", "GESUM")))
+            for _ in range(rng.randint(3, 10)))))
+    return cluster, scenario
+
+
+def test_generated_sparse_traces_match_serial():
+    # Arrivals and faults far apart from the clock that waits for them:
+    # a relative wait ``t - now`` rounds ``now + (t - now)`` differently
+    # on a shard's clock and on the shared one.
+    rng = random.Random(25)
+    for _ in range(60):
+        cluster, scenario = sparse_trace_case(rng)
+        serial = ClusterSession(scenario, cluster).run()
+        parallel = run_parallel(cluster, 1, scenario=scenario)
+        assert canonical_bytes(parallel) == canonical_bytes(serial), \
+            (cluster.placement, cluster.faults, scenario.trace_events)
+
+
+def test_late_recovery_after_sparse_arrivals_matches_serial():
+    cluster = ClusterConfig.homogeneous(
+        2, PlatformConfig(system="IntraO3", input_scale=0.01),
+        placement="round_robin", faults=(FaultSpec(1.9634, 0, "healthy"),))
+    scenario = ServingScenario(
+        process="trace", duration_s=2.0, seed=31, tenants=TRACE_TENANTS,
+        trace_events=((0.28171, "a", "ATAX"), (0.939156, "a", "GESUM"),
+                      (1.527954, "a", "GESUM")))
+    serial = ClusterSession(scenario, cluster).run()
+    assert serial.completed == 3
+    parallel = run_parallel(cluster, 1, scenario=scenario)
+    assert canonical_bytes(parallel) == canonical_bytes(serial)
+
+
 # --------------------------------------------------------------------------- #
 # Worker-count / schedule independence                                          #
 # --------------------------------------------------------------------------- #

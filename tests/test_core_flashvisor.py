@@ -10,7 +10,6 @@ from repro.core.flashvisor import Flashvisor
 from repro.core.kernel import build_kernel
 from repro.flash.backbone import FlashBackbone
 from repro.flash.ftl import OutOfSpaceError
-from repro.hw.interconnect import Interconnect
 from repro.hw.lwp import LWPCluster
 from repro.hw.memory import DDR3L, Scratchpad
 from repro.hw.power import EnergyAccountant
@@ -20,7 +19,7 @@ from repro.serve.session import build_serving_backend
 from repro.sim import Environment
 from repro.workloads import heterogeneous_workload
 
-from helpers import run_process
+from helpers import assert_valid_exactly_while_mapped, run_process
 
 
 def build_flashvisor(spec, flash_spec):
@@ -29,16 +28,22 @@ def build_flashvisor(spec, flash_spec):
     cluster = LWPCluster(env, spec.lwp, energy)
     ddr = DDR3L(env, spec.memory, energy)
     scratchpad = Scratchpad(env, spec.memory, energy)
-    interconnect = Interconnect(env, spec.interconnect)
     backbone = FlashBackbone(env, flash_spec, energy)
     flashvisor = Flashvisor(env, cluster.flashvisor_lwp, backbone, ddr,
-                            scratchpad, interconnect.new_queue("fv"), energy)
+                            scratchpad, spec.interconnect.message_queue_latency_s,
+                            energy)
     return env, flashvisor, backbone, energy
 
 
 @pytest.fixture
 def flashvisor_setup(spec):
     return build_flashvisor(spec, spec.flash)
+
+
+def mapped_groups(flashvisor, start, count):
+    """Physical groups (or None) backing ``count`` groups from ``start``."""
+    return [flashvisor.mapping.lookup(group)
+            for group in range(start, start + count)]
 
 
 def make_kernel(input_bytes=1024 * 1024, output_bytes=1024):
@@ -55,10 +60,10 @@ def test_translate_read_maps_unmapped_groups_on_first_use(flashvisor_setup):
     kernel = make_kernel()
     run_process(env, flashvisor.map_for_read(kernel, 0, 256 * 1024))
     assert len(flashvisor.mapping) == 4      # 256 KB / 64 KB page groups
-    groups = flashvisor.mapping.lookup_range(0, 4)
+    groups = mapped_groups(flashvisor, 0, 4)
     # Reading the section again reuses the same physical groups.
     run_process(env, flashvisor.map_for_read(kernel, 0, 256 * 1024))
-    assert flashvisor.mapping.lookup_range(0, 4) == groups
+    assert mapped_groups(flashvisor, 0, 4) == groups
     assert flashvisor.stats.groups_allocated == 4
 
 
@@ -202,23 +207,26 @@ def test_flashvisor_lwp_charged_for_translation(flashvisor_setup):
 # Extent translation against the group-at-a-time walk                          #
 # --------------------------------------------------------------------------- #
 def reference_translate(flashvisor, kind, word_address, num_bytes):
-    """One page group per iteration, the way translation used to run."""
+    """One page group per iteration: allocate, bind, then invalidate the
+    group it replaced."""
     geometry = flashvisor.geometry
+    allocator = flashvisor.allocator
     stats = flashvisor.stats
     start = geometry.word_address_to_group(word_address, flashvisor.word_bytes)
     groups = []
     for logical in range(start,
                          start + geometry.bytes_to_page_groups(num_bytes)):
         physical = flashvisor.mapping.lookup(logical)
-        if kind == "write" and physical is not None:
-            flashvisor.allocator.invalidate_group(physical)
         if kind == "write" or physical is None:
             try:
-                physical = flashvisor.allocator.allocate_group()
+                physical = allocator.allocate_run(1)[0]
             except OutOfSpaceError:
                 stats.reclaim_requests += 1
                 raise
-            flashvisor.mapping.update(logical, physical)
+            old = flashvisor.mapping.lookup(logical)
+            flashvisor.mapping.bind_run(logical, [physical])
+            if old is not None:
+                allocator.retire([old])
             stats.groups_allocated += 1
         groups.append(physical)
         stats.translations += 1
@@ -241,19 +249,32 @@ def translation_state(flashvisor):
             allocator.groups_written, asdict(flashvisor.stats))
 
 
+def reclaim(flashvisor):
+    """Storengine's GC without its timing: move each valid group of the
+    oldest used row to a fresh group, rebind its owner, erase the row."""
+    allocator = flashvisor.allocator
+    mapping = flashvisor.mapping
+    row = allocator.pick_victim_round_robin()
+    if row is not None:
+        for group in sorted(allocator.rows[row].valid_groups):
+            copy = allocator.allocate_run(1)
+            allocator.retire(mapping.bind_run(mapping.reverse_lookup(group),
+                                              copy))
+        allocator.reclaim_row(row)
+    return row
+
+
 def apply_op(flashvisor, op, translate):
     """Run one op; returns its groups, or the name of the error it raised."""
-    if op[0] == "reclaim":
-        row = flashvisor.allocator.pick_victim_round_robin()
-        if row is not None:
-            flashvisor.allocator.reclaim_row(row)
-        return row
-    kind, start, count, slack = op
-    geometry = flashvisor.geometry
-    count = min(count, geometry.page_groups_total - start)
-    word_address = start * geometry.page_group_bytes // flashvisor.word_bytes
-    num_bytes = count * geometry.page_group_bytes - slack
     try:
+        if op[0] == "reclaim":
+            return reclaim(flashvisor)
+        kind, start, count, slack = op
+        geometry = flashvisor.geometry
+        count = min(count, geometry.page_groups_total - start)
+        word_address = (start * geometry.page_group_bytes
+                        // flashvisor.word_bytes)
+        num_bytes = count * geometry.page_group_bytes - slack
         return translate(kind, word_address, num_bytes)
     except OutOfSpaceError as exc:
         return type(exc).__name__
@@ -282,13 +303,8 @@ extent_ops = st.lists(
 # Stale groups across a block-row boundary, then reclaim and rewrite.
 @example(ops=[("read", 3, 9, 100), ("write", 5, 12, 0), ("reclaim",),
               ("write", 0, 20, 4095), ("read", 0, 20, 0)])
-# A rewrite handed its own stale group: logical 1 maps to physical 0 and
-# logical 0 to physical 1, row 0 is erased without migration, rows 1-7
-# fill, and the rewrite of logical 0-1 reopens row 0.  Physical 0 goes to
-# logical 0 first and is then invalidated as logical 1's stale group.
-@example(ops=[("write", 1, 1, 0), ("write", 0, 1, 0), ("write", 8, 6, 0),
-              ("reclaim",), ("write", 14, 50, 0), ("write", 14, 6, 0),
-              ("write", 0, 2, 0)])
+# A partly mapped read: two unmapped runs around a mapped one.
+@example(ops=[("write", 4, 3, 0), ("read", 0, 10, 0)])
 def test_extent_translation_matches_group_walk(spec, tiny_flash_spec, ops):
     _env, extent, _backbone, _energy = build_flashvisor(spec, tiny_flash_spec)
     _env, walk, _backbone, _energy = build_flashvisor(spec, tiny_flash_spec)
@@ -299,7 +315,7 @@ def test_extent_translation_matches_group_walk(spec, tiny_flash_spec, ops):
         if kind == "write":
             return extent._write_extent(start, count)
         extent._read_extent(start, count)
-        return extent.mapping.lookup_range(start, count)
+        return mapped_groups(extent, start, count)
 
     def by_group(kind, word_address, num_bytes):
         return reference_translate(walk, kind, word_address, num_bytes)
@@ -308,6 +324,7 @@ def test_extent_translation_matches_group_walk(spec, tiny_flash_spec, ops):
         assert (apply_op(extent, op, by_extent)
                 == apply_op(walk, op, by_group)), op
         assert translation_state(extent) == translation_state(walk), op
+        assert_valid_exactly_while_mapped(extent)
 
 
 def test_out_of_space_mid_extent_counts_resolved_groups(spec, tiny_flash_spec):
@@ -324,6 +341,32 @@ def test_out_of_space_mid_extent_counts_resolved_groups(spec, tiny_flash_spec):
     assert flashvisor.stats.groups_allocated == 64
     assert flashvisor.stats.reclaim_requests == 1
     assert flashvisor.mapping.lookup(62) is None
+
+
+def test_rewrite_out_of_space_part_way_keeps_unreplaced_groups(
+        spec, tiny_flash_spec):
+    _env, flashvisor, _backbone, _energy = build_flashvisor(spec,
+                                                            tiny_flash_spec)
+    group_bytes = flashvisor.geometry.page_group_bytes
+    flashvisor.translate_write(0, 40 * group_bytes)
+    before = mapped_groups(flashvisor, 0, 40)
+    # 24 free groups: the rewrite replaces logical 0-23 and fails on 24.
+    with pytest.raises(OutOfSpaceError):
+        flashvisor.translate_write(0, 40 * group_bytes)
+    after = mapped_groups(flashvisor, 0, 40)
+    assert after[24:] == before[24:]
+    assert set(after[:24]).isdisjoint(before)
+    assert_valid_exactly_while_mapped(flashvisor)
+
+
+def test_negative_address_is_rejected_naming_it(flashvisor_setup):
+    env, flashvisor, _backbone, _energy = flashvisor_setup
+    with pytest.raises(ValueError, match="address -16 is negative"):
+        flashvisor.translate_write(-16, 4096)
+    with pytest.raises(ValueError, match="address -1 is negative"):
+        run_process(env, flashvisor.map_for_read(make_kernel(), -1, 4096))
+    assert len(flashvisor.mapping) == 0
+    assert flashvisor.stats.translations == 0
 
 
 # --------------------------------------------------------------------------- #
@@ -399,28 +442,24 @@ def test_range_lock_never_holds_more_ranges_than_workers(run, lwp_count):
 # Extent traffic: the shapes the run path is sized by                          #
 # --------------------------------------------------------------------------- #
 def record_translation_paths(accelerator):
-    """Count run binds, group walks and opened block rows on the instance."""
+    """Count the runs each extent binds, the extents that bind more than
+    one, and the opened block rows, on the instance."""
     flashvisor = accelerator.flashvisor
     allocator = flashvisor.allocator
-    seen = {"runs": 0, "walks": 0, "opened": set()}
-    bind_runs = flashvisor._bind_runs
-    walk_extent = flashvisor._walk_extent
+    seen = {"runs": 0, "split": 0, "opened": set()}
+    bind_extent = flashvisor._bind_extent
     open_new_row = allocator._open_new_row
 
-    def counting_runs(start, count):
-        seen["runs"] += 1
-        return bind_runs(start, count)
-
-    def counting_walk(start, count, rewrite):
-        seen["walks"] += 1
-        return walk_extent(start, count, rewrite)
+    def counting_bind(start, count, runs):
+        seen["runs"] += len(runs)
+        seen["split"] += len(runs) > 1
+        return bind_extent(start, count, runs)
 
     def recording_open():
         open_new_row()
         seen["opened"].add(allocator._active_row)
 
-    flashvisor._bind_runs = counting_runs
-    flashvisor._walk_extent = counting_walk
+    flashvisor._bind_extent = counting_bind
     allocator._open_new_row = recording_open
     return seen
 
@@ -428,16 +467,20 @@ def record_translation_paths(accelerator):
 @pytest.mark.parametrize("run", [serving_run, batch_run])
 def test_data_sections_map_as_whole_runs(run):
     # A data section is read or written whole, so every extent is wholly
-    # mapped or wholly unmapped: none takes the group walk, and only the
-    # block rows the runs opened exist.
+    # mapped or wholly unmapped: none splits into more than one run, and
+    # only the block rows the runs opened exist.
     seen, accelerator = run(PlatformConfig(system="IntraO3",
                                            input_scale=0.01),
                             record_translation_paths)
     flashvisor = accelerator.flashvisor
     assert seen["runs"] > 0
-    assert seen["walks"] == 0
+    assert seen["split"] == 0
     assert len(flashvisor.allocator.rows) == len(seen["opened"]) > 0
-    # The count is not vacuous: the highest mapped group plus the
-    # unmapped one after it is a mixed extent, and that walks.
-    flashvisor._read_extent(len(flashvisor.mapping._mapped) - 1, 2)
-    assert seen["walks"] == 1
+    assert_valid_exactly_while_mapped(flashvisor)
+    # The count is not vacuous: past the highest mapped group h, map
+    # h + 2 alone; then h to h + 3 has two unmapped runs.
+    highest = len(flashvisor.mapping._mapped) - 1
+    flashvisor._read_extent(highest + 2, 1)
+    assert seen["split"] == 0
+    flashvisor._read_extent(highest, 4)
+    assert seen["split"] == 1

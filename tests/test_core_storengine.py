@@ -5,7 +5,6 @@ import pytest
 from repro.core.flashvisor import Flashvisor
 from repro.core.storengine import Storengine
 from repro.flash.backbone import FlashBackbone
-from repro.hw.interconnect import Interconnect
 from repro.hw.lwp import LWPCluster
 from repro.hw.memory import DDR3L, Scratchpad
 from repro.hw.power import EnergyAccountant
@@ -19,10 +18,10 @@ def build_stack(spec, flash_spec=None, **storengine_kwargs):
     cluster = LWPCluster(env, spec.lwp, energy)
     ddr = DDR3L(env, spec.memory, energy)
     scratchpad = Scratchpad(env, spec.memory, energy)
-    interconnect = Interconnect(env, spec.interconnect)
     backbone = FlashBackbone(env, flash_spec or spec.flash, energy)
     flashvisor = Flashvisor(env, cluster.flashvisor_lwp, backbone, ddr,
-                            scratchpad, interconnect.new_queue("fv"), energy)
+                            scratchpad, spec.interconnect.message_queue_latency_s,
+                            energy)
     storengine = Storengine(env, cluster.storengine_lwp, flashvisor, backbone,
                             energy, **storengine_kwargs)
     return env, flashvisor, storengine, backbone

@@ -17,17 +17,13 @@ def geometry(tiny_flash_spec):
 def test_mapping_lookup_and_update(geometry):
     table = PageGroupMappingTable(geometry)
     assert table.lookup(5) is None
-    assert table.update(5, 100) is None
+    assert table.bind_run(5, [100]) == []
     assert table.lookup(5) == 100
-    assert table.update(5, 200) == 100
+    # A rebind returns the groups it replaced, for the caller to retire.
+    assert table.bind_run(4, [199, 200]) == [100]
     assert table.reverse_lookup(200) == 5
-    assert len(table) == 1
-
-
-def test_mapping_rejects_negative_logical_group(geometry):
-    table = PageGroupMappingTable(geometry)
-    with pytest.raises(ValueError):
-        table.update(-1, 0)
+    assert table.reverse_lookup(100) is None
+    assert len(table) == 2
 
 
 def test_mapping_table_size_matches_paper_arithmetic(spec):
@@ -43,20 +39,22 @@ def test_mapping_table_size_matches_paper_arithmetic(spec):
 def test_mapping_mapped_groups_sorted(geometry):
     table = PageGroupMappingTable(geometry)
     for logical in (9, 3, 7):
-        table.update(logical, logical * 10)
+        table.bind_run(logical, [logical * 10])
     assert len(table) == 3
     assert [g for g in range(10) if table.lookup(g) is not None] == [3, 7, 9]
 
 
 def test_mapped_bitmap_counts_and_grows_only_to_the_highest_group(geometry):
     table = PageGroupMappingTable(geometry)
-    assert table.mapped_count(0, geometry.page_groups_total) == 0
+    total = geometry.page_groups_total
+    assert table.unmapped_runs(0, total) == [(0, total)]
     table.bind_run(4, [40, 41, 42])
-    table.update(9, 90)
+    table.bind_run(9, [90])
     assert len(table._mapped) == 10
-    assert table.mapped_count(0, 16) == 4
-    assert table.mapped_count(4, 3) == 3
-    assert table.lookup_range(4, 3) == [40, 41, 42]
+    assert table.unmapped_runs(0, 16) == [(0, 4), (7, 2), (10, 6)]
+    assert table.unmapped_runs(4, 3) == []
+    assert table.unmapped_runs(6, 4) == [(7, 2)]
+    assert [table.lookup(group) for group in (4, 5, 6)] == [40, 41, 42]
     assert table.reverse_lookup(41) == 5
 
 
@@ -65,7 +63,7 @@ def test_mapped_bitmap_counts_and_grows_only_to_the_highest_group(geometry):
 # --------------------------------------------------------------------------- #
 def test_allocator_hands_out_sequential_groups(geometry):
     allocator = BlockAllocator(geometry, overprovision=0.1)
-    groups = [allocator.allocate_group() for _ in range(10)]
+    groups = [allocator.allocate_run(1)[0] for _ in range(10)]
     assert groups == list(range(10))
     assert allocator.groups_written == 10
 
@@ -84,33 +82,34 @@ def test_allocate_run_stops_at_the_row_end_and_rows_build_on_open(geometry):
 def test_allocator_free_count_decreases(geometry):
     allocator = BlockAllocator(geometry, overprovision=0.1)
     before = allocator.free_group_count
-    allocator.allocate_group()
-    assert allocator.free_group_count == before - 1
+    allocator.allocate_run(3)
+    assert allocator.free_group_count == before - 3
 
 
 def test_allocator_moves_full_rows_to_used_pool(geometry):
     allocator = BlockAllocator(geometry, overprovision=0.1)
     for _ in range(allocator.groups_per_row):
-        allocator.allocate_group()
+        allocator.allocate_run(1)
     assert list(allocator.used_rows) == [0]
 
 
 def test_allocator_out_of_space(geometry):
     allocator = BlockAllocator(geometry, overprovision=0.1)
     total = geometry.page_groups_total
-    for _ in range(total):
-        allocator.allocate_group()
+    while total:
+        total -= len(allocator.allocate_run(total))
     with pytest.raises(OutOfSpaceError):
-        allocator.allocate_group()
+        allocator.allocate_run(1)
 
 
 def test_allocator_invalidate_and_round_robin_victim(geometry):
     allocator = BlockAllocator(geometry, overprovision=0.1)
-    for _ in range(2 * allocator.groups_per_row):
-        allocator.allocate_group()
-    # Invalidate everything in row 1, nothing in row 0.
-    for group in range(allocator.groups_per_row, 2 * allocator.groups_per_row):
-        allocator.invalidate_group(group)
+    per_row = allocator.groups_per_row
+    allocator.allocate_run(per_row)
+    # Retire everything in row 1, nothing in row 0.
+    allocator.retire(allocator.allocate_run(per_row))
+    assert allocator.rows[1].valid_count == 0
+    assert allocator.rows[0].valid_count == per_row
     # Round robin ignores validity: the first used row is picked first.
     assert allocator.pick_victim_round_robin() == 0
     assert allocator.pick_victim_round_robin() == 1
@@ -119,18 +118,17 @@ def test_allocator_invalidate_and_round_robin_victim(geometry):
 
 def test_allocator_greedy_victim_prefers_fewest_valid(geometry):
     allocator = BlockAllocator(geometry, overprovision=0.1)
-    for _ in range(2 * allocator.groups_per_row):
-        allocator.allocate_group()
-    for group in range(allocator.groups_per_row, 2 * allocator.groups_per_row):
-        allocator.invalidate_group(group)
+    per_row = allocator.groups_per_row
+    allocator.allocate_run(per_row)
+    allocator.retire(allocator.allocate_run(per_row))
     assert allocator.pick_victim_greedy() == 1
 
 
 def test_allocator_reclaim_returns_row_and_counts_erase(geometry):
     allocator = BlockAllocator(geometry, overprovision=0.1)
     # Fill one row and open the next.
-    for _ in range(allocator.groups_per_row + 1):
-        allocator.allocate_group()
+    allocator.allocate_run(allocator.groups_per_row)
+    allocator.allocate_run(1)
     victim = allocator.pick_victim_round_robin()
     free_before = len(allocator.free_rows)
     erases_before = {row_id: row.erase_count
@@ -148,8 +146,8 @@ def test_allocator_needs_gc_when_free_pool_shrinks(geometry):
     allocator = BlockAllocator(geometry, overprovision=0.2)
     assert not allocator.needs_gc()
     usable_rows = allocator.total_rows - allocator.reserved_rows
-    for _ in range(usable_rows * allocator.groups_per_row):
-        allocator.allocate_group()
+    for _ in range(usable_rows):
+        allocator.allocate_run(allocator.groups_per_row)
     assert allocator.needs_gc()
 
 
@@ -163,11 +161,10 @@ def test_allocator_rejects_bad_overprovision(geometry):
 # --------------------------------------------------------------------------- #
 def test_reverse_lookup_tracks_remaps(geometry):
     table = PageGroupMappingTable(geometry)
-    table.update(3, 30)
-    table.update(4, 40)
+    table.bind_run(3, [30, 40])
     assert table.reverse_lookup(30) == 3
     # Remapping logical 3 releases physical 30 from the reverse direction.
-    table.update(3, 31)
+    table.bind_run(3, [31])
     assert table.reverse_lookup(30) is None
     assert table.reverse_lookup(31) == 3
     assert table.reverse_lookup(40) == 4
@@ -180,16 +177,12 @@ def test_reverse_lookup_consistent_under_churn(geometry):
     rng = random.Random(17)
     next_physical = 0
     for _ in range(500):
+        # Runs over mapped and unmapped groups alike.
         logical = rng.randrange(32)
-        if rng.random() < 0.25:
-            # A run over mapped and unmapped groups alike.
-            run = rng.randint(1, 4)
-            table.bind_run(logical, list(range(next_physical,
-                                               next_physical + run)))
-            next_physical += run
-        else:
-            table.update(logical, next_physical)
-            next_physical += 1
+        run = rng.choice((1, 1, 1, 2, 3, 4))
+        table.bind_run(logical, list(range(next_physical,
+                                           next_physical + run)))
+        next_physical += run
     forward = {log: table.lookup(log) for log in range(36)
                if table.lookup(log) is not None}
     for logical, physical in forward.items():

@@ -6,16 +6,19 @@ keeping up in the background, keep wear level spread bounded, and reclaim
 correctly under both victim policies.
 """
 
+import random
+
 import pytest
 
 from repro.core.flashvisor import Flashvisor
 from repro.core.storengine import Storengine
 from repro.flash.backbone import FlashBackbone
-from repro.hw.interconnect import Interconnect
 from repro.hw.lwp import LWPCluster
 from repro.hw.memory import DDR3L, Scratchpad
 from repro.hw.power import EnergyAccountant
 from repro.sim import Environment
+
+from helpers import assert_valid_exactly_while_mapped
 
 
 def build_stack(spec, flash_spec, **storengine_kwargs):
@@ -24,22 +27,24 @@ def build_stack(spec, flash_spec, **storengine_kwargs):
     cluster = LWPCluster(env, spec.lwp, energy)
     ddr = DDR3L(env, spec.memory, energy)
     scratchpad = Scratchpad(env, spec.memory, energy)
-    interconnect = Interconnect(env, spec.interconnect)
     backbone = FlashBackbone(env, flash_spec, energy)
     flashvisor = Flashvisor(env, cluster.flashvisor_lwp, backbone, ddr,
-                            scratchpad, interconnect.new_queue("fv"), energy)
+                            scratchpad, spec.interconnect.message_queue_latency_s,
+                            energy)
     storengine = Storengine(env, cluster.storengine_lwp, flashvisor, backbone,
                             energy, **storengine_kwargs)
     return env, flashvisor, storengine, backbone
 
 
 def sustained_writer(env, flashvisor, geometry, rounds, logical_span,
-                     pace_s=2e-4):
-    """Paced stream of overwrites across ``logical_span`` logical groups."""
+                     pace_s=2e-4, rng=None):
+    """Paced stream of overwrites across ``logical_span`` logical groups,
+    in order, or in random order when given ``rng``."""
     group_bytes = geometry.page_group_bytes
     words_per_group = group_bytes // 4
     for i in range(rounds):
-        logical = i % logical_span
+        logical = (i % logical_span if rng is None
+                   else rng.randrange(logical_span))
         flashvisor.translate_write(logical * words_per_group, group_bytes)
         yield env.timeout(pace_s)
 
@@ -117,3 +122,22 @@ def test_sustained_writes_preserve_live_mappings(
         assert physical is not None
         # The maintained reverse direction agrees after arbitrary GC moves.
         assert flashvisor.mapping.reverse_lookup(physical) == logical
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_random_rewrites_leave_valid_exactly_the_mapped_groups(
+        spec, tiny_flash_spec, seed):
+    # Rewrites land while GC copies: a group rewritten after the victim
+    # was picked must not be copied, and a copy whose owner was rewritten
+    # during the copy must not be bound.
+    env, flashvisor, storengine, backbone = build_stack(
+        spec, tiny_flash_spec, poll_interval_s=1e-4, journal_interval_s=1e3)
+    geometry = backbone.geometry
+    rounds = geometry.page_groups_total * 6
+    writer = env.process(sustained_writer(
+        env, flashvisor, geometry, rounds, geometry.page_groups_total // 3,
+        rng=random.Random(seed)))
+    env.run(until=rounds * 2e-4 + 1.0)
+    assert writer.triggered and writer.ok
+    assert storengine.stats.erased_rows > 0
+    assert_valid_exactly_while_mapped(flashvisor)

@@ -23,7 +23,8 @@ def test_energy_breakdown_total_and_fraction():
     breakdown = EnergyBreakdown(data_movement=2.0, computation=1.0,
                                 storage_access=1.0)
     assert breakdown.total == pytest.approx(4.0)
-    assert breakdown.fraction(DATA_MOVEMENT) == pytest.approx(0.5)
+    assert breakdown.as_dict()[DATA_MOVEMENT] / breakdown.total \
+        == pytest.approx(0.5)
     assert breakdown.as_dict()["total"] == pytest.approx(4.0)
 
 
@@ -34,13 +35,11 @@ def test_energy_breakdown_normalization():
                                   storage_access=1.0)
     # Normalized to the baseline's total, as the paper's energy plots are.
     assert flashabacus.total / simd.total == pytest.approx(0.2)
-    # Each breakdown's own fractions are normalized to one.
+    # The three buckets partition each breakdown's total.
     for breakdown in (simd, flashabacus):
-        assert sum(breakdown.fraction(b) for b in BUCKETS) \
-            == pytest.approx(1.0)
-    assert simd.fraction(DATA_MOVEMENT) == pytest.approx(0.8)
-    # A breakdown without energy has zero fractions, not a division error.
-    assert EnergyBreakdown().fraction(DATA_MOVEMENT) == 0.0
+        assert sum(breakdown.as_dict()[b] for b in BUCKETS) \
+            == pytest.approx(breakdown.total)
+    assert EnergyBreakdown().total == 0.0
 
 
 def test_accountant_charges_by_component_and_bucket():

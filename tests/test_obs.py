@@ -248,9 +248,9 @@ def test_gauge_none_and_empty_histogram_leave_gaps():
 
 def test_duplicate_instrument_name_rejected():
     bus = MetricsBus(cadence_s=1.0)
-    bus.counter("c")
+    bus.histogram("c")
     with pytest.raises(ValueError):
-        bus.counter("c")
+        bus.histogram("c")
 
 
 # --------------------------------------------------------------------------- #

@@ -129,7 +129,6 @@ def test_builder_assembles_flashabacus_substrate():
     substrate = PlatformBuilder(PlatformConfig(system="IntraO3")).build()
     assert substrate.backbone is not None
     assert substrate.scratchpad is not None
-    assert substrate.interconnect is not None
     assert substrate.ssd is None and substrate.host is None
     # Two management LWPs are reserved out of the worker pool.
     assert len(substrate.cluster.workers) == substrate.spec.lwp.count - 2

@@ -78,7 +78,7 @@ def test_fuzzed_specs_round_trip_losslessly_with_stable_hashes():
             rebuilt = PolicySpec.from_dict(
                 json.loads(json.dumps(spec.to_dict())))
             assert rebuilt == spec, (domain, name, params)
-            assert rebuilt.canonical() == spec.canonical()
+            assert rebuilt._canonical == spec._canonical
             assert rebuilt.config_hash() == spec.config_hash()
             assert hash(rebuilt) == hash(spec)
             # The content hash is insertion-order independent: the same

@@ -139,34 +139,55 @@ def test_geometry_group_expansion_is_unique_and_in_bounds(flash_spec, group):
 
 
 @settings(max_examples=50, deadline=None)
-@given(flash_spec_strategy, st.integers(min_value=1, max_value=200))
-def test_allocator_never_hands_out_duplicate_live_groups(flash_spec, count):
+@given(flash_spec_strategy,
+       st.lists(st.integers(min_value=1, max_value=40), min_size=1,
+                max_size=60))
+def test_allocator_never_hands_out_duplicate_live_groups(flash_spec, runs):
     geometry = FlashGeometry(flash_spec)
     allocator = BlockAllocator(geometry, overprovision=0.1)
     allocated = []
-    for _ in range(count):
+    for count in runs:
         try:
-            allocated.append(allocator.allocate_group())
+            run = allocator.allocate_run(count)
         except OutOfSpaceError:
             break
+        assert 1 <= len(run) <= count
+        allocated += run
     assert len(allocated) == len(set(allocated))
     assert all(0 <= g < geometry.page_groups_total for g in allocated)
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.tuples(st.integers(min_value=0, max_value=255),
-                          st.integers(min_value=0, max_value=100_000)),
+                          st.integers(min_value=1, max_value=8)),
                 min_size=1, max_size=100))
-def test_mapping_table_reflects_last_update(pairs):
+def test_mapping_table_reflects_last_update(runs):
     geometry = FlashGeometry(FlashSpec())
     table = PageGroupMappingTable(geometry)
     expected = {}
-    for logical, physical in pairs:
-        table.update(logical, physical)
-        expected[logical] = physical
+    next_physical = 0
+    for start, count in runs:
+        physical = list(range(next_physical, next_physical + count))
+        next_physical += count
+        replaced = [expected[g] for g in range(start, start + count)
+                    if g in expected]
+        assert table.bind_run(start, physical) == replaced
+        expected.update(zip(range(start, start + count), physical))
     for logical, physical in expected.items():
         assert table.lookup(logical) == physical
+        assert table.reverse_lookup(physical) == logical
     assert len(table) == len(expected)
+    assert table.unmapped_runs(0, 263) == _gaps(sorted(expected), 263)
+
+
+def _gaps(mapped, end):
+    """Maximal runs of groups below ``end`` missing from sorted ``mapped``."""
+    gaps, previous = [], -1
+    for group in mapped + [end]:
+        if group > previous + 1:
+            gaps.append((previous + 1, group - previous - 1))
+        previous = group
+    return gaps
 
 
 # --------------------------------------------------------------------------- #

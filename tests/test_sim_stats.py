@@ -3,32 +3,11 @@
 import pytest
 
 from repro.sim.stats import (
-    Counter,
     IntervalAccumulator,
     SummaryStats,
     TimeSeries,
     TimeWeightedStat,
 )
-
-
-# --------------------------------------------------------------------------- #
-# Counter                                                                      #
-# --------------------------------------------------------------------------- #
-def test_counter_accumulates_by_name():
-    counter = Counter()
-    counter.add("reads")
-    counter.add("reads", 2)
-    counter.add("writes", 0.5)
-    assert counter.get("reads") == 3
-    assert counter.get("writes") == 0.5
-    assert counter.get("missing") == 0.0
-    assert counter.as_dict() == {"reads": 3, "writes": 0.5}
-
-
-def test_counter_rejects_negative_increments():
-    counter = Counter()
-    with pytest.raises(ValueError):
-        counter.add("x", -1)
 
 
 # --------------------------------------------------------------------------- #

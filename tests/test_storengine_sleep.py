@@ -37,7 +37,6 @@ from repro.core.storengine import Storengine
 from repro.eval import run_system
 from repro.flash.backbone import FlashBackbone
 from repro.flash.ftl import OutOfSpaceError
-from repro.hw.interconnect import Interconnect
 from repro.hw.lwp import LWPCluster
 from repro.hw.memory import DDR3L, Scratchpad
 from repro.hw.power import EnergyAccountant
@@ -116,10 +115,10 @@ def build_stack(spec, flash_spec, storengine_cls, poll, journal):
     cluster = LWPCluster(env, spec.lwp, energy)
     ddr = DDR3L(env, spec.memory, energy)
     scratchpad = Scratchpad(env, spec.memory, energy)
-    interconnect = Interconnect(env, spec.interconnect)
     backbone = FlashBackbone(env, flash_spec, energy)
     flashvisor = Flashvisor(env, cluster.flashvisor_lwp, backbone, ddr,
-                            scratchpad, interconnect.new_queue("fv"), energy)
+                            scratchpad, spec.interconnect.message_queue_latency_s,
+                            energy)
     storengine = storengine_cls(env, cluster.storengine_lwp, flashvisor,
                                 backbone, energy, poll_interval_s=poll,
                                 journal_interval_s=journal)

@@ -3,12 +3,16 @@
 
 Collects every ``def`` and ``class`` in ``src/repro`` (dunder names are
 skipped: the language calls them).  Then it collects every identifier
-the repository's Python files outside ``tests/`` use — a name read or
-written (``foo``), an attribute (``x.foo``) or an import (``from m
-import foo``) — parsed with :mod:`ast`, so comments and string literals
-do not count and f-string expressions do.  Two rules keep the count
-honest:
+the repository's Python files outside ``tests/`` use — a bare name
+read (``foo``), an attribute (``x.foo``) or an import (``from m import
+foo``) — parsed with :mod:`ast`, so comments and string literals do not
+count and f-string expressions do.  Three rules keep the count honest:
 
+- a bare name counts only where it is read and no enclosing function
+  binds it as a variable (a parameter, an assignment target, an import
+  or an exception name): a local ``invalidate = ...``, or a closure's
+  read of its outer function's ``counter`` parameter, is not a use of a
+  method of that name, while a call of a nested ``def`` is a use of it;
 - an import in a ``src/repro/**/__init__.py`` is not a use: a package
   re-export names a definition without calling it;
 - a class decorated with ``@register_policy`` is used: the policy
@@ -42,6 +46,7 @@ SKIP_DIRS = {".git", ".github", "__pycache__", ".pytest_cache",
              ".claude", "build", "dist"}
 
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 
 
 def python_files(root: Path) -> Iterator[Path]:
@@ -56,17 +61,49 @@ def parse(path: Path) -> ast.AST:
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
+def local_names(function: ast.AST) -> Set[str]:
+    """Variables ``function`` binds in its own scope, less those it
+    declares ``global`` or ``nonlocal``; nested definitions are not
+    variables."""
+    arguments = function.args
+    bound = {arg.arg for arg in (*arguments.posonlyargs, *arguments.args,
+                                 *arguments.kwonlyargs, arguments.vararg,
+                                 arguments.kwarg) if arg is not None}
+    declared: Set[str] = set()
+    body = function.body
+    pending = list(body) if isinstance(body, list) else [body]
+    while pending:
+        node = pending.pop()
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            bound.add(node.id)
+        elif isinstance(node, (ast.Global, ast.Nonlocal)):
+            declared.update(node.names)
+        elif isinstance(node, ast.alias):
+            bound.add(node.asname or node.name.split(".")[0])
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            bound.add(node.name)
+        if not isinstance(node, DEFINITIONS + FUNCTIONS):
+            pending.extend(ast.iter_child_nodes(node))
+    return bound - declared
+
+
 def used_names(tree: ast.AST, count_imports: bool = True) -> Set[str]:
     names: Set[str] = set()
-    for node in ast.walk(tree):
+    pending = [(tree, frozenset())]
+    while pending:
+        node, local = pending.pop()
         if isinstance(node, ast.Name):
-            names.add(node.id)
+            if isinstance(node.ctx, ast.Load) and node.id not in local:
+                names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
         elif isinstance(node, ast.alias) and count_imports:
             names.update(node.name.split("."))
             if node.asname:
                 names.add(node.asname)
+        if isinstance(node, FUNCTIONS):
+            local = local | local_names(node)
+        pending.extend((child, local) for child in ast.iter_child_nodes(node))
     return names
 
 
