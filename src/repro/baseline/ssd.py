@@ -71,6 +71,3 @@ class NVMeSSD:
             self.energy.charge_power(self.name, STORAGE_ACCESS,
                                      self.spec.active_power_w,
                                      self.env.now - start)
-
-    def utilization(self) -> float:
-        return self._device.utilization()

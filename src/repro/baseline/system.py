@@ -42,10 +42,6 @@ class KernelTimeBreakdown:
     ssd_s: float = 0.0
     host_stack_s: float = 0.0
 
-    @property
-    def total_s(self) -> float:
-        return self.accelerator_s + self.ssd_s + self.host_stack_s
-
 
 class BaselineSystem:
     """Host + NVMe SSD + low-power accelerator over PCIe (``SIMD``)."""

@@ -21,7 +21,6 @@ from .autoscale import (
     AutoscaleController,
     AutoscalerPolicy,
     FleetSignals,
-    P99TargetAutoscaler,
     QueueDepthThresholdAutoscaler,
 )
 from .dispatcher import ClusterDispatcher
@@ -46,7 +45,6 @@ __all__ = [
     "AutoscaleController",
     "AutoscalerPolicy",
     "FleetSignals",
-    "P99TargetAutoscaler",
     "QueueDepthThresholdAutoscaler",
     "ClusterDispatcher",
     "DeviceHealth",

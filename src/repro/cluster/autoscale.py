@@ -26,15 +26,11 @@ Built-in policies
 * ``queue_depth_threshold`` — scale on per-device load: a standing
   queue above ``scale_up_depth`` adds a device; outstanding work
   (queued + in-flight) below ``scale_down_depth`` removes one.
-* ``p99_target`` — track a tail-latency target with hysteresis: the
-  windowed p99 must sit above the target (or below ``low_fraction`` of
-  it) for ``patience`` consecutive control ticks before the fleet moves,
-  so a single noisy window cannot flap the fleet.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from ..policy import build_policy, register_policy
 
@@ -52,24 +48,13 @@ class FleetSignals:
     testable and keeps the observation surface explicit).
     """
 
-    __slots__ = ("now", "active_devices", "min_devices", "max_devices",
-                 "queued_total", "in_flight_total", "window_completed",
-                 "window_p99_s", "rolling_p99_s", "window_arrivals")
+    __slots__ = ("active_devices", "queued_total", "in_flight_total")
 
-    def __init__(self, now: float, active_devices: int, min_devices: int,
-                 max_devices: int, queued_total: int, in_flight_total: int,
-                 window_completed: int, window_p99_s: Optional[float],
-                 rolling_p99_s: Optional[float], window_arrivals: int):
-        self.now = now
+    def __init__(self, active_devices: int, queued_total: int,
+                 in_flight_total: int):
         self.active_devices = active_devices
-        self.min_devices = min_devices
-        self.max_devices = max_devices
         self.queued_total = queued_total
         self.in_flight_total = in_flight_total
-        self.window_completed = window_completed
-        self.window_p99_s = window_p99_s
-        self.rolling_p99_s = rolling_p99_s
-        self.window_arrivals = window_arrivals
 
     @property
     def queued_per_device(self) -> float:
@@ -135,60 +120,6 @@ class QueueDepthThresholdAutoscaler(AutoscalerPolicy):
         return signals.active_devices
 
 
-@register_policy("autoscaler")
-class P99TargetAutoscaler(AutoscalerPolicy):
-    """Track a p99 latency target with consecutive-tick hysteresis.
-
-    The windowed p99 (completions since the previous control tick) must
-    breach for ``patience`` consecutive ticks before the fleet moves:
-    above ``target_p99_s`` it grows, below ``low_fraction * target_p99_s``
-    (with a near-empty queue) it shrinks.  A window with no completions
-    falls back to queue pressure: a standing queue deeper than the active
-    device count reads as over-target, an empty one as under-target.
-    """
-
-    name = "p99_target"
-
-    def __init__(self, target_p99_s: float = 0.25,
-                 low_fraction: float = 0.5, patience: int = 2,
-                 step: int = 1):
-        if target_p99_s <= 0:
-            raise ValueError("target_p99_s must be positive")
-        if not 0.0 < low_fraction < 1.0:
-            raise ValueError("low_fraction must be in (0, 1)")
-        if patience < 1:
-            raise ValueError("patience must be >= 1")
-        if step < 1:
-            raise ValueError("step must be >= 1")
-        self.target_p99_s = target_p99_s
-        self.low_fraction = low_fraction
-        self.patience = patience
-        self.step = step
-        self._over_ticks = 0
-        self._under_ticks = 0
-
-    def target(self, signals: FleetSignals) -> int:
-        """Move only after ``patience`` consecutive breaching windows."""
-        p99 = signals.window_p99_s
-        if p99 is not None:
-            over = p99 > self.target_p99_s
-            under = (p99 < self.low_fraction * self.target_p99_s
-                     and signals.queued_per_device < 1.0)
-        else:
-            # Quiet window: queue pressure stands in for the tail.
-            over = signals.queued_total > signals.active_devices
-            under = signals.queued_total == 0
-        self._over_ticks = self._over_ticks + 1 if over else 0
-        self._under_ticks = self._under_ticks + 1 if under else 0
-        if self._over_ticks >= self.patience:
-            self._over_ticks = 0
-            return signals.active_devices + self.step
-        if self._under_ticks >= self.patience:
-            self._under_ticks = 0
-            return signals.active_devices - self.step
-        return signals.active_devices
-
-
 class AutoscaleController:
     """The elastic-fleet control loop of one cluster run.
 
@@ -200,7 +131,7 @@ class AutoscaleController:
     machinery, exactly like the fault path does.
     """
 
-    def __init__(self, env, dispatcher, cluster, fleet,
+    def __init__(self, env, dispatcher, cluster,
                  shard_factory: Callable[[int], object]):
         spec = cluster.autoscaler_spec
         if spec is None:
@@ -208,7 +139,6 @@ class AutoscaleController:
         self.env = env
         self.dispatcher = dispatcher
         self.cluster = cluster
-        self.fleet = fleet
         self.shard_factory = shard_factory
         self.policy = build_policy("autoscaler", spec)
         self.min_devices = cluster.effective_min_devices
@@ -220,21 +150,13 @@ class AutoscaleController:
         #: [time, active-device-count] after every change and tick.
         self.size_timeline: List[Tuple[float, int]] = [
             (env.now, len(dispatcher.shards))]
-        self._window_latencies: List[float] = []
-        self._last_offered = fleet.aggregate.offered
         self._stopped = False
         self._pending = None
         self._warm_timers: List = []
-        for shard in dispatcher.shards:
-            shard.frontend.completion_hooks.append(self._observe)
 
     # ------------------------------------------------------------------ #
     # Wiring                                                              #
     # ------------------------------------------------------------------ #
-    def _observe(self, record) -> None:
-        """Completion stream hook: feed the current latency window."""
-        self._window_latencies.append(record.latency_s)
-
     def install(self, env) -> None:
         """Start the control-loop process (first tick after one interval)."""
         env.spawn(self._loop(env))
@@ -278,35 +200,18 @@ class AutoscaleController:
         return [shard for shard in self.dispatcher.shards
                 if not shard.draining and not shard.retired]
 
-    def _signals(self, now: float) -> FleetSignals:
+    def _signals(self) -> FleetSignals:
         active = self._active_shards()
-        window = self._window_latencies
-        if window:
-            ordered = sorted(window)
-            p99 = ordered[min(len(ordered) - 1, (99 * len(ordered)) // 100)]
-        else:
-            p99 = None
-        aggregate = self.fleet.aggregate
-        signals = FleetSignals(
-            now=now,
+        return FleetSignals(
             active_devices=len(active),
-            min_devices=self.min_devices,
-            max_devices=self.max_devices,
             queued_total=sum(shard.queued for shard in active),
             in_flight_total=sum(shard.in_flight for shard in active),
-            window_completed=len(window),
-            window_p99_s=p99,
-            rolling_p99_s=self.fleet.rolling_percentile(99.0),
-            window_arrivals=aggregate.offered - self._last_offered,
         )
-        self._window_latencies = []
-        self._last_offered = aggregate.offered
-        return signals
 
     def tick(self, now: float) -> None:
         """One control decision: retire finished drains, then resize."""
         self._retire_drained(now)
-        signals = self._signals(now)
+        signals = self._signals()
         target = self.policy.target(signals)
         target = max(self.min_devices, min(self.max_devices, target))
         active = signals.active_devices
@@ -342,7 +247,6 @@ class AutoscaleController:
                     self.env.spawn(self._warm(shard)))
             self.dispatcher.add_shard(shard)
             self.events.append([now, SCALE_UP, index])
-            shard.frontend.completion_hooks.append(self._observe)
 
     def _warm(self, shard):
         timer = self.env.timeout(self.warmup_s)

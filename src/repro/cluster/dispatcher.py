@@ -131,11 +131,6 @@ class ClusterDispatcher:
         self._place_evicted(victim, evicted, targets)
         return True
 
-    @property
-    def drained(self) -> bool:
-        """True once every shard's front-end has drained."""
-        return all(shard.frontend.drained for shard in self.shards)
-
     # ------------------------------------------------------------------ #
     # Health transitions                                                  #
     # ------------------------------------------------------------------ #

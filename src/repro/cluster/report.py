@@ -74,11 +74,6 @@ class ClusterReport:
         return self.percentile_s("p50")
 
     @property
-    def p95_s(self) -> Optional[float]:
-        """Fleet 95th-percentile end-to-end latency."""
-        return self.percentile_s("p95")
-
-    @property
     def p99_s(self) -> Optional[float]:
         """Fleet 99th-percentile end-to-end latency."""
         return self.percentile_s("p99")

@@ -153,7 +153,7 @@ class ClusterSession:
                 return shard
 
             controller = AutoscaleController(env, dispatcher, self.cluster,
-                                             fleet, shard_factory)
+                                             shard_factory)
             controller.install(env)
         self.autoscaler = controller
         requests = scenario.make_arrivals().generate(scenario.duration_s)

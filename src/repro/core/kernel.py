@@ -143,25 +143,12 @@ class Kernel:
 
     # -- aggregate characteristics -----------------------------------------
     @property
-    def instructions(self) -> float:
-        return sum(m.instructions for m in self.microblocks)
-
-    @property
     def input_bytes(self) -> int:
         return sum(m.input_bytes for m in self.microblocks)
 
     @property
     def output_bytes(self) -> int:
         return sum(m.output_bytes for m in self.microblocks)
-
-    @property
-    def serial_fraction(self) -> float:
-        """Fraction of the kernel's instructions in serial microblocks."""
-        total = self.instructions
-        if total <= 0:
-            return 0.0
-        serial = sum(m.instructions for m in self.microblocks if m.serial)
-        return serial / total
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Kernel({self.name!r}, app={self.app_id}, "

@@ -35,14 +35,6 @@ class WorkItem:
     units: List[Tuple[MicroblockNode, ScreenNode]]
     kind: str = "screen"            # "kernel" for whole-kernel items
 
-    @property
-    def kernel(self) -> Kernel:
-        return self.chain.kernel
-
-    @property
-    def instructions(self) -> float:
-        return sum(screen.screen.instructions for _node, screen in self.units)
-
     def __len__(self) -> int:
         return len(self.units)
 

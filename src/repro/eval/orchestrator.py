@@ -136,10 +136,6 @@ class WorkloadSpec:
     def to_dict(self) -> Dict[str, str]:
         return {"kind": self.kind, "name": self.name}
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, str]) -> "WorkloadSpec":
-        return cls(kind=data["kind"], name=data["name"])
-
 
 class ExperimentKey(NamedTuple):
     """Registry/cache key: which system ran which workload under which config."""

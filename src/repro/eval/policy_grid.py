@@ -9,10 +9,10 @@ and submits them through the same result cache and parallel pool as
 every other experiment, so re-running a grid is served from the
 cache and only new cells simulate.
 
-Every axis accepts policy selections in all three spellings a
-:class:`~repro.policy.PolicySpec` coerces from (spec, bare name string,
-``{"name": ..., "params": ...}`` dict), so parameterized policies sweep
-exactly like parameterless ones.
+Every axis accepts policy selections in both spellings a
+:class:`~repro.policy.PolicySpec` coerces from (a spec or a bare name
+string), so parameterized policies sweep exactly like parameterless
+ones.
 """
 
 from __future__ import annotations
@@ -57,13 +57,6 @@ class PolicyCombo:
     admission: PolicySpec
     dispatch: PolicySpec
     placement: PolicySpec
-
-    @property
-    def label(self) -> str:
-        """Compact ``sched/adm/disp/place`` identity (params included)."""
-        return "/".join(describe_policy(spec.name, spec.params)
-                        for spec in (self.scheduler, self.admission,
-                                     self.dispatch, self.placement))
 
 
 @dataclass

@@ -30,12 +30,6 @@ class FlashTransaction:
     completed_at: Optional[float] = None
     done: Optional[Event] = None
 
-    @property
-    def latency(self) -> Optional[float]:
-        if self.completed_at is None:
-            return None
-        return self.completed_at - self.issued_at
-
 
 class FlashController:
     """Per-channel controller converting network requests into flash ops."""

@@ -89,7 +89,11 @@ class PageGroupMappingTable:
         """``(first, length)`` of each maximal run of unmapped groups
         among the ``count`` groups from ``start``, in order (groups past
         the end of the bitmap are unmapped)."""
-        bits = self._mapped[start:start + count].ljust(count, b"\0")
+        mapped = self._mapped
+        # Most reads find every group mapped: one scan, no copy.
+        if mapped.count(1, start, start + count) == count:
+            return []
+        bits = mapped[start:start + count].ljust(count, b"\0")
         runs = []
         offset = bits.find(0)
         while offset >= 0:

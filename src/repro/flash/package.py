@@ -51,9 +51,6 @@ class FlashDie:
             yield self.env.timeout(self.spec.block_erase_latency_s)
         self.erases += 1
 
-    def utilization(self) -> float:
-        return self._array.utilization()
-
 
 class FlashPackage:
     """A package grouping ``dies_per_package`` dies on one channel."""

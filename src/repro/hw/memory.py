@@ -80,9 +80,6 @@ class MemoryDevice:
             self.energy.charge_power(self.name, self.energy_bucket,
                                      self.power_w, duration)
 
-    def utilization(self) -> float:
-        return self.pipe.utilization()
-
 
 class DDR3L(MemoryDevice):
     """The 1 GB low-power DRAM that backs kernel data sections."""

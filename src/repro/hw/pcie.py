@@ -41,10 +41,3 @@ class PCIeLink:
         """Process generator: deliver a doorbell/interrupt (latency only)."""
         yield self.env.timeout(self.spec.latency_s)
         self.interrupts_delivered += 1
-
-    @property
-    def bytes_moved(self) -> int:
-        return self.pipe.bytes_moved
-
-    def utilization(self) -> float:
-        return self.pipe.utilization()

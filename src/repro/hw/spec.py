@@ -106,11 +106,6 @@ class FlashSpec:
         return (self.total_dies * self.blocks_per_die * self.pages_per_block
                 * self.page_bytes)
 
-    @property
-    def page_group_bytes(self) -> int:
-        """A page group stripes one page across every channel and plane."""
-        return self.channels * self.planes_per_die * self.page_bytes
-
 
 @dataclass(frozen=True)
 class HostSpec:

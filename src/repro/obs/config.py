@@ -4,9 +4,9 @@ An :class:`ObsConfig` is the single opt-in knob for the observability
 layer (:mod:`repro.obs`): request-lifecycle tracing into a ring-buffered
 :class:`~repro.obs.trace.Tracer` and/or periodic sampling of registered
 instruments into a :class:`~repro.obs.metrics.MetricsTimeline`.  Like
-every other behavioral knob in this repository it round-trips losslessly
-through plain dicts, so experiment specs can fold it into their cache
-keys — a run with observability attached carries extra report payload
+every other behavioral knob in this repository its plain-dict form
+(:meth:`ObsConfig.to_dict`) folds into experiment cache keys — a run
+with observability attached carries extra report payload
 (the ``metrics`` field) and must never alias a cache entry written
 without it.
 
@@ -63,14 +63,3 @@ class ObsConfig:
             "metrics": self.metrics,
             "cadence_s": self.cadence_s,
         }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ObsConfig":
-        """Rebuild a config from :meth:`to_dict` output."""
-        return cls(
-            tracing=bool(data.get("tracing", True)),
-            trace_capacity=int(data.get("trace_capacity",
-                                        DEFAULT_TRACE_CAPACITY)),
-            metrics=bool(data.get("metrics", True)),
-            cadence_s=float(data.get("cadence_s", DEFAULT_CADENCE_S)),
-        )

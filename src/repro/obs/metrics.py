@@ -200,10 +200,6 @@ class MetricsBus:
         self.register(histogram)
         return histogram
 
-    def get(self, name: str) -> Optional[Instrument]:
-        """Look an instrument up by name."""
-        return self._names.get(name)
-
     # -- sampling ----------------------------------------------------------
     def sample(self, now: float) -> None:
         """Read every instrument once at time ``now``.

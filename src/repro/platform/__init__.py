@@ -23,8 +23,6 @@ from .config import (
     BASELINE_SYSTEM,
     FLASHABACUS_SCHEDULERS,
     PlatformConfig,
-    spec_from_dict,
-    spec_to_dict,
 )
 from .cluster import (
     HEALTH_STATES,
@@ -37,8 +35,6 @@ __all__ = [
     "BASELINE_SYSTEM",
     "FLASHABACUS_SCHEDULERS",
     "PlatformConfig",
-    "spec_from_dict",
-    "spec_to_dict",
     "HEALTH_STATES",
     "ClusterConfig",
     "FaultSpec",

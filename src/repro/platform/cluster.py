@@ -5,9 +5,10 @@ devices: one :class:`~repro.platform.PlatformConfig` per device, the
 placement policy the cluster dispatcher routes requests with, the
 degraded-capacity derating, and an optional
 health timeline of :class:`FaultSpec` events (a device marked slow or
-failed mid-run).  Like :class:`PlatformConfig` it round-trips losslessly
-through plain dicts, so :meth:`ClusterConfig.config_hash` can key the
-experiment result cache for cluster runs.
+failed mid-run).  Like :class:`PlatformConfig` its plain-dict form
+(:meth:`ClusterConfig.to_dict`) gives a stable
+:meth:`ClusterConfig.config_hash` that keys the experiment result cache
+for cluster runs.
 """
 
 from __future__ import annotations
@@ -52,12 +53,6 @@ class FaultSpec:
     def to_list(self) -> list:
         return [self.time_s, self.device, self.state]
 
-    @classmethod
-    def from_list(cls, data) -> "FaultSpec":
-        time_s, device, state = data
-        return cls(time_s=float(time_s), device=int(device),
-                   state=str(state))
-
 
 @dataclass(frozen=True)
 class ClusterConfig:
@@ -75,9 +70,9 @@ class ClusterConfig:
         schedulers (or even SIMD boards) in one fleet is allowed.
     placement:
         The ``placement`` policy the fleet routes with, stored as a
-        :class:`~repro.policy.PolicySpec`; a name string or a
-        ``{"name": ..., "params": ...}`` dict is coerced.  Policy knobs
-        are spec params, e.g. ``tenant_affinity``'s ``salt``.
+        :class:`~repro.policy.PolicySpec`; a name string is coerced.
+        Policy knobs are spec params, e.g. ``tenant_affinity``'s
+        ``salt``.
     degraded_capacity_factor:
         Fraction of a device's dispatch capacity that survives a
         ``degraded`` health transition (slow-board model).
@@ -236,31 +231,6 @@ class ClusterConfig:
             data["warmup_s"] = self.warmup_s
             data["autoscale_interval_s"] = self.autoscale_interval_s
         return data
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ClusterConfig":
-        autoscaler = data.get("autoscaler_spec")
-        elastic: Dict[str, Any] = {}
-        if autoscaler is not None:
-            elastic = {
-                "autoscaler_spec": PolicySpec.from_dict(autoscaler),
-                "min_devices": data.get("min_devices"),
-                "max_devices": data.get("max_devices"),
-                "warmup_s": float(data.get("warmup_s", 0.0)),
-                "autoscale_interval_s": float(
-                    data.get("autoscale_interval_s", 1.0)),
-            }
-        return cls(
-            devices=tuple(PlatformConfig.from_dict(d)
-                          for d in data.get("devices", [])),
-            placement=PolicySpec.from_dict(
-                data.get("placement", {"name": "round_robin"})),
-            degraded_capacity_factor=float(
-                data.get("degraded_capacity_factor", 0.5)),
-            faults=tuple(FaultSpec.from_list(f)
-                         for f in data.get("faults", [])),
-            **elastic,
-        )
 
     def config_hash(self) -> str:
         """Stable short hash of the canonical serialized form."""

@@ -3,10 +3,9 @@
 A :class:`PlatformConfig` fully describes one simulated platform: the
 system (the ``SIMD`` baseline or one of the four FlashAbacus schedulers),
 the hardware specification, workload sizing knobs (instance counts and
-input scale), and feature toggles.  Because it round-trips losslessly
-through plain dicts (:meth:`to_dict` / :meth:`from_dict`), a stable
-:meth:`config_hash` can key the on-disk experiment cache and configs can
-be shipped to worker processes or stored next to results.
+input scale), and feature toggles.  Its plain-dict form
+(:meth:`to_dict`) gives a stable :meth:`config_hash` that keys the
+on-disk experiment cache; configs reach worker processes by pickle.
 """
 
 from __future__ import annotations
@@ -14,21 +13,11 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 from typing import Any, Dict, List, Mapping, Optional
 
-from ..hw.spec import (
-    FlashSpec,
-    HardwareSpec,
-    HostSpec,
-    InterconnectSpec,
-    LWPSpec,
-    MemorySpec,
-    PCIeSpec,
-    SSDSpec,
-    prototype_spec,
-)
+from ..hw.spec import HardwareSpec, prototype_spec
 from ..policy import PolicySpec, policy_names
 
 #: The conventional baseline system of the paper (Section 5).
@@ -36,39 +25,6 @@ BASELINE_SYSTEM = "SIMD"
 
 #: The four FlashAbacus scheduling policies (Section 4).
 FLASHABACUS_SCHEDULERS: List[str] = ["InterSt", "IntraIo", "InterDy", "IntraO3"]
-
-_SUB_SPECS = {
-    "lwp": LWPSpec,
-    "memory": MemorySpec,
-    "interconnect": InterconnectSpec,
-    "pcie": PCIeSpec,
-    "flash": FlashSpec,
-    "host": HostSpec,
-    "ssd": SSDSpec,
-}
-
-
-def spec_to_dict(spec: HardwareSpec) -> Dict[str, Dict[str, Any]]:
-    """Serialize a :class:`HardwareSpec` to nested plain dicts."""
-    return spec.as_dict()
-
-
-def _sub_spec_from_dict(cls, data: Dict[str, Any]):
-    known = {f.name for f in fields(cls)}
-    return cls(**{k: v for k, v in data.items() if k in known})
-
-
-def spec_from_dict(data: Dict[str, Any]) -> HardwareSpec:
-    """Rebuild a :class:`HardwareSpec` from :func:`spec_to_dict` output.
-
-    Unknown keys are ignored so configs written by newer revisions still
-    load (the config hash, not this loader, decides cache identity).
-    """
-    kwargs = {}
-    for name, cls in _SUB_SPECS.items():
-        if name in data:
-            kwargs[name] = _sub_spec_from_dict(cls, data[name])
-    return HardwareSpec(**kwargs)
 
 
 @dataclass(frozen=True)
@@ -85,8 +41,8 @@ class PlatformConfig:
         ``"SIMD"`` or the name of a registered ``scheduler`` policy (the
         paper's four are :data:`FLASHABACUS_SCHEDULERS`).  Schedulers take
         no params, so the name is the whole scheduler selection; a
-        param-free :class:`~repro.policy.PolicySpec` or spec dict is
-        stored as its name.
+        param-free :class:`~repro.policy.PolicySpec` is stored as its
+        name.
     spec:
         The hardware specification (Table 1 prototype by default).
     lwp_count:
@@ -199,25 +155,13 @@ class PlatformConfig:
     def to_dict(self) -> Dict[str, Any]:
         return {
             "system": self.system,
-            "spec": spec_to_dict(self.spec),
+            "spec": self.spec.as_dict(),
             "lwp_count": self.lwp_count,
             "instances": self.instances,
             "input_scale": self.input_scale,
             "track_power_series": self.track_power_series,
             "features": dict(self.features),
         }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "PlatformConfig":
-        return cls(
-            system=data.get("system", "IntraO3"),
-            spec=spec_from_dict(data.get("spec", {})),
-            lwp_count=data.get("lwp_count"),
-            instances=data.get("instances"),
-            input_scale=data.get("input_scale", 1.0),
-            track_power_series=data.get("track_power_series", False),
-            features=dict(data.get("features", {})),
-        )
 
     def config_hash(self) -> str:
         """Stable short hash of the canonical serialized form.

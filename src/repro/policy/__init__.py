@@ -20,7 +20,6 @@ from .registry import (
     policy_is_learned,
     policy_names,
     register_policy,
-    registered_policies,
     resolved_policy_spec,
 )
 from .spec import PolicySpec
@@ -36,6 +35,5 @@ __all__ = [
     "policy_is_learned",
     "policy_names",
     "register_policy",
-    "registered_policies",
     "resolved_policy_spec",
 ]

@@ -147,8 +147,8 @@ def _constructor_params(cls: type):
 def build_policy(domain: str, spec: Any, **context: Any) -> Any:
     """Instantiate the policy ``spec`` names, merging call-site context.
 
-    ``spec`` may be a :class:`PolicySpec`, a bare name string, or a
-    ``{"name": ..., "params": ...}`` dict (:meth:`PolicySpec.coerce`).
+    ``spec`` may be a :class:`PolicySpec` or a bare name string
+    (:meth:`PolicySpec.coerce`).
     ``context`` carries values only the call site knows (the device count
     a placement policy routes over, a scheduler's worker count, default
     dispatch weights); each context key is passed through only when the
@@ -232,8 +232,3 @@ def resolved_policy_spec(domain: str, spec: Any) -> PolicySpec:
     params.update(spec.params)
     return PolicySpec(spec.name, params)
 
-
-def registered_policies(domain: str) -> Mapping[str, type]:
-    """Read-only snapshot of ``domain``'s registry (name -> class)."""
-    ensure_domain_loaded(domain)
-    return dict(_REGISTRY[domain])

@@ -2,10 +2,10 @@
 
 A :class:`PolicySpec` is how configurations *refer to* a policy without
 holding the (stateful, unserializable) policy object itself: the registry
-name plus the constructor parameters.  Like every config object in the
-repo it round-trips losslessly through plain dicts, so the specs folded
-into the serving-scenario and cluster-config dicts key the experiment
-result cache exactly like any other knob.
+name plus the constructor parameters.  Its plain-dict form
+(:meth:`PolicySpec.to_dict`) is folded into the serving-scenario and
+cluster-config dicts, so a policy selection keys the experiment result
+cache exactly like any other knob.
 """
 
 from __future__ import annotations
@@ -73,32 +73,18 @@ class PolicySpec:
         return {"name": self.name, "params": dict(self.params)}
 
     @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "PolicySpec":
-        if "name" not in data:
-            raise ValueError(
-                f"a policy spec dict needs a 'name' key (and optional "
-                f"'params'), got keys {sorted(data)}")
-        return cls(name=str(data["name"]),
-                   params=dict(data.get("params", {})))
+    def coerce(cls, value: Union["PolicySpec", str]) -> "PolicySpec":
+        """Accept the two spellings a policy selection arrives in.
 
-    @classmethod
-    def coerce(cls, value: Union["PolicySpec", str, Mapping[str, Any]]
-               ) -> "PolicySpec":
-        """Accept the three spellings a policy selection arrives in.
-
-        A :class:`PolicySpec` passes through, a bare string becomes a
-        parameterless spec, and a ``{"name": ..., "params": ...}`` dict
-        is deserialized — so every API taking a policy accepts all three.
+        A :class:`PolicySpec` passes through and a bare string becomes a
+        parameterless spec, so every API taking a policy accepts both.
         """
         if isinstance(value, cls):
             return value
         if isinstance(value, str):
             return cls(name=value)
-        if isinstance(value, Mapping):
-            return cls.from_dict(value)
         raise TypeError(f"cannot interpret {value!r} as a policy spec; "
-                        f"pass a PolicySpec, a name string, or a "
-                        f"{{'name': ..., 'params': ...}} dict")
+                        f"pass a PolicySpec or a name string")
 
     def config_hash(self) -> str:
         """Stable short hash of the canonical form (cache-key style)."""

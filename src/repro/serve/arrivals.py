@@ -249,10 +249,6 @@ class TraceArrivals(ArrivalProcess):
                 for i, (arrival, tenant, workload)
                 in enumerate(e for e in self.events if e[0] < duration_s)]
 
-    def _arrival_times(self, rng: random.Random,
-                       duration_s: float) -> List[float]:  # pragma: no cover
-        return [e[0] for e in self.events if e[0] < duration_s]
-
 
 def churn_trace(duration_s: float, seed: int, busy_rps: float,
                 quiet_rps: float) -> Tuple[Tuple[float, str, str], ...]:

@@ -3,9 +3,9 @@
 A :class:`ServingScenario` is the declarative, serializable description of
 one open-loop serving run: which arrival process at which offered load,
 for how long, over which tenants and Table-2 kernels, under which
-admission policy.  Like :class:`~repro.platform.PlatformConfig` it
-round-trips losslessly through plain dicts, so the experiment orchestrator
-can key its result cache on the scenario content.
+admission policy.  Like :class:`~repro.platform.PlatformConfig` its
+plain-dict form (:meth:`ServingScenario.to_dict`) is what the experiment
+orchestrator keys its result cache on.
 
 :class:`ServingSession` executes a scenario on one system (a FlashAbacus
 scheduler or the ``SIMD`` baseline): it builds the platform, generates the
@@ -208,9 +208,9 @@ class ServingScenario:
 
     Admission and dispatch are policy domains of the unified registry
     (:mod:`repro.policy`).  ``admission`` and ``dispatch_spec`` each hold
-    one :class:`~repro.policy.PolicySpec`; a name string or a
-    ``{"name": ..., "params": ...}`` dict is coerced.  Policy knobs are
-    spec params, e.g. ``queue_depth``'s ``max_tenant_depth`` (default 64).
+    one :class:`~repro.policy.PolicySpec`; a name string is coerced.
+    Policy knobs are spec params, e.g. ``queue_depth``'s
+    ``max_tenant_depth`` (default 64).
     """
 
     process: str = "poisson"
@@ -328,34 +328,6 @@ class ServingScenario:
             "trace_events": [list(e) for e in self.trace_events],
             "reservoir_capacity": self.reservoir_capacity,
         }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "ServingScenario":
-        """Rebuild a scenario from :meth:`to_dict` output."""
-        tenants = tuple(TenantSpec(name, weight, slo)
-                        for name, weight, slo in data.get("tenants", []))
-        trace = tuple((float(t), str(tenant), str(workload))
-                      for t, tenant, workload
-                      in data.get("trace_events", []))
-        return cls(
-            process=str(data.get("process", "poisson")),
-            offered_rps=float(data.get("offered_rps", 20.0)),
-            duration_s=float(data.get("duration_s", 10.0)),
-            seed=int(data.get("seed", 1)),
-            workloads=tuple(data.get("workloads", DEFAULT_WORKLOAD_POOL)),
-            tenants=tenants or DEFAULT_TENANTS,
-            admission=PolicySpec.from_dict(
-                data.get("admission", {"name": "queue_depth"})),
-            dispatch_spec=PolicySpec.from_dict(
-                data.get("dispatch_spec", {"name": "round_robin"})),
-            mmpp_burst_factor=float(data.get("mmpp_burst_factor", 4.0)),
-            mmpp_normal_dwell_s=float(data.get("mmpp_normal_dwell_s", 2.0)),
-            mmpp_burst_dwell_s=float(data.get("mmpp_burst_dwell_s", 0.5)),
-            diurnal_period_s=float(data.get("diurnal_period_s", 60.0)),
-            diurnal_floor=float(data.get("diurnal_floor", 0.2)),
-            trace_events=trace,
-            reservoir_capacity=int(data.get("reservoir_capacity", 4096)),
-        )
 
     def with_overrides(self, **kwargs) -> "ServingScenario":
         """Copy of the scenario with ``kwargs`` fields replaced."""

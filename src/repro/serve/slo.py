@@ -131,19 +131,9 @@ class SLOTracker:
 
     # -- aggregate views -------------------------------------------------------
     @property
-    def offered(self) -> int:
-        """Total requests offered across all tenants."""
-        return self.aggregate.offered
-
-    @property
     def completed(self) -> int:
         """Total requests completed across all tenants."""
         return self.aggregate.completed
-
-    @property
-    def rejected(self) -> int:
-        """Total requests rejected across all tenants."""
-        return self.aggregate.rejected
 
     @property
     def settled(self) -> int:

@@ -35,13 +35,14 @@ therefore byte-identical simulation results) stable:
   relative timeout.
 * :meth:`Environment.run`, :meth:`Environment.run_until` and
   :meth:`Environment.run_events` are thin wrappers over one inlined
-  dispatch loop (no per-event ``step()``/``peek()`` calls).  The loop
+  dispatch loop, the only place events are processed.  The loop
   is *flat*: an event with no callbacks ends its iteration with
   ``continue``, and the dispatch is not nested under a callbacks test.  That shape matters:
   on the timeout workload, a ``run_until`` whose dispatch sat inside
   ``if callbacks is not None:`` ran about 366k events/s against about
-  570k for the flat loop with the same predicate and watchdog.
-  :meth:`Environment.step` stays as the one-event reference stepper.
+  570k for the flat loop with the same predicate and watchdog.  The
+  tests keep a one-event reference stepper the loop must match event
+  for event.
 * :meth:`Process._resume` is entered through a bound method cached at
   process creation (no per-wait method-object allocation), stores
   nothing per resume, and resumes synchronously over already-processed
@@ -381,10 +382,9 @@ class Environment:
         The push-based crash contract: the process carries a callback
         that re-raises its exception when its failure is processed, so
         the original exception propagates out of whichever engine loop
-        (:meth:`run`, :meth:`run_until`, :meth:`run_events`,
-        :meth:`step`) is driving the simulation.  Nobody has to poll
-        the process for health.  Backends, service loops and workers
-        start their processes here.
+        (:meth:`run`, :meth:`run_until`, :meth:`run_events`) is driving
+        the simulation.  Nobody has to poll the process for health.
+        Backends, service loops and workers start their processes here.
         """
         process = Process(self, generator)
         process.callbacks.append(_raise_failure)
@@ -395,10 +395,6 @@ class Environment:
         return AllOf(self, events)
 
     # -- scheduling ----------------------------------------------------------
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none is pending."""
-        return self._queue[0][0] if self._queue else _INF
-
     def cancel(self, event: Event) -> bool:
         """Remove one scheduled ``event`` from the pending queue.
 
@@ -439,52 +435,11 @@ class Environment:
                 return
         raise SimulationError("timeout is not scheduled")
 
-    def step(self) -> None:
-        """Process exactly one event."""
-        if not self._queue:
-            raise SimulationError("no scheduled events")
-        time, _seq, event = _heappop(self._queue)
-        if time < self._now - 1e-18:
-            raise SimulationError("event scheduled in the past")
-        if time > self._now:
-            self._now = time
-        callbacks = event.callbacks
-        event.callbacks = None
-        if callbacks is None:
-            return
-        for callback in callbacks:
-            callback(event)
-        if callbacks:
-            self._recycle(event, callbacks)
-        elif not event._ok and type(event) is not Process:
-            raise event._value
-
-    def _recycle(self, event: Event, callbacks: List) -> None:
-        """Return a processed, otherwise-unreferenced event to its pool.
-
-        The ``getrefcount == 3`` guard (the caller's local, our argument
-        binding, and getrefcount's own argument) proves no simulation
-        code can still observe the object, so reuse is undetectable.  The
-        just-drained callbacks list is re-attached empty, saving the list
-        allocation on the next creation.
-        """
-        cls = type(event)
-        if cls is Timeout:
-            pool = event.env._timeout_pool
-        elif cls is Event:
-            pool = event.env._event_pool
-        else:
-            return
-        if len(pool) < _POOL_LIMIT and getrefcount(event) == 3:
-            callbacks.clear()
-            event.callbacks = callbacks
-            pool.append(event)
-
     def run(self, until: Optional[float] = None) -> None:
         """Run until the queue drains or the clock reaches ``until``.
 
-        Processes events in exactly the same order as repeated
-        :meth:`step` calls; with ``until`` the clock then jumps to it.
+        Processes events in time order (ties by priority, then
+        scheduling order); with ``until`` the clock then jumps to it.
         """
         if until is None:
             self._loop(_INF, None, None, _INF)
@@ -500,8 +455,8 @@ class Environment:
         """Process events until ``done()`` holds; returns why it stopped.
 
         ``done`` is checked before the first event and after every
-        event, so the loop stops on exactly the event a
-        ``while not done(): step()`` loop would stop on.  Returns
+        event, so the loop stops on the first event after which
+        ``done()`` holds.  Returns
         ``"done"``; ``"drained"`` if the queue empties first; or
         ``"stalled"`` if the watchdog trips — ``progress()`` returned
         the same value across more than ``stall_s`` simulated seconds.
@@ -533,13 +488,13 @@ class Environment:
         """The one dispatch loop behind :meth:`run`, :meth:`run_until`
         and :meth:`run_events`.
 
-        Processes events in :meth:`step` order until the next one lies
+        Processes events in heap order until the next one lies
         past ``until`` (returns ``"until"``) or the queue drains
         (``"drained"``).  With a ``done`` predicate, ``done()`` and the
         watchdog run at the top of every iteration: before the first
         event and after every event, including events that ran no
-        callback.  The body is inlined (no per-event :meth:`step` or
-        :meth:`peek` call) and flat: an event with no callbacks
+        callback.  The body is inlined (no per-event method call) and
+        flat: an event with no callbacks
         ``continue``s, and the dispatch is not nested under a callbacks
         test.  Measured on the timeout workload, the nested shape ran
         about 40 % fewer events per second.
@@ -592,9 +547,9 @@ class Environment:
                     continue
             else:
                 callback(event)
-            # Inline recycling (same guard as _recycle): refcount 2 =
-            # the local binding + getrefcount's argument, so nothing
-            # else can still observe the reused object.
+            # Inline recycling: refcount 2 = the local binding +
+            # getrefcount's argument, so nothing else can still observe
+            # the reused object.
             cls = event.__class__
             if cls is Timeout:
                 if (len(timeout_pool) < _POOL_LIMIT

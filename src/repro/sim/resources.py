@@ -77,11 +77,6 @@ class Resource:
         self._last_change = env.now
 
     # -- public API --------------------------------------------------------
-    @property
-    def count(self) -> int:
-        """Number of slots currently held."""
-        return len(self._users)
-
     def request(self, priority: int = 0) -> Request:
         """Ask for one slot; the returned event triggers when granted."""
         return Request(self, priority)

@@ -9,7 +9,7 @@ models:
 * :class:`TimeSeries` — raw (time, value) samples for Fig. 15-style plots.
 * :class:`SummaryStats` — min/avg/max/percentile helper over samples.
 * :class:`LatencyReservoir` — bounded streaming sample reservoir with exact
-  count/mean/min/max and :class:`SummaryStats`-based percentiles, used by
+  count/mean/max and :class:`SummaryStats`-based percentiles, used by
   the serving layer's per-tenant SLO accounting.
 """
 
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 
@@ -53,32 +53,14 @@ class IntervalAccumulator:
             busy += max(0.0, now - self._since)
         return busy
 
-    def utilization(self, now: float) -> float:
-        """Fraction of [0, ``now``] spent busy, clamped to 1."""
-        if now <= 0:
-            return 0.0
-        return min(1.0, self.busy_time(now) / now)
-
 
 class TimeWeightedStat:
     """Time-weighted mean of a piecewise-constant signal."""
 
     def __init__(self, initial: float = 0.0, start_time: float = 0.0):
-        self.value = initial     # read freely; change via update()/adjust()
+        self.value = initial     # read freely; change via update()
         self._last_time = start_time
         self._weighted_sum = 0.0
-        self._max = initial
-        self._min = initial
-
-    @property
-    def max(self) -> float:
-        """Largest value observed so far."""
-        return self._max
-
-    @property
-    def min(self) -> float:
-        """Smallest value observed so far."""
-        return self._min
 
     def update(self, now: float, value: float) -> None:
         """Set the signal to ``value`` at time ``now``."""
@@ -87,14 +69,6 @@ class TimeWeightedStat:
         self._weighted_sum += self.value * (now - self._last_time)
         self._last_time = now
         self.value = value
-        if value > self._max:
-            self._max = value
-        if value < self._min:
-            self._min = value
-
-    def adjust(self, now: float, delta: float) -> None:
-        """Shift the current value by ``delta`` at time ``now``."""
-        self.update(now, self.value + delta)
 
     def mean(self, now: float) -> float:
         """Time-weighted mean of the signal over [0, ``now``]."""
@@ -179,16 +153,6 @@ class SummaryStats:
     def __init__(self, values: Iterable[float] = ()):
         self._values: List[float] = sorted(values)
 
-    def add(self, value: float) -> None:
-        """Insert one sample, keeping the sample set sorted."""
-        idx = bisect_left(self._values, value)
-        self._values.insert(idx, value)
-
-    @property
-    def count(self) -> int:
-        """Number of samples."""
-        return len(self._values)
-
     @property
     def min(self) -> float:
         """Smallest sample (raises with no samples)."""
@@ -214,11 +178,6 @@ class SummaryStats:
         mean = sum(self._values) / len(self._values)
         return min(max(mean, self._values[0]), self._values[-1])
 
-    @property
-    def total(self) -> float:
-        """Sum of all samples."""
-        return sum(self._values)
-
     def percentile(self, pct: float) -> float:
         """Nearest-rank percentile, ``pct`` in [0, 100]."""
         if not self._values:
@@ -230,18 +189,13 @@ class SummaryStats:
         rank = max(1, math.ceil(pct / 100.0 * len(self._values)))
         return self._values[rank - 1]
 
-    def as_dict(self) -> Dict[str, float]:
-        """min/mean/max/count as a plain dict."""
-        return {"min": self.min, "mean": self.mean, "max": self.max,
-                "count": float(self.count)}
-
 
 class LatencyReservoir:
     """Streaming latency accumulator with bounded memory.
 
     Open-loop serving runs observe one latency sample per request — far too
     many to keep verbatim at scale.  The reservoir keeps exact running
-    aggregates (count, total, min, max) plus a uniform sample of at most
+    aggregates (count, total, max) plus a uniform sample of at most
     ``capacity`` values maintained with Vitter's Algorithm R under a
     deterministic, seeded RNG, so percentile queries stay cheap and results
     are reproducible for a fixed seed.  Percentiles are answered through
@@ -261,14 +215,13 @@ class LatencyReservoir:
         self._samples: List[float] = []
         self._count = 0
         self._total = 0.0
-        self._min = math.inf
         self._max = -math.inf
 
     def observe(self, value: float) -> None:
         """Record one latency sample.
 
         This is the serving layer's per-request ingestion hot path; the
-        branchy min/max updates and the cached ``randrange`` keep it to a
+        branchy max update and the cached ``randrange`` keep it to a
         handful of attribute operations per sample.  The RNG draw
         sequence is identical to the textbook Algorithm R formulation,
         so percentile results are unchanged for a given seed.
@@ -277,8 +230,6 @@ class LatencyReservoir:
             raise ValueError("latency samples must be non-negative")
         count = self._count = self._count + 1
         self._total += value
-        if value < self._min:
-            self._min = value
         if value > self._max:
             self._max = value
         samples = self._samples
@@ -296,23 +247,11 @@ class LatencyReservoir:
         return self._count
 
     @property
-    def total(self) -> float:
-        """Exact sum of every observed sample."""
-        return self._total
-
-    @property
     def mean(self) -> float:
         """Exact mean over every observed sample."""
         if self._count == 0:
             raise ValueError("no samples")
         return self._total / self._count
-
-    @property
-    def min(self) -> float:
-        """Exact minimum (raises with no samples)."""
-        if self._count == 0:
-            raise ValueError("no samples")
-        return self._min
 
     @property
     def max(self) -> float:
@@ -331,37 +270,6 @@ class LatencyReservoir:
         if pct >= 100.0 and self._count:
             return self._max     # the exact maximum is always tracked
         return self.summary().percentile(pct)
-
-    # -- serialization --------------------------------------------------------
-    def to_dict(self) -> Dict[str, object]:
-        """Plain-dict form for the experiment cache.
-
-        The RNG state is not captured: a deserialized reservoir answers
-        queries identically but is not meant to keep observing.
-        """
-        return {
-            "capacity": self.capacity,
-            "seed": self.seed,
-            "count": self._count,
-            "total": self._total,
-            "min": None if self._count == 0 else self._min,
-            "max": None if self._count == 0 else self._max,
-            "samples": list(self._samples),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "LatencyReservoir":
-        """Rebuild a reservoir from :meth:`to_dict` output."""
-        reservoir = cls(capacity=int(data["capacity"]),
-                        seed=int(data["seed"]))
-        reservoir._samples = [float(v) for v in data["samples"]]
-        reservoir._count = int(data["count"])
-        reservoir._total = float(data["total"])
-        reservoir._min = (math.inf if data["min"] is None
-                          else float(data["min"]))
-        reservoir._max = (-math.inf if data["max"] is None
-                          else float(data["max"]))
-        return reservoir
 
     def __len__(self) -> int:
         return len(self._samples)

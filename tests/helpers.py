@@ -9,12 +9,22 @@ first.  A uniquely named helper module has no such ambiguity.
 
 from __future__ import annotations
 
+import heapq
 import json
 from pathlib import Path
 from typing import Any, Dict
 
+from sys import getrefcount
+
 from repro.serve.backends import ServingBackend
-from repro.sim.engine import Environment
+from repro.sim.engine import (
+    _POOL_LIMIT,
+    Environment,
+    Event,
+    Process,
+    SimulationError,
+    Timeout,
+)
 
 #: Where the checked-in golden report fixtures live.
 GOLDEN_DIR = Path(__file__).parent / "goldens"
@@ -36,6 +46,72 @@ class StubBackend(ServingBackend):
         yield self.env.timeout(self.service_s)
         self.in_flight -= 1
         on_complete(record, self.env.now)
+
+
+# --------------------------------------------------------------------------- #
+# The one-event reference stepper                                              #
+# --------------------------------------------------------------------------- #
+def peek(env: Environment) -> float:
+    """Time of the next scheduled event, or ``inf`` if none is pending."""
+    return env._queue[0][0] if env._queue else float("inf")
+
+
+def step(env: Environment) -> None:
+    """Process exactly one event: the reference the engine's one dispatch
+    loop (behind ``run``, ``run_until`` and ``run_events``) must match
+    event for event, recycling included."""
+    if not env._queue:
+        raise SimulationError("no scheduled events")
+    time, _seq, event = heapq.heappop(env._queue)
+    if time < env._now - 1e-18:
+        raise SimulationError("event scheduled in the past")
+    if time > env._now:
+        env._now = time
+    callbacks = event.callbacks
+    event.callbacks = None
+    if callbacks is None:
+        return
+    for callback in callbacks:
+        callback(event)
+    if callbacks:
+        _recycle(event, callbacks)
+    elif not event._ok and type(event) is not Process:
+        raise event._value
+
+
+def _recycle(event: Event, callbacks: list) -> None:
+    """Return a processed, otherwise-unreferenced event to its pool.
+
+    The ``getrefcount == 3`` guard (the caller's local, this argument
+    binding, and getrefcount's own argument) proves no simulation code
+    can still observe the object, so reuse is undetectable.  The
+    just-drained callbacks list is re-attached empty.
+    """
+    cls = type(event)
+    if cls is Timeout:
+        pool = event.env._timeout_pool
+    elif cls is Event:
+        pool = event.env._event_pool
+    else:
+        return
+    if len(pool) < _POOL_LIMIT and getrefcount(event) == 3:
+        callbacks.clear()
+        event.callbacks = callbacks
+        pool.append(event)
+
+
+def kernel_instructions(kernel) -> float:
+    """Total instructions of ``kernel``'s microblocks."""
+    return sum(m.instructions for m in kernel.microblocks)
+
+
+def serial_fraction(kernel) -> float:
+    """Fraction of ``kernel``'s instructions in serial microblocks."""
+    total = kernel_instructions(kernel)
+    if total <= 0:
+        return 0.0
+    return sum(m.instructions for m in kernel.microblocks
+               if m.serial) / total
 
 
 def run_process(env: Environment, generator):

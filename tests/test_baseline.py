@@ -98,11 +98,16 @@ def test_baseline_completes_every_kernel():
     assert report.energy_joules > 0
 
 
+def total_s(breakdown):
+    """A kernel's time: accelerator, SSD and host storage stack."""
+    return breakdown.accelerator_s + breakdown.ssd_s + breakdown.host_stack_s
+
+
 def test_baseline_kernels_execute_serially():
     kernels = homogeneous_workload("MVT", instances=3, input_scale=SCALE)
     system = BaselineSystem()
     system.run_workload(kernels, "MVT")
-    per_kernel = [b.total_s for b in system.time_breakdowns()]
+    per_kernel = [total_s(b) for b in system.time_breakdowns()]
     # Serial execution: the makespan is (approximately) the sum of the
     # individual kernel times.
     assert sum(per_kernel) == pytest.approx(system.env.now, rel=0.05)
@@ -116,7 +121,7 @@ def test_baseline_moves_every_input_byte_over_pcie_and_ssd():
     system.run_workload(kernels, "2DCON")
     assert system.ssd.bytes_read == total_input
     assert system.ssd.bytes_written == total_output
-    assert system.pcie.bytes_moved == total_input + total_output
+    assert system.pcie.pipe.bytes_moved == total_input + total_output
 
 
 def test_baseline_data_intensive_kernels_dominated_by_storage_path():
@@ -126,7 +131,7 @@ def test_baseline_data_intensive_kernels_dominated_by_storage_path():
     system.run_workload(kernels, "ATAX")
     breakdown = system.time_breakdowns()[0]
     io_s = breakdown.ssd_s + breakdown.host_stack_s
-    assert io_s / breakdown.total_s > 0.5
+    assert io_s / total_s(breakdown) > 0.5
 
 
 def test_baseline_compute_intensive_kernels_dominated_by_accelerator():
@@ -135,7 +140,7 @@ def test_baseline_compute_intensive_kernels_dominated_by_accelerator():
     kernels = [build_workload_kernel(characteristics, input_scale=0.1)]
     system.run_workload(kernels, "SYRK")
     breakdown = system.time_breakdowns()[0]
-    assert breakdown.accelerator_s / breakdown.total_s > 0.5
+    assert breakdown.accelerator_s / total_s(breakdown) > 0.5
 
 
 def test_baseline_storage_energy_fraction_is_large_for_data_intensive():

@@ -12,6 +12,8 @@ from repro.core.kernel import (
     build_kernel,
 )
 
+from helpers import kernel_instructions, serial_fraction
+
 
 # --------------------------------------------------------------------------- #
 # Screen / Microblock validation                                               #
@@ -108,7 +110,7 @@ def test_build_kernel_conserves_instructions_and_bytes():
                           input_bytes=1000, output_bytes=300,
                           microblock_count=2, serial_microblocks=1,
                           screens_per_microblock=3)
-    assert kernel.instructions == pytest.approx(1e6)
+    assert kernel_instructions(kernel) == pytest.approx(1e6)
     assert kernel.input_bytes == 1000
     assert kernel.output_bytes == 300
 
@@ -133,14 +135,14 @@ def test_build_kernel_serial_weight_controls_serial_fraction():
     light = build_kernel("light", 1e6, 0, 0, microblock_count=2,
                          serial_microblocks=1, screens_per_microblock=2,
                          serial_weight=0.25)
-    assert heavy.serial_fraction == pytest.approx(0.5)
-    assert light.serial_fraction == pytest.approx(0.2)
+    assert serial_fraction(heavy) == pytest.approx(0.5)
+    assert serial_fraction(light) == pytest.approx(0.2)
 
 
 def test_build_kernel_fully_parallel_has_no_serial_fraction():
     kernel = build_kernel("par", 1e6, 100, 0, microblock_count=1,
                           serial_microblocks=0, screens_per_microblock=4)
-    assert kernel.serial_fraction == 0.0
+    assert serial_fraction(kernel) == 0.0
     assert not any(m.serial for m in kernel.microblocks)
 
 

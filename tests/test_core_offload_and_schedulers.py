@@ -10,7 +10,7 @@ from repro.core.schedulers import (
     OutOfOrderIntraKernelScheduler,
     StaticInterKernelScheduler,
 )
-from repro.policy import build_policy, registered_policies
+from repro.policy import build_policy, policy_names
 from repro.hw.memory import DDR3L
 from repro.hw.pcie import PCIeLink
 from repro.hw.power import EnergyAccountant
@@ -43,7 +43,7 @@ def test_offload_sequence_orders_download_interrupt_boot(spec):
     assert record.downloaded_at < record.interrupt_at < record.ready_at
     assert controller.kernels_offloaded == 1
     assert kernel.kernel_id in controller.boot_address_registers
-    assert pcie.bytes_moved == kernel.descriptor.image_bytes
+    assert pcie.pipe.bytes_moved == kernel.descriptor.image_bytes
     assert controller.psc.sleep_transitions == 1
     assert controller.psc.wake_transitions == 1
 
@@ -85,7 +85,7 @@ def test_build_scheduler_by_paper_name():
     assert isinstance(build("IntraO3", 6), OutOfOrderIntraKernelScheduler)
     with pytest.raises(ValueError):
         build("RoundRobin", 6)
-    assert set(registered_policies("scheduler")) == {
+    assert set(policy_names("scheduler")) == {
         "InterSt", "InterDy", "IntraIo", "IntraO3"}
 
 
@@ -108,7 +108,7 @@ def test_static_scheduler_pins_kernels_by_app_number():
         items = []
         while (item := scheduler.next_work(worker)) is not None:
             assert item.kind == "kernel"
-            items.append(item.kernel.app_id)
+            items.append(item.chain.kernel.app_id)
         return items
 
     assert drain(0) == [0]
@@ -133,7 +133,7 @@ def test_dynamic_scheduler_hands_kernels_to_any_worker():
     first = scheduler.next_work(2)
     second = scheduler.next_work(0)
     assert first is not None and second is not None
-    assert first.kernel is not second.kernel
+    assert first.chain.kernel is not second.chain.kernel
     assert scheduler.next_work(1) is None
 
 
@@ -160,7 +160,7 @@ def test_inorder_scheduler_only_dispatches_head_kernels_current_microblock():
     # Only the two screens of the head kernel's first microblock may start;
     # the second kernel must wait even though workers are idle.
     assert len(dispatched) == 2
-    assert all(item.kernel is first for item in dispatched)
+    assert all(item.chain.kernel is first for item in dispatched)
     assert not any(scheduler.chain.chain_for_kernel(k).complete
                    for k in (first, second))
 
@@ -189,7 +189,7 @@ def test_ooo_scheduler_borrows_screens_across_kernels():
     scheduler.offload([first, second])
     items = [scheduler.next_work(w) for w in range(3)]
     assert all(item is not None for item in items)
-    owners = {item.kernel.kernel_id for item in items}
+    owners = {item.chain.kernel.kernel_id for item in items}
     assert owners == {first.kernel_id, second.kernel_id}
     assert scheduler.borrowed_dispatches >= 1
 

@@ -184,7 +184,7 @@ def test_autoscaler_policy_crash_surfaces(monkeypatch):
     ticks = []
 
     def target(self, signals):
-        ticks.append(signals.now)
+        ticks.append(signals.active_devices)
         if len(ticks) == 3:
             raise Boom(f"autoscaler tick {len(ticks)} crashed")
         return signals.active_devices

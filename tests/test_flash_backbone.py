@@ -143,7 +143,7 @@ def test_controller_executes_submitted_transactions(env, spec):
 
     txn = run_process(env, submitter(env))
     assert txn.completed_at is not None
-    assert txn.latency > 0
+    assert txn.completed_at > txn.issued_at
 
 
 def test_controller_rejects_unknown_op(env, spec):
@@ -172,7 +172,7 @@ def test_backbone_page_group_read_fans_out_to_all_channels(env, spec):
 
     run_process(env, reader(env))
     assert backbone.page_group_reads == 1
-    assert backbone.bytes_read() == spec.flash.page_group_bytes
+    assert backbone.bytes_read() == backbone.geometry.page_group_bytes
     assert energy.breakdown.storage_access > 0
     # Both planes of a channel share a die, so two senses serialize: the
     # group read takes at least two sense times but far less than eight.

@@ -54,6 +54,10 @@ def test_mapped_bitmap_counts_and_grows_only_to_the_highest_group(geometry):
     assert table.unmapped_runs(0, 16) == [(0, 4), (7, 2), (10, 6)]
     assert table.unmapped_runs(4, 3) == []
     assert table.unmapped_runs(6, 4) == [(7, 2)]
+    # Extents that end exactly at the bitmap's end, and one past it.
+    assert table.unmapped_runs(9, 1) == []
+    assert table.unmapped_runs(4, 6) == [(7, 2)]
+    assert table.unmapped_runs(9, 2) == [(10, 1)]
     assert [table.lookup(group) for group in (4, 5, 6)] == [40, 41, 42]
     assert table.reverse_lookup(41) == 5
 

@@ -15,6 +15,7 @@ from repro.hw import (
     MB,
 )
 from repro.core import FlashAbacusAccelerator
+from repro.flash import FlashGeometry
 from repro.platform import PlatformConfig
 
 from helpers import run_process
@@ -45,7 +46,7 @@ def test_table1_flash_capacity_is_32gb(spec):
     assert spec.flash.capacity_bytes == 32 * GB
     assert spec.flash.page_bytes == 8 * KB
     # 4 channels * 2 planes * 8KB = 64KB page group (Section 4.3).
-    assert spec.flash.page_group_bytes == 64 * KB
+    assert FlashGeometry(spec.flash).page_group_bytes == 64 * KB
 
 
 def test_table1_page_latencies(spec):
@@ -205,7 +206,7 @@ def test_pcie_transfer_time_and_energy(env, spec):
     run_process(env, mover(env))
     expected = spec.pcie.latency_s + 512 * MB / spec.pcie.bandwidth
     assert env.now == pytest.approx(expected)
-    assert pcie.bytes_moved == 512 * MB
+    assert pcie.pipe.bytes_moved == 512 * MB
     assert energy.breakdown.data_movement > 0
 
 

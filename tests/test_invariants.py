@@ -24,7 +24,7 @@ from repro.serve import (
 from repro.policy import PolicySpec, build_policy
 from repro.sim import Environment
 
-from helpers import StubBackend
+from helpers import StubBackend, peek, step
 
 SCENARIO = ServingScenario(
     process="poisson", offered_rps=480.0, duration_s=0.5, seed=9,
@@ -131,8 +131,8 @@ def test_mid_run_conservation_at_every_event():
     tracker = SLOTracker(tenants)
     frontend = ServingFrontend(
         env, backend,
-        build_policy("admission", {"name": "queue_depth",
-                                   "params": {"max_tenant_depth": 3}}),
+        build_policy("admission",
+                     PolicySpec("queue_depth", {"max_tenant_depth": 3})),
         tracker, tenants)
 
     def arrivals():
@@ -143,8 +143,8 @@ def test_mid_run_conservation_at_every_event():
         frontend.close()
 
     env.process(arrivals())
-    while env.peek() != float("inf"):
-        env.step()
+    while peek(env) != float("inf"):
+        step(env)
         agg = tracker.aggregate
         assert agg.offered == agg.admitted + agg.rejected
         assert agg.offered == (agg.rejected + agg.completed

@@ -44,7 +44,8 @@ def test_workload_spec_builds_each_kind():
 
 def test_workload_spec_roundtrip():
     spec = WorkloadSpec("realworld", "wc")
-    assert WorkloadSpec.from_dict(spec.to_dict()) == spec
+    assert json.loads(json.dumps(spec.to_dict())) == spec.to_dict() \
+        == {"kind": "realworld", "name": "wc"}
 
 
 # --------------------------------------------------------------------------- #

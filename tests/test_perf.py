@@ -28,7 +28,7 @@ from repro.policy import PolicySpec
 from repro.serve import ServingScenario, ServingSession, TenantSpec
 from repro.sim.engine import AllOf, Environment
 
-from helpers import check_golden
+from helpers import check_golden, peek, step
 
 
 # --------------------------------------------------------------------------- #
@@ -227,8 +227,8 @@ def test_run_and_step_process_events_identically():
     log_step = []
     env_step = Environment()
     mixed_workload(env_step, log_step)
-    while env_step.peek() != float("inf"):
-        env_step.step()
+    while peek(env_step) != float("inf"):
+        step(env_step)
 
     assert log_run == log_step
     assert env_run.now == env_step.now

@@ -11,12 +11,7 @@ from repro.core.accelerator import FlashAbacusAccelerator
 from repro.eval import run_system
 from repro.hw.spec import prototype_spec
 from repro.sim.engine import Environment
-from repro.platform import (
-    PlatformBuilder,
-    PlatformConfig,
-    spec_from_dict,
-    spec_to_dict,
-)
+from repro.platform import PlatformBuilder, PlatformConfig
 from repro.workloads import homogeneous_workload
 
 SCALE = 0.02
@@ -60,30 +55,34 @@ def test_config_accepts_the_smallest_worker_pools():
 
 
 def test_config_roundtrip_to_dict_from_dict():
-    config = PlatformConfig(system="InterDy", lwp_count=6, instances=4,
-                            input_scale=0.25, track_power_series=True,
-                            features={"reserve_management_cores": True})
-    clone = PlatformConfig.from_dict(config.to_dict())
-    assert clone == config
+    def build():
+        return PlatformConfig(system="InterDy", lwp_count=6, instances=4,
+                              input_scale=0.25, track_power_series=True,
+                              features={"reserve_management_cores": True})
+    config = build()
+    # Every field reaches the cache-key form, and an equal config keys
+    # the same.
+    assert config.to_dict() == {
+        "system": "InterDy", "spec": prototype_spec().as_dict(),
+        "lwp_count": 6, "instances": 4, "input_scale": 0.25,
+        "track_power_series": True,
+        "features": {"reserve_management_cores": True}}
+    assert build() == config
+    assert build().config_hash() == config.config_hash()
 
 
 def test_config_roundtrip_survives_json():
     config = PlatformConfig(system="SIMD", instances=2, input_scale=0.5)
     payload = json.dumps(config.to_dict())
-    clone = PlatformConfig.from_dict(json.loads(payload))
-    assert clone == config
-    assert clone.config_hash() == config.config_hash()
+    assert json.loads(payload) == config.to_dict()
+    again = PlatformConfig(system="SIMD", instances=2, input_scale=0.5)
+    assert again.config_hash() == config.config_hash()
 
 
 def test_spec_roundtrip():
-    spec = prototype_spec()
-    assert spec_from_dict(spec_to_dict(spec)) == spec
-
-
-def test_spec_from_dict_ignores_unknown_keys():
-    data = spec_to_dict(prototype_spec())
-    data["lwp"]["from_the_future"] = 42
-    assert spec_from_dict(data) == prototype_spec()
+    data = prototype_spec().as_dict()
+    assert json.loads(json.dumps(data)) == data
+    assert PlatformConfig().to_dict()["spec"] == data
 
 
 def test_config_hash_is_stable_and_discriminates():

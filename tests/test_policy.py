@@ -1,14 +1,15 @@
 """Unified policy layer: registry, PolicySpec, config plumbing.
 
 Covers the registry contract (every registered policy in every domain
-round-trips ``PolicySpec -> instantiate -> to_dict -> from_dict`` with an
-identical content hash; unknown names and params raise with the sorted
-valid choices), the PolicySpec plumbing through PlatformConfig /
+instantiates from its ``PolicySpec``, and the spec rebuilt from its dict
+form has an identical content hash; unknown names and params raise with
+the sorted valid choices), the PolicySpec plumbing through PlatformConfig /
 ServingScenario / ClusterConfig (including the pinned serialized forms
 that key the experiment cache), and the DeadlineAwareAdmission
 cold-start regression.
 """
 
+import json
 import pickle
 import warnings
 
@@ -27,7 +28,6 @@ from repro.policy import (
     policy_class,
     policy_names,
     register_policy,
-    registered_policies,
 )
 from repro.serve import (
     DeadlineAwareAdmission,
@@ -58,9 +58,8 @@ def test_every_registered_policy_round_trips_and_instantiates():
             assert isinstance(policy, policy_class(domain, name))
             assert policy.policy_domain == domain
             assert policy.policy_name == name
-            rebuilt = PolicySpec.from_dict(spec.to_dict())
-            assert rebuilt == spec
-            assert rebuilt.config_hash() == spec.config_hash()
+            assert PolicySpec(**spec.to_dict()).config_hash() \
+                == spec.config_hash()
 
 
 def test_registry_contents_match_the_five_families():
@@ -75,8 +74,7 @@ def test_registry_contents_match_the_five_families():
     assert set(policy_names("placement")) == {
         "round_robin", "least_outstanding", "tenant_affinity",
         "power_aware", "join_shortest_queue", "linucb_placement"}
-    assert set(policy_names("autoscaler")) == {
-        "queue_depth_threshold", "p99_target"}
+    assert set(policy_names("autoscaler")) == {"queue_depth_threshold"}
 
 
 def test_unknown_policy_name_lists_sorted_choices():
@@ -127,29 +125,29 @@ def test_policy_param_names_reflects_signature():
     """An unknown parameter is rejected with the constructor's own names."""
     with pytest.raises(ValueError, match=r"valid parameters: "
                                          r"\['burst', 'rate_rps'\]"):
-        build_policy("admission", {"name": "token_bucket",
-                                   "params": {"bogus": 1}})
+        build_policy("admission", PolicySpec("token_bucket", {"bogus": 1}))
     with pytest.raises(ValueError, match="'weights'"):
-        build_policy("dispatch", {"name": "weighted_fair",
-                                  "params": {"bogus": 1}})
-
-
-def test_registered_policies_snapshot_is_a_copy():
-    snapshot = registered_policies("dispatch")
-    snapshot["injected"] = object
-    assert "injected" not in policy_names("dispatch")
+        build_policy("dispatch", PolicySpec("weighted_fair", {"bogus": 1}))
 
 
 # --------------------------------------------------------------------------- #
 # PolicySpec                                                                  #
 # --------------------------------------------------------------------------- #
-def test_policy_spec_coerce_accepts_three_spellings():
+def test_policy_spec_coerce_accepts_two_spellings():
     spec = PolicySpec("deadline", {"slack_factor": 1.5})
     assert PolicySpec.coerce(spec) is spec
     assert PolicySpec.coerce("deadline") == PolicySpec("deadline")
-    assert PolicySpec.coerce(spec.to_dict()) == spec
     with pytest.raises(TypeError):
         PolicySpec.coerce(42)
+
+
+def test_policy_spec_coerce_rejects_a_dict_naming_both_spellings():
+    with pytest.raises(TypeError) as excinfo:
+        PolicySpec.coerce({"name": "deadline",
+                           "params": {"slack_factor": 1.5}})
+    message = str(excinfo.value)
+    assert "PolicySpec" in message and "name string" in message
+    assert "dict" not in message
 
 
 def test_policy_spec_requires_a_name():
@@ -194,7 +192,7 @@ def test_policy_spec_is_deep_frozen_hashable_and_picklable():
     spec = PolicySpec("queue_depth", {"max_tenant_depth": 8})
     with pytest.raises(TypeError):
         spec.params["max_tenant_depth"] = 99
-    assert hash(spec) == hash(PolicySpec.from_dict(spec.to_dict()))
+    assert hash(spec) == hash(PolicySpec(**spec.to_dict()))
     assert pickle.loads(pickle.dumps(spec)) == spec
 
 
@@ -202,14 +200,13 @@ def test_policy_spec_is_deep_frozen_hashable_and_picklable():
 # Config plumbing (PlatformConfig / ClusterConfig / ServingScenario)          #
 # --------------------------------------------------------------------------- #
 def test_platform_config_scheduler_policy_syncs_and_round_trips():
-    # A param-free spec (or its dict) names the scheduler: it is stored
-    # as the system name, so every spelling is one config.
+    # A param-free spec names the scheduler: it is stored as the system
+    # name, so both spellings are one config with one cache key.
     config = PlatformConfig(system=PolicySpec("InterDy"))
     assert config.system == "InterDy"
-    assert config == PlatformConfig(system={"name": "InterDy"})
-    rebuilt = PlatformConfig.from_dict(config.to_dict())
-    assert rebuilt == config
-    assert rebuilt.config_hash() == config.config_hash()
+    by_name = PlatformConfig(system="InterDy")
+    assert by_name == config
+    assert by_name.config_hash() == config.config_hash()
     # A different scheduler yields a different cache identity.
     other = PlatformConfig(system=PolicySpec("InterSt"))
     assert other.config_hash() != config.config_hash()
@@ -248,13 +245,13 @@ def test_platform_config_rejects_unregistered_scheduler_policy():
 def test_cluster_config_placement_spec_syncs_and_round_trips():
     device = PlatformConfig(input_scale=0.01)
     cluster = ClusterConfig.homogeneous(
-        2, device,
-        placement={"name": "tenant_affinity", "params": {"salt": 3}})
-    assert cluster.placement == PolicySpec("tenant_affinity", {"salt": 3})
-    assert cluster.to_dict()["placement"] == cluster.placement.to_dict()
-    rebuilt = ClusterConfig.from_dict(cluster.to_dict())
-    assert rebuilt == cluster
-    assert rebuilt.config_hash() == cluster.config_hash()
+        2, device, placement=PolicySpec("tenant_affinity", {"salt": 3}))
+    assert json.loads(json.dumps(cluster.to_dict()["placement"])) \
+        == {"name": "tenant_affinity", "params": {"salt": 3}}
+    again = ClusterConfig.homogeneous(
+        2, device, placement=PolicySpec("tenant_affinity", {"salt": 3}))
+    assert again == cluster
+    assert again.config_hash() == cluster.config_hash()
 
 
 def test_cluster_config_accepts_registry_only_placement():
@@ -287,18 +284,11 @@ def test_scenario_validates_the_legacy_admission_string_eagerly():
     assert "'queue_depth'" in str(excinfo.value)
 
 
-def test_policy_spec_dict_without_name_raises_value_error():
-    with pytest.raises(ValueError) as excinfo:
-        PolicySpec.coerce({"params": {"max_tenant_depth": 8}})
-    assert "name" in str(excinfo.value)
-
-
 def test_scenario_validates_policy_specs_eagerly():
     scenario = ServingScenario(admission="token_bucket",
-                               dispatch_spec={"name": "strict_priority"})
+                               dispatch_spec="strict_priority")
     assert scenario.admission == PolicySpec("token_bucket")
     assert scenario.dispatch_spec == PolicySpec("strict_priority")
-    assert ServingScenario.from_dict(scenario.to_dict()) == scenario
     with pytest.raises(ValueError):
         ServingScenario(admission=PolicySpec("not-an-admission"))
     with pytest.raises(ValueError):

@@ -157,7 +157,8 @@ def test_parameterized_cells_stay_distinguishable():
                     PolicySpec("queue_depth", {"max_tenant_depth": 64})),
         dispatches=("round_robin",), placements=("round_robin",),
         scenario=SCENARIO, device_config=DEVICE)
-    labels = {combo.label for combo, _ in grid}
+    labels = {describe_policy(combo.admission.name, combo.admission.params)
+              for combo, _ in grid}
     assert len(labels) == 2
     points = [
         PolicyGridPoint("IntraO3", "queue_depth", "round_robin",

@@ -1,16 +1,16 @@
 """Seeded property fuzz over every registered policy in every domain.
 
 The registry contract, checked by generation instead of enumeration: for
-any registered policy and any parameter draw, the ``PolicySpec`` naming
-it must round-trip ``to_dict -> json -> from_dict`` losslessly with a
-stable content hash (independent of param insertion order), and
-``build_policy`` must reject unknown parameters with an actionable
-error.  The draws come from one fixed-seed RNG, so a failure is a
+any registered policy and any parameter draw, the dict form of the
+``PolicySpec`` naming it must carry its whole identity through JSON (the
+spec rebuilt from it is equal) with a stable content hash (independent
+of param insertion order), and ``build_policy`` must reject unknown
+parameters with an actionable error.  The draws come from one fixed-seed RNG, so a failure is a
 reproducible counterexample, never flake.
 
 Every policy selection in a config is also one field with one identity:
-a bare name, its ``PolicySpec`` and the spec's dict build equal configs
-with equal hashes and experiment keys.
+a bare name and its ``PolicySpec`` build equal configs with equal
+hashes and experiment keys.
 """
 
 import inspect
@@ -75,8 +75,7 @@ def test_fuzzed_specs_round_trip_losslessly_with_stable_hashes():
             params = {p: draw_param_value(rng) for p in chosen}
             spec = PolicySpec(name, params)
             # Lossless through dicts and through actual JSON text.
-            rebuilt = PolicySpec.from_dict(
-                json.loads(json.dumps(spec.to_dict())))
+            rebuilt = PolicySpec(**json.loads(json.dumps(spec.to_dict())))
             assert rebuilt == spec, (domain, name, params)
             assert rebuilt._canonical == spec._canonical
             assert rebuilt.config_hash() == spec.config_hash()
@@ -180,8 +179,8 @@ WORKLOAD = WorkloadSpec("homogeneous", "ATAX")
 
 
 def spellings(name):
-    """The three ways a caller may select one parameterless policy."""
-    return (name, PolicySpec(name), PolicySpec(name).to_dict())
+    """The two ways a caller may select one parameterless policy."""
+    return (name, PolicySpec(name))
 
 
 def keys(scenario=None, device=DEVICE, cluster=None):
@@ -199,8 +198,7 @@ def assert_one_identity(configs):
     for config in configs[1:]:
         assert config == first
         assert config.to_dict() == first.to_dict()
-    assert type(first).from_dict(
-        json.loads(json.dumps(first.to_dict()))) == first
+    assert json.loads(json.dumps(first.to_dict())) == first.to_dict()
 
 
 @pytest.mark.parametrize("name", policy_names("scheduler"))
@@ -237,10 +235,10 @@ def test_queue_depth_bound_keys_once():
     # scenario-level depth knob and a spec param) with two cache keys.
     params = {"max_tenant_depth": 8}
     via_spec = ServingScenario(admission=PolicySpec("queue_depth", params))
-    via_dict = ServingScenario(
-        admission={"name": "queue_depth", "params": params})
-    assert via_spec == via_dict
-    assert keys(scenario=via_spec) == keys(scenario=via_dict)
+    via_override = ServingScenario().with_overrides(
+        admission=PolicySpec("queue_depth", dict(params)))
+    assert via_spec == via_override
+    assert keys(scenario=via_spec) == keys(scenario=via_override)
     assert via_spec.make_admission().max_tenant_depth == 8
 
 

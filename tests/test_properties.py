@@ -13,6 +13,8 @@ from repro.sim.engine import Environment
 from repro.sim.resources import Resource
 from repro.sim.stats import SummaryStats, TimeWeightedStat
 
+from helpers import kernel_instructions, serial_fraction
+
 
 # --------------------------------------------------------------------------- #
 # Simulation engine: event ordering                                            #
@@ -205,11 +207,11 @@ def test_build_kernel_conserves_totals(instructions, input_bytes, output_bytes,
     kernel = build_kernel("prop", instructions, input_bytes, output_bytes,
                           microblock_count=mblks, serial_microblocks=serial,
                           screens_per_microblock=screens)
-    assert kernel.instructions == pytest.approx(instructions, rel=1e-9)
+    assert kernel_instructions(kernel) == pytest.approx(instructions, rel=1e-9)
     assert kernel.input_bytes == input_bytes
     assert kernel.output_bytes == output_bytes
     assert sum(m.serial for m in kernel.microblocks) == serial
-    assert 0.0 <= kernel.serial_fraction <= 1.0
+    assert 0.0 <= serial_fraction(kernel) <= 1.0
     # Exactly one microblock reads flash and exactly one writes it.
     assert sum(1 for m in kernel.microblocks if m.reads_flash) == 1
     assert sum(1 for m in kernel.microblocks if m.writes_flash) == 1

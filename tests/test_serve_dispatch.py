@@ -136,8 +136,8 @@ def test_scenario_injects_tenant_weights_into_weighted_fair():
 def test_scenario_explicit_dispatch_params_win_over_tenant_weights():
     scenario = ServingScenario(
         tenants=(TenantSpec("a", 3.0, 1.0), TenantSpec("b", 1.0, 1.0)),
-        dispatch_spec={"name": "weighted_fair",
-                       "params": {"weights": {"a": 1.0, "b": 5.0}}})
+        dispatch_spec=PolicySpec("weighted_fair",
+                                 {"weights": {"a": 1.0, "b": 5.0}}))
     policy = scenario.make_dispatch()
     policy.bind(["a", "b"])
     assert policy._weights == {"a": 1.0, "b": 5.0}
@@ -160,8 +160,8 @@ def test_strict_priority_favors_the_top_tenant_end_to_end():
     fair = ServingSession(base, config).run()
     prio = ServingSession(
         base.with_overrides(
-            dispatch_spec={"name": "strict_priority",
-                           "params": {"priority": {"gold": 0}}}),
+            dispatch_spec=PolicySpec("strict_priority",
+                                     {"priority": {"gold": 0}})),
         config).run()
 
     def mean_latency(report, tenant):

@@ -64,7 +64,7 @@ def test_frontend_dispatches_up_to_capacity_and_completes():
     env.process(arrivals())
     env.run()
     assert tracker.completed == 5
-    assert tracker.rejected == 0
+    assert tracker.aggregate.rejected == 0
     assert backend.dispatched == 5
     assert frontend.drained
     # Two at a time: 5 requests x 0.1 s over capacity 2 -> 0.3 s makespan.
@@ -111,7 +111,7 @@ def test_queue_depth_admission_rejects_excess():
     env.process(arrivals())
     env.run()
     # One dispatched immediately, two queued, the rest rejected on arrival.
-    assert tracker.rejected == 3
+    assert tracker.aggregate.rejected == 3
     assert tracker.completed == 3
     rejected = [r for r in frontend.records
                 if r.status is RequestStatus.REJECTED]
@@ -166,8 +166,8 @@ def test_deadline_admission_in_frontend_rejects_hopeless_requests():
     # 0.2 s service vs. 0.3 s SLO: one more request fits, the backlog
     # beyond it is rejected at arrival instead of timing out in queue.
     assert tracker.completed >= 2
-    assert tracker.rejected >= 2
-    assert tracker.completed + tracker.rejected == 6
+    assert tracker.aggregate.rejected >= 2
+    assert tracker.completed + tracker.aggregate.rejected == 6
 
 
 def test_build_admission_rejects_unknown_policy():

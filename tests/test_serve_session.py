@@ -69,13 +69,15 @@ def test_scenario_rejects_a_non_finite_offered_rate(value):
 
 def test_scenario_roundtrip_and_label():
     base = scenario(process="mmpp", offered_rps=42.0)
-    clone = ServingScenario.from_dict(base.to_dict())
-    assert clone == base
-    assert clone.tenants == TENANTS
+    again = scenario(process="mmpp", offered_rps=42.0)
+    assert again == base and again.to_dict() == base.to_dict()
+    assert base.to_dict()["tenants"] == [[t.name, t.weight, t.slo_s]
+                                         for t in TENANTS]
     assert base.label == "serve-mmpp-42rps"
     trace = scenario(process="trace",
                      trace_events=((0.1, "a", "ATAX"), (0.2, "b", "MVT")))
-    assert ServingScenario.from_dict(trace.to_dict()) == trace
+    assert trace.to_dict()["trace_events"] == [[0.1, "a", "ATAX"],
+                                               [0.2, "b", "MVT"]]
 
 
 # --------------------------------------------------------------------------- #

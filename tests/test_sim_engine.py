@@ -5,6 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.sim.engine import Environment, SimulationError
 
+from helpers import peek, step
+
 
 def test_clock_starts_at_zero():
     env = Environment()
@@ -202,14 +204,14 @@ def test_yielding_non_event_is_an_error():
 def test_step_without_events_raises():
     env = Environment()
     with pytest.raises(SimulationError):
-        env.step()
+        step(env)
 
 
 def test_peek_reports_next_event_time():
     env = Environment()
-    assert env.peek() == float("inf")
+    assert peek(env) == float("inf")
     env.timeout(7.0)
-    assert env.peek() == 7.0
+    assert peek(env) == 7.0
 
 
 def test_waiting_on_already_processed_event_resumes_immediately():
@@ -245,7 +247,7 @@ def _crasher(env, delay):
     lambda env: env.run(until=10.0),
     lambda env: env.run_events(10.0),
     lambda env: env.run_until(lambda: False),
-    lambda env: [env.step() for _ in range(10)],
+    lambda env: [step(env) for _ in range(10)],
 ])
 def test_spawned_crash_propagates_out_of_every_loop(drive):
     env = Environment()
@@ -291,19 +293,19 @@ def test_run_until_stops_on_the_same_event_as_a_step_loop():
 
     stepped, step_log = build()
     while len(step_log) < 25:
-        stepped.step()
+        step(stepped)
     ran, run_log = build()
     assert ran.run_until(lambda: len(run_log) >= 25) == "done"
     assert run_log == step_log
     assert ran.now == stepped.now
-    assert ran.peek() == stepped.peek()
+    assert peek(ran) == peek(stepped)
 
 
 def test_run_until_checks_before_the_first_event():
     env = Environment()
     env.timeout(1.0)
     assert env.run_until(lambda: True) == "done"
-    assert env.now == 0.0 and env.peek() == 1.0
+    assert env.now == 0.0 and peek(env) == 1.0
 
 
 def test_run_until_reports_a_drained_queue():
@@ -390,7 +392,7 @@ def test_timeout_at_reuses_pooled_timeouts():
     timeout = env.timeout_at(3.0, value=7)
     assert timeout is pooled
     assert len(env._timeout_pool) == 1
-    assert (env.peek(), timeout.value) == (3.0, 7)
+    assert (peek(env), timeout.value) == (3.0, 7)
     del timeout, pooled
 
     fired = []
@@ -409,7 +411,7 @@ def test_timeout_at_reuses_pooled_timeouts():
     assert len(env._timeout_pool) == 2
     reused = env._timeout_pool[-1]
     assert env.timeout_at(6.0) is reused
-    assert env.peek() == 6.0
+    assert peek(env) == 6.0
 
 
 # --------------------------------------------------------------------------- #
@@ -574,31 +576,31 @@ def drive(program, driver):
         error = (type(exc).__name__, str(exc))
     return {"log": log, "checkpoints": checkpoints, "error": error,
             "now": env.now if now is None else now, "eid": env._eid,
-            "peek": env.peek()}
+            "peek": peek(env)}
 
 
 def snapshot(env, log, now=None):
-    return (len(log), env.now if now is None else now, env.peek(),
+    return (len(log), env.now if now is None else now, peek(env),
             env._eid)
 
 
 def step_all(env, log, checkpoints):
-    while env.peek() != INF:
-        env.step()
+    while peek(env) != INF:
+        step(env)
 
 
 def step_through(env, horizon):
     """Reference for one bounded chunk: step every event <= horizon."""
-    while env.peek() <= horizon:
-        env.step()
+    while peek(env) <= horizon:
+        step(env)
 
 
 def step_until(env, done):
     """Reference for run_until: ``while not done(): step()``."""
     while not done():
-        if env.peek() == INF:
+        if peek(env) == INF:
             return "drained"
-        env.step()
+        step(env)
     return "done"
 
 

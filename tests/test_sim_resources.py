@@ -104,7 +104,7 @@ def test_release_unqueued_request_is_noop():
     env.run()
     res.release(req)
     res.release(req)  # second release must not blow up
-    assert res.count == 0
+    assert len(res._users) == 0
 
 
 class HeapOnlyResource(Resource):
@@ -132,7 +132,8 @@ def _mixed_priority_trace(resource_cls):
     def user(name, arrive, priority, hold):
         yield env.timeout(arrive)
         with res.request(priority=priority) as req:
-            log.append((env.now, name, "asked", res.count, len(res._queue)))
+            log.append((env.now, name, "asked", len(res._users),
+                        len(res._queue)))
             yield req
             log.append((env.now, name, "granted"))
             yield env.timeout(hold)

@@ -20,7 +20,6 @@ def test_interval_accumulator_basic_busy_time():
     acc.begin(5.0)
     acc.end(6.0)
     assert acc.busy_time() == pytest.approx(3.0)
-    assert acc.utilization(10.0) == pytest.approx(0.3)
 
 
 def test_interval_accumulator_nested_intervals_count_once():
@@ -52,16 +51,15 @@ def test_time_weighted_mean():
     stat.update(2.0, 4.0)    # value 0 for [0,2)
     stat.update(4.0, 0.0)    # value 4 for [2,4)
     assert stat.mean(4.0) == pytest.approx(2.0)
-    assert stat.max == 4.0
-    assert stat.min == 0.0
 
 
 def test_time_weighted_adjust_deltas():
+    # Relative moves, as the LWP cluster's activity counter drives it.
     stat = TimeWeightedStat(0.0)
-    stat.adjust(1.0, +3)
-    stat.adjust(2.0, -1)
+    stat.update(1.0, stat.value + 3)
+    stat.update(2.0, stat.value - 1)
     assert stat.value == 2
-    assert stat.max == 3
+    assert stat.mean(3.0) == pytest.approx((0 + 3 + 2) / 3)
 
 
 def test_time_weighted_rejects_time_reversal():
@@ -116,14 +114,10 @@ def test_summary_stats_min_mean_max():
     assert stats.min == 1.0
     assert stats.max == 3.0
     assert stats.mean == pytest.approx(2.0)
-    assert stats.count == 3
-    assert stats.total == pytest.approx(6.0)
 
 
 def test_summary_stats_add_keeps_sorted_percentiles():
-    stats = SummaryStats()
-    for v in (5.0, 1.0, 3.0, 2.0, 4.0):
-        stats.add(v)
+    stats = SummaryStats(v for v in (5.0, 1.0, 3.0, 2.0, 4.0))
     assert stats.percentile(0) == 1.0
     assert stats.percentile(50) == 3.0
     assert stats.percentile(100) == 5.0
@@ -161,7 +155,7 @@ def test_reservoir_exact_below_capacity():
         reservoir.observe(v)
     assert reservoir.count == 50
     assert len(reservoir) == 50         # every sample kept: exact
-    assert reservoir.min == 1.0
+    assert reservoir.percentile(0) == 1.0
     assert reservoir.max == 50.0
     assert reservoir.mean == pytest.approx(sum(values) / 50)
     assert reservoir.percentile(50) == 25.0
@@ -177,7 +171,6 @@ def test_reservoir_bounded_memory_and_sane_estimates():
     assert len(reservoir) == 256
     assert reservoir.count > len(reservoir)     # a uniform sample now
     assert reservoir.count == 10_000
-    assert reservoir.min == 0.0
     assert reservoir.max == 9999.0
     # The uniform-sample median must land near the true median.
     assert 3000.0 < reservoir.percentile(50) < 7000.0
@@ -191,24 +184,10 @@ def test_reservoir_deterministic_for_fixed_seed():
         r = LatencyReservoir(capacity=64, seed=seed)
         for v in range(1000):
             r.observe(float(v % 97))
-        return r.to_dict()
+        # Every nearest rank: the reservoir's whole sorted sample.
+        return [r.percentile(100.0 * rank / 64) for rank in range(65)]
     assert fill(11) == fill(11)
     assert fill(11) != fill(12)
-
-
-def test_reservoir_roundtrip():
-    from repro.sim.stats import LatencyReservoir
-    reservoir = LatencyReservoir(capacity=32, seed=5)
-    for v in (3.0, 1.0, 2.0, 8.0):
-        reservoir.observe(v)
-    clone = LatencyReservoir.from_dict(reservoir.to_dict())
-    assert clone.to_dict() == reservoir.to_dict()
-    assert clone.count == 4
-    assert clone.mean == reservoir.mean
-    assert clone.percentile(99) == reservoir.percentile(99)
-    # Empty reservoirs round-trip too.
-    empty = LatencyReservoir(capacity=8, seed=1)
-    assert LatencyReservoir.from_dict(empty.to_dict()).count == 0
 
 
 def test_reservoir_rejects_bad_input():

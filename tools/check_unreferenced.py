@@ -23,8 +23,15 @@ tests need: the script lists each one with its location and exits 1.
 There is no allowlist; delete the definition or use it.
 
 A name shared by several definitions counts as used for all of them,
-so the check is conservative: it never reports live code, but it can
-miss a dead method that shares its name with a live one.
+so the check is conservative: it never reports live code, but a shared
+name hides a dead method.  ``ObsConfig.from_dict`` passed here while
+nothing called it, because the report classes' live ``from_dict``s
+share its name.  ``tools/trace_survey.py``, which records what a corpus
+of runs executes, is what catches those.  Counting a call on ``self``
+only for the enclosing class would not: a base class calls its
+subclasses' overrides through ``self`` (``_on_offload``,
+``_arrival_times``, ``_learn``, ``_snapshot_extra``), and that rule
+reports all of them.
 
 Used by the CI lint job; run locally with:
 
