@@ -19,6 +19,17 @@ The simulation keeps that grid but does not simulate checks whose outcome
 is already known: an idle Storengine sleeps on one timeout at the first
 grid tick where the journal falls due, and three state changes wake it
 early, at the first grid tick at or after the wake (see :meth:`_wake`).
+
+Nor does it simulate what nothing else can observe.  Before it sleeps,
+Storengine applies at once every idle check and journal dump step that
+falls strictly before :meth:`~repro.sim.engine.Environment.quiet_until`
+(the next foreign event or the running loop's horizon): until then no
+other process runs, so no state changes and no wake happens.  Each step
+lands at its own instant and in its original order, so the effects —
+the Fig. 15a functional-unit samples, the power series, the order of
+the storage-energy charges, the program lane's reservations — are those
+of the simulated steps, bit for bit.  A step at or after that instant
+waits on a timeout as before.
 """
 
 from __future__ import annotations
@@ -38,6 +49,15 @@ from .flashvisor import Flashvisor, _no_wake
 #: cost one float addition per skipped tick up front; a sleep that
 #: reaches this cap ends in one idle check and sleeps again.
 _MAX_SLEEP_TICKS = 256
+
+#: Most idle checks one resume applies ahead of the clock.  With no
+#: other event pending and no horizon (Storengine the last process left)
+#: nothing bounds the replay; past this cap it sleeps on a timeout, so
+#: the engine loop regains control and its watchdog can trip.
+_MAX_QUIET_CHECKS = 256
+
+#: Storengine's compute time per journal dump, charged as storage.
+_JOURNAL_BUSY_S = 20e-6
 
 
 @dataclass
@@ -101,6 +121,10 @@ class Storengine:
     def _run(self):
         env = self.env
         flashvisor = self.flashvisor
+        # The instant of the current check: the clock, or an instant
+        # ahead of it that no other event can observe.
+        now = env.now
+        quiet_checks = 0
         while not self._stopped:
             did_work = False
             if flashvisor.pending_flush_bytes > 0:
@@ -109,14 +133,32 @@ class Storengine:
             if flashvisor.allocator.needs_gc():
                 yield from self._collect_garbage()
                 did_work = True
-            if (env.now - self._last_journal) >= self.journal_interval_s:
-                yield from self._journal_metadata()
-                did_work = True
-            if not did_work:
-                self._idle_tick = env.now
-                self._timer = env.timeout_at(self._sleep_until())
-                yield self._timer
-                self._timer = None
+            if did_work:
+                now = env.now
+            if now - self._last_journal >= self.journal_interval_s:
+                now = yield from self._journal_metadata(now)
+                if now > env.now and (self._stopped
+                                      or flashvisor.pending_flush_bytes > 0
+                                      or flashvisor.allocator.needs_gc()):
+                    # The dump ended ahead of the clock, but work is left
+                    # (a flush chunk or a GC row from before it, or what
+                    # an event set while it waited): that work, or the
+                    # exit, starts on the clock at the dump's end.
+                    yield env.timeout_at(now)
+            elif not did_work:
+                self._idle_tick = now
+                tick = self._sleep_until()
+                if (tick < env.quiet_until()
+                        and quiet_checks < _MAX_QUIET_CHECKS):
+                    # Nothing can observe this check: apply it at once.
+                    now = tick
+                    quiet_checks += 1
+                else:
+                    quiet_checks = 0
+                    self._timer = env.timeout_at(tick)
+                    yield self._timer
+                    self._timer = None
+                    now = env.now
 
     def _sleep_until(self) -> float:
         """The first poll tick after this idle check where the journal is
@@ -181,16 +223,37 @@ class Storengine:
     # ------------------------------------------------------------------ #
     # Metadata journaling                                                 #
     # ------------------------------------------------------------------ #
-    def _journal_metadata(self):
-        # The page-table entries for each block are persisted to the first
-        # two pages of the block (Section 4.3); a periodic dump of the
-        # scratchpad snapshot is modeled as a small bulk program.
-        snapshot_bytes = 2 * self.backbone.spec.page_bytes
-        yield from self.lwp.busy_for(20e-6, bucket=STORAGE_ACCESS)
-        yield from self.backbone.bulk_program(snapshot_bytes)
+    def _journal_metadata(self, start: float):
+        """Process generator: one dump beginning at instant ``start``;
+        returns the instant it ends.
+
+        The page-table entries for each block are persisted to the first
+        two pages of the block (Section 4.3); a periodic dump of the
+        scratchpad snapshot is modeled as a 20 us busy period on the
+        Storengine LWP followed by a small bulk program.  Its three steps
+        (busy begins, busy ends and the program is issued, the program
+        completes) each apply at once when they fall before
+        :meth:`~repro.sim.engine.Environment.quiet_until`, and otherwise
+        wait on a timeout to their instant.
+        """
+        env = self.env
+        lwp = self.lwp
+        backbone = self.backbone
+        snapshot_bytes = 2 * backbone.spec.page_bytes
+        lwp.begin_busy(1, start)
+        issued = start + _JOURNAL_BUSY_S
+        if issued >= env.quiet_until():
+            yield env.timeout_at(issued)
+        lwp.end_busy(1, issued)
+        lwp.charge(STORAGE_ACCESS, _JOURNAL_BUSY_S)
+        end = backbone.reserve_program(snapshot_bytes, issued)
+        if end >= env.quiet_until():
+            yield env.timeout_at(end)
+        backbone.complete_program(snapshot_bytes, issued, end)
         self.stats.journal_dumps += 1
         self.stats.journal_bytes += snapshot_bytes
-        self._last_journal = self.env.now
+        self._last_journal = end
+        return end
 
     # ------------------------------------------------------------------ #
     # Garbage collection / wear-leveling                                  #

@@ -75,7 +75,7 @@ class FlashBackbone:
             done_events.append(txn.done)
         yield self.env.all_of(done_events)
         self.page_group_reads += 1
-        self._charge(start)
+        self._charge(self.env.now - start)
 
     def program_page_group(self, physical_group: int):
         """Process generator: program every page of a physical page group."""
@@ -88,7 +88,7 @@ class FlashBackbone:
             done_events.append(txn.done)
         yield self.env.all_of(done_events)
         self.page_group_writes += 1
-        self._charge(start, self.spec.program_power_w)
+        self._charge(self.env.now - start, self.spec.program_power_w)
 
     def erase_block_row(self, row_id: int):
         """Process generator: erase the block stripe backing ``row_id``."""
@@ -112,7 +112,7 @@ class FlashBackbone:
             done_events.append(txn.done)
         yield self.env.all_of(done_events)
         self.block_erases += 1
-        self._charge(start)
+        self._charge(self.env.now - start)
 
     # -- bulk (data-section) transfers -----------------------------------------
     @property
@@ -137,42 +137,56 @@ class FlashBackbone:
         """
         if num_bytes == 0:
             return 0.0
-        start = self.env.now
-        self._stream_begin(self.spec.power_w)
+        env = self.env
+        start = env.now
+        self._stream_begin(self.spec.power_w, start)
         yield from self._bulk_read_lane.transfer(num_bytes)
-        self._stream_end()
+        self._stream_end(env.now)
         self.bulk_bytes_read += num_bytes
-        self._charge(start)
-        return self.env.now - start
+        self._charge(env.now - start)
+        return env.now - start
 
     def bulk_program(self, num_bytes: int):
         """Process generator: stream ``num_bytes`` into flash (write-back)."""
         if num_bytes == 0:
             return 0.0
         start = self.env.now
-        self._stream_begin(self.spec.program_power_w)
-        yield from self._bulk_program_lane.transfer(num_bytes)
-        self._stream_end()
+        end = self.reserve_program(num_bytes, start)
+        yield self.env.timeout_at(end)
+        self.complete_program(num_bytes, start, end)
+        return end - start
+
+    def reserve_program(self, num_bytes: int, start: float) -> float:
+        """First step of a bulk program issued at instant ``start``: the
+        stream begins and the program lane is reserved.  Returns the
+        instant the program ends, where :meth:`complete_program` runs."""
+        self._stream_begin(self.spec.program_power_w, start)
+        return self._bulk_program_lane.reserve(num_bytes, start)
+
+    def complete_program(self, num_bytes: int, start: float,
+                         end: float) -> None:
+        """Last step of a bulk program from ``start`` to ``end``."""
+        self._bulk_program_lane.bytes_moved += num_bytes
+        self._stream_end(end)
         self.bulk_bytes_written += num_bytes
-        self._charge(start, self.spec.program_power_w)
-        return self.env.now - start
+        self._charge(end - start, self.spec.program_power_w)
 
     # -- helpers ---------------------------------------------------------------
-    def _stream_begin(self, power_w: float) -> None:
+    def _stream_begin(self, power_w: float, now: float) -> None:
         self._active_streams += 1
         if self.power_monitor is not None:
-            self.power_monitor.set_draw("flash_backbone", power_w)
+            self.power_monitor.set_draw("flash_backbone", power_w, now)
 
-    def _stream_end(self) -> None:
+    def _stream_end(self, now: float) -> None:
         self._active_streams = max(0, self._active_streams - 1)
         if self.power_monitor is not None and self._active_streams == 0:
-            self.power_monitor.set_draw("flash_backbone", 0.0)
+            self.power_monitor.set_draw("flash_backbone", 0.0, now)
 
-    def _charge(self, start: float, power_w: Optional[float] = None) -> None:
+    def _charge(self, seconds: float, power_w: Optional[float] = None) -> None:
         if self.energy is not None:
             watts = self.spec.power_w if power_w is None else power_w
             self.energy.charge_power("flash_backbone", STORAGE_ACCESS,
-                                     watts, self.env.now - start)
+                                     watts, seconds)
 
     # -- metrics ----------------------------------------------------------------
     def bytes_read(self) -> int:

@@ -111,13 +111,12 @@ class LWP:
                 parallelism: float = 1.0, bucket: str = COMPUTATION):
         """Process generator: occupy this LWP for the estimated duration."""
         est = self.estimate(instructions, load_store_fraction, parallelism)
-        self.begin_busy(est.functional_units_used)
-        yield self.env.timeout(est.seconds)
-        self.end_busy(est.functional_units_used)
+        env = self.env
+        self.begin_busy(est.functional_units_used, env.now)
+        yield env.timeout(est.seconds)
+        self.end_busy(est.functional_units_used, env.now)
         self.instructions_retired += instructions
-        if self.energy is not None:
-            self.energy.charge_power(self._energy_key, bucket,
-                                     self.spec.power_per_core_w, est.seconds)
+        self.charge(bucket, est.seconds)
         return est
 
     def busy_for(self, seconds: float, functional_units: int = 1,
@@ -125,32 +124,40 @@ class LWP:
         """Process generator: occupy the core for a fixed duration."""
         if seconds < 0:
             raise ValueError("seconds must be non-negative")
-        self.begin_busy(functional_units)
-        yield self.env.timeout(seconds)
-        self.end_busy(functional_units)
-        if self.energy is not None:
-            self.energy.charge_power(self._energy_key, bucket,
-                                     self.spec.power_per_core_w, seconds)
+        env = self.env
+        self.begin_busy(functional_units, env.now)
+        yield env.timeout(seconds)
+        self.end_busy(functional_units, env.now)
+        self.charge(bucket, seconds)
 
     # -- accounting hooks ----------------------------------------------------
-    def begin_busy(self, functional_units: int = 1) -> None:
-        now = self.env.now
+    # The busy-period hooks take the instant explicitly: Storengine
+    # applies the steps of a journal dump at instants ahead of the clock
+    # when no other event can observe them (repro.core.storengine).
+    def begin_busy(self, functional_units: int, now: float) -> None:
+        """Start a busy period of ``functional_units`` at instant ``now``."""
         self._busy.begin(now)
         self._fu_active += functional_units
         if self.activity is not None:
             self.activity.adjust(functional_units, now)
         if self.power_monitor is not None:
             self.power_monitor.set_draw(self._energy_key,
-                                        self.spec.power_per_core_w)
+                                        self.spec.power_per_core_w, now)
 
-    def end_busy(self, functional_units: int = 1) -> None:
-        now = self.env.now
+    def end_busy(self, functional_units: int, now: float) -> None:
+        """End a busy period of ``functional_units`` at instant ``now``."""
         self._busy.end(now)
         self._fu_active -= functional_units
         if self.activity is not None:
             self.activity.adjust(-functional_units, now)
         if self.power_monitor is not None and self._fu_active <= 0:
-            self.power_monitor.set_draw(self._energy_key, 0.0)
+            self.power_monitor.set_draw(self._energy_key, 0.0, now)
+
+    def charge(self, bucket: str, seconds: float) -> None:
+        """Bill ``seconds`` of this core's power into ``bucket``."""
+        if self.energy is not None:
+            self.energy.charge_power(self._energy_key, bucket,
+                                     self.spec.power_per_core_w, seconds)
 
     # -- metrics ---------------------------------------------------------------
     def busy_time(self) -> float:

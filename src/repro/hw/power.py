@@ -16,7 +16,7 @@ state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Optional
 
 from ..sim.engine import Environment
 from ..sim.stats import TimeSeries
@@ -100,15 +100,18 @@ class PowerMonitor:
         self.series = TimeSeries("power_w")
         self.series.record(env.now, baseline_w)
 
-    def set_draw(self, component: str, watts: float) -> None:
-        """Set the current draw of ``component`` (0 to clear)."""
+    def set_draw(self, component: str, watts: float,
+                 now: Optional[float] = None) -> None:
+        """Set the draw of ``component`` (0 to clear) from instant ``now``,
+        by default the clock."""
         if watts < 0:
             raise ValueError("power draw must be non-negative")
         if watts == 0:
             self._draws.pop(component, None)
         else:
             self._draws[component] = watts
-        self.series.record(self.env.now, self.current_power())
+        self.series.record(self.env.now if now is None else now,
+                           self.current_power())
 
     def current_power(self) -> float:
         return self.baseline_w + sum(self._draws.values())

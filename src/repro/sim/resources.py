@@ -246,14 +246,26 @@ class BandwidthPipe:
         """
         env = self.env
         start = env._now
+        end = self.reserve(num_bytes, start)
+        yield env.timeout_at(end)
+        self.bytes_moved += num_bytes
+        return TransferRecord(start=start, end=end, num_bytes=num_bytes)
+
+    def reserve(self, num_bytes: int, start: float) -> float:
+        """Queue a transfer of ``num_bytes`` issued at instant ``start``;
+        return the instant it ends.
+
+        The lane is FIFO, so the end is known at issue: the transfer
+        begins when the lane falls free (or at ``start``) and holds it
+        for its service time.  The caller adds ``num_bytes`` to
+        :attr:`bytes_moved` once the transfer has ended.
+        """
         service = self.occupancy_time(num_bytes)
         free_at = self._free_at
         end = (free_at if free_at > start else start) + service
         self._free_at = end
         self._reserved += service
-        yield env.timeout_at(end)
-        self.bytes_moved += num_bytes
-        return TransferRecord(start=start, end=end, num_bytes=num_bytes)
+        return end
 
     def utilization(self) -> float:
         """Fraction of time the link was busy."""

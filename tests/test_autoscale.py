@@ -22,6 +22,12 @@ from repro.cluster import (
     QueueDepthThresholdAutoscaler,
     run_cluster,
 )
+from repro.eval import (
+    ELASTIC_SCENARIOS,
+    ExperimentOrchestrator,
+    elastic_sweep,
+    format_elastic,
+)
 from repro.platform import ClusterConfig, FaultSpec, PlatformConfig
 from repro.policy import (
     POLICY_DOMAINS,
@@ -392,3 +398,22 @@ def test_static_report_has_no_autoscaler_section():
 def test_parallel_session_rejects_elastic_cluster():
     with pytest.raises(ValueError):
         ParallelClusterSession(ELASTIC_SCENARIO, ELASTIC_CLUSTER)
+
+
+def test_elastic_sweep_runs_every_scenario_at_quick_scale():
+    # repro.eval.elastic end to end at its quick scale: each scenario
+    # runs an elastic fleet and a static-max fleet (the latter on the
+    # epoch-parallel path) through one fresh orchestrator.
+    with ExperimentOrchestrator(cache_dir=None, workers=1) as orchestrator:
+        comparisons = elastic_sweep(quick=True, orchestrator=orchestrator)
+    assert [c.scenario for c in comparisons] == list(ELASTIC_SCENARIOS)
+    for comparison in comparisons:
+        assert comparison.elastic.dropped == 0, comparison.scenario
+        assert comparison.static.dropped == 0, comparison.scenario
+        assert comparison.static.scale_events == 0, comparison.scenario
+        assert comparison.device_seconds_saved_pct > 0, comparison.scenario
+        assert comparison.compliance_gap >= -0.01, comparison.scenario
+    table = format_elastic(comparisons)
+    assert all(scenario in table for scenario in ELASTIC_SCENARIOS)
+    with pytest.raises(ValueError):
+        elastic_sweep(["nope"], orchestrator=orchestrator)

@@ -2,9 +2,11 @@
 
 Wall-clock floors are noisy on a shared host; the number of events a
 fixed-seed run schedules is not.  The literals below pin one short
-serving run at the IntraO3 knee load and one compute-bound batch mix: a
-change that adds events per screen, brings back Storengine's idle polls
-(or changes how many screens run) fails here, with no timing involved.
+serving run at the IntraO3 knee load, one compute-bound batch mix and
+one journal-heavy batch mix: a change that adds events per screen,
+brings back Storengine's idle polls or simulates the journal dumps
+nothing can observe (or changes how many screens run) fails here, with
+no timing involved.
 When a change lowers a count on purpose, update the literal and record
 the old and new value in CHANGES.md.
 """
@@ -15,15 +17,22 @@ from repro.serve import ServingScenario, ServingSession
 from repro.workloads import heterogeneous_workload
 
 #: ``env._eid`` (events scheduled) and screens executed by the run below.
-#: 13,163 events for 1,478 screens is 8.91 events per screen; each DDR3L
+#: 13,149 events for 1,478 screens is 8.90 events per screen; each DDR3L
 #: transfer and bulk flash read is one timeout, not a grant plus a timeout.
-EVENTS = 13163
+EVENTS = 13149
 SCREENS = 1478
 
 #: The same for MX7 (compute-bound, long idle stretches for Storengine)
-#: on IntraO3.  Polling every 2 ms idle tick cost 2,858 events here.
-BATCH_EVENTS = 696
+#: on IntraO3.  Polling every 2 ms idle tick cost 2,858 events here, and
+#: simulating every journal dump as three events 696.
+BATCH_EVENTS = 446
 BATCH_SCREENS = 58
+
+#: InterSt on MX6, the longest makespan at this scale (13.6 s): 252
+#: journal dumps against 43 screens.  Simulating each dump's steps as
+#: events cost 1,183 events here.
+JOURNAL_EVENTS = 448
+JOURNAL_DUMPS = 252
 
 
 def test_fixed_seed_serving_run_stays_within_its_event_budget():
@@ -46,3 +55,13 @@ def test_fixed_batch_mix_stays_within_its_event_budget():
     accelerator.run_workload(kernels, "MX7")
     assert accelerator.screens_executed == BATCH_SCREENS
     assert accelerator.env._eid == BATCH_EVENTS
+
+
+def test_journal_heavy_batch_mix_stays_within_its_event_budget():
+    accelerator = FlashAbacusAccelerator(
+        config=PlatformConfig(system="InterSt", input_scale=0.05))
+    kernels = heterogeneous_workload("MX6", instances_per_kernel=1,
+                                     input_scale=0.05)
+    accelerator.run_workload(kernels, "MX6")
+    assert accelerator.storengine.stats.journal_dumps == JOURNAL_DUMPS
+    assert accelerator.env._eid == JOURNAL_EVENTS

@@ -16,6 +16,15 @@ import pytest
 
 from repro.cluster import ClusterSession, run_cluster
 from repro.cluster.parallel import ParallelClusterSession
+from repro.eval import (
+    LEARNED_SCENARIOS,
+    ExperimentOrchestrator,
+    bursty_scenario,
+    format_learned,
+    learned_bakeoff,
+    learned_device,
+    learning_curve,
+)
 from repro.eval.cluster import ClusterExperimentSpec
 from repro.platform import ClusterConfig, PlatformConfig
 from repro.policy import (
@@ -346,3 +355,38 @@ def test_cluster_session_feeds_the_fleet_placement_bandit():
     assert snapshot["feedback_events"] == report.completed
     assert snapshot["reroute_events"] == report.reroutes == 0
     assert run_cluster(SCENARIO, cluster).to_dict() == report.to_dict()
+
+
+# --------------------------------------------------------------------------- #
+# The evaluation layer (repro.eval.learned) at its quick scale                 #
+# --------------------------------------------------------------------------- #
+def test_learned_bakeoff_runs_every_scenario_at_quick_scale():
+    with ExperimentOrchestrator(cache_dir=None, workers=1) as orchestrator:
+        comparisons = learned_bakeoff(quick=True, orchestrator=orchestrator)
+    assert [c.scenario for c in comparisons] == list(LEARNED_SCENARIOS)
+    for comparison in comparisons:
+        # One learned challenger against the static policies of its domain.
+        assert len(comparison.learned_cells) == 1, comparison.scenario
+        assert len(comparison.static_cells) >= 3, comparison.scenario
+        for cell in comparison.cells:
+            assert 0.0 <= cell.slo_compliance <= 1.0
+    verdicts = {c.scenario: c.beats_best_static() for c in comparisons}
+    assert verdicts["churn"] and verdicts["hetero"], verdicts
+    table = format_learned(comparisons)
+    assert all(scenario in table for scenario in LEARNED_SCENARIOS)
+    with pytest.raises(ValueError):
+        learned_bakeoff(["nope"], orchestrator=orchestrator)
+
+
+def test_learning_curve_bins_every_arrival_of_one_run_once():
+    scenario = bursty_scenario(duration_s=1.0)
+    curve = learning_curve(scenario, windows=4)
+    report = ServingSession(scenario, learned_device()).run()
+    assert [w.start_s for w in curve] == [0.0, 0.25, 0.5, 0.75]
+    assert curve[-1].end_s == scenario.duration_s
+    assert sum(w.offered for w in curve) == report.offered
+    assert sum(w.completed for w in curve) == report.completed
+    assert sum(w.slo_violations for w in curve) == report.slo_violations
+    assert all(0.0 <= w.slo_compliance <= 1.0 for w in curve)
+    with pytest.raises(ValueError):
+        learning_curve(scenario, windows=0)

@@ -22,6 +22,7 @@ on a schedule where both loops agree.
 """
 
 import gc
+import signal
 from dataclasses import astuple
 
 import pytest
@@ -33,13 +34,14 @@ from repro.core import (
     accelerator as accelerator_module,
 )
 from repro.core.flashvisor import Flashvisor
+from repro.core import storengine as storengine_module
 from repro.core.storengine import Storengine
 from repro.eval import run_system
 from repro.flash.backbone import FlashBackbone
 from repro.flash.ftl import OutOfSpaceError
 from repro.hw.lwp import LWPCluster
 from repro.hw.memory import DDR3L, Scratchpad
-from repro.hw.power import EnergyAccountant
+from repro.hw.power import STORAGE_ACCESS, EnergyAccountant, PowerMonitor
 from repro.platform import PlatformConfig
 from repro.serve import ServingScenario, ServingSession
 from repro.sim import Environment
@@ -47,7 +49,8 @@ from repro.workloads import heterogeneous_workload
 
 
 class PollingStorengine(Storengine):
-    """The reference loop: one idle check per grid tick.
+    """The reference loop: one idle check per grid tick, and every step
+    of a journal dump simulated as its own event.
 
     ``idle_checks`` records the instant of every check that found no
     work, so a schedule can tell whether one of its actions tied with a
@@ -56,6 +59,7 @@ class PollingStorengine(Storengine):
 
     def _run(self):
         self.idle_checks = []
+        self.dumps = []
         while not self._stopped:
             did_work = False
             if self.flashvisor.pending_flush_bytes > 0:
@@ -65,16 +69,29 @@ class PollingStorengine(Storengine):
                 yield from self._collect_garbage()
                 did_work = True
             if (self.env.now - self._last_journal) >= self.journal_interval_s:
-                yield from self._journal_metadata()
+                yield from self._journal_metadata(self.env.now)
                 did_work = True
             if not did_work:
                 self.idle_checks.append(self.env.now)
                 yield self.env.timeout(self.poll_interval_s)
 
+    def _journal_metadata(self, start):
+        # ``dumps`` records each dump's (begin, busy end, program end).
+        snapshot_bytes = 2 * self.backbone.spec.page_bytes
+        yield from self.lwp.busy_for(20e-6, bucket=STORAGE_ACCESS)
+        issued = self.env.now
+        yield from self.backbone.bulk_program(snapshot_bytes)
+        self.stats.journal_dumps += 1
+        self.stats.journal_bytes += snapshot_bytes
+        self._last_journal = self.env.now
+        self.dumps.append((start, issued, self.env.now))
+        return self.env.now
+
 
 def device_state(storengine):
     """Everything a schedule compares between the two loops."""
     backbone = storengine.backbone
+    monitor = backbone.power_monitor
     return {
         "stats": astuple(storengine.stats),
         "bulk_bytes_written": backbone.bulk_bytes_written,
@@ -82,6 +99,9 @@ def device_state(storengine):
         "bytes_written": backbone.bytes_written(),
         "energy": storengine.energy.breakdown.as_dict(),
         "energy_by_component": dict(storengine.energy.by_component),
+        "fu_series": storengine.lwp.activity.series.to_dict(),
+        "power_series": (monitor.series.to_dict()
+                         if monitor is not None else None),
         "now": storengine.env.now,
     }
 
@@ -112,10 +132,11 @@ SCHEDULE = st.fixed_dictionaries({
 def build_stack(spec, flash_spec, storengine_cls, poll, journal):
     env = Environment()
     energy = EnergyAccountant()
-    cluster = LWPCluster(env, spec.lwp, energy)
+    monitor = PowerMonitor(env)
+    cluster = LWPCluster(env, spec.lwp, energy, monitor)
     ddr = DDR3L(env, spec.memory, energy)
     scratchpad = Scratchpad(env, spec.memory, energy)
-    backbone = FlashBackbone(env, flash_spec, energy)
+    backbone = FlashBackbone(env, flash_spec, energy, power_monitor=monitor)
     flashvisor = Flashvisor(env, cluster.flashvisor_lwp, backbone, ddr,
                             scratchpad, spec.interconnect.message_queue_latency_s,
                             energy)
@@ -243,8 +264,124 @@ def test_only_the_first_wake_of_a_sleep_moves_its_timeout(spec,
     assert flashvisor.pending_flush_bytes == 0
 
 
+def play_with_horizons(spec, flash_spec, storengine_cls, ties, deliveries,
+                       horizons, final):
+    """Drive a stack the way the epoch runner drives a shard.
+
+    ``ties`` are (kind, instant, amount) triples started at t=0, so they
+    are on the heap before any Storengine step at the same instant: a
+    ``"busy"`` tie keeps Flashvisor's LWP busy for ``amount`` seconds, a
+    ``"deposit"`` tie adds ``amount`` bytes to the write buffer.  The loop runs
+    ``run_events`` to each horizon and records the state there; at the
+    third boundary it delivers the ``deliveries`` (deposits at later
+    instants).  It then brings the clock to ``final``, stops Storengine,
+    drains and runs to an empty queue.
+    """
+    env, flashvisor, storengine = build_stack(spec, flash_spec,
+                                              storengine_cls, 2.0 ** -9,
+                                              2.0 ** -7)
+
+    def busy_at(when, seconds):
+        yield env.timeout_at(when)
+        yield from flashvisor.lwp.busy_for(seconds)
+
+    def deposit_at(when, num_bytes=64 * 1024):
+        yield env.timeout_at(when)
+        flashvisor.pending_flush_bytes += num_bytes
+
+    for kind, when, amount in ties:
+        env.process(busy_at(when, amount) if kind == "busy"
+                    else deposit_at(when, amount))
+    seen = []
+    for index, horizon in enumerate(horizons):
+        env.run_events(horizon)
+        state = device_state(storengine)
+        # The clock reads the last *event*; a step applied ahead of it
+        # is not one, so only the state is compared at a horizon.
+        del state["now"]
+        seen.append(state)
+        if index == 2:
+            for when in deliveries:
+                env.process(deposit_at(when))
+    env.run(until=final)
+    storengine.stop()
+    env.process(storengine.drain())
+    env.run()
+    return seen, device_state(storengine), storengine
+
+
+def test_horizons_and_ties_inside_dump_windows_match_the_polling_loop(
+        spec, tiny_flash_spec):
+    # Idle from t=0 on a dyadic grid, the first three dumps' instants are
+    # known up front: each begins on the first tick a journal interval
+    # after the previous one ended.  Three foreign events tie with a
+    # Storengine instant: busy periods at the first dump's busy end and
+    # program end, and a deposit on the third dump's tick while nothing
+    # else is pending.  The polling loop runs each tie first; a step
+    # applied at its quiet bound (``<=`` for ``<``) would run first.
+    poll, journal = 2.0 ** -9, 2.0 ** -7
+    _env, _flashvisor, probe = build_stack(spec, tiny_flash_spec,
+                                           Storengine, poll, journal)
+    program = probe.backbone._bulk_program_lane.occupancy_time(
+        2 * tiny_flash_spec.page_bytes)
+    starts, ends = [journal], []
+    for _ in range(2):
+        ends.append(starts[-1] + 20e-6 + program)
+        tick = ends[-1]
+        while tick - ends[-1] < journal:
+            tick = tick + poll
+        starts.append(tick)
+    # The first busy period outlasts the first dump, so the program end
+    # is the next foreign instant when the program is issued.
+    ties = [("busy", starts[0] + 20e-6, 2 * program),
+            ("busy", ends[0], 1e-4), ("deposit", starts[2], 64 * 1024)]
+    deliveries = [starts[2] + 0.013, starts[2] + 0.031]
+    final = starts[2] + 0.08
+
+    # Horizons inside the windows of the later dumps, at the instants a
+    # dump window has (begin, busy end, program end) and between them.
+    _seen, _state, reference = play_with_horizons(
+        spec, tiny_flash_spec, PollingStorengine, ties, deliveries, [],
+        final)
+    horizons = []
+    for start, issued, end in reference.dumps[3:]:
+        horizons += [start + 10e-6, issued, (issued + end) / 2, end]
+    assert len(horizons) >= 20
+
+    expected = play_with_horizons(spec, tiny_flash_spec, PollingStorengine,
+                                  ties, deliveries, horizons, final)
+    seen, state, _storengine = play_with_horizons(
+        spec, tiny_flash_spec, Storengine, ties, deliveries, horizons, final)
+    assert seen == expected[0]
+    assert state == expected[1]
+
+
+def test_a_lone_storengine_stalls_instead_of_spinning(spec, tiny_flash_spec):
+    # Storengine is the last process: no foreign event and no horizon
+    # bound its replay.  Each resume applies at most _MAX_QUIET_CHECKS
+    # idle checks, so the loop regains control and the watchdog trips.
+    env, _flashvisor, storengine = build_stack(
+        spec, tiny_flash_spec, Storengine, 2e-3, 50e-3)
+
+    def spinning(signum, frame):
+        raise AssertionError("one resume never returned to the loop")
+
+    previous = signal.signal(signal.SIGALRM, spinning)
+    signal.alarm(30)
+    try:
+        outcome = env.run_until(lambda: False, progress=lambda: 0,
+                                stall_s=1.0)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert outcome == "stalled"
+    ahead = storengine._last_journal - env.now
+    # A dump cycle (interval plus the dump itself) is under 2 * 50 ms.
+    assert ahead < storengine_module._MAX_QUIET_CHECKS * 2 * 50e-3
+
+
 # --------------------------------------------------------------------------- #
-# Whole platforms: one batch mix and one short serving run                     #
+# Whole platforms: batch mixes and one short serving run                       #
 # --------------------------------------------------------------------------- #
 def batch_mix_state():
     accelerator = FlashAbacusAccelerator(
@@ -252,6 +389,21 @@ def batch_mix_state():
     kernels = heterogeneous_workload("MX3", instances_per_kernel=1,
                                      input_scale=0.05)
     report = accelerator.run_workload(kernels, "MX3")
+    accelerator.shutdown()
+    accelerator.env.run()
+    return report.to_dict(), device_state(accelerator.storengine)
+
+
+def journal_heavy_state():
+    # InterSt's longest makespan at this scale (13.6 s, 252 journal
+    # dumps), with the Fig. 15b power series on: the report carries
+    # fu_series, power_series and the energy breakdown.
+    accelerator = FlashAbacusAccelerator(
+        config=PlatformConfig(system="InterSt", input_scale=0.05,
+                              track_power_series=True))
+    kernels = heterogeneous_workload("MX6", instances_per_kernel=1,
+                                     input_scale=0.05)
+    report = accelerator.run_workload(kernels, "MX6")
     accelerator.shutdown()
     accelerator.env.run()
     return report.to_dict(), device_state(accelerator.storengine)
@@ -267,8 +419,9 @@ def serving_state():
     return report.to_dict(), device_state(accelerator.storengine)
 
 
-@pytest.mark.parametrize("run", [batch_mix_state, serving_state],
-                         ids=["batch-mix", "serving"])
+@pytest.mark.parametrize("run", [batch_mix_state, journal_heavy_state,
+                                 serving_state],
+                         ids=["batch-mix", "journal-heavy", "serving"])
 def test_platform_runs_match_the_polling_loop(monkeypatch, run):
     monkeypatch.setattr(accelerator_module, "Storengine", PollingStorengine)
     expected = run()
