@@ -50,10 +50,11 @@ from .flashvisor import Flashvisor, _no_wake
 #: reaches this cap ends in one idle check and sleeps again.
 _MAX_SLEEP_TICKS = 256
 
-#: Most idle checks one resume applies ahead of the clock.  With no
-#: other event pending and no horizon (Storengine the last process left)
-#: nothing bounds the replay; past this cap it sleeps on a timeout, so
-#: the engine loop regains control and its watchdog can trip.
+#: Most idle checks applied ahead of the clock between two sleeps, so
+#: also within one resume.  With no other event pending and no horizon
+#: (Storengine the last process left) nothing bounds the replay; past
+#: this cap it sleeps on a timeout, so the engine loop regains control
+#: and its watchdog can trip.
 _MAX_QUIET_CHECKS = 256
 
 #: Storengine's compute time per journal dump, charged as storage.
