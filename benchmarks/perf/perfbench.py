@@ -454,13 +454,13 @@ def execution_chain_oldest_ready(kernels: list) -> float:
         if picked is None or len(in_flight) == 8:
             if not in_flight:
                 break
-            kernel_chain, screen = in_flight.popleft()
-            chain.mark_done(kernel_chain, screen, 0.0)
+            kernel_chain, node, screen = in_flight.popleft()
+            chain.mark_done(kernel_chain, node, screen, 0.0)
             continue
-        kernel_chain, _node, screen = picked
+        kernel_chain, node, screen = picked
         screen.claimed = True
         chain.mark_running(screen, 0, 0.0)
-        in_flight.append((kernel_chain, screen))
+        in_flight.append((kernel_chain, node, screen))
         picks += 1
     if not chain.complete:
         raise RuntimeError("chain bench left kernels incomplete")

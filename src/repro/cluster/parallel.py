@@ -470,6 +470,7 @@ class _ShardGroup:
                 "health": shard.health.value,
             })
             results[index] = payload
+            env.close()
         return results
 
 

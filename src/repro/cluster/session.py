@@ -147,8 +147,12 @@ class ClusterSession:
         if self.cluster.elastic:
             # Scale-up shards join the completion stream in
             # ``dispatcher.add_shard``, like the initially provisioned ones.
+            # The factory must not capture ``self``: the session keeps
+            # the controller, so that would be a reference cycle.
+            cluster = self.cluster
+
             def shard_factory(index: int) -> DeviceShard:
-                shard = build_shard(scenario, self.cluster, env, index)
+                shard = build_shard(scenario, cluster, env, index)
                 shard.backend.start()
                 return shard
 
@@ -194,6 +198,7 @@ class ClusterSession:
             report.autoscaler = controller.summary(env.now)
         report.learned = learned_snapshot(
             {"placement": dispatcher.ledger.policy})
+        env.close()
         return report
 
 

@@ -389,7 +389,8 @@ class FlashAbacusAccelerator:
             word_addr = regions["output"] // self.flashvisor.word_bytes
             yield from self.flashvisor.map_for_write(kernel, word_addr,
                                                      screen.output_bytes)
-        self.scheduler.chain.mark_done(chain, screen_node, self.env.now)
+        self.scheduler.chain.mark_done(chain, node, screen_node,
+                                       self.env.now)
         lwp.screens_executed += 1
         self.screens_executed += 1
         if tracer is not None:

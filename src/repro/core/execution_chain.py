@@ -53,10 +53,6 @@ class ScreenNode:
     #: Set as soon as a scheduler hands the screen to a worker, before the
     #: worker has actually started it, so no other worker can claim it.
     claimed: bool = False
-    #: Back-reference to the owning node (set by the node), so
-    #: ``mark_done`` can bump the node's done-counter without a scan.
-    parent: Optional["MicroblockNode"] = field(default=None, repr=False,
-                                               compare=False)
 
 
 @dataclass
@@ -79,8 +75,6 @@ class MicroblockNode:
                             for s in self.microblock.screens]
         self._done = sum(1 for s in self.screens
                          if s.status is ScreenStatus.DONE)
-        for node in self.screens:
-            node.parent = self
 
     @property
     def complete(self) -> bool:
@@ -243,15 +237,15 @@ class MultiAppExecutionChain:
         screen_node.lwp_id = lwp_id
         screen_node.started_at = now
 
-    def mark_done(self, chain: KernelChain, screen_node: ScreenNode,
-                  now: float) -> None:
+    def mark_done(self, chain: KernelChain, node: MicroblockNode,
+                  screen_node: ScreenNode, now: float) -> None:
+        """Complete ``screen_node``, one of ``node``'s screens in
+        ``chain``; the caller holds all three from the work item."""
         if screen_node.status is not ScreenStatus.RUNNING:
             raise ValueError("screen is not running")
         screen_node.status = ScreenStatus.DONE
         screen_node.completed_at = now
-        parent = screen_node.parent
-        if parent is not None:
-            parent._done += 1
+        node._done += 1
         chain._done += 1
         if chain.complete:
             if chain.completed_at is None:

@@ -122,6 +122,7 @@ def baseline_breakdown(workloads: Sequence[str] = tuple(MOTIVATION_ORDER),
             time_parts["host_stack"] += breakdown.host_stack_s
         total_time = sum(time_parts.values()) or 1.0
         energy = system.energy_breakdown()
+        system.env.close()
         total_energy = energy.total or 1.0
         rows.append(BreakdownRow(
             workload=name,

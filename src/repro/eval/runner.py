@@ -33,11 +33,13 @@ def run_system(config: PlatformConfig, kernels: Sequence[Kernel],
     """Run ``kernels`` on the platform ``config`` describes (``SIMD`` or a
     FlashAbacus scheduler) and return its report."""
     if config.is_baseline:
-        return BaselineSystem(config=config).run_workload(kernels,
-                                                          workload_name)
-    accelerator = FlashAbacusAccelerator(config=config)
-    report = accelerator.run_workload(kernels, workload_name)
-    accelerator.shutdown()
+        system = BaselineSystem(config=config)
+        report = system.run_workload(kernels, workload_name)
+    else:
+        system = FlashAbacusAccelerator(config=config)
+        report = system.run_workload(kernels, workload_name)
+        system.shutdown()
+    system.env.close()
     return report
 
 

@@ -67,7 +67,9 @@ class FlashController:
             yield from self._execute(txn)
             txn.completed_at = self.env.now
             if txn.done is not None and not txn.done.triggered:
-                txn.done.succeed(txn)
+                # No value: a done event carrying its own transaction
+                # would be a reference cycle.
+                txn.done.succeed()
             yield self.outbound.put(txn)
             # Drain the outbound queue immediately: the network-side consumer
             # in this behavioral model is the requester waiting on ``done``.

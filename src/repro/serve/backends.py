@@ -147,6 +147,9 @@ class AcceleratorBackend(ServingBackend):
         # quiescence loop.
         self.accelerator.storengine.stop()
         self.env.spawn(self.accelerator.storengine.drain())
+        # Every kernel has completed: drop the bound method, which would
+        # keep accelerator -> backend -> accelerator a reference cycle.
+        self.accelerator.on_kernel_complete = None
 
     @property
     def energy_j(self) -> float:

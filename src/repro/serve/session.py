@@ -408,6 +408,9 @@ class ServingSession:
         report.learned = learned_snapshot({
             "admission": frontend.admission,
             "dispatch": frontend.dispatch_policy})
+        # Free the device graph by reference counting once the caller
+        # drops the session and the report.
+        env.close()
         return report
 
     # ------------------------------------------------------------------ #

@@ -108,12 +108,14 @@ class Resource:
         self._busy_time += len(self._users) * (now - self._last_change)
         self._last_change = now
 
+    # A grant carries no value: a request that is its own value would
+    # be a reference cycle, and no waiter reads it.
     def _submit(self, request: Request) -> None:
         if not self._queue and len(self._users) < self.capacity:
             # Uncontended: the heap would pop this request straight back.
             self._account()
             self._users.append(request)
-            request.succeed(request)
+            request.succeed()
             return
         self._seq += 1
         heapq.heappush(self._queue, (request.priority, self._seq, request))
@@ -124,7 +126,7 @@ class Resource:
             _prio, _seq, request = heapq.heappop(self._queue)
             self._account()
             self._users.append(request)
-            request.succeed(request)
+            request.succeed()
 
 
 class StoreGet(Event):

@@ -9,8 +9,10 @@ first.  A uniquely named helper module has no such ambiguity.
 
 from __future__ import annotations
 
+import gc
 import heapq
 import json
+from collections import Counter
 from pathlib import Path
 from typing import Any, Dict
 
@@ -121,6 +123,28 @@ def run_process(env: Environment, generator):
     if not proc.ok:
         raise proc.value
     return proc.value
+
+
+def cyclic_garbage(run) -> Counter:
+    """Types of the objects ``run()`` leaves for the cyclic collector.
+
+    Runs ``run`` with the collector off; whatever it built as locals is
+    dropped when it returns, and a ``DEBUG_SAVEALL`` collection then
+    finds what reference counting could not free.
+    """
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        run()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        return Counter(type(obj).__name__ for obj in gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
 
 
 # --------------------------------------------------------------------------- #

@@ -47,9 +47,9 @@ def test_next_microblock_unlocks_after_previous_completes():
     kernel = make_kernel(mblks=2, serial=1, screens=2)
     kernel_chain = chain.add_kernel(kernel)
     first_ready = claim_ready(chain)
-    for _chain, _node, screen in first_ready:
+    for _chain, node, screen in first_ready:
         chain.mark_running(screen, lwp_id=0, now=1.0)
-        chain.mark_done(kernel_chain, screen, now=2.0)
+        chain.mark_done(kernel_chain, node, screen, now=2.0)
     second_ready = claim_ready(chain)
     assert len(second_ready) == 1
     assert second_ready[0][1].microblock.serial
@@ -59,9 +59,9 @@ def test_completion_sets_latency():
     chain = MultiAppExecutionChain()
     kernel = make_kernel(mblks=1, serial=0, screens=2)
     kernel_chain = chain.add_kernel(kernel, now=1.0)
-    for _c, _node, screen in claim_ready(chain):
+    for _c, node, screen in claim_ready(chain):
         chain.mark_running(screen, lwp_id=0, now=2.0)
-        chain.mark_done(kernel_chain, screen, now=5.0)
+        chain.mark_done(kernel_chain, node, screen, now=5.0)
     assert chain.complete
     assert kernel_chain.completed_at == 5.0
     assert kernel_chain.latency == pytest.approx(4.0)
@@ -81,9 +81,9 @@ def test_mark_running_requires_pending():
 def test_mark_done_requires_running():
     chain = MultiAppExecutionChain()
     kernel_chain = chain.add_kernel(make_kernel(mblks=1, serial=0, screens=1))
-    _, _, screen = chain.oldest_ready()
+    _, node, screen = chain.oldest_ready()
     with pytest.raises(ValueError):
-        chain.mark_done(kernel_chain, screen, now=0.0)
+        chain.mark_done(kernel_chain, node, screen, now=0.0)
 
 
 def test_claimed_screens_not_listed_as_ready():
@@ -115,7 +115,7 @@ def test_screen_status_lifecycle():
     assert screen.status is ScreenStatus.RUNNING
     assert screen.lwp_id == 4
     assert screen.started_at == 1.5
-    chain.mark_done(kernel_chain, screen, now=2.5)
+    chain.mark_done(kernel_chain, node, screen, now=2.5)
     assert screen.status is ScreenStatus.DONE
     assert screen.completed_at == 2.5
     assert node.complete

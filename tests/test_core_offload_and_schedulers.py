@@ -173,7 +173,7 @@ def test_inorder_scheduler_advances_after_completion():
     item = scheduler.next_work(0)
     node, screen = item.units[0]
     scheduler.chain.mark_running(screen, 0, 0.0)
-    scheduler.chain.mark_done(chain, screen, 1.0)
+    scheduler.chain.mark_done(chain, node, screen, 1.0)
     follow_up = scheduler.next_work(0)
     assert follow_up is not None
     assert follow_up.units[0][0].microblock.serial
@@ -219,7 +219,7 @@ def test_scheduler_done_only_after_all_screens_complete():
     item = scheduler.next_work(0)
     node, screen = item.units[0]
     scheduler.chain.mark_running(screen, 0, 0.0)
-    scheduler.chain.mark_done(chain, screen, 1.0)
+    scheduler.chain.mark_done(chain, node, screen, 1.0)
     assert scheduler.done
 
 

@@ -18,7 +18,7 @@ from repro.hw.memory import DDR3L, Scratchpad
 from repro.hw.power import EnergyAccountant
 from repro.sim import Environment
 
-from helpers import assert_valid_exactly_while_mapped
+from helpers import assert_valid_exactly_while_mapped, cyclic_garbage
 
 
 def build_stack(spec, flash_spec, **storengine_kwargs):
@@ -141,3 +141,23 @@ def test_random_rewrites_leave_valid_exactly_the_mapped_groups(
     assert writer.triggered and writer.ok
     assert storengine.stats.erased_rows > 0
     assert_valid_exactly_while_mapped(flashvisor)
+
+
+def test_a_finished_gc_run_is_freed_by_refcounting(spec, tiny_flash_spec):
+    # Garbage collection issues page transactions through the flash
+    # controllers; their done events must not refer back to them.
+    def run():
+        env, flashvisor, storengine, backbone = build_stack(
+            spec, tiny_flash_spec, poll_interval_s=1e-4,
+            journal_interval_s=1e3)
+        geometry = backbone.geometry
+        rounds = geometry.page_groups_total * 2
+        env.process(sustained_writer(env, flashvisor, geometry, rounds,
+                                     geometry.page_groups_total // 4))
+        env.run(until=rounds * 2e-4 + 1.0)
+        assert storengine.stats.erased_rows > 0
+        storengine.stop()
+        env.close()
+
+    leaked = cyclic_garbage(run)
+    assert not leaked, leaked.most_common(12)

@@ -95,7 +95,7 @@ def test_next_work_matches_sorted_reference(shapes, data):
         assert node is expected[1]
         assert screen is expected[2]
         assert scheduler.borrowed_dispatches - before == int(borrowed)
-        claimed.append((item.chain, screen))
+        claimed.append((item.chain, node, screen))
 
     for op in ops:
         if op == "offload" and pending_offloads:
@@ -109,16 +109,16 @@ def test_next_work_matches_sorted_reference(shapes, data):
             ready = ready_screens(chain)
             if ready:
                 index = data.draw(st.integers(0, len(ready) - 1))
-                kernel_chain, _node, screen = ready[index]
+                kernel_chain, node, screen = ready[index]
                 screen.claimed = True
-                claimed.append((kernel_chain, screen))
+                claimed.append((kernel_chain, node, screen))
         elif op == "run" and claimed:
-            kernel_chain, screen = claimed.pop(0)
+            kernel_chain, node, screen = claimed.pop(0)
             chain.mark_running(screen, 0, 0.0)
-            running.append((kernel_chain, screen))
+            running.append((kernel_chain, node, screen))
         elif op == "done" and running:
-            kernel_chain, screen = running.pop(0)
-            chain.mark_done(kernel_chain, screen, 1.0)
+            kernel_chain, node, screen = running.pop(0)
+            chain.mark_done(kernel_chain, node, screen, 1.0)
     assert not pending_offloads
     assert chain.complete
     assert scheduler.done

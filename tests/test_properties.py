@@ -246,7 +246,7 @@ def test_chain_never_exposes_later_microblocks_early(mblks, screens, kernels):
         assert ready, "chain stalled with incomplete kernels"
         kernel_chain, node, screen = ready
         chain.mark_running(screen, 0, 0.0)
-        chain.mark_done(kernel_chain, screen, 1.0)
+        chain.mark_done(kernel_chain, node, screen, 1.0)
         if node.complete:
             completed_per_kernel[kernel_chain.kernel.kernel_id] = \
                 node.microblock.index

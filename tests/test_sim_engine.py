@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.sim.engine import Environment, SimulationError
 
-from helpers import peek, step
+from helpers import cyclic_garbage, peek, step
 
 
 def test_clock_starts_at_zero():
@@ -474,6 +474,68 @@ def test_reschedule_rejects_a_past_instant_and_an_unscheduled_timeout():
     # Processed: no longer in the queue.
     with pytest.raises(SimulationError):
         env.reschedule(pending, 5.0)
+
+
+# --------------------------------------------------------------------------- #
+# Teardown: no reference cycles once a run is over                             #
+# --------------------------------------------------------------------------- #
+def test_a_finished_process_drops_what_refers_back_to_it():
+    env = Environment()
+
+    def returns(env):
+        yield env.timeout(1.0)
+        return "done"
+
+    def raises(env):
+        yield env.timeout(2.0)
+        raise KeyError("boom")
+
+    finished = env.process(returns(env))
+    crashed = env.process(raises(env))
+    assert list(env._processes) == [finished, crashed]
+    env.run()
+    for process in (finished, crashed):
+        assert not process.is_alive
+        assert process._resume_cb is None and process._send is None
+    assert not env._processes
+    assert finished.value == "done"
+    assert isinstance(crashed.value, KeyError)
+
+
+def test_close_ends_parked_processes_and_frees_the_run():
+    log = []
+
+    def parked(env, gate):
+        try:
+            yield gate
+        finally:
+            log.append(("closed", env.now))
+
+    def sleeper(env):
+        yield env.timeout(100.0)
+        log.append("woke")
+
+    def bad(env):
+        yield "not an event"
+
+    def run():
+        env = Environment()
+        gate = env.event()
+        processes = [env.process(parked(env, gate)),
+                     env.process(sleeper(env)), env.process(bad(env))]
+        env.run(until=3.0)
+        assert len(env._processes) == 3
+        env.close()
+        assert log == [("closed", 3.0)]
+        assert env.now == 3.0
+        assert not env._processes and not env._queue
+        assert not env._timeout_pool and not env._event_pool
+        assert all(p._resume_cb is None for p in processes)
+        env.close()                      # a second close does nothing
+        env.run()
+        assert log == [("closed", 3.0)] and env.now == 3.0
+
+    assert not cyclic_garbage(run)
 
 
 # --------------------------------------------------------------------------- #

@@ -21,7 +21,6 @@ where an action lands exactly on one of the oracle's idle checks, and
 on a schedule where both loops agree.
 """
 
-import gc
 import signal
 from dataclasses import astuple
 
@@ -36,7 +35,6 @@ from repro.core import (
 from repro.core.flashvisor import Flashvisor
 from repro.core import storengine as storengine_module
 from repro.core.storengine import Storengine
-from repro.eval import run_system
 from repro.flash.backbone import FlashBackbone
 from repro.flash.ftl import OutOfSpaceError
 from repro.hw.lwp import LWPCluster
@@ -428,25 +426,3 @@ def test_platform_runs_match_the_polling_loop(monkeypatch, run):
     monkeypatch.setattr(accelerator_module, "Storengine", Storengine)
     assert run() == expected
 
-
-def test_a_finished_run_is_freed_by_refcounting():
-    # Flashvisor holds Storengine's wake while it runs; stop() must drop
-    # it, or the whole FTL would outlive the run in a reference cycle.
-    kernels = heterogeneous_workload("MX1", instances_per_kernel=1,
-                                     input_scale=0.02)
-    gc.collect()
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        report = run_system(PlatformConfig(), kernels, "MX1")
-        del report, kernels
-        gc.set_debug(gc.DEBUG_SAVEALL)
-        gc.collect()
-        leaked = {type(obj).__name__ for obj in gc.garbage} & {
-            "BlockRowState", "Flashvisor", "Storengine"}
-    finally:
-        gc.set_debug(0)
-        gc.garbage.clear()
-        if enabled:
-            gc.enable()
-    assert not leaked
