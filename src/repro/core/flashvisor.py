@@ -3,10 +3,11 @@
 Flashvisor owns the page-group mapping table (kept in the scratchpad),
 translates word-based backbone addresses into physical page groups, checks
 permissions through the range lock, and issues the resulting flash
-transactions to the FPGA controllers.  Kernels never talk to the flash
-firmware directly — they pass a queue message containing the request type,
-a pointer to their data section, and the word address; Flashvisor does the
-rest and the controllers deposit the data in DDR3L.
+transactions to the backbone (the paper's FPGA controllers).  Kernels
+never talk to the flash firmware directly — they pass a queue message
+containing the request type, a pointer to their data section, and the word
+address; Flashvisor does the rest and the data section streams between the
+backbone's bulk lanes and DDR3L.
 
 The class below exposes two timed operations used by the execution
 engines:

@@ -1,9 +1,6 @@
-"""Flash backbone substrate: geometry, timing models, controllers, FTL."""
+"""Flash backbone substrate: geometry, the backbone's timing, the FTL."""
 
-from .geometry import FlashGeometry, PhysicalPageAddress
-from .package import FlashDie, FlashPackage
-from .channel import FlashChannel
-from .controller import FlashController, FlashTransaction
+from .geometry import FlashGeometry
 from .ftl import (
     BlockAllocator,
     BlockRowState,
@@ -14,12 +11,6 @@ from .backbone import FlashBackbone
 
 __all__ = [
     "FlashGeometry",
-    "PhysicalPageAddress",
-    "FlashDie",
-    "FlashPackage",
-    "FlashChannel",
-    "FlashController",
-    "FlashTransaction",
     "BlockAllocator",
     "BlockRowState",
     "OutOfSpaceError",

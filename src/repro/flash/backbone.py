@@ -2,10 +2,27 @@
 
 The backbone is the "self-existent module" of Section 2.2 — reachable from
 the processor complex over the tier-2 network / SRIO lanes.  It exposes
-page-group granularity operations used by Flashvisor: read a physical page
-group into DDR3L, program a page group from DDR3L, and erase a block row.
-All timing comes from the per-channel models; energy is charged to the
+page-group granularity operations used by Storengine's garbage collection
+(read a physical page group, program one, erase a block row) and bulk
+data-section transfers used by Flashvisor.  Energy is charged to the
 ``storage_access`` bucket.
+
+Section 2.2: "our flash controller implements inbound and outbound 'tag'
+queues, each of which is used for buffering the requests with minimum
+overheads."  Behind each channel's controller, its packages' dies share
+the channel bus.  Those queues, the bus and the dies would shape a
+page-group operation's time only under concurrent traffic, and there is
+none: garbage collection issues one page-group operation at a time, and
+each controller serves its pages one after another.  A group's pages
+sit one per plane of the same die on every channel, so every channel
+does the same work in parallel and finishes at the same instant:
+
+* read: per plane, the page sense, then the page over the channel bus;
+* program: per plane, the page over the bus, then the array program;
+* erase: one block erase on every channel's die.
+
+Each operation is therefore one timeout at that instant, built from the
+same float additions in the same order as the serialized controller.
 """
 
 from __future__ import annotations
@@ -16,17 +33,14 @@ from ..sim.engine import Environment
 from ..sim.resources import BandwidthPipe
 from ..hw.power import EnergyAccountant, PowerMonitor, STORAGE_ACCESS
 from ..hw.spec import FlashSpec
-from .channel import FlashChannel
-from .controller import FlashController
-from .geometry import FlashGeometry, PhysicalPageAddress
+from .geometry import FlashGeometry
 
 
 class FlashBackbone:
-    """Aggregates the flash channels and their controllers."""
+    """The flash channels: page-group operations and bulk lanes."""
 
     def __init__(self, env: Environment, spec: FlashSpec,
                  energy: Optional[EnergyAccountant] = None,
-                 controller_queue_depth: int = 16,
                  power_monitor: Optional[PowerMonitor] = None):
         self.env = env
         self.spec = spec
@@ -34,11 +48,8 @@ class FlashBackbone:
         self.power_monitor = power_monitor
         self._active_streams = 0
         self.geometry = FlashGeometry(spec)
-        self.channels = [FlashChannel(env, spec, c)
-                         for c in range(spec.channels)]
-        self.controllers = [FlashController(env, spec, ch,
-                                            controller_queue_depth)
-                            for ch in self.channels]
+        #: One page's transfer over a channel bus.
+        self._page_bus_s = spec.page_bytes / spec.channel_bus_bandwidth
         self.page_group_reads = 0
         self.page_group_writes = 0
         self.block_erases = 0
@@ -63,56 +74,40 @@ class FlashBackbone:
     def read_page_group(self, physical_group: int):
         """Process generator: read every page of a physical page group.
 
-        The group's pages live on different channels and planes, so the
-        reads proceed in parallel; the call completes when all pages have
-        been transferred.
+        Every channel senses and transfers its pages of the group, one
+        plane after another, in parallel with the other channels; where
+        the group sits does not change its time.
         """
-        pages = self.geometry.group_to_physical_pages(physical_group)
         start = self.env.now
-        done_events = []
-        for page in pages:
-            txn = yield from self.controllers[page.channel].submit("read", page)
-            done_events.append(txn.done)
-        yield self.env.all_of(done_events)
+        end = start
+        for _plane in range(self.geometry.planes_per_die):
+            end += self.spec.page_read_latency_s
+            end += self._page_bus_s
+        yield self.env.timeout_at(end)
         self.page_group_reads += 1
-        self._charge(self.env.now - start)
+        self._charge(end - start)
 
     def program_page_group(self, physical_group: int):
         """Process generator: program every page of a physical page group."""
-        pages = self.geometry.group_to_physical_pages(physical_group)
         start = self.env.now
-        done_events = []
-        for page in pages:
-            txn = yield from self.controllers[page.channel].submit(
-                "program", page)
-            done_events.append(txn.done)
-        yield self.env.all_of(done_events)
+        end = start
+        for _plane in range(self.geometry.planes_per_die):
+            end += self._page_bus_s
+            end += self.spec.page_program_latency_s
+        yield self.env.timeout_at(end)
         self.page_group_writes += 1
-        self._charge(self.env.now - start, self.spec.program_power_w)
+        self._charge(end - start, self.spec.program_power_w)
 
     def erase_block_row(self, row_id: int):
-        """Process generator: erase the block stripe backing ``row_id``."""
+        """Process generator: erase the block stripe backing ``row_id``.
+
+        Every channel erases its block of the stripe at once.
+        """
         start = self.env.now
-        done_events = []
-        groups_per_row = self.geometry.groups_per_block_row
-        sample_group = row_id * groups_per_row
-        pages = self.geometry.group_to_physical_pages(
-            min(sample_group, self.geometry.page_groups_total - 1))
-        seen = set()
-        for page in pages:
-            key = (page.channel, page.package, page.die)
-            if key in seen:
-                continue
-            seen.add(key)
-            erase_addr = PhysicalPageAddress(
-                channel=page.channel, package=page.package, die=page.die,
-                plane=0, block=page.block, page=0)
-            txn = yield from self.controllers[page.channel].submit(
-                "erase", erase_addr)
-            done_events.append(txn.done)
-        yield self.env.all_of(done_events)
+        end = start + self.spec.block_erase_latency_s
+        yield self.env.timeout_at(end)
         self.block_erases += 1
-        self._charge(self.env.now - start)
+        self._charge(end - start)
 
     # -- bulk (data-section) transfers -----------------------------------------
     @property
@@ -190,13 +185,20 @@ class FlashBackbone:
 
     # -- metrics ----------------------------------------------------------------
     def bytes_read(self) -> int:
-        return sum(c.bytes_read for c in self.channels) + self.bulk_bytes_read
+        return (self.page_group_reads * self.geometry.page_group_bytes
+                + self.bulk_bytes_read)
 
     def bytes_written(self) -> int:
-        return (sum(c.bytes_written for c in self.channels)
+        return (self.page_group_writes * self.geometry.page_group_bytes
                 + self.bulk_bytes_written)
 
     def mean_channel_utilization(self) -> float:
-        if not self.channels:
+        """Fraction of the clock each channel bus spent on page groups:
+        every group read or program holds each bus for one page per
+        plane."""
+        now = self.env.now
+        if now <= 0:
             return 0.0
-        return sum(c.bus_utilization() for c in self.channels) / len(self.channels)
+        groups = self.page_group_reads + self.page_group_writes
+        return (groups * self.geometry.planes_per_die * self._page_bus_s
+                / now)

@@ -3,29 +3,14 @@
 The backbone has 4 channels, each with 4 packages of 2 dies (Section 2.2).
 Flashvisor virtualizes this as *page groups*: one page from every channel
 and plane striped together (Section 4.3 — "64KB page group (4 channels * 2
-planes per die * 8KB page)").  This module provides the address math used
-by the FTL, Flashvisor and the controllers: logical word addresses ->
-page-group numbers -> per-channel physical page addresses.
+planes per die * 8KB page)").  This module provides the sizes and the
+address math used by the FTL and Flashvisor: logical word addresses ->
+page-group numbers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List
-
 from ..hw.spec import FlashSpec
-
-
-@dataclass(frozen=True)
-class PhysicalPageAddress:
-    """One physical flash page (channel, package, die, plane, block, page)."""
-
-    channel: int
-    package: int
-    die: int
-    plane: int
-    block: int
-    page: int
 
 
 class FlashGeometry:
@@ -76,29 +61,3 @@ class FlashGeometry:
             raise ValueError(
                 f"address {word_address} beyond backbone capacity")
         return group
-
-    def group_to_physical_pages(self, physical_group: int) -> List[PhysicalPageAddress]:
-        """Expand a physical page-group number to its per-channel pages.
-
-        The group is striped so that channel ``c`` holds pages for plane
-        0..planes-1; the block/page within a die follow the group number
-        sequentially (log-structured layout).
-        """
-        if not 0 <= physical_group < self.page_groups_total:
-            raise ValueError(f"physical group {physical_group} out of range")
-        # Which "die row" (package, die, block, page) this group occupies.
-        row = physical_group
-        page_in_block = row % self.pages_per_block
-        block_row = row // self.pages_per_block
-        per_die_blocks = self.blocks_per_die
-        package = (block_row // per_die_blocks) % self.packages_per_channel
-        die = (block_row // (per_die_blocks * self.packages_per_channel)) \
-            % self.dies_per_package
-        block = block_row % per_die_blocks
-        pages = []
-        for channel in range(self.channels):
-            for plane in range(self.planes_per_die):
-                pages.append(PhysicalPageAddress(
-                    channel=channel, package=package, die=die, plane=plane,
-                    block=block, page=page_in_block))
-        return pages

@@ -8,7 +8,7 @@ from .engine import (
     SimulationError,
     Timeout,
 )
-from .resources import BandwidthPipe, Resource, Store, TransferRecord
+from .resources import BandwidthPipe, Resource, TransferRecord
 from .stats import (
     IntervalAccumulator,
     LatencyReservoir,
@@ -26,7 +26,6 @@ __all__ = [
     "Timeout",
     "BandwidthPipe",
     "Resource",
-    "Store",
     "TransferRecord",
     "IntervalAccumulator",
     "LatencyReservoir",

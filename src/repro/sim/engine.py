@@ -486,16 +486,17 @@ class Environment:
     def close(self) -> None:
         """Tear the finished simulation down so reference counting frees it.
 
-        A run leaves processes parked for good (service loops waiting
-        on a store, sleepers whose timeout is still queued), and every
-        parked process is a reference cycle: its generator's frame holds
-        the component that holds the event that holds the process.  The
-        queued and pooled events refer back to this environment, too.
-        ``close()`` closes every live process's generator (running its
-        ``finally`` blocks), drops its bound methods, and empties the
-        queue and both free lists.  The clock keeps its reading, and
-        everything the components recorded stays readable.  Drivers call
-        it once their report is built; a later call does nothing.
+        A run can leave processes parked for good (sleepers whose
+        timeout is still queued, waiters on an event nothing will
+        trigger), and every parked process is a reference cycle: its
+        generator's frame holds the component that holds the event that
+        holds the process.  The queued and pooled events refer back to
+        this environment, too.  ``close()`` closes every live process's
+        generator (running its ``finally`` blocks), drops its bound
+        methods, and empties the queue and both free lists.  The clock
+        keeps its reading, and everything the components recorded stays
+        readable.  Drivers call it once their report is built; a later
+        call does nothing.
         """
         processes = self._processes
         while processes:

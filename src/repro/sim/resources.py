@@ -1,12 +1,11 @@
-"""Shared simulation resources: capacity resources, stores, bandwidth pipes.
+"""Shared simulation resources: capacity resources and bandwidth pipes.
 
 These primitives model contention: a :class:`Resource` is a server with a
-fixed capacity and priority-ordered waiters (e.g. a flash channel bus or
-a die), a :class:`Store` is a FIFO of Python objects (e.g. a flash
-controller's inbound transaction queue), and a :class:`BandwidthPipe`
-converts byte counts into occupancy time on a one-lane FIFO link with a
-fixed bandwidth and per-transfer latency (e.g. PCIe, DDR3L, the flash
-backbone's bulk lanes).
+fixed capacity and priority-ordered waiters (the baseline NVMe SSD's
+device), and a :class:`BandwidthPipe` converts byte counts into
+occupancy time on a one-lane FIFO link with a fixed bandwidth and
+per-transfer latency (e.g. PCIe, DDR3L, the flash backbone's bulk
+lanes).
 
 A pipe serves one transfer at a time in arrival order, so it needs no
 wait queue: it keeps the instant it next falls free, and a transfer
@@ -20,9 +19,8 @@ grant event plus a timeout.  The end instants are the ones a one-slot
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from dataclasses import dataclass
-from typing import Any, Deque, List, Optional, Tuple
+from typing import List, Tuple
 
 from .engine import Environment, Event
 
@@ -37,8 +35,7 @@ class Request(Event):
             yield env.timeout(service_time)
     """
 
-    # Like the base Event: resource/store events are allocated on every
-    # acquisition in the simulation's hottest paths.
+    # Like the base Event: a request is allocated on every acquisition.
     __slots__ = ("resource", "priority")
 
     def __init__(self, resource: "Resource", priority: int = 0):
@@ -60,8 +57,6 @@ class Resource:
 
     Requests are granted in priority order (lower value first), FIFO among
     equal priorities: waiters sit in a ``(priority, seq)`` heap.
-    Utilization of the resource is tracked so models can report busy
-    fractions without extra bookkeeping.
     """
 
     def __init__(self, env: Environment, capacity: int = 1, name: str = ""):
@@ -73,8 +68,6 @@ class Resource:
         self._users: List[Request] = []
         self._queue: List[Tuple[int, int, Request]] = []
         self._seq = 0
-        self._busy_time = 0.0
-        self._last_change = env.now
 
     # -- public API --------------------------------------------------------
     def request(self, priority: int = 0) -> Request:
@@ -84,7 +77,6 @@ class Resource:
     def release(self, request: Request) -> None:
         """Return a slot previously granted to ``request``."""
         if request in self._users:
-            self._account()
             self._users.remove(request)
             self._grant_waiters()
         else:
@@ -94,26 +86,12 @@ class Resource:
             ]
             heapq.heapify(self._queue)
 
-    def utilization(self, now: Optional[float] = None) -> float:
-        """Average fraction of capacity in use since the environment start."""
-        now = self.env.now if now is None else now
-        busy = self._busy_time + len(self._users) * (now - self._last_change)
-        if now <= 0:
-            return 0.0
-        return busy / (self.capacity * now)
-
     # -- internals -----------------------------------------------------------
-    def _account(self) -> None:
-        now = self.env.now
-        self._busy_time += len(self._users) * (now - self._last_change)
-        self._last_change = now
-
     # A grant carries no value: a request that is its own value would
     # be a reference cycle, and no waiter reads it.
     def _submit(self, request: Request) -> None:
         if not self._queue and len(self._users) < self.capacity:
             # Uncontended: the heap would pop this request straight back.
-            self._account()
             self._users.append(request)
             request.succeed()
             return
@@ -124,75 +102,8 @@ class Resource:
     def _grant_waiters(self) -> None:
         while self._queue and len(self._users) < self.capacity:
             _prio, _seq, request = heapq.heappop(self._queue)
-            self._account()
             self._users.append(request)
             request.succeed()
-
-
-class StoreGet(Event):
-    """Pending retrieval of one item from a :class:`Store`."""
-
-    __slots__ = ()
-
-    def __init__(self, store: "Store"):
-        super().__init__(store.env)
-        store._getters.append(self)
-        store._dispatch()
-
-
-class StorePut(Event):
-    """Pending insertion of one item into a bounded :class:`Store`."""
-
-    __slots__ = ("item",)
-
-    def __init__(self, store: "Store", item: Any):
-        super().__init__(store.env)
-        self.item = item
-        store._putters.append(self)
-        store._dispatch()
-
-
-class Store:
-    """FIFO of arbitrary items; models hardware/message queues.
-
-    ``capacity`` bounds the number of buffered items; producers block when
-    the queue is full, which is how the flash controllers' tag queues apply
-    back-pressure.
-    """
-
-    def __init__(self, env: Environment, capacity: float = float("inf"),
-                 name: str = ""):
-        self.env = env
-        self.capacity = capacity
-        self.name = name
-        self.items: Deque[Any] = deque()
-        self._getters: Deque[StoreGet] = deque()
-        self._putters: Deque[StorePut] = deque()
-
-    def put(self, item: Any) -> StorePut:
-        """Insert ``item``; the event triggers once space is available."""
-        return StorePut(self, item)
-
-    def get(self) -> StoreGet:
-        """Remove the oldest item; the event triggers once one exists."""
-        return StoreGet(self)
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-    def _dispatch(self) -> None:
-        progressed = True
-        while progressed:
-            progressed = False
-            if self._putters and len(self.items) < self.capacity:
-                put = self._putters.popleft()
-                self.items.append(put.item)
-                put.succeed()
-                progressed = True
-            if self._getters and self.items:
-                get = self._getters.popleft()
-                get.succeed(self.items.popleft())
-                progressed = True
 
 
 @dataclass

@@ -17,21 +17,21 @@ from repro.serve import ServingScenario, ServingSession
 from repro.workloads import heterogeneous_workload
 
 #: ``env._eid`` (events scheduled) and screens executed by the run below.
-#: 13,149 events for 1,478 screens is 8.90 events per screen; each DDR3L
+#: 13,145 events for 1,478 screens is 8.89 events per screen; each DDR3L
 #: transfer and bulk flash read is one timeout, not a grant plus a timeout.
-EVENTS = 13149
+EVENTS = 13145
 SCREENS = 1478
 
 #: The same for MX7 (compute-bound, long idle stretches for Storengine)
 #: on IntraO3.  Polling every 2 ms idle tick cost 2,858 events here, and
 #: simulating every journal dump as three events 696.
-BATCH_EVENTS = 446
+BATCH_EVENTS = 442
 BATCH_SCREENS = 58
 
 #: InterSt on MX6, the longest makespan at this scale (13.6 s): 252
 #: journal dumps against 43 screens.  Simulating each dump's steps as
 #: events cost 1,183 events here.
-JOURNAL_EVENTS = 448
+JOURNAL_EVENTS = 444
 JOURNAL_DUMPS = 252
 
 

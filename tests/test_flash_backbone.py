@@ -1,14 +1,8 @@
-"""Unit tests for flash geometry, dies, channels, controllers and the backbone."""
+"""Unit tests for flash geometry and the backbone's timing."""
 
 import pytest
 
-from repro.flash import (
-    FlashBackbone,
-    FlashChannel,
-    FlashController,
-    FlashGeometry,
-    PhysicalPageAddress,
-)
+from repro.flash import FlashBackbone, FlashGeometry
 from repro.hw import EnergyAccountant
 
 from helpers import run_process
@@ -47,117 +41,71 @@ def test_geometry_word_address_mapping(spec):
         geometry.word_address_to_group(geometry.capacity_bytes)
 
 
-def test_group_expansion_covers_every_channel_and_plane(spec):
-    geometry = FlashGeometry(spec.flash)
-    pages = geometry.group_to_physical_pages(12345)
-    assert len(pages) == geometry.pages_per_group
-    channels = {p.channel for p in pages}
-    planes = {p.plane for p in pages}
-    assert channels == set(range(spec.flash.channels))
-    assert planes == set(range(spec.flash.planes_per_die))
-    # All pages of a group live at the same block/page offset.
-    assert len({(p.block, p.page) for p in pages}) == 1
-
-
-def test_group_expansion_out_of_range(spec):
-    geometry = FlashGeometry(spec.flash)
-    with pytest.raises(ValueError):
-        geometry.group_to_physical_pages(geometry.page_groups_total)
-
-
-def test_distinct_groups_map_to_distinct_pages(spec):
-    geometry = FlashGeometry(spec.flash)
-    seen = set()
-    for group in (0, 1, 2, 255, 256, 1000):
-        for page in geometry.group_to_physical_pages(group):
-            assert page not in seen
-            seen.add(page)
-
-
 # --------------------------------------------------------------------------- #
-# Channel / die timing                                                         #
+# Page-group timing                                                            #
 # --------------------------------------------------------------------------- #
 def test_page_read_takes_sense_plus_transfer(env, spec):
-    channel = FlashChannel(env, spec.flash, 0)
-
-    def reader(env):
-        yield from channel.read_page(package=0, die=0)
-
-    run_process(env, reader(env))
-    expected = (spec.flash.page_read_latency_s
+    backbone = FlashBackbone(env, spec.flash)
+    run_process(env, backbone.read_page_group(0))
+    # Every channel senses and transfers its page of each plane in turn.
+    per_page = (spec.flash.page_read_latency_s
                 + spec.flash.page_bytes / spec.flash.channel_bus_bandwidth)
-    assert env.now == pytest.approx(expected)
-    assert channel.bytes_read == spec.flash.page_bytes
+    assert env.now == pytest.approx(spec.flash.planes_per_die * per_page)
+    assert backbone.bytes_read() == backbone.geometry.page_group_bytes
 
 
 def test_program_is_much_slower_than_read(env, spec):
-    channel = FlashChannel(env, spec.flash, 0)
-
-    def writer(env):
-        yield from channel.program_page(package=0, die=0)
-
-    run_process(env, writer(env))
-    assert env.now > spec.flash.page_program_latency_s
-    assert env.now < spec.flash.page_program_latency_s * 1.1
+    backbone = FlashBackbone(env, spec.flash)
+    run_process(env, backbone.program_page_group(0))
+    programs = spec.flash.planes_per_die * spec.flash.page_program_latency_s
+    assert env.now > programs
+    assert env.now < programs * 1.1
 
 
-def test_reads_on_different_dies_overlap_senses(env, spec):
-    channel = FlashChannel(env, spec.flash, 0)
-
-    def reader(env, package):
-        yield from channel.read_page(package=package, die=0)
-
-    env.process(reader(env, 0))
-    env.process(reader(env, 1))
-    env.run()
-    # Two senses overlapping: total time well below two serialized reads.
-    serialized = 2 * (spec.flash.page_read_latency_s
-                      + spec.flash.page_bytes / spec.flash.channel_bus_bandwidth)
-    assert env.now < serialized * 0.75
-
-
-def test_reads_on_same_die_serialize(env, spec):
-    channel = FlashChannel(env, spec.flash, 0)
-
-    def reader(env):
-        yield from channel.read_page(package=0, die=0)
-
-    env.process(reader(env))
-    env.process(reader(env))
-    env.run()
-    assert env.now >= 2 * spec.flash.page_read_latency_s
+#: (start, end) of a group read, a group program and a row erase issued
+#: back to back from 1 ms, and the storage energy they charge, as the
+#: per-page model (a controller serving its channel's pages one at a
+#: time, a shared bus, a die per package) timed them.
+SERIALIZED_CONTROLLER = {
+    "prototype": ([(0.001, 0.0011815312499999999),
+                   (0.0011815312499999999, 0.0064010625000000005),
+                   (0.0064010625000000005, 0.0099010625)],
+                  0.061374968749999995, 0.00394528365011329),
+    "tiny": ([(0.001, 0.00103953125),
+              (0.00103953125, 0.0012590625000000002),
+              (0.0012590625000000002, 0.0014590625000000003)],
+             0.003512968750000002, 0.026772328121653477),
+}
 
 
-# --------------------------------------------------------------------------- #
-# Controller tag queues                                                        #
-# --------------------------------------------------------------------------- #
-def test_controller_executes_submitted_transactions(env, spec):
-    channel = FlashChannel(env, spec.flash, 0)
-    controller = FlashController(env, spec.flash, channel)
+@pytest.mark.parametrize("which", sorted(SERIALIZED_CONTROLLER))
+def test_page_group_operations_take_the_serialized_controller_time(
+        env, spec, tiny_flash_spec, which):
+    flash_spec = spec.flash if which == "prototype" else tiny_flash_spec
+    energy = EnergyAccountant()
+    backbone = FlashBackbone(env, flash_spec, energy)
+    marks = []
 
-    def submitter(env):
-        txn = yield from controller.submit(
-            "read", PhysicalPageAddress(0, 0, 0, 0, 0, 0))
-        yield txn.done
-        return txn
+    def ops(env):
+        yield env.timeout(1e-3)
+        for op in (backbone.read_page_group(3),
+                   backbone.program_page_group(5),
+                   backbone.erase_block_row(1)):
+            start = env.now
+            yield from op
+            marks.append((start, env.now))
 
-    txn = run_process(env, submitter(env))
-    assert txn.completed_at is not None
-    assert txn.completed_at > txn.issued_at
-
-
-def test_controller_rejects_unknown_op(env, spec):
-    channel = FlashChannel(env, spec.flash, 0)
-    controller = FlashController(env, spec.flash, channel)
-
-    def submitter(env):
-        yield from controller.submit("trim",
-                                     PhysicalPageAddress(0, 0, 0, 0, 0, 0))
-
-    proc = env.process(submitter(env))
-    env.run()
-    assert not proc.ok
-    assert isinstance(proc.value, ValueError)
+    run_process(env, ops(env))
+    expected_marks, storage_j, bus_share = SERIALIZED_CONTROLLER[which]
+    assert marks == expected_marks
+    assert energy.breakdown.storage_access == storage_j
+    group_bytes = backbone.geometry.page_group_bytes
+    assert backbone.bytes_read() == group_bytes
+    assert backbone.bytes_written() == group_bytes
+    assert (backbone.page_group_reads, backbone.page_group_writes,
+            backbone.block_erases) == (1, 1, 1)
+    assert backbone.mean_channel_utilization() == pytest.approx(
+        bus_share, rel=1e-12)
 
 
 # --------------------------------------------------------------------------- #

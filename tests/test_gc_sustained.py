@@ -144,8 +144,8 @@ def test_random_rewrites_leave_valid_exactly_the_mapped_groups(
 
 
 def test_a_finished_gc_run_is_freed_by_refcounting(spec, tiny_flash_spec):
-    # Garbage collection issues page transactions through the flash
-    # controllers; their done events must not refer back to them.
+    # Garbage collection's migrations and erases wait on the backbone's
+    # timeouts; none of them may refer back to the run.
     def run():
         env, flashvisor, storengine, backbone = build_stack(
             spec, tiny_flash_spec, poll_interval_s=1e-4,

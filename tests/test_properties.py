@@ -124,23 +124,6 @@ flash_spec_strategy = st.builds(
 
 
 @settings(max_examples=50, deadline=None)
-@given(flash_spec_strategy, st.integers(min_value=0, max_value=10_000))
-def test_geometry_group_expansion_is_unique_and_in_bounds(flash_spec, group):
-    geometry = FlashGeometry(flash_spec)
-    group = group % geometry.page_groups_total
-    pages = geometry.group_to_physical_pages(group)
-    assert len(pages) == geometry.pages_per_group
-    assert len(set(pages)) == len(pages)
-    for page in pages:
-        assert 0 <= page.channel < flash_spec.channels
-        assert 0 <= page.package < flash_spec.packages_per_channel
-        assert 0 <= page.die < flash_spec.dies_per_package
-        assert 0 <= page.plane < flash_spec.planes_per_die
-        assert 0 <= page.block < flash_spec.blocks_per_die
-        assert 0 <= page.page < flash_spec.pages_per_block
-
-
-@settings(max_examples=50, deadline=None)
 @given(flash_spec_strategy,
        st.lists(st.integers(min_value=1, max_value=40), min_size=1,
                 max_size=60))

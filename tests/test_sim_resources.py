@@ -1,4 +1,4 @@
-"""Unit tests for simulation resources: Resource, Store, BandwidthPipe."""
+"""Unit tests for simulation resources: Resource and BandwidthPipe."""
 
 import heapq
 
@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.sim.engine import Environment
-from repro.sim.resources import BandwidthPipe, Resource, Store, TransferRecord
+from repro.sim.resources import BandwidthPipe, Resource, TransferRecord
 
 
 # --------------------------------------------------------------------------- #
@@ -82,21 +82,6 @@ def test_resource_invalid_capacity():
         Resource(env, capacity=0)
 
 
-def test_resource_utilization_reflects_busy_fraction():
-    env = Environment()
-    res = Resource(env, capacity=1)
-
-    def user(env):
-        with res.request() as req:
-            yield req
-            yield env.timeout(3.0)
-        yield env.timeout(1.0)
-
-    env.process(user(env))
-    env.run()
-    assert res.utilization() == pytest.approx(0.75)
-
-
 def test_release_unqueued_request_is_noop():
     env = Environment()
     res = Resource(env, capacity=1)
@@ -117,7 +102,7 @@ class HeapOnlyResource(Resource):
 
 
 def _mixed_priority_trace(resource_cls):
-    """Grant/resume log and utilization of a mixed-contention workload.
+    """Grant/resume log and end time of a mixed-contention workload.
 
     Capacity 2.  At t=0 two requests are granted uncontended and four
     more of mixed priority queue behind them; at t=1.0 three arrivals
@@ -147,14 +132,13 @@ def _mixed_priority_trace(resource_cls):
             ("k", 4.1, 6, 0.5), ("j", 6.0, 4, 1.0)]:
         env.process(user(name, arrive, priority, hold))
     env.run()
-    return log, res.utilization(), env.now
+    return log, env.now
 
 
 def test_uncontended_fast_path_matches_heap_path():
-    fast_log, fast_util, fast_end = _mixed_priority_trace(Resource)
-    heap_log, heap_util, heap_end = _mixed_priority_trace(HeapOnlyResource)
+    fast_log, fast_end = _mixed_priority_trace(Resource)
+    heap_log, heap_end = _mixed_priority_trace(HeapOnlyResource)
     assert fast_log == heap_log
-    assert fast_util == heap_util
     assert fast_end == heap_end
     grants = [name for _t, name, what, *_ in fast_log if what == "granted"]
     # Two uncontended grants, then priority order among the waiters
@@ -163,82 +147,6 @@ def test_uncontended_fast_path_matches_heap_path():
     assert (4.1, "k", "asked", 2, 0) in fast_log
     assert (4.1, "k", "granted") in fast_log
     assert (6.0, "j", "granted") in fast_log
-
-
-# --------------------------------------------------------------------------- #
-# Store                                                                        #
-# --------------------------------------------------------------------------- #
-def test_store_fifo_ordering():
-    env = Environment()
-    store = Store(env)
-    received = []
-
-    def producer(env):
-        for item in ("a", "b", "c"):
-            yield store.put(item)
-
-    def consumer(env):
-        for _ in range(3):
-            item = yield store.get()
-            received.append(item)
-
-    env.process(producer(env))
-    env.process(consumer(env))
-    env.run()
-    assert received == ["a", "b", "c"]
-
-
-def test_store_get_blocks_until_item_available():
-    env = Environment()
-    store = Store(env)
-    times = []
-
-    def consumer(env):
-        item = yield store.get()
-        times.append((env.now, item))
-
-    def producer(env):
-        yield env.timeout(4.0)
-        yield store.put("late")
-
-    env.process(consumer(env))
-    env.process(producer(env))
-    env.run()
-    assert times == [(4.0, "late")]
-
-
-def test_bounded_store_applies_backpressure():
-    env = Environment()
-    store = Store(env, capacity=1)
-    put_times = []
-
-    def producer(env):
-        for i in range(2):
-            yield store.put(i)
-            put_times.append(env.now)
-
-    def consumer(env):
-        yield env.timeout(5.0)
-        yield store.get()
-
-    env.process(producer(env))
-    env.process(consumer(env))
-    env.run()
-    assert put_times[0] == 0.0
-    assert put_times[1] == 5.0
-
-
-def test_store_len_tracks_buffered_items():
-    env = Environment()
-    store = Store(env)
-
-    def producer(env):
-        yield store.put("x")
-        yield store.put("y")
-
-    env.process(producer(env))
-    env.run()
-    assert len(store) == 2
 
 
 # --------------------------------------------------------------------------- #
@@ -295,24 +203,36 @@ def test_pipe_records_transfers():
 
 
 class _ResourcePipe:
-    """Reference pipe: a one-slot :class:`Resource` held for a timeout."""
+    """Reference pipe: a one-slot :class:`Resource` held for a timeout,
+    with the slot's held time summed as it is released."""
 
     def __init__(self, env, bandwidth, latency):
         self.env = env
         self.bandwidth = float(bandwidth)
         self.latency = float(latency)
         self.resource = Resource(env, capacity=1)
+        self._busy = 0.0
+        self._held_since = None
 
     def transfer(self, num_bytes):
         start = self.env.now
         with self.resource.request() as req:
             yield req
+            self._held_since = self.env.now
             yield self.env.timeout(self.latency + num_bytes / self.bandwidth)
+            self._busy += self.env.now - self._held_since
+            self._held_since = None
         return TransferRecord(start=start, end=self.env.now,
                               num_bytes=num_bytes)
 
     def utilization(self):
-        return self.resource.utilization()
+        now = self.env.now
+        if now <= 0:
+            return 0.0
+        busy = self._busy
+        if self._held_since is not None:
+            busy += now - self._held_since
+        return busy / now
 
 
 # Gaps include repeats and zero, so transfers arrive at equal instants and
