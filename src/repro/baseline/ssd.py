@@ -4,6 +4,10 @@ An Intel 750-class device: high sequential bandwidth, sub-millisecond
 latency, but reached only through the host storage stack and a PCIe link,
 and drawing an order of magnitude more power than the flash backbone's
 raw channels.
+
+The baseline runs one kernel at a time and reaches the device from one
+serial loop, so a request never finds the device busy: each read or
+write is one timeout of its device time.
 """
 
 from __future__ import annotations
@@ -11,7 +15,6 @@ from __future__ import annotations
 from typing import Optional
 
 from ..sim.engine import Environment
-from ..sim.resources import Resource
 from ..hw.power import STORAGE_ACCESS, EnergyAccountant
 from ..hw.spec import SSDSpec
 
@@ -26,7 +29,6 @@ class NVMeSSD:
         self.spec = spec
         self.energy = energy
         self.name = name
-        self._device = Resource(env, capacity=1, name=name)
         self.bytes_read = 0
         self.bytes_written = 0
         self.read_requests = 0
@@ -45,9 +47,7 @@ class NVMeSSD:
         if num_bytes < 0:
             raise ValueError("num_bytes must be non-negative")
         start = self.env.now
-        with self._device.request() as req:
-            yield req
-            yield self.env.timeout(self.read_time(num_bytes))
+        yield self.env.timeout(self.read_time(num_bytes))
         self.bytes_read += num_bytes
         self.read_requests += 1
         self._charge(start)
@@ -58,9 +58,7 @@ class NVMeSSD:
         if num_bytes < 0:
             raise ValueError("num_bytes must be non-negative")
         start = self.env.now
-        with self._device.request() as req:
-            yield req
-            yield self.env.timeout(self.write_time(num_bytes))
+        yield self.env.timeout(self.write_time(num_bytes))
         self.bytes_written += num_bytes
         self.write_requests += 1
         self._charge(start)

@@ -79,8 +79,10 @@ class HostStorageStack:
         requests = self._requests_for(num_bytes)
         stack_time = self.stack_time(num_bytes)
         copy_time = self.copy_time(num_bytes)
-        yield self.env.timeout(stack_time)
-        yield self.env.timeout(copy_time)
+        # Nothing observes the instant the copies begin, so the software
+        # path and the copies are one wait (summed left to right).
+        env = self.env
+        yield env.timeout_at(env.now + stack_time + copy_time)
         self.stats.io_requests += requests
         self.stats.syscalls += requests
         self.stats.mode_switches += 2 * requests

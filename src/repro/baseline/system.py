@@ -227,10 +227,21 @@ class BaselineSystem:
         if microblock.serial:
             yield from workers[0].compute(instructions, ld_st, bucket=COMPUTATION)
         else:
+            # Equal shares on identical cores end at the same instant, so
+            # one timeout stands for the whole fan-out.  The busy-period
+            # and energy calls keep worker order: energy sums and the
+            # fu_series samples depend on it.
             share = instructions / len(workers)
-            events = [self.env.process(
-                w.compute(share, ld_st, bucket=COMPUTATION)) for w in workers]
-            yield self.env.all_of(events)
+            est = workers[0].estimate(share, ld_st)
+            fus = est.functional_units_used
+            for worker in workers:
+                worker.begin_busy(fus, start)
+            yield self.env.timeout(est.seconds)
+            end = self.env.now
+            for worker in workers:
+                worker.end_busy(fus, end)
+                worker.instructions_retired += share
+                worker.charge(COMPUTATION, est.seconds)
         breakdown.accelerator_s += self.env.now - start
 
     # ------------------------------------------------------------------ #

@@ -63,17 +63,15 @@ class MemoryDevice:
     # -- timed accesses -----------------------------------------------------
     def read(self, num_bytes: int):
         """Process generator: timed read of ``num_bytes``."""
-        record = yield from self.pipe.transfer(num_bytes)
+        duration = yield from self.pipe.transfer(num_bytes)
         self.bytes_read += num_bytes
-        self._charge(record.duration)
-        return record
+        self._charge(duration)
 
     def write(self, num_bytes: int):
         """Process generator: timed write of ``num_bytes``."""
-        record = yield from self.pipe.transfer(num_bytes)
+        duration = yield from self.pipe.transfer(num_bytes)
         self.bytes_written += num_bytes
-        self._charge(record.duration)
-        return record
+        self._charge(duration)
 
     def _charge(self, duration: float) -> None:
         if self.energy is not None and self.power_w > 0:

@@ -31,11 +31,10 @@ class PCIeLink:
 
     def transfer(self, num_bytes: int):
         """Process generator: DMA ``num_bytes`` across the link."""
-        record = yield from self.pipe.transfer(num_bytes)
+        duration = yield from self.pipe.transfer(num_bytes)
         if self.energy is not None:
             self.energy.charge_power(self.name, DATA_MOVEMENT,
-                                     self.spec.power_w, record.duration)
-        return record
+                                     self.spec.power_w, duration)
 
     def interrupt(self):
         """Process generator: deliver a doorbell/interrupt (latency only)."""

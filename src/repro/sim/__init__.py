@@ -1,14 +1,13 @@
 """Discrete-event simulation substrate used by all FlashAbacus models."""
 
 from .engine import (
-    AllOf,
     Environment,
     Event,
     Process,
     SimulationError,
     Timeout,
 )
-from .resources import BandwidthPipe, Resource, TransferRecord
+from .resources import BandwidthPipe
 from .stats import (
     IntervalAccumulator,
     LatencyReservoir,
@@ -18,15 +17,12 @@ from .stats import (
 )
 
 __all__ = [
-    "AllOf",
     "Environment",
     "Event",
     "Process",
     "SimulationError",
     "Timeout",
     "BandwidthPipe",
-    "Resource",
-    "TransferRecord",
     "IntervalAccumulator",
     "LatencyReservoir",
     "SummaryStats",

@@ -2,9 +2,9 @@
 
 This module is a small, dependency-free discrete-event simulator in the
 spirit of SimPy.  Processes are Python generators that ``yield`` events
-(timeouts, other events, or composite events); the :class:`Environment`
-owns the virtual clock and the pending-event heap and advances time by
-popping the earliest scheduled event.
+(timeouts or other events); the :class:`Environment` owns the virtual
+clock and the pending-event heap and advances time by popping the
+earliest scheduled event.
 
 The engine is the substrate for every timed model in this repository:
 LWPs, memories, the flash backbone, the host storage stack of
@@ -81,7 +81,7 @@ from __future__ import annotations
 
 import heapq
 from sys import getrefcount
-from typing import Any, Callable, Dict, Generator, Iterable, List, Optional
+from typing import Any, Callable, Dict, Generator, List, Optional
 
 _heappush = heapq.heappush
 _heappop = heapq.heappop
@@ -278,35 +278,6 @@ def _raise_failure(process: Process) -> None:
         raise process._value
 
 
-class AllOf(Event):
-    """Triggers once every sub-event has triggered (or one has failed)."""
-
-    __slots__ = ("events", "_count")
-
-    def __init__(self, env: "Environment", events: Iterable[Event]):
-        super().__init__(env)
-        self.events = list(events)
-        self._count = 0
-        if not self.events:
-            self.succeed({})
-            return
-        for event in self.events:
-            if event.callbacks is None:
-                self._check(event)
-            else:
-                event.callbacks.append(self._check)
-
-    def _check(self, event: Event) -> None:
-        if self._triggered:
-            return
-        if not event.ok:
-            self.fail(event.value)
-            return
-        self._count += 1
-        if self._count >= len(self.events):
-            self.succeed({e: e.value for e in self.events if e.triggered})
-
-
 class Environment:
     """Owns the virtual clock and the pending event queue."""
 
@@ -437,10 +408,6 @@ class Environment:
         process = Process(self, generator)
         process.callbacks.append(_raise_failure)
         return process
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        """Event that triggers when all ``events`` have triggered."""
-        return AllOf(self, events)
 
     # -- scheduling ----------------------------------------------------------
     def cancel(self, event: Event) -> bool:

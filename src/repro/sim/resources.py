@@ -1,123 +1,26 @@
-"""Shared simulation resources: capacity resources and bandwidth pipes.
+"""Bandwidth pipes: the one contention primitive the models share.
 
-These primitives model contention: a :class:`Resource` is a server with a
-fixed capacity and priority-ordered waiters (the baseline NVMe SSD's
-device), and a :class:`BandwidthPipe` converts byte counts into
-occupancy time on a one-lane FIFO link with a fixed bandwidth and
-per-transfer latency (e.g. PCIe, DDR3L, the flash backbone's bulk
-lanes).
+A :class:`BandwidthPipe` converts byte counts into occupancy time on a
+one-lane FIFO link with a fixed bandwidth and per-transfer latency
+(PCIe, DDR3L, the flash backbone's bulk lanes).
 
 A pipe serves one transfer at a time in arrival order, so it needs no
 wait queue: it keeps the instant it next falls free, and a transfer
 arriving at ``now`` ends at ``max(now, free_at) + occupancy_time(n)``.
 The transfer waits on one timeout at that absolute instant
-(:meth:`Environment.timeout_at`), where a ``Resource`` would cost a
-grant event plus a timeout.  The end instants are the ones a one-slot
-``Resource`` followed by a timeout produces, float for float.
+(:meth:`Environment.timeout_at`), where a one-slot server would cost a
+grant event plus a timeout; the end instants are the ones such a
+server followed by a timeout produces, float for float.
+
+Everything else a model waits on is sized by its traffic: a path with
+one client and no contention (the baseline's NVMe SSD, Storengine GC's
+page-group flash operations) takes one timeout of its closed-form time
+instead of queueing on a server that never queues.
 """
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass
-from typing import List, Tuple
-
-from .engine import Environment, Event
-
-
-class Request(Event):
-    """Pending acquisition of one unit of a :class:`Resource`.
-
-    Usable as a context manager from inside a process::
-
-        with resource.request() as req:
-            yield req
-            yield env.timeout(service_time)
-    """
-
-    # Like the base Event: a request is allocated on every acquisition.
-    __slots__ = ("resource", "priority")
-
-    def __init__(self, resource: "Resource", priority: int = 0):
-        super().__init__(resource.env)
-        self.resource = resource
-        self.priority = priority
-        resource._submit(self)
-
-    def __enter__(self) -> "Request":
-        return self
-
-    def __exit__(self, exc_type, exc_val, exc_tb) -> bool:
-        self.resource.release(self)
-        return False
-
-
-class Resource:
-    """A server pool with ``capacity`` identical slots and a wait queue.
-
-    Requests are granted in priority order (lower value first), FIFO among
-    equal priorities: waiters sit in a ``(priority, seq)`` heap.
-    """
-
-    def __init__(self, env: Environment, capacity: int = 1, name: str = ""):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.env = env
-        self.capacity = capacity
-        self.name = name
-        self._users: List[Request] = []
-        self._queue: List[Tuple[int, int, Request]] = []
-        self._seq = 0
-
-    # -- public API --------------------------------------------------------
-    def request(self, priority: int = 0) -> Request:
-        """Ask for one slot; the returned event triggers when granted."""
-        return Request(self, priority)
-
-    def release(self, request: Request) -> None:
-        """Return a slot previously granted to ``request``."""
-        if request in self._users:
-            self._users.remove(request)
-            self._grant_waiters()
-        else:
-            # Never granted: drop it from the wait queue if still there.
-            self._queue = [
-                entry for entry in self._queue if entry[2] is not request
-            ]
-            heapq.heapify(self._queue)
-
-    # -- internals -----------------------------------------------------------
-    # A grant carries no value: a request that is its own value would
-    # be a reference cycle, and no waiter reads it.
-    def _submit(self, request: Request) -> None:
-        if not self._queue and len(self._users) < self.capacity:
-            # Uncontended: the heap would pop this request straight back.
-            self._users.append(request)
-            request.succeed()
-            return
-        self._seq += 1
-        heapq.heappush(self._queue, (request.priority, self._seq, request))
-        self._grant_waiters()
-
-    def _grant_waiters(self) -> None:
-        while self._queue and len(self._users) < self.capacity:
-            _prio, _seq, request = heapq.heappop(self._queue)
-            self._users.append(request)
-            request.succeed()
-
-
-@dataclass
-class TransferRecord:
-    """Accounting record emitted by :class:`BandwidthPipe.transfer`."""
-
-    start: float
-    end: float
-    num_bytes: int
-
-    @property
-    def duration(self) -> float:
-        """Transfer time in simulated seconds."""
-        return self.end - self.start
+from .engine import Environment
 
 
 class BandwidthPipe:
@@ -154,15 +57,15 @@ class BandwidthPipe:
     def transfer(self, num_bytes: int):
         """Process generator: move ``num_bytes`` across the link.
 
-        Yields from within a simulation process; returns a
-        :class:`TransferRecord` whose duration includes the queue wait.
+        Yields from within a simulation process; returns the transfer's
+        duration in simulated seconds, queue wait included.
         """
         env = self.env
         start = env._now
         end = self.reserve(num_bytes, start)
         yield env.timeout_at(end)
         self.bytes_moved += num_bytes
-        return TransferRecord(start=start, end=end, num_bytes=num_bytes)
+        return end - start
 
     def reserve(self, num_bytes: int, start: float) -> float:
         """Queue a transfer of ``num_bytes`` issued at instant ``start``;

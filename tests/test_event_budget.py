@@ -2,15 +2,17 @@
 
 Wall-clock floors are noisy on a shared host; the number of events a
 fixed-seed run schedules is not.  The literals below pin one short
-serving run at the IntraO3 knee load, one compute-bound batch mix and
-one journal-heavy batch mix: a change that adds events per screen,
-brings back Storengine's idle polls or simulates the journal dumps
-nothing can observe (or changes how many screens run) fails here, with
-no timing involved.
+serving run at the IntraO3 knee load, one compute-bound batch mix, one
+journal-heavy batch mix and one batch mix on the SIMD baseline: a
+change that adds events per screen, brings back Storengine's idle
+polls, simulates the journal dumps nothing can observe, or queues the
+baseline's serial steps on servers (or changes how many screens run)
+fails here, with no timing involved.
 When a change lowers a count on purpose, update the literal and record
 the old and new value in CHANGES.md.
 """
 
+from repro.baseline import BaselineSystem
 from repro.core import FlashAbacusAccelerator
 from repro.platform import PlatformConfig
 from repro.serve import ServingScenario, ServingSession
@@ -33,6 +35,13 @@ BATCH_SCREENS = 58
 #: events cost 1,183 events here.
 JOURNAL_EVENTS = 444
 JOURNAL_DUMPS = 252
+
+#: MX7 on the SIMD baseline: 6 kernels, 6 SSD reads and 6 SSD writes.
+#: With each SSD request a grant plus a timeout, each OpenMP fan-out
+#: eight processes joined by a composite event and each storage-stack
+#: pass two timeouts, this run scheduled 315 events.
+SIMD_EVENTS = 75
+SIMD_KERNELS = 6
 
 
 def test_fixed_seed_serving_run_stays_within_its_event_budget():
@@ -65,3 +74,13 @@ def test_journal_heavy_batch_mix_stays_within_its_event_budget():
     accelerator.run_workload(kernels, "MX6")
     assert accelerator.storengine.stats.journal_dumps == JOURNAL_DUMPS
     assert accelerator.env._eid == JOURNAL_EVENTS
+
+
+def test_simd_batch_mix_stays_within_its_event_budget():
+    system = BaselineSystem(
+        config=PlatformConfig(system="SIMD", input_scale=0.05))
+    kernels = heterogeneous_workload("MX7", instances_per_kernel=1,
+                                     input_scale=0.05)
+    system.run_workload(kernels, "MX7")
+    assert len(system.breakdowns) == SIMD_KERNELS
+    assert system.env._eid == SIMD_EVENTS

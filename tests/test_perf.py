@@ -26,7 +26,7 @@ from repro.perf import (
 from repro.platform import PlatformConfig
 from repro.policy import PolicySpec
 from repro.serve import ServingScenario, ServingSession, TenantSpec
-from repro.sim.engine import AllOf, Environment
+from repro.sim.engine import Environment
 
 from helpers import check_golden, peek, step
 
@@ -184,7 +184,7 @@ def test_measure_rejects_unsteady_benchmarks():
 # Determinism guards for the optimized engine                                  #
 # --------------------------------------------------------------------------- #
 def mixed_workload(env, log):
-    """Processes exercising timeouts, events, and conditions."""
+    """Processes exercising timeouts, shared events and a re-yield."""
 
     def ticker(env, name, period, count):
         for _ in range(count):
@@ -199,11 +199,11 @@ def mixed_workload(env, log):
         value = yield gate
         log.append((env.now, name, value))
 
-    def condition_user(env):
+    def reyielder(env):
         first = env.timeout(0.3)
         second = env.timeout(0.7)
-        yield AllOf(env, [first, second])
-        log.append((env.now, "allof"))
+        yield second
+        log.append((env.now, "second"))
         # Yield an already-processed event: synchronous resume path.
         yield first
         log.append((env.now, "reyield", first.value))
@@ -214,7 +214,7 @@ def mixed_workload(env, log):
     env.process(signaler(env, gate))
     env.process(waiter(env, gate, "w1"))
     env.process(waiter(env, gate, "w2"))   # two waiters on one event
-    env.process(condition_user(env))
+    env.process(reyielder(env))
 
 
 def test_run_and_step_process_events_identically():

@@ -10,7 +10,6 @@ from repro.flash.geometry import FlashGeometry
 from repro.hw.spec import FlashSpec, LWPSpec
 from repro.hw.lwp import LWP
 from repro.sim.engine import Environment
-from repro.sim.resources import Resource
 from repro.sim.stats import SummaryStats, TimeWeightedStat
 
 from helpers import kernel_instructions, serial_fraction
@@ -37,25 +36,6 @@ def test_timeouts_complete_in_non_decreasing_time_order(delays):
     assert log == sorted(log)
     assert len(log) == len(delays)
     assert env.now == pytest.approx(max(delays))
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.lists(st.floats(min_value=0.01, max_value=10.0,
-                          allow_nan=False, allow_infinity=False),
-                min_size=1, max_size=15))
-def test_resource_capacity_one_serializes_total_time(durations):
-    env = Environment()
-    resource = Resource(env, capacity=1)
-
-    def user(env, hold):
-        with resource.request() as req:
-            yield req
-            yield env.timeout(hold)
-
-    for hold in durations:
-        env.process(user(env, hold))
-    env.run()
-    assert env.now == pytest.approx(sum(durations))
 
 
 # --------------------------------------------------------------------------- #

@@ -161,34 +161,6 @@ def test_process_return_value_becomes_event_value():
     assert results == [42]
 
 
-def test_all_of_waits_for_every_event():
-    env = Environment()
-    finished = []
-
-    def parent(env):
-        t1 = env.timeout(1.0)
-        t2 = env.timeout(3.0)
-        yield env.all_of([t1, t2])
-        finished.append(env.now)
-
-    env.process(parent(env))
-    env.run()
-    assert finished == [3.0]
-
-
-def test_empty_all_of_triggers_immediately():
-    env = Environment()
-    finished = []
-
-    def parent(env):
-        yield env.all_of([])
-        finished.append(env.now)
-
-    env.process(parent(env))
-    env.run()
-    assert finished == [0.0]
-
-
 def test_yielding_non_event_is_an_error():
     env = Environment()
 
@@ -556,7 +528,6 @@ GATE = st.integers(0, N_GATES - 1)
 OPS = st.one_of(
     st.tuples(st.just("timeout"), QUARTERS),
     st.tuples(st.just("timeout_at"), QUARTERS),
-    st.tuples(st.just("all_of"), QUARTERS, QUARTERS),
     st.tuples(st.just("wait"), GATE),
     st.tuples(st.just("succeed"), GATE),
     st.tuples(st.just("fail"), GATE),
@@ -594,10 +565,6 @@ def build_program(program):
             elif op == "timeout_at":
                 last = env.timeout_at(env.now + args[0], value=name)
                 value = yield last
-            elif op == "all_of":
-                last = env.all_of([env.timeout(args[0], value="a"),
-                                   env.timeout(args[1], value="b")])
-                value = tuple((yield last).values())
             elif op == "wait":
                 last = gates[args[0]]
                 try:
@@ -609,8 +576,6 @@ def build_program(program):
                     value = yield last
                 except Boom as exc:
                     value = ("caught again", str(exc))
-                if isinstance(value, dict):
-                    value = tuple(value.values())
             elif not gates[args[0]].triggered:
                 if op == "succeed":
                     gates[args[0]].succeed((name, env.now))
