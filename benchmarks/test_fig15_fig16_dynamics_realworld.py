@@ -30,6 +30,14 @@ def test_fig15_functional_units_and_power(benchmark):
     # Both traces actually contain time-resolved samples for plotting.
     assert len(simd.power_values) > 10
     assert len(intra.fu_values) > 10
+    # Each trace's time axis rises strictly and ends inside the run (the
+    # resampler's 1e-12 s slack on its last step included).
+    for result in (simd, intra):
+        for times, values in ((result.fu_times, result.fu_values),
+                              (result.power_times, result.power_values)):
+            assert len(times) == len(values)
+            assert all(a < b for a, b in zip(times, times[1:]))
+            assert times[-1] <= result.makespan_s + 1e-12
 
 
 def test_fig16_graph_and_bigdata_applications(benchmark):

@@ -34,9 +34,7 @@ class StackStats:
     """Counters for the host-side software activity."""
 
     io_requests: int = 0
-    syscalls: int = 0
     copied_bytes: int = 0
-    mode_switches: int = 0
 
 
 class HostStorageStack:
@@ -84,8 +82,6 @@ class HostStorageStack:
         env = self.env
         yield env.timeout_at(env.now + stack_time + copy_time)
         self.stats.io_requests += requests
-        self.stats.syscalls += requests
-        self.stats.mode_switches += 2 * requests
         self.stats.copied_bytes += self.spec.copies_per_io * num_bytes
         if self.energy is not None:
             self.energy.charge_power("host_cpu.storage_stack", STORAGE_ACCESS,
@@ -103,7 +99,6 @@ class HostStorageStack:
         driver_time = self.spec.driver_latency_s + self.spec.syscall_latency_s
         yield self.env.timeout(copy_time + driver_time)
         self.stats.copied_bytes += num_bytes
-        self.stats.mode_switches += 2
         if self.energy is not None:
             self.energy.charge_power("host_cpu.accel_runtime", DATA_MOVEMENT,
                                      self.spec.cpu_active_power_w

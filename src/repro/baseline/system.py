@@ -54,7 +54,6 @@ class BaselineSystem:
         substrate = resolve_substrate(baseline=True, env=env, config=config)
         config = substrate.config
         self.config = config
-        self.substrate = substrate
         self.env = substrate.env
         self.spec = substrate.spec
         self.energy = substrate.energy
@@ -240,7 +239,6 @@ class BaselineSystem:
             end = self.env.now
             for worker in workers:
                 worker.end_busy(fus, end)
-                worker.instructions_retired += share
                 worker.charge(COMPUTATION, est.seconds)
         breakdown.accelerator_s += self.env.now - start
 

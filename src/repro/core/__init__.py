@@ -28,7 +28,7 @@ from .range_lock import (
 )
 from .flashvisor import Flashvisor, FlashvisorStats
 from .storengine import Storengine, StorengineStats
-from .offload import BootRecord, OffloadController, PowerSleepController
+from .offload import OffloadController
 from .schedulers import (
     DynamicInterKernelScheduler,
     InOrderIntraKernelScheduler,
@@ -68,9 +68,7 @@ __all__ = [
     "FlashvisorStats",
     "Storengine",
     "StorengineStats",
-    "BootRecord",
     "OffloadController",
-    "PowerSleepController",
     "DynamicInterKernelScheduler",
     "InOrderIntraKernelScheduler",
     "OutOfOrderIntraKernelScheduler",

@@ -36,7 +36,7 @@ from ..policy import build_policy
 from .execution_chain import MicroblockNode, ScreenNode
 from .flashvisor import Flashvisor
 from .kernel import Kernel
-from .offload import OffloadController, PowerSleepController
+from .offload import OffloadController
 from .schedulers import Scheduler, WorkItem
 from .storengine import Storengine
 
@@ -168,7 +168,6 @@ class FlashAbacusAccelerator:
         substrate = resolve_substrate(baseline=False, env=env, config=config)
         config = substrate.config
         self.config = config
-        self.substrate = substrate
         self.env = substrate.env
         self.spec = substrate.spec
         self.energy = substrate.energy
@@ -185,9 +184,7 @@ class FlashAbacusAccelerator:
         self.storengine = Storengine(
             self.env, self.cluster.storengine_lwp, self.flashvisor,
             self.backbone, self.energy)
-        self.offloader = OffloadController(
-            self.env, self.pcie, self.ddr, PowerSleepController(self.env),
-            self.energy)
+        self.offloader = OffloadController(self.env, self.pcie, self.ddr)
         self.address_space = FlashAddressSpace(
             self.backbone.geometry.capacity_bytes,
             self.backbone.geometry.page_group_bytes)
@@ -391,7 +388,6 @@ class FlashAbacusAccelerator:
                                                      screen.output_bytes)
         self.scheduler.chain.mark_done(chain, node, screen_node,
                                        self.env.now)
-        lwp.screens_executed += 1
         self.screens_executed += 1
         if tracer is not None:
             # Screen spans key on kernel.instance — the request id in

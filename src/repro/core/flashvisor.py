@@ -45,16 +45,12 @@ from .range_lock import READ, WRITE, RangeLock
 
 @dataclass
 class FlashvisorStats:
-    """Operation counters exposed for tests and reports."""
+    """Operation counters read by reports, benchmarks and examples."""
 
     read_requests: int = 0
     write_requests: int = 0
     translations: int = 0
-    groups_read: int = 0
-    groups_allocated: int = 0
     lock_conflicts: int = 0
-    lock_wait_time: float = 0.0
-    reclaim_requests: int = 0
 
 
 def _no_wake() -> None:
@@ -164,11 +160,9 @@ class Flashvisor:
                     first += len(physical)
                     groups += physical
         except OutOfSpaceError:
-            stats.reclaim_requests += 1
             stats.translations += first - start
             raise
         finally:
-            stats.groups_allocated += len(groups)
             if allocator.needs_gc():
                 self.wake_storengine()
         stats.translations += count
@@ -184,7 +178,6 @@ class Flashvisor:
     def _acquire_range_lock(self, start_group: int, end_group: int,
                             mode: str, owner: int):
         """Process generator: block until the range lock is granted."""
-        wait_start = self.env.now
         while True:
             conflict = self.range_lock.try_acquire(start_group, end_group,
                                                    mode, owner)
@@ -192,7 +185,6 @@ class Flashvisor:
                 break
             self.stats.lock_conflicts += 1
             yield self.env.timeout(self.LOCK_RETRY_INTERVAL_S)
-        self.stats.lock_wait_time += self.env.now - wait_start
 
     def map_for_read(self, kernel: Kernel, flash_word_address: int,
                      num_bytes: int):
@@ -215,7 +207,6 @@ class Flashvisor:
             yield from self.lwp.busy_for(self._translation_time(count),
                                          bucket=STORAGE_ACCESS)
             self._read_extent(start, count)
-            self.stats.groups_read += count
             # Stream the data out of the backbone and land it in DDR3L.
             yield from self.backbone.bulk_read(num_bytes)
             yield from self.ddr.write(num_bytes)

@@ -67,7 +67,6 @@ class StorengineStats:
 
     flushed_bytes: int = 0
     journal_dumps: int = 0
-    journal_bytes: int = 0
     gc_invocations: int = 0
     migrated_groups: int = 0
     erased_rows: int = 0
@@ -102,7 +101,7 @@ class Storengine:
         self._timer = None
         self._idle_tick = env.now
         flashvisor.wake_storengine = self._wake
-        self._process = env.spawn(self._run())
+        env.spawn(self._run())
 
     # ------------------------------------------------------------------ #
     # Lifecycle                                                           #
@@ -252,7 +251,6 @@ class Storengine:
             yield env.timeout_at(end)
         backbone.complete_program(snapshot_bytes, issued, end)
         self.stats.journal_dumps += 1
-        self.stats.journal_bytes += snapshot_bytes
         self._last_journal = end
         return end
 

@@ -52,7 +52,6 @@ class FlashBackbone:
         self._page_bus_s = spec.page_bytes / spec.channel_bus_bandwidth
         self.page_group_reads = 0
         self.page_group_writes = 0
-        self.block_erases = 0
         # Bulk data-section transfers share the backbone's aggregate
         # bandwidth; a single lane per direction serializes concurrent bulk
         # streams, which is equivalent to fair bandwidth sharing for
@@ -106,7 +105,6 @@ class FlashBackbone:
         start = self.env.now
         end = start + self.spec.block_erase_latency_s
         yield self.env.timeout_at(end)
-        self.block_erases += 1
         self._charge(end - start)
 
     # -- bulk (data-section) transfers -----------------------------------------

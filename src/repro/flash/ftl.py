@@ -49,7 +49,6 @@ class BlockRowState:
     """
 
     row_id: int
-    erase_count: int = 0
     valid_groups: Set[int] = field(default_factory=set)
     next_free_offset: int = 0
 
@@ -151,7 +150,6 @@ class BlockAllocator:
         self.geometry = geometry
         self.groups_per_row = geometry.groups_per_block_row
         total_rows = geometry.page_groups_total // self.groups_per_row
-        self.total_rows = total_rows
         self.reserved_rows = max(1, int(total_rows * overprovision))
         # Built on first open: a run opens a few dozen to about a hundred
         # of the device's rows.
@@ -162,7 +160,6 @@ class BlockAllocator:
         self.free_rows: Deque[int] = deque(range(total_rows))
         self.used_rows: Deque[int] = deque()
         self._active_row: Optional[int] = None
-        self.groups_written = 0
 
     # -- allocation ---------------------------------------------------------
     def allocate_run(self, count: int) -> List[int]:
@@ -185,7 +182,6 @@ class BlockAllocator:
         run = list(range(first, first + taken))
         row.next_free_offset = offset + taken
         row.valid_groups.update(run)
-        self.groups_written += taken
         if offset + taken == per_row:
             self.used_rows.append(row.row_id)
             self._active_row = None
@@ -229,7 +225,6 @@ class BlockAllocator:
         row = self.rows[row_id]
         row.valid_groups.clear()
         row.next_free_offset = 0
-        row.erase_count += 1
         self.free_rows.append(row_id)
 
     # -- metrics -----------------------------------------------------------

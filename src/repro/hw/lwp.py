@@ -72,9 +72,6 @@ class LWP:
         self._energy_key = f"lwp{lwp_id}"
         self._busy = IntervalAccumulator()
         self._fu_active = 0
-        self.instructions_retired = 0.0
-        self.kernels_executed = 0
-        self.screens_executed = 0
 
     # -- timing model ------------------------------------------------------
     def estimate(self, instructions: float,
@@ -115,7 +112,6 @@ class LWP:
         self.begin_busy(est.functional_units_used, env.now)
         yield env.timeout(est.seconds)
         self.end_busy(est.functional_units_used, env.now)
-        self.instructions_retired += instructions
         self.charge(bucket, est.seconds)
         return est
 

@@ -99,4 +99,3 @@ class Scratchpad(MemoryDevice):
                          spec.scratchpad_bandwidth, spec.scratchpad_latency_s,
                          power_w=0.0, energy=energy,
                          energy_bucket=STORAGE_ACCESS)
-        self.banks = spec.scratchpad_banks

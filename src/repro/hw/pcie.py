@@ -27,7 +27,6 @@ class PCIeLink:
         self.name = name
         self.pipe = BandwidthPipe(env, spec.bandwidth, spec.latency_s,
                                   name=name)
-        self.interrupts_delivered = 0
 
     def transfer(self, num_bytes: int):
         """Process generator: DMA ``num_bytes`` across the link."""
@@ -39,4 +38,3 @@ class PCIeLink:
     def interrupt(self):
         """Process generator: deliver a doorbell/interrupt (latency only)."""
         yield self.env.timeout(self.spec.latency_s)
-        self.interrupts_delivered += 1

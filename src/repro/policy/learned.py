@@ -95,8 +95,6 @@ class OnlineLinearModel:
             raise ValueError("ridge must be positive")
         if retrain_every < 1:
             raise ValueError("retrain_every must be >= 1")
-        self.dim = dim
-        self.ridge = ridge
         self.retrain_every = retrain_every
         self.count = 0
         self.refits = 0

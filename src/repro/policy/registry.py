@@ -69,8 +69,8 @@ def register_policy(domain: str,
     different classes under one key is an error; re-registering the same
     class — same module and qualified name, e.g. on module reload, which
     creates a fresh class object — replaces the entry silently.  The
-    decorator stamps ``policy_domain`` / ``policy_name`` onto the class
-    so an instance can always say what registry entry produced it.
+    decorator stamps ``policy_name`` onto the class so an instance can
+    always say what registry entry produced it.
     """
     _check_domain(domain)
 
@@ -88,7 +88,6 @@ def register_policy(domain: str,
                 f"{domain} policy {policy_name!r} is already registered "
                 f"for {existing.__name__}")
         _REGISTRY[domain][policy_name] = cls
-        cls.policy_domain = domain
         cls.policy_name = policy_name
         return cls
 

@@ -41,7 +41,6 @@ class ServingBackend:
         self.kernel_factory = kernel_factory
         self.capacity = capacity
         self.in_flight = 0
-        self.dispatched = 0
         # Observability (repro.obs): captured from the environment in
         # start() — sessions attach a tracer before starting the backend
         # — and every span site guards on None.  ``trace_device``
@@ -99,7 +98,6 @@ class AcceleratorBackend(ServingBackend):
         kernel = self.kernel_factory(record.request)
         self._pending[kernel.kernel_id] = (record, on_complete)
         self.in_flight += 1
-        self.dispatched += 1
         tracer = self._tracer
         if tracer is None:
             # The untraced hot path: identical to pre-observability code.
@@ -173,7 +171,6 @@ class BaselineBackend(ServingBackend):
                  on_complete: CompletionCallback) -> None:
         """Run one request through the serial SSD -> host -> PCIe path."""
         self.in_flight += 1
-        self.dispatched += 1
         self.env.spawn(self._serve(record, on_complete))
 
     def _serve(self, record: RequestRecord,

@@ -38,6 +38,7 @@ class StubBackend(ServingBackend):
     def __init__(self, env, capacity=2, service_s=0.1):
         super().__init__(env, kernel_factory=None, capacity=capacity)
         self.service_s = service_s
+        self.dispatched = 0
 
     def dispatch(self, record, on_complete):
         self.in_flight += 1
@@ -123,6 +124,24 @@ def run_process(env: Environment, generator):
     if not proc.ok:
         raise proc.value
     return proc.value
+
+
+def spy(obj, name: str, record) -> None:
+    """Replace ``obj.name`` with a wrapper that passes each call's result
+    and arguments to ``record`` before returning the result.
+
+    Tests watch an operation this way instead of through a counter the
+    code keeps for them.  A process generator's result is the generator,
+    so ``record`` runs at the instant the call starts.
+    """
+    method = getattr(obj, name)
+
+    def wrapped(*args):
+        result = method(*args)
+        record(result, *args)
+        return result
+
+    setattr(obj, name, wrapped)
 
 
 def cyclic_garbage(run) -> Counter:

@@ -59,17 +59,18 @@ def test_stack_time_scales_with_request_count(env, spec):
     assert many_requests == pytest.approx(10 * one_request)
 
 
-def test_stack_file_io_counts_copies_and_mode_switches(env, spec):
+def test_stack_file_io_counts_requests_and_copies(env, spec):
     energy = EnergyAccountant()
     stack = HostStorageStack(env, spec.host, energy)
+    num_bytes = 4 * IO_REQUEST_BYTES
 
     def io(env):
-        yield from stack.file_io(4 * IO_REQUEST_BYTES)
+        yield from stack.file_io(num_bytes)
 
     run_process(env, io(env))
+    assert env.now == stack.stack_time(num_bytes) + stack.copy_time(num_bytes)
     assert stack.stats.io_requests == 4
-    assert stack.stats.copied_bytes == spec.host.copies_per_io * 4 * IO_REQUEST_BYTES
-    assert stack.stats.mode_switches == 8
+    assert stack.stats.copied_bytes == spec.host.copies_per_io * num_bytes
     assert energy.breakdown.storage_access > 0
     assert energy.breakdown.data_movement > 0
 

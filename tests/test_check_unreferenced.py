@@ -94,6 +94,84 @@ def test_a_name_used_only_by_an_example_is_used(tmp_path, capsys):
     assert "every function" in capsys.readouterr().out
 
 
+COUNTER = (
+    "class Counter:\n"
+    "    def __init__(self):\n"
+    "        self.hits = 0\n"
+    "        self.limit = 3\n"
+    "    def bump(self):\n"
+    "        self.hits += 1\n"
+    "        return self.limit\n")
+BUMP = "from repro.counter import Counter\nCounter().bump()\n"
+
+
+def test_a_write_only_attribute_is_reported_at_its_first_store(
+        tmp_path, capsys):
+    assert check(tmp_path, {"src/repro/counter.py": COUNTER,
+                            "examples/bump.py": BUMP}) == 1
+    # ``limit`` is loaded; ``hits`` is stored twice and read by nothing.
+    assert capsys.readouterr().out.splitlines() \
+        == ["src/repro/counter.py:3: .hits"]
+
+
+def test_an_attribute_only_tests_read_is_reported(tmp_path, capsys):
+    assert check(tmp_path, {
+        "src/repro/counter.py": COUNTER,
+        "examples/bump.py": BUMP,
+        "tests/test_counter.py": (
+            "from repro.counter import Counter\n"
+            "def test_bump():\n"
+            "    counter = Counter()\n    counter.bump()\n"
+            "    assert counter.hits == 1\n"),
+    }) == 1
+    assert "src/repro/counter.py:3: .hits" in capsys.readouterr().out
+
+
+def test_getattr_over_a_literal_tuple_is_a_read(tmp_path):
+    assert check(tmp_path, {
+        "src/repro/counter.py": COUNTER,
+        "examples/bump.py": (
+            BUMP + "counter = Counter()\n"
+            "print({name: getattr(counter, name) for name in ('hits',)})\n"),
+    }) == 0
+
+
+def test_a_slots_entry_is_not_a_read(tmp_path, capsys):
+    assert check(tmp_path, {
+        "src/repro/counter.py": (
+            "class Counter:\n"
+            "    __slots__ = ('hits',)\n"
+            "    def __init__(self):\n"
+            "        self.hits = 0\n"),
+        "examples/bump.py": "from repro.counter import Counter\nCounter()\n",
+    }) == 1
+    assert "src/repro/counter.py:4: .hits" in capsys.readouterr().out
+
+
+def test_an_exception_class_may_set_unread_details_on_self(tmp_path, capsys):
+    assert check(tmp_path, {
+        # Scanned before the module defining its base.
+        "src/repro/denied.py": (
+            "from .errors import Refused\n"
+            "class Denied(Refused):\n"
+            "    def __init__(self, who):\n"
+            "        super().__init__('denied')\n"
+            "        self.who = who\n"
+            "        who.blamed = True\n"),
+        "src/repro/errors.py": (
+            "class Refused(ValueError):\n"
+            "    def __init__(self, why):\n"
+            "        super().__init__(why)\n"
+            "        self.why = why\n"),
+        "examples/errors.py": (
+            "from repro.denied import Denied\nprint(Denied)\n"),
+    }) == 1
+    # Subclasses of a built-in exception, directly or not, are exempt on
+    # ``self``; a store on another object is not.
+    assert capsys.readouterr().out.splitlines() \
+        == ["src/repro/denied.py:6: .blamed"]
+
+
 def test_the_check_has_one_mode():
     with pytest.raises(SystemExit) as raised:
         load_tool().main(["--outside-tests"])

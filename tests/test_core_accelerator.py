@@ -1,5 +1,7 @@
 """Integration tests for the FlashAbacus accelerator and its execution engine."""
 
+from collections import Counter
+
 import pytest
 
 from repro.core import FlashAbacusAccelerator
@@ -7,6 +9,8 @@ from repro.core.accelerator import FlashAddressSpace
 from repro.eval import run_system
 from repro.platform import PlatformConfig
 from repro.workloads import heterogeneous_workload, homogeneous_workload
+
+from helpers import spy
 
 SCALE = 0.02   # shrink the Table 2 data sets; ratios are scale-invariant
 
@@ -171,8 +175,13 @@ def test_empty_workload_rejected():
 def test_management_cores_never_execute_screens():
     accelerator = FlashAbacusAccelerator()
     kernels = homogeneous_workload("ATAX", instances=2, input_scale=SCALE)
+    executed = Counter()
+    spy(accelerator, "_execute_screen",
+        lambda _, lwp, *units: executed.update((lwp.lwp_id,)))
     accelerator.run_workload(kernels, "ATAX")
-    assert accelerator.cluster.flashvisor_lwp.screens_executed == 0
-    assert accelerator.cluster.storengine_lwp.screens_executed == 0
-    executed = sum(w.screens_executed for w in accelerator.cluster.workers)
-    assert executed == sum(len(mb) for k in kernels for mb in k.microblocks)
+    cluster = accelerator.cluster
+    assert set(executed) <= {worker.lwp_id for worker in cluster.workers}
+    assert cluster.flashvisor_lwp.lwp_id not in executed
+    assert cluster.storengine_lwp.lwp_id not in executed
+    assert sum(executed.values()) \
+        == sum(len(mb) for k in kernels for mb in k.microblocks)

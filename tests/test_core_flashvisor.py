@@ -64,7 +64,8 @@ def test_translate_read_maps_unmapped_groups_on_first_use(flashvisor_setup):
     # Reading the section again reuses the same physical groups.
     run_process(env, flashvisor.map_for_read(kernel, 0, 256 * 1024))
     assert mapped_groups(flashvisor, 0, 4) == groups
-    assert flashvisor.stats.groups_allocated == 4
+    assert flashvisor.allocator.free_group_count \
+        == flashvisor.geometry.page_groups_total - 4
 
 
 def test_translate_write_allocates_fresh_groups(flashvisor_setup):
@@ -218,16 +219,11 @@ def reference_translate(flashvisor, kind, word_address, num_bytes):
                          start + geometry.bytes_to_page_groups(num_bytes)):
         physical = flashvisor.mapping.lookup(logical)
         if kind == "write" or physical is None:
-            try:
-                physical = allocator.allocate_run(1)[0]
-            except OutOfSpaceError:
-                stats.reclaim_requests += 1
-                raise
+            physical = allocator.allocate_run(1)[0]
             old = flashvisor.mapping.lookup(logical)
             flashvisor.mapping.bind_run(logical, [physical])
             if old is not None:
                 allocator.retire([old])
-            stats.groups_allocated += 1
         groups.append(physical)
         stats.translations += 1
     return groups
@@ -240,13 +236,12 @@ def translation_state(flashvisor):
     # The mapped bitmap marks exactly the mapped logical groups.
     assert [group for group, bit in enumerate(mapping._mapped) if bit] \
         == sorted(mapping._map)
-    rows = [(row_id, row.erase_count, sorted(row.valid_groups),
-             row.next_free_offset)
+    rows = [(row_id, sorted(row.valid_groups), row.next_free_offset)
             for row_id, row in allocator.rows.items()]
     return (list(mapping._map.items()), list(mapping._reverse.items()),
             bytes(mapping._mapped), rows, list(allocator.free_rows),
             list(allocator.used_rows), allocator._active_row,
-            allocator.groups_written, asdict(flashvisor.stats))
+            asdict(flashvisor.stats))
 
 
 def reclaim(flashvisor):
@@ -338,8 +333,8 @@ def test_out_of_space_mid_extent_counts_resolved_groups(spec, tiny_flash_spec):
     with pytest.raises(OutOfSpaceError):
         flashvisor.translate_write(58 * words_per_group, 6 * group_bytes)
     assert flashvisor.stats.translations == 60 + 4
-    assert flashvisor.stats.groups_allocated == 64
-    assert flashvisor.stats.reclaim_requests == 1
+    # Every group was handed out before the rewrite failed.
+    assert flashvisor.allocator.free_group_count == 0
     assert flashvisor.mapping.lookup(62) is None
 
 

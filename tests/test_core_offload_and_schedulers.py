@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.kernel import build_kernel
-from repro.core.offload import OffloadController, PowerSleepController
+from repro.core.offload import OffloadController
 from repro.core.schedulers import (
     DynamicInterKernelScheduler,
     InOrderIntraKernelScheduler,
@@ -16,7 +16,7 @@ from repro.hw.pcie import PCIeLink
 from repro.hw.power import EnergyAccountant
 from repro.sim import Environment
 
-from helpers import run_process
+from helpers import run_process, spy
 
 
 def make_kernel(app_id=0, instance=0, mblks=2, serial=1, screens=3):
@@ -35,17 +35,22 @@ def test_offload_sequence_orders_download_interrupt_boot(spec):
     energy = EnergyAccountant()
     pcie = PCIeLink(env, spec.pcie, energy)
     ddr = DDR3L(env, spec.memory, energy)
-    controller = OffloadController(env, pcie, ddr,
-                                   PowerSleepController(env), energy)
+    controller = OffloadController(env, pcie, ddr)
     kernel = make_kernel()
-
-    record = run_process(env, controller.offload_kernel(kernel))
-    assert record.downloaded_at < record.interrupt_at < record.ready_at
-    assert controller.kernels_offloaded == 1
-    assert kernel.kernel_id in controller.boot_address_registers
+    started = []
+    for device, name, step in ((pcie, "transfer", "download"),
+                               (ddr, "write", "land"),
+                               (pcie, "interrupt", "interrupt")):
+        spy(device, name,
+            lambda *_, step=step: started.append((step, env.now)))
+    run_process(env, controller.offload_kernel(kernel))
+    assert [name for name, _ in started] == ["download", "land", "interrupt"]
+    assert 0.0 == started[0][1] < started[1][1] < started[2][1]
     assert pcie.pipe.bytes_moved == kernel.descriptor.image_bytes
-    assert controller.psc.sleep_transitions == 1
-    assert controller.psc.wake_transitions == 1
+    # After the interrupt the PSC parks the LWP, then wakes it.
+    assert env.now == (started[2][1] + spec.pcie.latency_s
+                       + controller.SLEEP_LATENCY_S
+                       + controller.WAKE_LATENCY_S)
 
 
 def test_offload_batch_processes_every_kernel(spec):
@@ -54,9 +59,13 @@ def test_offload_batch_processes_every_kernel(spec):
     ddr = DDR3L(env, spec.memory)
     controller = OffloadController(env, pcie, ddr)
     kernels = [make_kernel(instance=i) for i in range(4)]
-    records = run_process(env, controller.offload_batch(kernels))
-    assert len(records) == 4
-    assert controller.kernels_offloaded == 4
+    offloaded = []
+    spy(controller, "offload_kernel",
+        lambda _, kernel: offloaded.append(kernel))
+    run_process(env, controller.offload_batch(kernels))
+    assert offloaded == kernels
+    assert pcie.pipe.bytes_moved == sum(k.descriptor.image_bytes
+                                        for k in kernels)
 
 
 def test_offload_rejects_oversized_kernel_image(spec):

@@ -69,7 +69,7 @@ def test_allocator_hands_out_sequential_groups(geometry):
     allocator = BlockAllocator(geometry, overprovision=0.1)
     groups = [allocator.allocate_run(1)[0] for _ in range(10)]
     assert groups == list(range(10))
-    assert allocator.groups_written == 10
+    assert allocator.free_group_count == geometry.page_groups_total - 10
 
 
 def test_allocate_run_stops_at_the_row_end_and_rows_build_on_open(geometry):
@@ -80,7 +80,8 @@ def test_allocate_run_stops_at_the_row_end_and_rows_build_on_open(geometry):
     assert list(allocator.used_rows) == [0]
     assert allocator.allocate_run(3) == [per_row, per_row + 1, per_row + 2]
     assert sorted(allocator.rows) == [0, 1]
-    assert allocator.groups_written == per_row + 3
+    assert allocator.free_group_count \
+        == geometry.page_groups_total - per_row - 3
 
 
 def test_allocator_free_count_decreases(geometry):
@@ -128,28 +129,30 @@ def test_allocator_greedy_victim_prefers_fewest_valid(geometry):
     assert allocator.pick_victim_greedy() == 1
 
 
-def test_allocator_reclaim_returns_row_and_counts_erase(geometry):
+def test_allocator_reclaim_returns_row_and_resets_only_it(geometry):
     allocator = BlockAllocator(geometry, overprovision=0.1)
     # Fill one row and open the next.
     allocator.allocate_run(allocator.groups_per_row)
     allocator.allocate_run(1)
     victim = allocator.pick_victim_round_robin()
-    free_before = len(allocator.free_rows)
-    erases_before = {row_id: row.erase_count
-                     for row_id, row in allocator.rows.items()}
+    free_before = list(allocator.free_rows)
+
+    def row_states():
+        return {row_id: (set(row.valid_groups), row.next_free_offset)
+                for row_id, row in allocator.rows.items()}
+
+    before = row_states()
     allocator.reclaim_row(victim)
-    assert len(allocator.free_rows) == free_before + 1
-    # Only the victim's erase count moved.
-    assert {row_id: row.erase_count
-            for row_id, row in allocator.rows.items()} \
-        == {**erases_before, victim: erases_before[victim] + 1}
-    assert allocator.rows[victim].erase_count == 1
+    # The erased row rejoins the free pool at its tail, empty; no other
+    # row moved.
+    assert list(allocator.free_rows) == free_before + [victim]
+    assert row_states() == {**before, victim: (set(), 0)}
 
 
 def test_allocator_needs_gc_when_free_pool_shrinks(geometry):
     allocator = BlockAllocator(geometry, overprovision=0.2)
     assert not allocator.needs_gc()
-    usable_rows = allocator.total_rows - allocator.reserved_rows
+    usable_rows = len(allocator.free_rows) - allocator.reserved_rows
     for _ in range(usable_rows):
         allocator.allocate_run(allocator.groups_per_row)
     assert allocator.needs_gc()

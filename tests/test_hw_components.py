@@ -210,11 +210,12 @@ def test_pcie_transfer_time_and_energy(env, spec):
     assert energy.breakdown.data_movement > 0
 
 
-def test_pcie_interrupt_counts(env, spec):
+def test_pcie_interrupt_takes_the_link_latency(env, spec):
     pcie = PCIeLink(env, spec.pcie)
 
     def irq(env):
         yield from pcie.interrupt()
 
     run_process(env, irq(env))
-    assert pcie.interrupts_delivered == 1
+    assert env.now == spec.pcie.latency_s
+    assert pcie.pipe.bytes_moved == 0

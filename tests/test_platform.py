@@ -171,7 +171,7 @@ def test_accelerator_runs_on_prebuilt_substrate():
     accelerator = FlashAbacusAccelerator(
         env=env, config=PlatformConfig(system="InterDy"))
     assert accelerator.env is env
-    assert accelerator.backbone is accelerator.substrate.backbone
+    assert accelerator.backbone.env is env
     report = accelerator.run_workload(
         homogeneous_workload("ATAX", instances=2, input_scale=SCALE), "ATAX")
     accelerator.shutdown()

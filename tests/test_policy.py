@@ -56,7 +56,6 @@ def test_every_registered_policy_round_trips_and_instantiates():
             spec = PolicySpec(name)
             policy = build_policy(domain, spec, **DOMAIN_CONTEXT[domain])
             assert isinstance(policy, policy_class(domain, name))
-            assert policy.policy_domain == domain
             assert policy.policy_name == name
             assert PolicySpec(**spec.to_dict()).config_hash() \
                 == spec.config_hash()

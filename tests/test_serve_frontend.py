@@ -21,6 +21,7 @@ class StubBackend(ServingBackend):
     def __init__(self, env, capacity=2, service_s=0.1):
         super().__init__(env, kernel_factory=None, capacity=capacity)
         self.service_s = service_s
+        self.dispatched = 0
         self.order = []
 
     def dispatch(self, record, on_complete):

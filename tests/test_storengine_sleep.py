@@ -80,7 +80,6 @@ class PollingStorengine(Storengine):
         issued = self.env.now
         yield from self.backbone.bulk_program(snapshot_bytes)
         self.stats.journal_dumps += 1
-        self.stats.journal_bytes += snapshot_bytes
         self._last_journal = self.env.now
         self.dumps.append((start, issued, self.env.now))
         return self.env.now
