@@ -268,7 +268,14 @@ class ResultCache:
                     data = json.loads(path.read_text())
                     report_cls = _REPORT_CLASSES[
                         data.get("report_type", "execution")]
-                    report = report_cls.from_dict(data["report"])
+                    fields = data["report"]
+                    if not data.get("config", {}).get(
+                            "track_power_series", True):
+                        # Entries written while every run recorded the
+                        # Fig. 15a series still hold one; a fresh run
+                        # without the flag carries none.
+                        fields.pop("fu_series", None)
+                    report = report_cls.from_dict(fields)
                 except (OSError, ValueError, KeyError, TypeError,
                         AttributeError):
                     # Corrupt, stale, wrong-shaped, unreadable, or

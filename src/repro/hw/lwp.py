@@ -25,20 +25,27 @@ from .spec import LWPSpec
 class ClusterActivity:
     """Shared tracker of how many functional units are active cluster-wide.
 
-    Feeds the Fig. 15a functional-unit utilization time series.
+    The time-weighted :attr:`stat` feeds every report's
+    ``mean_active_fus``.  The Fig. 15a functional-unit time series is
+    recorded only when ``record_series`` is set (the platform sets it
+    with ``PlatformConfig.track_power_series``); otherwise
+    :attr:`series` is ``None``.
     """
 
-    def __init__(self, env: Environment):
+    def __init__(self, env: Environment, record_series: bool):
         self.env = env
         self.stat = TimeWeightedStat(0.0, env.now)
-        self.series = TimeSeries("active_functional_units")
-        self.series.record(env.now, 0.0)
+        self.series: Optional[TimeSeries] = None
+        if record_series:
+            self.series = TimeSeries("active_functional_units")
+            self.series.record(env.now, 0.0)
 
     def adjust(self, delta: float, now: float) -> None:
         """Shift the active count by ``delta`` at simulated time ``now``."""
         stat = self.stat
         stat.update(now, stat.value + delta)
-        self.series.record(now, stat.value)
+        if self.series is not None:
+            self.series.record(now, stat.value)
 
     def mean(self) -> float:
         return self.stat.mean(self.env.now)
@@ -183,7 +190,10 @@ class LWPCluster:
                  reserve_management_cores: bool = True):
         self.env = env
         self.spec = spec
-        self.activity = ClusterActivity(env)
+        # A power monitor means the run records the Fig. 15 series, and
+        # the functional-unit series is the other half of that figure.
+        self.activity = ClusterActivity(
+            env, record_series=power_monitor is not None)
         self.lwps = []
         for i in range(spec.count):
             if reserve_management_cores and i == 0:

@@ -56,7 +56,12 @@ class PlatformConfig:
         Proportional shrink of the data sets; every reported ratio is
         invariant to it.
     track_power_series:
-        Record the Fig. 15 power/FU time series (adds overhead).
+        Record both Fig. 15 time series: the power series (15b) and the
+        functional-unit series (15a).  They cost memory and report bytes
+        on every busy period, so they are off by default; a report run
+        without the flag carries ``power_series`` and ``fu_series`` as
+        ``None``.  The means (``mean_active_fus``, utilizations) do not
+        depend on it.
     features:
         Free-form feature toggles for system-specific behavior, e.g.
         ``{"reserve_management_cores": False}``.

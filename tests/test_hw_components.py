@@ -9,6 +9,7 @@ from repro.hw import (
     LWP,
     LWPCluster,
     PCIeLink,
+    PowerMonitor,
     Scratchpad,
     GB,
     KB,
@@ -131,16 +132,21 @@ def test_cluster_without_reserved_cores_all_workers(env, spec):
 
 
 def test_cluster_activity_tracks_functional_units(env, spec):
-    cluster = LWPCluster(env, spec.lwp)
-    worker = cluster.workers[0]
+    # A power monitor is what the platform passes under
+    # track_power_series, and it turns the Fig. 15a series on too.
+    recorded = LWPCluster(env, spec.lwp, power_monitor=PowerMonitor(env))
+    plain = LWPCluster(env, spec.lwp)
 
     def run(env):
-        yield from worker.compute(1e9, load_store_fraction=0.3)
+        yield from recorded.workers[0].compute(1e9, load_store_fraction=0.3)
+        yield from plain.workers[0].compute(1e9, load_store_fraction=0.3)
 
     run_process(env, run(env))
-    assert cluster.activity.stat.value == 0
-    assert cluster.activity.mean() > 0
-    assert len(cluster.activity.series) >= 3
+    for cluster in (recorded, plain):
+        assert cluster.activity.stat.value == 0
+        assert cluster.activity.mean() > 0
+    assert len(recorded.activity.series) >= 3
+    assert plain.activity.series is None
 
 
 # --------------------------------------------------------------------------- #

@@ -81,6 +81,33 @@ def test_result_cache_disk_roundtrip(tmp_path):
     assert fresh.stats["hits"] == 1
 
 
+def test_result_cache_drops_a_stale_fu_series(tmp_path):
+    """An entry written when every run recorded the Fig. 15a series reads
+    back as a fresh run without the flag: with no series."""
+    spec = _spec()
+    report = spec.execute()
+    assert report.fu_series is None
+    ResultCache(tmp_path).put(spec.key, report, spec)
+    (path,) = tmp_path.glob("*.json")
+    payload = json.loads(path.read_text())
+    assert payload["config"]["track_power_series"] is False
+    recorded = _spec(track_power_series=True).execute()
+    payload["report"]["fu_series"] = recorded.fu_series.to_dict()
+    path.write_text(json.dumps(payload))
+    restored = ResultCache(tmp_path).get(spec.key)
+    assert restored.fu_series is None
+    assert restored.to_dict() == report.to_dict()
+
+
+def test_result_cache_keeps_a_recorded_fu_series(tmp_path):
+    spec = _spec(track_power_series=True)
+    report = spec.execute()
+    assert len(report.fu_series) > 1
+    ResultCache(tmp_path).put(spec.key, report, spec)
+    restored = ResultCache(tmp_path).get(spec.key)
+    assert restored.to_dict() == report.to_dict()
+
+
 def test_result_cache_survives_corrupt_entries(tmp_path):
     spec = _spec()
     cache = ResultCache(tmp_path)

@@ -9,10 +9,12 @@ import pytest
 from repro.baseline.system import BaselineSystem
 from repro.core.accelerator import FlashAbacusAccelerator
 from repro.eval import run_system
+from repro.hw import lwp as lwp_module
 from repro.hw.spec import prototype_spec
+from repro.serve import ServingScenario, ServingSession
 from repro.sim.engine import Environment
 from repro.platform import PlatformBuilder, PlatformConfig
-from repro.workloads import homogeneous_workload
+from repro.workloads import heterogeneous_workload, homogeneous_workload
 
 SCALE = 0.02
 
@@ -149,6 +151,65 @@ def test_builder_tracks_power_series_toggle():
     off = PlatformBuilder(PlatformConfig(system="IntraO3")).build()
     assert on.power_monitor is not None
     assert off.power_monitor is None
+
+
+# --------------------------------------------------------------------------- #
+# The Fig. 15a functional-unit series is recorded only under the flag          #
+# --------------------------------------------------------------------------- #
+@pytest.fixture
+def activities(monkeypatch):
+    """Every cluster's ClusterActivity, in the order the test builds them."""
+    made = []
+
+    class Spy(lwp_module.ClusterActivity):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(lwp_module, "ClusterActivity", Spy)
+    return made
+
+
+def _simulated(report):
+    """The report without the two series the flag records."""
+    data = report.to_dict()
+    del data["fu_series"], data["power_series"]
+    return data
+
+
+@pytest.mark.parametrize("system", ["IntraO3", "SIMD"])
+def test_batch_run_records_the_fu_series_only_under_the_flag(system,
+                                                             activities):
+    reports = [
+        run_system(PlatformConfig(system=system, input_scale=0.05,
+                                  track_power_series=flag),
+                   heterogeneous_workload("MX3", instances_per_kernel=1,
+                                          input_scale=0.05),
+                   workload_name="MX3")
+        for flag in (False, True)]
+    off, on = activities
+    assert off.series is None and reports[0].fu_series is None
+    assert len(on.series) > 1 and reports[1].fu_series is on.series
+    # Makespan, latencies, energy and mean_active_fus, to the last bit.
+    assert _simulated(reports[0]) == _simulated(reports[1])
+
+
+def test_serving_session_records_the_fu_series_only_under_the_flag():
+    runs = []
+    for flag in (False, True):
+        session = ServingSession(
+            ServingScenario(process="poisson", offered_rps=200.0,
+                            duration_s=0.5, seed=7),
+            PlatformConfig(system="IntraO3", input_scale=0.01,
+                           track_power_series=flag))
+        report = session.run()
+        activity = session.frontend.backend.accelerator.cluster.activity
+        runs.append((report.to_dict(), activity.mean(), activity.series))
+    (off, off_fus, off_series), (on, on_fus, on_series) = runs
+    assert off_series is None
+    assert len(on_series) > 1
+    assert off["completed"] > 0
+    assert (off, off_fus) == (on, on_fus)
 
 
 def test_systems_reject_mismatched_substrate():

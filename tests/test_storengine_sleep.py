@@ -89,6 +89,7 @@ def device_state(storengine):
     """Everything a schedule compares between the two loops."""
     backbone = storengine.backbone
     monitor = backbone.power_monitor
+    fu_series = storengine.lwp.activity.series
     return {
         "stats": astuple(storengine.stats),
         "bulk_bytes_written": backbone.bulk_bytes_written,
@@ -96,7 +97,8 @@ def device_state(storengine):
         "bytes_written": backbone.bytes_written(),
         "energy": storengine.energy.breakdown.as_dict(),
         "energy_by_component": dict(storengine.energy.by_component),
-        "fu_series": storengine.lwp.activity.series.to_dict(),
+        "fu_series": (fu_series.to_dict()
+                      if fu_series is not None else None),
         "power_series": (monitor.series.to_dict()
                          if monitor is not None else None),
         "now": storengine.env.now,
